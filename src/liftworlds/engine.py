@@ -10,8 +10,11 @@ instances covered, so its cost tracks the number of parfactor groups rather
 than the number of constants.
 
 The lifted toolbox is deliberately small: lifted sum-out, lifted multiply,
-constraint splitting, and evidence absorption. Each operator checks the
-counting conditions that make it exact:
+evidence absorption, and one partition routine that groups a constraint's
+tuples by a key (public splitting, shattering on query constants, refining
+overlapping groups and the one-grounding-at-a-time absorb of a ragged
+constraint all go through it). Each operator checks the counting conditions
+that make it exact:
 
 * multiply requires the join of the two constraints to pair the groundings
   of both inputs one-to-one, otherwise potentials would be counted with the
@@ -30,8 +33,8 @@ ordinary linear tables.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -134,6 +137,8 @@ class MarginalDistribution:
         return self.probs.reshape(self.shape)
 
     def prob(self, assignment: Sequence[str]) -> float:
+        if len(assignment) != len(self.ranges):
+            raise ValidationError("assignment length does not match targets")
         idx = 0
         for r, value in zip(self.ranges, assignment):
             idx = idx * len(r) + r.index(value)
@@ -196,6 +201,10 @@ class _Lifted:
     args: tuple[PRV, ...]
     logtab: np.ndarray  # shape: one axis per argument range
     constraint: Constraint
+    groups: tuple[frozenset, ...] = field(init=False)  # each argument's instances
+
+    def __post_init__(self):
+        self.groups = tuple(_arg_instances(self.constraint, a) for a in self.args)
 
 
 def _to_lifted(p: Parfactor) -> _Lifted:
@@ -215,6 +224,20 @@ def _arg_positions(c: Constraint, arg: PRV) -> list[int]:
 def _arg_instances(c: Constraint, arg: PRV) -> frozenset[tuple[Constant, ...]]:
     pos = _arg_positions(c, arg)
     return frozenset(tuple(t[i] for i in pos) for t in c.tuples)
+
+
+def _partition(p: Parfactor, key: Callable[[tuple], Hashable]) -> dict[Hashable, Parfactor]:
+    """One parfactor per distinct ``key(tuple)``, in first-seen order.
+
+    A parfactor whose tuples all share one key comes back as it is.
+    """
+    groups: dict[Hashable, list[tuple]] = {}
+    for t in p.constraint.tuples:
+        groups.setdefault(key(t), []).append(t)
+    if len(groups) == 1:
+        return dict.fromkeys(groups, p)
+    lv = p.constraint.logvars
+    return {k: Parfactor(p.table, Constraint.extensional(lv, ts)) for k, ts in groups.items()}
 
 
 def _join(c1: Constraint, c2: Constraint) -> Constraint:
@@ -312,15 +335,8 @@ def split(
         raise ValidationError("can only split an extensional constraint")
     pos = g.constraint.position(x)
     wanted = set(constants)
-    inside = [t for t in g.constraint.tuples if t[pos] in wanted]
-    outside = [t for t in g.constraint.tuples if t[pos] not in wanted]
-
-    def part(tuples):
-        if not tuples:
-            return None
-        return Parfactor(g.table, Constraint.extensional(g.constraint.logvars, tuples))
-
-    return part(inside), part(outside)
+    parts = _partition(g, lambda t: t[pos] in wanted)
+    return parts.get(True), parts.get(False)
 
 
 def absorb(g: Parfactor, ev: Evidence) -> Parfactor:
@@ -421,6 +437,17 @@ def _ground_slice(f: _Ground, atom: GroundAtom, value: str) -> _Ground:
     )
 
 
+def _eliminate_atom(factors: list[_Ground], atom: GroundAtom, log: list | None) -> list[_Ground]:
+    """Multiply the factors that mention ``atom``, then sum it out."""
+    touching = [f for f in factors if atom in f.atoms]
+    prod = touching[0]
+    for other in touching[1:]:
+        prod = _ground_multiply(prod, other)
+        _note(log, "multiply", f"ground {atom}")
+    _note(log, "sum_out", f"ground {atom}", exponent=1)
+    return [f for f in factors if atom not in f.atoms] + [_ground_sum_out(prod, atom)]
+
+
 def _eliminate_atoms(factors: list[_Ground], targets: Sequence[GroundAtom]) -> list[_Ground]:
     """Propositional elimination of every non-target atom, smallest scope first."""
     protected = set(targets)
@@ -445,12 +472,7 @@ def _eliminate_atoms(factors: list[_Ground], targets: Sequence[GroundAtom]) -> l
             return cost
 
         victim = min(candidates, key=lambda a: (scope_cost(a), a))
-        touching = [f for f in factors if victim in f.atoms]
-        rest = [f for f in factors if victim not in f.atoms]
-        prod = touching[0]
-        for other in touching[1:]:
-            prod = _ground_multiply(prod, other)
-        factors = rest + [_ground_sum_out(prod, victim)]
+        factors = _eliminate_atom(factors, victim, None)
 
 
 def _assemble(
@@ -520,28 +542,12 @@ def _shatter(parfactors: Sequence[Parfactor], mentioned: set[Constant], log: lis
         if not mentioned or p.constraint.kind is not ConstraintKind.EXTENSIONAL:
             out.append(p)
             continue
-        groups: dict[tuple, list] = {}
-        for t in p.constraint.tuples:
-            sig = tuple(c if c in mentioned else None for c in t)
-            groups.setdefault(sig, []).append(t)
-        if len(groups) == 1:
-            out.append(p)
-            continue
-        _note(log, "split", f"{len(groups)} groups")
-        for sig in sorted(groups, key=lambda s: tuple(c.name if c else "" for c in s)):
-            out.append(Parfactor(p.table, Constraint.extensional(p.constraint.logvars, groups[sig])))
+        parts = _partition(p, lambda t: tuple(c if c in mentioned else None for c in t))
+        if len(parts) > 1:
+            _note(log, "split", f"{len(parts)} groups")
+        order = sorted(parts, key=lambda s: tuple(c.name if c else "" for c in s))
+        out.extend(parts[s] for s in order)
     return out
-
-
-def _split_on_instances(p: Parfactor, arg: PRV, instances: frozenset) -> tuple[Parfactor, Parfactor]:
-    pos = _arg_positions(p.constraint, arg)
-    inside = [t for t in p.constraint.tuples if tuple(t[i] for i in pos) in instances]
-    outside = [t for t in p.constraint.tuples if tuple(t[i] for i in pos) not in instances]
-    lv = p.constraint.logvars
-    return (
-        Parfactor(p.table, Constraint.extensional(lv, inside)),
-        Parfactor(p.table, Constraint.extensional(lv, outside)),
-    )
 
 
 def _refine(parfactors: Sequence[Parfactor], log: list | None) -> list[Parfactor]:
@@ -568,8 +574,9 @@ def _refine(parfactors: Sequence[Parfactor], log: list | None) -> list[Parfactor
             return pfs
         idx, arg, inter = offender
         _note(log, "split", f"refine {arg.name}")
-        inside, outside = _split_on_instances(pfs[idx], arg, inter)
-        pfs[idx : idx + 1] = [inside, outside]
+        pos = _arg_positions(pfs[idx].constraint, arg)
+        parts = _partition(pfs[idx], lambda t: tuple(t[i] for i in pos) in inter)
+        pfs[idx : idx + 1] = [parts[True], parts[False]]
 
 
 def lifted_query(
@@ -601,27 +608,20 @@ def lifted_query(
         except NotCountNormalized:
             # ragged constraint: absorb one grounding at a time
             _note(op_log, "ground", "absorb")
-            for t in p.constraint.tuples:
-                single = Parfactor(
-                    p.table, Constraint.extensional(p.constraint.logvars, [t])
-                )
-                absorbed.append(absorb(single, q.evidence))
+            absorbed.extend(absorb(one, q.evidence) for one in _partition(p, lambda t: t).values())
     lifted: list[_Lifted] = [_to_lifted(p) for p in absorbed]
     grounds: list[_Ground] = []
-    target_set = {(t.name, t.args) for t in q.targets}
-
-    def protected(name: str, instances: frozenset) -> bool:
-        return any((name, inst) in target_set for inst in instances)
+    targets = [(t.name, t.args) for t in q.targets]
 
     while True:
-        units: set[tuple[str, frozenset]] = set()
-        for lf in lifted:
-            for arg in lf.args:
-                units.add((arg.name, _arg_instances(lf.constraint, arg)))
-        for gf in grounds:
+        # (name, args) of every ground atom -> the ground factors mentioning it
+        ground_ids: dict[tuple[str, tuple], list[int]] = {}
+        for j, gf in enumerate(grounds):
             for atom in gf.atoms:
-                units.add((atom.name, frozenset({atom.args})))
-        candidates = [u for u in units if not protected(*u)]
+                ground_ids.setdefault((atom.name, atom.args), []).append(j)
+        units = {(a.name, g) for lf in lifted for a, g in zip(lf.args, lf.groups)}
+        units.update((name, frozenset({args})) for name, args in ground_ids)
+        candidates = [u for u in units if not any(n == u[0] and a in u[1] for n, a in targets)]
         if not candidates:
             break
 
@@ -631,19 +631,14 @@ def lifted_query(
             name, insts = u
             l_ids, exact = [], True
             for i, lf in enumerate(lifted):
-                for arg in lf.args:
-                    if arg.name != name:
-                        continue
-                    have = _arg_instances(lf.constraint, arg)
-                    if have & insts:
+                for arg, have in zip(lf.args, lf.groups):
+                    if arg.name == name and not have.isdisjoint(insts):
                         l_ids.append(i)
                         exact = exact and have == insts
                         break
-            g_ids = [
-                j
-                for j, gf in enumerate(grounds)
-                if any(at.name == name and at.args in insts for at in gf.atoms)
-            ]
+            if not ground_ids:
+                return l_ids, [], exact
+            g_ids = sorted({j for inst in insts for j in ground_ids.get((name, inst), ())})
             return l_ids, g_ids, exact
 
         membership = {u: members(u) for u in candidates}
@@ -652,7 +647,9 @@ def lifted_query(
             l_ids, g_ids, _ = membership[u]
             return sum(lifted[i].constraint.size for i in l_ids) + len(g_ids)
 
-        unit = min(candidates, key=lambda u: (cost(u), u[0], tuple(sorted(u[1]))))
+        # same-name candidates are disjoint, or a ground singleton inside a
+        # lifted group, so this orders them as sorting whole sets would
+        unit = min(candidates, key=lambda u: (cost(u), u[0], min(u[1]), len(u[1])))
         name, instances = unit
         l_ids, g_ids, exact = membership[unit]
         if not g_ids and exact:
@@ -662,9 +659,7 @@ def lifted_query(
                     prod = _multiply(prod, lifted[i])
                     _note(op_log, "multiply", name)
                 hits = [
-                    a
-                    for a in prod.args
-                    if a.name == name and _arg_instances(prod.constraint, a) == instances
+                    a for a, g in zip(prod.args, prod.groups) if a.name == name and g == instances
                 ]
                 if len(hits) != 1:
                     raise ConstraintsMisaligned(f"group {name} is ambiguous after multiply")
@@ -683,14 +678,7 @@ def lifted_query(
         lifted = [lf for i, lf in enumerate(lifted) if i not in l_ids]
         grounds = [gf for j, gf in enumerate(grounds) if j not in g_ids]
         for atom in sorted(GroundAtom(name, inst) for inst in instances):
-            touching = [f for f in pool if atom in f.atoms]
-            pool = [f for f in pool if atom not in f.atoms]
-            prod = touching[0]
-            for other in touching[1:]:
-                prod = _ground_multiply(prod, other)
-                _note(op_log, "multiply", f"ground {atom}")
-            pool.append(_ground_sum_out(prod, atom))
-            _note(op_log, "sum_out", f"ground {atom}", exponent=1)
+            pool = _eliminate_atom(pool, atom, op_log)
         grounds.extend(pool)
 
     # final assembly over the surviving target groups

@@ -300,26 +300,6 @@ def _constant_tuple(names: tuple[str, ...]) -> tuple[Constant, ...]:
     return t
 
 
-def _unify(terms: Sequence[str], fact: tuple[str, ...], binding: dict) -> dict | None:
-    if len(terms) != len(fact):
-        return None
-    out = binding
-    copied = False
-    for term, value in zip(terms, fact):
-        if _is_variable(term):
-            bound = out.get(term)
-            if bound is None:
-                if not copied:
-                    out = dict(out)
-                    copied = True
-                out[term] = value
-            elif bound != value:
-                return None
-        elif term != value:
-            return None
-    return out
-
-
 def _rule_order(rules: Sequence[Rule]) -> list[Rule]:
     """Dependency order; sound because recursion was rejected at parse time."""
     heads: dict[str, list[int]] = {}
@@ -362,26 +342,25 @@ def _derive(base: dict[str, set[tuple[str, ...]]], rules: Sequence[Rule]) -> dic
             positions = [(i, t, _is_variable(t)) for i, t in enumerate(atom.terms)]
             joined: list[dict] = []
             for b in bindings:
-                fixed = [
-                    (i, b[t] if is_var else t)
-                    for i, t, is_var in positions
-                    if not is_var or t in b
-                ]
-                free = [(i, t) for i, t, is_var in positions if is_var and t not in b]
-                if len({t for _, t in free}) != len(free):
-                    # repeated unbound variable: take the slow, general path
-                    for fact in facts:
-                        nb = _unify(atom.terms, fact, b)
-                        if nb is not None:
-                            joined.append(nb)
-                    continue
+                fixed: list[tuple[int, str]] = []  # fact[i] must equal the value
+                free: dict[str, int] = {}  # variable -> position it binds from
+                same: list[tuple[int, int]] = []  # a repeated unbound variable
+                for i, t, is_var in positions:
+                    if not is_var or t in b:
+                        fixed.append((i, b[t] if is_var else t))
+                    elif t in free:
+                        same.append((free[t], i))
+                    else:
+                        free[t] = i
                 for fact in facts:
                     if len(fact) != arity:
                         continue
                     if fixed and any(fact[i] != v for i, v in fixed):
                         continue
+                    if same and any(fact[i] != fact[j] for i, j in same):
+                        continue
                     nb = dict(b)
-                    for i, t in free:
+                    for t, i in free.items():
                         nb[t] = fact[i]
                     joined.append(nb)
             bindings = joined

@@ -329,6 +329,43 @@ class TestLiftedQuery:
         assert got.probs.shape == (4,)
         assert np.max(np.abs(got.probs - want.probs)) < 1e-9
 
+    def test_prob_reads_the_joint_and_rejects_a_wrong_length(self, rng):
+        m = epidemic_model(3, 2, rng)
+        got = lifted_query(m, QuerySpec((atom("Sick", "x1"), atom("Travel", "x2"))))
+        assert got.prob(("true", "false")) == float(got.probs[2])
+        for wrong in (("true",), ("true", "false", "true")):
+            with pytest.raises(ValidationError):
+                got.prob(wrong)
+
+    def test_ragged_models_with_evidence_match_ground_ve(self, rng):
+        # every person gets its own non-empty treatment subset, so Treat is
+        # ragged; evidence and shattering then mix lifted and ground groups
+        grounded = 0
+        for _ in range(200):
+            persons, treatments = xs(int(rng.integers(2, 5))), ts(int(rng.integers(2, 4)))
+            pairs = []
+            for x in persons:
+                subset = int(rng.integers(1, 2 ** len(treatments)))
+                pairs.extend((x, t) for b, t in enumerate(treatments) if subset >> b & 1)
+            m = ParameterisedModel((
+                Parfactor(PotentialTable((EPID,), rng.uniform(0.1, 2, 2)),
+                          Constraint.extensional((), [()])),
+                Parfactor(PotentialTable((EPID, SICK, TRAVEL), rng.uniform(0.1, 2, 8)),
+                          Constraint.extensional((X,), [(x,) for x in persons])),
+                Parfactor(PotentialTable((EPID, SICK, TREAT), rng.uniform(0.1, 2, 8)),
+                          Constraint.extensional((X, T), pairs)),
+            ))
+            atoms = all_atoms(m)
+            drawn = rng.choice(len(atoms), int(rng.integers(1, 4)), replace=False)
+            picked = [atoms[i] for i in drawn]
+            evidence = Evidence(tuple((a, str(rng.choice(["false", "true"]))) for a in picked[1:]))
+            q = QuerySpec((picked[0],), evidence)
+            log = []
+            got = lifted_query(m, q, op_log=log)
+            assert np.max(np.abs(got.probs - ground_ve(m, q).probs)) < 1e-9
+            grounded += any(r.kind == "ground" for r in log)
+        assert 0 < grounded < 200
+
     def test_operation_log_records_exponents(self):
         m = epidemic_model(3, 2)
         log = []

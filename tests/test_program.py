@@ -232,6 +232,8 @@ class TestEvaluate:
             two(X,Z) :- hop(X,Y) & edge(Y,Z).
             tri(X,Y,Z) :- hop(X,Y) & hop(Y,Z).
             loop(X) :- two(X,X).
+            self(X) :- edge(X,X).
+            from0(Y) :- edge(c0,Y).
             constraint g0 <- top.
             """
         ).rules

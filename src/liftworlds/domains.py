@@ -209,7 +209,7 @@ def enumerate_worlds(spec: DomainSpec, tmpl: TemplateModel) -> tuple[DomainWorld
     if weighted_kinds and unweighted_kinds:
         raise ValidationError("cannot mix weighted and unweighted domain distributions")
 
-    ordered = sorted(logvars, key=lambda lv: lv.name)
+    ordered = sorted(logvars)
     option_lists = [_options(spec.entries[lv.name]) for lv in ordered]
     worlds = []
     for combo in itertools.product(*option_lists):
@@ -224,7 +224,7 @@ def enumerate_worlds(spec: DomainSpec, tmpl: TemplateModel) -> tuple[DomainWorld
     worlds.sort(
         key=lambda w: (
             tuple(len(w.domains[lv]) for lv in ordered),
-            tuple(tuple(c.name for c in w.domains[lv]) for lv in ordered),
+            tuple(w.domains[lv] for lv in ordered),
         )
     )
     return tuple(worlds)

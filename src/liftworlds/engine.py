@@ -50,6 +50,7 @@ from .model import (
     PotentialTable,
     PRV,
     Range,
+    _flat_index,
     conditional_count,
     project,
 )
@@ -137,12 +138,7 @@ class MarginalDistribution:
         return self.probs.reshape(self.shape)
 
     def prob(self, assignment: Sequence[str]) -> float:
-        if len(assignment) != len(self.ranges):
-            raise ValidationError("assignment length does not match targets")
-        idx = 0
-        for r, value in zip(self.ranges, assignment):
-            idx = idx * len(r) + r.index(value)
-        return float(self.probs[idx])
+        return float(self.probs[_flat_index(self.ranges, assignment, "targets")])
 
     def event_prob(self, atom: GroundAtom, value: str) -> float:
         """Marginal probability of one target taking one value."""
@@ -357,6 +353,7 @@ def absorb(g: Parfactor, ev: Evidence) -> Parfactor:
         raise ValidationError("constraint not grounded")
     if not len(ev):
         return g
+    evidence = dict(ev.assignments)
     tab = g.table.as_array()
     kept: list[PRV] = []
     axis = 0
@@ -364,7 +361,7 @@ def absorb(g: Parfactor, ev: Evidence) -> Parfactor:
     for arg in g.table.args:
         pos = _arg_positions(c, arg)
         instances = {GroundAtom(arg.name, tuple(t[i] for i in pos)) for t in c.tuples}
-        observed = {a: ev.value_of(a) for a in instances if ev.value_of(a) is not None}
+        observed = {a: evidence[a] for a in instances if a in evidence}
         if not observed:
             kept.append(arg)
             axis += 1
@@ -542,11 +539,11 @@ def _shatter(parfactors: Sequence[Parfactor], mentioned: set[Constant], log: lis
         if not mentioned or p.constraint.kind is not ConstraintKind.EXTENSIONAL:
             out.append(p)
             continue
-        parts = _partition(p, lambda t: tuple(c if c in mentioned else None for c in t))
+        # "" stands for any unmentioned constant; no constant has an empty name
+        parts = _partition(p, lambda t: tuple(c if c in mentioned else "" for c in t))
         if len(parts) > 1:
             _note(log, "split", f"{len(parts)} groups")
-        order = sorted(parts, key=lambda s: tuple(c.name if c else "" for c in s))
-        out.extend(parts[s] for s in order)
+        out.extend(parts[s] for s in sorted(parts))
     return out
 
 

@@ -11,6 +11,11 @@ over the argument ranges with the *last* argument varying fastest, i.e.
 ``values.reshape(shape)`` indexes as ``[i_arg0, ..., i_argN]``. File formats
 and every operation in this package rely on that order.
 
+Logvars and constants are their names: both subclass ``str``, so equality,
+hashing and order are the string's, and ``Constant("x") == "x"``. No
+container mixes the two kinds. Constraint tuples are sorted by constant
+name.
+
 All types are immutable after construction and safe to share between
 threads; the operations below are pure functions.
 """
@@ -31,51 +36,34 @@ from .errors import NotCountNormalized, ValidationError
 _IDENT_HINT = "identifiers must be non-empty strings"
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class Logvar:
+class _Identifier(str):
+    """A name that is its own value: equality, hashing and order are ``str``'s."""
+
+    __slots__ = ()
+
+    def __new__(cls, name: str):
+        if not isinstance(name, str) or not name:
+            raise ValidationError(_IDENT_HINT)
+        return super().__new__(cls, name)
+
+    @property
+    def name(self) -> str:
+        return str(self)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(name={str.__repr__(self)})"
+
+
+class Logvar(_Identifier):
     """A logical variable ranging over a domain of constants."""
 
-    name: str
-
-    def __post_init__(self):
-        if not self.name:
-            raise ValidationError(_IDENT_HINT)
-
-    # comparisons by name only; str caches its hash, which matters in hot loops
-    def __eq__(self, other):
-        return isinstance(other, Logvar) and self.name == other.name
-
-    def __hash__(self) -> int:
-        return hash(self.name)
-
-    def __lt__(self, other: "Logvar") -> bool:
-        return self.name < other.name
-
-    def __str__(self) -> str:
-        return self.name
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class Constant:
+class Constant(_Identifier):
     """A named individual; distinct names denote distinct individuals."""
 
-    name: str
-
-    def __post_init__(self):
-        if not self.name:
-            raise ValidationError(_IDENT_HINT)
-
-    def __eq__(self, other):
-        return isinstance(other, Constant) and self.name == other.name
-
-    def __hash__(self) -> int:
-        return hash(self.name)
-
-    def __lt__(self, other: "Constant") -> bool:
-        return self.name < other.name
-
-    def __str__(self) -> str:
-        return self.name
+    __slots__ = ()
 
 
 @dataclass(frozen=True, slots=True)
@@ -125,7 +113,7 @@ class PRV:
     def __str__(self) -> str:
         if not self.params:
             return self.name
-        return f"{self.name}({','.join(p.name for p in self.params)})"
+        return f"{self.name}({','.join(self.params)})"
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -141,7 +129,7 @@ class GroundAtom:
     def __str__(self) -> str:
         if not self.args:
             return self.name
-        return f"{self.name}({','.join(c.name for c in self.args)})"
+        return f"{self.name}({','.join(self.args)})"
 
 
 class ConstraintKind(enum.Enum):
@@ -170,7 +158,7 @@ class Constraint:
             raise ValidationError("constraint logvars must be distinct")
         # order-preserving dedup, then sort: linear when the caller pre-sorts
         unique = dict.fromkeys(tuple(t) for t in self.tuples)
-        tuples = tuple(sorted(unique, key=lambda t: tuple(c.name for c in t)))
+        tuples = tuple(sorted(unique))
         object.__setattr__(self, "logvars", logvars)
         object.__setattr__(self, "tuples", tuples)
         if self.kind is ConstraintKind.EXTENSIONAL:
@@ -217,6 +205,16 @@ class Constraint:
             raise ValidationError(f"logvar {logvar.name} not in constraint") from None
 
 
+def _flat_index(ranges: Sequence[Range], assignment: Sequence[str], what: str) -> int:
+    """Row-major index of one value per range, the last range varying fastest."""
+    if len(assignment) != len(ranges):
+        raise ValidationError(f"assignment length does not match {what}")
+    idx = 0
+    for r, value in zip(ranges, assignment):
+        idx = idx * len(r) + r.index(value)
+    return idx
+
+
 @dataclass(frozen=True, eq=False)
 class PotentialTable:
     """Dense non-negative potentials over the joint range of the argument PRVs."""
@@ -244,12 +242,7 @@ class PotentialTable:
 
     def encode(self, assignment: Sequence[str]) -> int:
         """Flat index of one joint range-value tuple (last argument fastest)."""
-        if len(assignment) != len(self.args):
-            raise ValidationError("assignment length does not match arguments")
-        idx = 0
-        for arg, value in zip(self.args, assignment):
-            idx = idx * len(arg.range) + arg.range.index(value)
-        return idx
+        return _flat_index(tuple(a.range for a in self.args), assignment, "arguments")
 
     def decode(self, index: int) -> tuple[str, ...]:
         if not 0 <= index < self.values.size:
@@ -466,14 +459,18 @@ def resolve_top(p: Parfactor, domains) -> Parfactor:
     """
     if p.constraint.kind is not ConstraintKind.TOP:
         raise ValidationError("constraint is not top")
-    mapping: Mapping[Logvar, Sequence[Constant]] = getattr(domains, "domains", domains)
+    mapping = getattr(domains, "domains", domains)
+    return Parfactor(p.table, _product(p.constraint.logvars, mapping))
+
+
+def _product(logvars: tuple[Logvar, ...], domains: Mapping[Logvar, Sequence[Constant]]) -> Constraint:
+    """The extensional constraint binding ``logvars`` to every tuple of their domains."""
     per_logvar = []
-    for lv in p.constraint.logvars:
-        if lv not in mapping:
-            raise ValidationError(f"missing domain for logvar {lv.name}")
-        dom = tuple(mapping[lv])
+    for lv in logvars:
+        if lv not in domains:
+            raise ValidationError(f"missing domain for logvar {lv.name!r}")
+        dom = tuple(domains[lv])
         if not dom:
-            raise ValidationError(f"empty domain for logvar {lv.name}")
+            raise ValidationError(f"empty domain for logvar {lv.name!r}")
         per_logvar.append(dom)
-    tuples = itertools.product(*per_logvar)
-    return Parfactor(p.table, Constraint.extensional(p.constraint.logvars, tuples))
+    return Constraint.extensional(logvars, itertools.product(*per_logvar))

@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 from .errors import ParseError, ValidationError
-from .model import Constant, Constraint, TemplateModel
+from .model import Constant, Constraint, TemplateModel, _product
 
 _IDENT = r"[a-z][A-Za-z0-9_]*"
 _VAR = r"[A-Z_][A-Za-z0-9_]*"
@@ -422,14 +422,7 @@ def evaluate(prog: Program, tmpl: TemplateModel, dw) -> tuple[ConstraintWorld, .
             binding = prog.binding_for(name)
             logvars = pf.constraint.logvars
             if binding.atom is None:
-                per_lv = []
-                for lv in logvars:
-                    if lv not in domains:
-                        raise ValidationError(f"missing domain for logvar {lv.name!r}")
-                    per_lv.append(tuple(domains[lv]))
-                constraints.append(
-                    Constraint.extensional(logvars, itertools.product(*per_lv))
-                )
+                constraints.append(_product(logvars, domains))
                 continue
             if len(binding.atom.terms) != len(logvars):
                 raise ValidationError(

@@ -107,6 +107,22 @@ class TestExpand:
         assert result.exit_code == 2
         assert "missing domain" in result.stderr
 
+    def test_non_string_constant_is_input_error(self, small_universe, tmp_path):
+        model = tmp_path / "mixed.json"
+        parfactor = {
+            "args": [["Sick", "X"]],
+            "values": [1, 2],
+            "constraint": {"logvars": ["X"], "tuples": [[1], ["a"]]},
+        }
+        model.write_text(
+            json.dumps(
+                {"randvars": [{"name": "Sick", "arity": 1}], "logvars": ["X"], "parfactors": [parfactor]}
+            )
+        )
+        result = run("expand", "--model", str(model), *small_universe[2:])
+        assert result.exit_code == 2
+        assert "non-empty strings" in result.stderr
+
     def test_json_matches_csv(self, small_universe):
         as_csv = run("expand", *small_universe)
         as_json = run("expand", *small_universe, "--format", "json")

@@ -50,6 +50,21 @@ class TestModelFile:
         assert isinstance(model, ParameterisedModel)
         assert model.parfactors[0].constraint.size == 2
 
+    def test_non_string_constant_rejected(self):
+        doc = {
+            "randvars": [{"name": "Sick", "arity": 1}],
+            "logvars": ["X"],
+            "parfactors": [
+                {
+                    "args": [["Sick", "X"]],
+                    "values": [1, 2],
+                    "constraint": {"logvars": ["X"], "tuples": [[1], ["a"]]},
+                }
+            ],
+        }
+        with pytest.raises(ValidationError, match="non-empty strings"):
+            parse_model(doc)
+
     def test_top_constraint_loads(self):
         doc = {
             "randvars": [{"name": "Sick", "arity": 1}],

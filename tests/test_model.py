@@ -6,6 +6,7 @@ from liftworlds import (
     Constraint,
     DomainWorld,
     GroundAtom,
+    Logvar,
     NotCountNormalized,
     Parfactor,
     PotentialTable,
@@ -211,6 +212,22 @@ class TestValidation:
         a, b = Constant("a"), Constant("b")
         c = Constraint.extensional((X,), [(b,), (a,), (b,)])
         assert c.tuples == ((a,), (b,))
+        x2, x10 = Constant("x2"), Constant("x10")
+        assert Constraint.extensional((X,), [(x2,), (x10,)]).tuples == ((x10,), (x2,))
+        x1, t1, t2 = Constant("x1"), Constant("t1"), Constant("t2")
+        pairs = Constraint.extensional((X, T), [(x1, t2), (x2, t1), (x1, t1)])
+        assert pairs.tuples == ((x1, t1), (x1, t2), (x2, t1))
+
+    def test_identifiers_behave_as_their_names(self):
+        c, lv = Constant("x1"), Logvar("X")
+        assert c == "x1" and hash(c) == hash("x1") and str(c) == c.name == "x1"
+        assert lv == "X" and hash(lv) == hash("X") and lv == Constant("X")
+        assert Constant("a") < Constant("b")
+        assert repr(c) == "Constant(name='x1')"
+        assert repr(lv) == "Logvar(name='X')"
+        for bad in (1, "", None):
+            with pytest.raises(ValidationError, match="non-empty strings"):
+                Constant(bad)
 
     def test_template_requires_empty_constraints(self):
         g = Parfactor(PotentialTable((EPID,), [1, 1]), Constraint.extensional((), [()]))

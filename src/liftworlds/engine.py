@@ -13,15 +13,20 @@ The lifted toolbox is deliberately small: lifted sum-out, lifted multiply,
 evidence absorption, and one partition routine that groups a constraint's
 tuples by a key (public splitting, shattering on query constants, refining
 overlapping groups and the one-grounding-at-a-time absorb of a ragged
-constraint all go through it). Each operator checks the counting conditions
-that make it exact:
+constraint all go through it). A factor's groups (each argument's set of
+instances) are computed once, when the factor is made over a new
+constraint; multiply, sum-out and absorb carry them over, since none of
+them changes the instances of an argument it keeps. Each operator checks
+the counting conditions that make it exact:
 
-* multiply requires the join of the two constraints to pair the groundings
-  of both inputs one-to-one, otherwise potentials would be counted with the
-  wrong multiplicity;
+* multiply pairs the groundings of both inputs one-to-one on the values of
+  their shared logvars while it joins: a key repeated in either input, or a
+  key only one input has, would count potentials with the wrong
+  multiplicity;
 * sum-out requires every instance of the summed-out PRV to live in exactly
-  one grounding, and every kept tuple to extend to the same number of
-  groundings (that shared count is the exponent).
+  one grounding (its group is as large as the constraint), and every kept
+  tuple to extend to the same number of groundings (that shared count is
+  the exponent).
 
 When a condition fails, the factors involved are grounded on the spot and
 their instances are eliminated propositionally, so answers stay exact while
@@ -33,7 +38,7 @@ ordinary linear tables.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -51,8 +56,8 @@ from .model import (
     PRV,
     Range,
     _flat_index,
-    conditional_count,
-    project,
+    _restrict,
+    _uniform_count,
 )
 
 # ---------------------------------------------------------------------------
@@ -72,10 +77,6 @@ class Evidence:
                 raise ValidationError(f"contradictory evidence for {atom}")
             seen[atom] = value
         object.__setattr__(self, "assignments", tuple(sorted(seen.items())))
-
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[GroundAtom, str]) -> "Evidence":
-        return cls(tuple(mapping.items()))
 
     def atoms(self) -> tuple[GroundAtom, ...]:
         return tuple(a for a, _ in self.assignments)
@@ -157,9 +158,6 @@ class OpRecord:
     exponent: int | None = None
 
 
-OpLog = list  # list[OpRecord]; pass a list to lifted_query to collect one
-
-
 def _note(log: list | None, kind: str, detail: str = "", exponent: int | None = None):
     if log is not None:
         log.append(OpRecord(kind, detail, exponent))
@@ -197,81 +195,68 @@ class _Lifted:
     args: tuple[PRV, ...]
     logtab: np.ndarray  # shape: one axis per argument range
     constraint: Constraint
-    groups: tuple[frozenset, ...] = field(init=False)  # each argument's instances
+    groups: tuple[frozenset, ...]  # each argument's instances
 
-    def __post_init__(self):
-        self.groups = tuple(_arg_instances(self.constraint, a) for a in self.args)
+
+def _lifted(args: tuple[PRV, ...], logtab: np.ndarray, c: Constraint) -> _Lifted:
+    """A factor over a new constraint: the one place groups are computed.
+
+    Operators that keep a constraint's instance sets (a one-to-one join, a
+    projection onto the remaining arguments) carry their input's groups.
+    """
+    groups = tuple(frozenset(_restrict(c, a.params)) for a in args)
+    return _Lifted(args, logtab, c, groups)
 
 
 def _to_lifted(p: Parfactor) -> _Lifted:
     if p.constraint.kind is not ConstraintKind.EXTENSIONAL:
         raise ValidationError("constraint not grounded")
-    return _Lifted(p.table.args, _log(p.table.as_array()), p.constraint)
+    return _lifted(p.table.args, _log(p.table.as_array()), p.constraint)
 
 
 def _to_parfactor(lf: _Lifted) -> Parfactor:
     return Parfactor(PotentialTable(lf.args, np.exp(lf.logtab).ravel()), lf.constraint)
 
 
-def _arg_positions(c: Constraint, arg: PRV) -> list[int]:
-    return [c.position(lv) for lv in arg.params]
+def _partition(c: Constraint, key: Callable[[tuple], Hashable]) -> dict[Hashable, Constraint]:
+    """One constraint per distinct ``key(tuple)``, in first-seen order.
 
-
-def _arg_instances(c: Constraint, arg: PRV) -> frozenset[tuple[Constant, ...]]:
-    pos = _arg_positions(c, arg)
-    return frozenset(tuple(t[i] for i in pos) for t in c.tuples)
-
-
-def _partition(p: Parfactor, key: Callable[[tuple], Hashable]) -> dict[Hashable, Parfactor]:
-    """One parfactor per distinct ``key(tuple)``, in first-seen order.
-
-    A parfactor whose tuples all share one key comes back as it is.
+    A constraint whose tuples all share one key comes back as it is.
     """
-    groups: dict[Hashable, list[tuple]] = {}
-    for t in p.constraint.tuples:
-        groups.setdefault(key(t), []).append(t)
-    if len(groups) == 1:
-        return dict.fromkeys(groups, p)
-    lv = p.constraint.logvars
-    return {k: Parfactor(p.table, Constraint.extensional(lv, ts)) for k, ts in groups.items()}
+    parts: dict[Hashable, list[tuple]] = {}
+    for t in c.tuples:
+        parts.setdefault(key(t), []).append(t)
+    if len(parts) == 1:
+        return dict.fromkeys(parts, c)
+    return {k: Constraint.extensional(c.logvars, ts) for k, ts in parts.items()}
 
 
 def _join(c1: Constraint, c2: Constraint) -> Constraint:
+    """The join of two constraints that pair their groundings one-to-one.
+
+    ``c2``'s tuples are keyed on the shared logvars, and each tuple of ``c1``
+    pops the partner with its key. A repeated key in ``c2``, a ``c1`` tuple
+    with no partner or a ``c2`` tuple left over raises
+    :class:`ConstraintsMisaligned`.
+    """
     shared = [lv for lv in c2.logvars if lv in c1.logvars]
     extra = [lv for lv in c2.logvars if lv not in c1.logvars]
-    out_logvars = c1.logvars + tuple(extra)
-    k2 = [c2.position(lv) for lv in shared]
-    r2 = [c2.position(lv) for lv in extra]
-    by_key: dict[tuple, list[tuple]] = {}
-    for t in c2.tuples:
-        by_key.setdefault(tuple(t[i] for i in k2), []).append(tuple(t[i] for i in r2))
-    k1 = [c1.position(lv) for lv in shared]
-    joined = []
-    for t in c1.tuples:
-        for rest in by_key.get(tuple(t[i] for i in k1), ()):
-            joined.append(t + rest)
-    if not joined:
-        raise ConstraintsMisaligned("constraints misaligned: empty join")
-    return Constraint.extensional(out_logvars, joined)
-
-
-def _is_lossless(join: Constraint, c: Constraint) -> bool:
-    extra = [lv for lv in join.logvars if lv not in c.logvars]
-    try:
-        return project(join, c.logvars) == c and conditional_count(join, extra) == 1
-    except NotCountNormalized:
-        return False
+    partner = dict(zip(_restrict(c2, shared), _restrict(c2, extra)))
+    keys_unique = len(partner) == c2.size
+    joined = [t + partner.pop(k) for t, k in zip(c1.tuples, _restrict(c1, shared)) if k in partner]
+    if not keys_unique or len(joined) < c1.size or partner:
+        raise ConstraintsMisaligned(
+            "constraints misaligned: join does not pair groundings one-to-one"
+        )
+    return Constraint.extensional(c1.logvars + tuple(extra), joined)
 
 
 def _multiply(a: _Lifted, b: _Lifted) -> _Lifted:
     join = _join(a.constraint, b.constraint)
-    if not (_is_lossless(join, a.constraint) and _is_lossless(join, b.constraint)):
-        raise ConstraintsMisaligned(
-            "constraints misaligned: join does not pair groundings one-to-one"
-        )
-    args = a.args + tuple(x for x in b.args if x not in a.args)
+    new = [i for i, x in enumerate(b.args) if x not in a.args]
+    args = a.args + tuple(b.args[i] for i in new)
     logtab = _aligned(a.logtab, a.args, args) + _aligned(b.logtab, b.args, args)
-    return _Lifted(args, logtab, join)
+    return _Lifted(args, logtab, join, a.groups + tuple(b.groups[i] for i in new))
 
 
 def _sum_out(lf: _Lifted, prv: PRV) -> tuple[_Lifted, int]:
@@ -279,19 +264,17 @@ def _sum_out(lf: _Lifted, prv: PRV) -> tuple[_Lifted, int]:
     if len(hits) != 1:
         raise ValidationError(f"{prv} must occur exactly once among the arguments")
     axis = hits[0]
-    rest = tuple(a for i, a in enumerate(lf.args) if i != axis)
-    rest_logvars = {lv for a in rest for lv in a.params}
-    keep = [lv for lv in lf.constraint.logvars if lv in rest_logvars]
-    eliminated = [lv for lv in lf.constraint.logvars if lv not in rest_logvars]
     # each instance of prv may appear in only one grounding, or a plain sum is wrong
-    private = [lv for lv in lf.constraint.logvars if lv not in prv.params]
-    if conditional_count(lf.constraint, private) != 1:
+    if len(lf.groups[axis]) != lf.constraint.size:
         raise NotCountNormalized(
             f"instances of {prv} are shared between groundings; sum-out needs grounding"
         )
-    n = conditional_count(lf.constraint, eliminated)
+    rest = lf.args[:axis] + lf.args[axis + 1 :]
+    rest_logvars = {lv for a in rest for lv in a.params}
+    keep = [lv for lv in lf.constraint.logvars if lv in rest_logvars]
+    n, projected = _uniform_count(lf.constraint, keep)
     logtab = _logsumexp(lf.logtab, axis) * n
-    return _Lifted(rest, logtab, project(lf.constraint, keep)), n
+    return _Lifted(rest, logtab, projected, lf.groups[:axis] + lf.groups[axis + 1 :]), n
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +314,10 @@ def split(
         raise ValidationError("can only split an extensional constraint")
     pos = g.constraint.position(x)
     wanted = set(constants)
-    parts = _partition(g, lambda t: t[pos] in wanted)
+    parts = {
+        k: g if c is g.constraint else Parfactor(g.table, c)
+        for k, c in _partition(g.constraint, lambda t: t[pos] in wanted).items()
+    }
     return parts.get(True), parts.get(False)
 
 
@@ -348,39 +334,36 @@ def absorb(g: Parfactor, ev: Evidence) -> Parfactor:
     :class:`NotCountNormalized`). Returns ``g`` itself when no evidence
     applies.
     """
-    c = g.constraint
-    if c.kind is not ConstraintKind.EXTENSIONAL:
-        raise ValidationError("constraint not grounded")
-    if not len(ev):
-        return g
-    evidence = dict(ev.assignments)
-    tab = g.table.as_array()
+    lf = _to_lifted(g)
+    out = _absorb(lf, dict(ev.assignments))
+    return g if out is lf else _to_parfactor(out)
+
+
+def _absorb(lf: _Lifted, evidence: Mapping[GroundAtom, str]) -> _Lifted:
+    """:func:`absorb` in log space; returns ``lf`` itself when no evidence applies."""
+    if not evidence:
+        return lf
+    logtab = lf.logtab
     kept: list[PRV] = []
-    axis = 0
-    changed = False
-    for arg in g.table.args:
-        pos = _arg_positions(c, arg)
-        instances = {GroundAtom(arg.name, tuple(t[i] for i in pos)) for t in c.tuples}
-        observed = {a: evidence[a] for a in instances if a in evidence}
+    kept_groups: list[frozenset] = []
+    for arg, group in zip(lf.args, lf.groups):
+        observed = [evidence[a] for a in (GroundAtom(arg.name, i) for i in group) if a in evidence]
         if not observed:
             kept.append(arg)
-            axis += 1
+            kept_groups.append(group)
             continue
-        values = set(observed.values())
-        if len(observed) < len(instances) or len(values) != 1:
+        values = set(observed)
+        if len(observed) < len(group) or len(values) != 1:
             raise InferenceError(f"shatter first: group {arg} is not uniformly observed")
-        tab = np.take(tab, arg.range.index(values.pop()), axis=axis)
-        changed = True
-    if not changed:
-        return g
+        logtab = np.take(logtab, arg.range.index(values.pop()), axis=len(kept))
+    if logtab is lf.logtab:
+        return lf
+    c = lf.constraint
     kept_logvars = {lv for a in kept for lv in a.params}
-    orphaned = [lv for lv in c.logvars if lv not in kept_logvars]
-    if orphaned:
-        n = conditional_count(c, orphaned)
-        if n > 1:
-            tab = tab**n
-        c = project(c, [lv for lv in c.logvars if lv in kept_logvars])
-    return Parfactor(PotentialTable(tuple(kept), np.ravel(tab)), c)
+    if len(kept_logvars) < len(c.logvars):
+        n, c = _uniform_count(c, [lv for lv in c.logvars if lv in kept_logvars])
+        logtab = logtab * n
+    return _Lifted(tuple(kept), logtab, c, tuple(kept_groups))
 
 
 # ---------------------------------------------------------------------------
@@ -532,31 +515,35 @@ def ground_ve(m: ParameterisedModel, q: QuerySpec) -> MarginalDistribution:
 # lifted query answering
 
 
-def _shatter(parfactors: Sequence[Parfactor], mentioned: set[Constant], log: list | None):
+def _shatter(
+    parfactors: Sequence[Parfactor], mentioned: set[Constant], log: list | None
+) -> list[_Lifted]:
     """Give every constant named by the query or evidence its own groups."""
     out = []
     for p in parfactors:
-        if not mentioned or p.constraint.kind is not ConstraintKind.EXTENSIONAL:
-            out.append(p)
-            continue
-        # "" stands for any unmentioned constant; no constant has an empty name
-        parts = _partition(p, lambda t: tuple(c if c in mentioned else "" for c in t))
+        if p.constraint.kind is not ConstraintKind.EXTENSIONAL:
+            raise ValidationError("constraint not grounded")
+        parts = {(): p.constraint}
+        if mentioned:
+            # "" stands for any unmentioned constant; no constant has an empty name
+            parts = _partition(
+                p.constraint, lambda t: tuple(c if c in mentioned else "" for c in t)
+            )
         if len(parts) > 1:
             _note(log, "split", f"{len(parts)} groups")
-        out.extend(parts[s] for s in sorted(parts))
+        logtab = _log(p.table.as_array())
+        out.extend(_lifted(p.table.args, logtab, parts[s]) for s in sorted(parts))
     return out
 
 
-def _refine(parfactors: Sequence[Parfactor], log: list | None) -> list[Parfactor]:
+def _refine(lifted: Sequence[_Lifted], log: list | None) -> list[_Lifted]:
     """Split until same-name argument groups are equal or disjoint everywhere."""
-    pfs = list(parfactors)
+    lfs = list(lifted)
     while True:
         by_name: dict[str, list[tuple[int, PRV, frozenset]]] = {}
-        for i, p in enumerate(pfs):
-            for arg in p.table.args:
-                by_name.setdefault(arg.name, []).append(
-                    (i, arg, _arg_instances(p.constraint, arg))
-                )
+        for i, lf in enumerate(lfs):
+            for arg, group in zip(lf.args, lf.groups):
+                by_name.setdefault(arg.name, []).append((i, arg, group))
         offender = None
         for name in sorted(by_name):
             entries = by_name[name]
@@ -568,12 +555,13 @@ def _refine(parfactors: Sequence[Parfactor], log: list | None) -> list[Parfactor
             if offender:
                 break
         if offender is None:
-            return pfs
+            return lfs
         idx, arg, inter = offender
         _note(log, "split", f"refine {arg.name}")
-        pos = _arg_positions(pfs[idx].constraint, arg)
-        parts = _partition(pfs[idx], lambda t: tuple(t[i] for i in pos) in inter)
-        pfs[idx : idx + 1] = [parts[True], parts[False]]
+        lf = lfs[idx]
+        pos = [lf.constraint.position(lv) for lv in arg.params]
+        parts = _partition(lf.constraint, lambda t: tuple(t[i] for i in pos) in inter)
+        lfs[idx : idx + 1] = [_lifted(lf.args, lf.logtab, parts[k]) for k in (True, False)]
 
 
 def lifted_query(
@@ -592,21 +580,20 @@ def lifted_query(
     """
     _validate_query(m, q)
     mentioned = {c for atom in tuple(q.targets) + q.evidence.atoms() for c in atom.args}
-    pfs = _shatter(m.parfactors, mentioned, op_log)
-    pfs = _refine(pfs, op_log)
-    absorbed = []
-    for p in pfs:
+    evidence = dict(q.evidence.assignments)
+    lifted: list[_Lifted] = []
+    for lf in _refine(_shatter(m.parfactors, mentioned, op_log), op_log):
         try:
-            a = absorb(p, q.evidence)
-            if a is not p:
-                dropped = [str(arg) for arg in p.table.args if arg not in a.table.args]
+            a = _absorb(lf, evidence)
+            if a is not lf:
+                dropped = [str(arg) for arg in lf.args if arg not in a.args]
                 _note(op_log, "absorb", ",".join(dropped))
-            absorbed.append(a)
+            lifted.append(a)
         except NotCountNormalized:
             # ragged constraint: absorb one grounding at a time
             _note(op_log, "ground", "absorb")
-            absorbed.extend(absorb(one, q.evidence) for one in _partition(p, lambda t: t).values())
-    lifted: list[_Lifted] = [_to_lifted(p) for p in absorbed]
+            for one in _partition(lf.constraint, lambda t: t).values():
+                lifted.append(_absorb(_lifted(lf.args, lf.logtab, one), evidence))
     grounds: list[_Ground] = []
     targets = [(t.name, t.args) for t in q.targets]
 

@@ -27,7 +27,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -175,7 +175,7 @@ class Constraint:
 
     @classmethod
     def extensional(cls, logvars: Iterable[Logvar], tuples: Iterable[Sequence[Constant]]) -> "Constraint":
-        return cls(tuple(logvars), tuple(tuple(t) for t in tuples), ConstraintKind.EXTENSIONAL)
+        return cls(tuple(logvars), tuples, ConstraintKind.EXTENSIONAL)
 
     @classmethod
     def _presorted(cls, logvars: tuple[Logvar, ...], tuples: tuple[tuple[Constant, ...], ...]) -> "Constraint":
@@ -203,6 +203,14 @@ class Constraint:
             return self.logvars.index(logvar)
         except ValueError:
             raise ValidationError(f"logvar {logvar.name} not in constraint") from None
+
+
+def _restrict(c: Constraint, logvars: Sequence[Logvar]) -> Iterator[tuple[Constant, ...]]:
+    """Each tuple of ``c`` cut down to ``logvars``, in ``c``'s tuple order."""
+    if not logvars:
+        return itertools.repeat((), c.size)
+    columns = tuple(zip(*c.tuples))
+    return zip(*[columns[c.position(lv)] for lv in logvars])
 
 
 def _flat_index(ranges: Sequence[Range], assignment: Sequence[str], what: str) -> int:
@@ -389,17 +397,9 @@ class ParameterisedModel:
                     continue
                 if not arg.params:
                     return True
-                pos = [p.constraint.position(lv) for lv in arg.params]
-                if any(tuple(t[i] for i in pos) == atom.args for t in p.constraint.tuples):
+                if atom.args in _restrict(p.constraint, arg.params):
                     return True
         return False
-
-    def constants(self) -> tuple[Constant, ...]:
-        seen: set[Constant] = set()
-        for p in self.parfactors:
-            for t in p.constraint.tuples:
-                seen.update(t)
-        return tuple(sorted(seen))
 
 
 def ground(p: Parfactor) -> tuple[GroundFactor, ...]:
@@ -424,9 +424,7 @@ def project(c: Constraint, keep: Sequence[Logvar]) -> Constraint:
     keep = tuple(keep)
     if len(set(keep)) != len(keep):
         raise ValidationError("projection logvars must be distinct")
-    idx = [c.position(lv) for lv in keep]
-    tuples = {tuple(t[i] for i in idx) for t in c.tuples}
-    return Constraint.extensional(keep, tuples)
+    return Constraint.extensional(keep, set(_restrict(c, keep)))
 
 
 def conditional_count(c: Constraint, eliminate: Iterable[Logvar]) -> int:
@@ -441,14 +439,23 @@ def conditional_count(c: Constraint, eliminate: Iterable[Logvar]) -> int:
     elim = set(eliminate)
     for lv in elim:
         c.position(lv)
-    keep_idx = [i for i, lv in enumerate(c.logvars) if lv not in elim]
-    counts = Counter(tuple(t[i] for i in keep_idx) for t in c.tuples)
+    return _uniform_count(c, [lv for lv in c.logvars if lv not in elim])[0]
+
+
+def _uniform_count(c: Constraint, keep: Sequence[Logvar]) -> tuple[int, Constraint]:
+    """Count and project in one walk over ``c``.
+
+    Returns how many tuples each tuple cut down to ``keep`` extends to, and
+    the projection onto ``keep``. Raises :class:`NotCountNormalized` when
+    that count differs between kept tuples.
+    """
+    counts = Counter(_restrict(c, keep))
     distinct = set(counts.values())
     if len(distinct) != 1:
         raise NotCountNormalized(
             f"not count-normalized: kept tuples extend to {sorted(distinct)} groundings"
         )
-    return distinct.pop()
+    return distinct.pop(), Constraint.extensional(keep, counts.keys())
 
 
 def resolve_top(p: Parfactor, domains) -> Parfactor:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -8,20 +10,25 @@ from liftworlds import (
     Evidence,
     GroundAtom,
     InferenceError,
+    Logvar,
     NotCountNormalized,
+    PRV,
     Parfactor,
     ParameterisedModel,
     PotentialTable,
     QuerySpec,
     ValidationError,
     absorb,
+    conditional_count,
     ground,
     ground_ve,
     lift_multiply,
     lift_sum_out,
     lifted_query,
+    project,
     split,
 )
+from liftworlds.engine import _absorb, _lifted, _multiply, _sum_out, _to_lifted
 from support import (
     EPID,
     SICK,
@@ -48,6 +55,44 @@ def c_x(n):
 
 def c_xt(nx, nt):
     return Constraint.extensional((X, T), [(x, t) for x in xs(nx) for t in ts(nt)])
+
+
+def random_factor(rng, name):
+    """A parfactor over 0-3 of the logvars X, Y, Z in random order, with a random
+    non-empty subset of their tuples over 1-3 constants. Its arguments are
+    ``name`` over all its logvars and, when it has any, ``name + "1"`` over the
+    first one."""
+    logvars = [Logvar(n) for n in rng.permutation(["X", "Y", "Z"])[: rng.integers(0, 4)]]
+    constants = [Constant(c) for c in "abc"[: rng.integers(1, 4)]]
+    every = list(itertools.product(constants, repeat=len(logvars)))
+    keep = rng.random(len(every)) < rng.uniform(0.2, 1.0)
+    keep[rng.integers(len(every))] = True
+    args = (PRV(name, tuple(logvars)),) + ((PRV(name + "1", tuple(logvars[:1])),) if logvars else ())
+    table = PotentialTable(args, rng.uniform(0.1, 2, 2 ** len(args)))
+    return Parfactor(table, Constraint.extensional(logvars, [t for t, k in zip(every, keep) if k]))
+
+
+def reference_join(c1, c2):
+    """The join by brute force, and whether it pairs the groundings of both one-to-one."""
+    shared = [lv for lv in c2.logvars if lv in c1.logvars]
+    extra = tuple(lv for lv in c2.logvars if lv not in c1.logvars)
+    joined = [
+        t1 + tuple(t2[c2.position(lv)] for lv in extra)
+        for t1, t2 in itertools.product(c1.tuples, c2.tuples)
+        if all(t1[c1.position(lv)] == t2[c2.position(lv)] for lv in shared)
+    ]
+    if not joined:
+        return None, False
+    join = Constraint.extensional(c1.logvars + extra, joined)
+    try:
+        one_to_one = all(
+            project(join, c.logvars) == c
+            and conditional_count(join, [lv for lv in join.logvars if lv not in c.logvars]) == 1
+            for c in (c1, c2)
+        )
+    except NotCountNormalized:
+        one_to_one = False
+    return join, one_to_one
 
 
 class TestGroundVE:
@@ -112,8 +157,6 @@ class TestLiftMultiply:
 
     def test_disjoint_arguments_outer_product(self, rng):
         # singleton groups over unrelated logvars; checked against ground_ve
-        from liftworlds import Logvar, PRV
-
         y = Logvar("Y")
         travel_y = PRV("Travel", (y,))
         v1, v2 = rng.uniform(0.1, 2, 2), rng.uniform(0.1, 2, 2)
@@ -135,6 +178,25 @@ class TestLiftMultiply:
         g2 = Parfactor(PotentialTable((EPID, SICK), np.arange(1, 5)), c_x(2))
         with pytest.raises(ConstraintsMisaligned):
             lift_multiply(g1, g2)
+
+    def test_pairing_check_matches_brute_force_join(self):
+        rng = np.random.default_rng(5)
+        accepted = rejected = 0
+        for _ in range(3000):
+            g1, g2 = random_factor(rng, "A"), random_factor(rng, "B")
+            join, one_to_one = reference_join(g1.constraint, g2.constraint)
+            if not one_to_one:
+                with pytest.raises(ConstraintsMisaligned):
+                    lift_multiply(g1, g2)
+                rejected += 1
+                continue
+            out = lift_multiply(g1, g2)
+            assert out.constraint == join
+            assert out.table.args == g1.table.args + g2.table.args
+            want = np.multiply.outer(g1.table.as_array(), g2.table.as_array())
+            assert np.allclose(out.table.as_array(), want, rtol=1e-12)
+            accepted += 1
+        assert accepted > 500 and rejected > 500
 
     def test_zero_ary_against_group_rejected(self):
         g0 = Parfactor(PotentialTable((EPID,), [3, 1]), Constraint.extensional((), [()]))
@@ -260,6 +322,41 @@ class TestAbsorb:
         m = ParameterisedModel((g,))
         marginal = ground_ve(m, QuerySpec((atom("Epid"),), ev))
         assert np.allclose(marginal.probs, want / want.sum(), atol=1e-12)
+
+
+def test_operators_carry_the_groups_they_keep():
+    # multiply, sum-out and absorb hand their inputs' groups on; each must
+    # equal what a factor built from scratch over the same constraint holds.
+    # Two factors named "A" share an argument when their logvars agree.
+    rng = np.random.default_rng(11)
+    made = 0
+
+    def check(lf):
+        nonlocal made
+        assert lf.groups == _lifted(lf.args, lf.logtab, lf.constraint).groups
+        made += 1
+
+    for _ in range(1000):
+        a = _to_lifted(random_factor(rng, "A"))
+        try:
+            b = _to_lifted(random_factor(rng, str(rng.choice(["A", "B"]))))
+            factors = [a, _multiply(a, b)]
+            check(factors[1])
+        except ConstraintsMisaligned:
+            factors = [a]
+        for lf in factors:
+            for prv in lf.args:
+                try:
+                    check(_sum_out(lf, prv)[0])
+                except NotCountNormalized:
+                    pass
+            prv, group = lf.args[-1], lf.groups[-1]
+            value = str(rng.choice(["false", "true"]))
+            try:
+                check(_absorb(lf, {GroundAtom(prv.name, i): value for i in group}))
+            except NotCountNormalized:
+                pass
+    assert made > 2000
 
 
 class TestLiftedQuery:
@@ -402,7 +499,7 @@ class TestLiftedQuery:
             Evidence(((atom("Epid"), "true"), (atom("Epid"), "false")))
 
     def test_non_boolean_ranges(self, rng):
-        from liftworlds import Range, PRV
+        from liftworlds import Range
 
         severity = Range(("none", "mild", "severe"))
         sev = PRV("Sev", (X,), severity)

@@ -157,34 +157,24 @@ class Constraint:
         if len(set(logvars)) != len(logvars):
             raise ValidationError("constraint logvars must be distinct")
         # order-preserving dedup, then sort: linear when the caller pre-sorts
-        unique = dict.fromkeys(tuple(t) for t in self.tuples)
-        tuples = tuple(sorted(unique))
+        tuples = tuple(sorted(dict.fromkeys(map(tuple, self.tuples))))
         object.__setattr__(self, "logvars", logvars)
         object.__setattr__(self, "tuples", tuples)
         if self.kind is ConstraintKind.EXTENSIONAL:
             if not tuples:
                 raise ValidationError("extensional constraint needs at least one tuple")
-            for t in tuples:
-                if len(t) != len(logvars):
-                    raise ValidationError(
-                        f"tuple {tuple(c.name for c in t)} does not match logvars "
-                        f"{tuple(l.name for l in logvars)}"
-                    )
+            if set(map(len, tuples)) != {len(logvars)}:
+                bad = next(t for t in tuples if len(t) != len(logvars))
+                raise ValidationError(
+                    f"tuple {tuple(c.name for c in bad)} does not match logvars "
+                    f"{tuple(l.name for l in logvars)}"
+                )
         elif tuples:
             raise ValidationError(f"{self.kind.value} constraint carries no tuples")
 
     @classmethod
     def extensional(cls, logvars: Iterable[Logvar], tuples: Iterable[Sequence[Constant]]) -> "Constraint":
         return cls(tuple(logvars), tuples, ConstraintKind.EXTENSIONAL)
-
-    @classmethod
-    def _presorted(cls, logvars: tuple[Logvar, ...], tuples: tuple[tuple[Constant, ...], ...]) -> "Constraint":
-        """Trusted fast path: caller guarantees sorted, unique, arity-true, non-empty tuples."""
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "logvars", logvars)
-        object.__setattr__(obj, "tuples", tuples)
-        object.__setattr__(obj, "kind", ConstraintKind.EXTENSIONAL)
-        return obj
 
     @classmethod
     def top(cls, logvars: Iterable[Logvar]) -> "Constraint":

@@ -21,13 +21,26 @@ are independent, so a program with groups of sizes ``m1, m2, ...`` yields
 ``m1 * m2 * ...`` constraint worlds, each weighted by the product of its
 chosen facts' probabilities. Rules are evaluated bottom-up to fixpoint,
 which terminates because recursion is rejected up front.
+
+The rules never run over a whole domain world. Constants the program text
+names stay themselves; the others are interchangeable within their type,
+the set of populated logvars whose domains hold them. So the rules run once
+per choice combination and world *shape* (the named constants each
+populated domain holds, and which types are non-empty), over the named facts
+plus k representatives per type, k the largest bound arity. Each answer
+becomes a pattern of named constants and numbered representatives, and a
+world lists a pattern by mapping its representatives one-to-one onto its own
+constants of their types. Positive rules commute with renaming unnamed
+constants, and survive merging two of one type, so this gives exactly the
+answers of the whole world; the README's design note has the argument.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import ParseError, ValidationError
@@ -277,29 +290,6 @@ def parse(text: str) -> Program:
 # evaluation
 
 
-_INTERNED: dict[str, Constant] = {}
-_INTERNED_TUPLES: dict[tuple[str, ...], tuple[Constant, ...]] = {}
-
-
-def _constant(name: str) -> Constant:
-    """Constants are interned: one object per name, shared across worlds."""
-    c = _INTERNED.get(name)
-    if c is None:
-        if len(_INTERNED) > 1_000_000:
-            _INTERNED.clear()
-        c = _INTERNED[name] = Constant(name)
-    return c
-
-
-def _constant_tuple(names: tuple[str, ...]) -> tuple[Constant, ...]:
-    t = _INTERNED_TUPLES.get(names)
-    if t is None:
-        if len(_INTERNED_TUPLES) > 1_000_000:
-            _INTERNED_TUPLES.clear()
-        t = _INTERNED_TUPLES[names] = tuple(_constant(n) for n in names)
-    return t
-
-
 def _rule_order(rules: Sequence[Rule]) -> list[Rule]:
     """Dependency order; sound because recursion was rejected at parse time."""
     heads: dict[str, list[int]] = {}
@@ -373,8 +363,113 @@ def _derive(base: dict[str, set[tuple[str, ...]]], rules: Sequence[Rule]) -> dic
     return rel
 
 
-def evaluate(prog: Program, tmpl: TemplateModel, dw) -> tuple[ConstraintWorld, ...]:
-    """Run the program once per choice combination against one domain world.
+@dataclass
+class EvaluationMemo:
+    """What ``evaluate`` shares between the domain worlds of one program and template.
+
+    ``shapes`` maps a world shape to its choice worlds, each binding's answers
+    kept as patterns. ``constants`` and ``tuples`` keep one copy of every
+    constant and listed constraint tuple, so worlds that list equal tuples
+    share them, and the engine's lookups on equal names meet one object. A
+    memo grows with the worlds it serves: make one per expansion and let it
+    go with it.
+    """
+
+    shapes: dict = field(default_factory=dict)
+    constants: dict = field(default_factory=dict)
+    tuples: dict = field(default_factory=dict)
+
+
+def _named(prog: Program) -> frozenset[str]:
+    """The constants the program text mentions."""
+    atoms = itertools.chain(
+        prog.facts,
+        *(g.facts for g in prog.choice_groups),
+        *((r.head, *r.body) for r in prog.rules),
+    )
+    return frozenset(t for a in atoms for t in a.terms if not _is_variable(t))
+
+
+def _pattern(answer: tuple, constants: dict) -> tuple:
+    """An answer over representatives, each renumbered by its first appearance.
+
+    Named constants stay, as their copies in ``constants``; a representative
+    becomes ``(type, number)``, so answers that differ only by which
+    representatives they use coincide.
+    """
+    first: dict = {}
+    return tuple(
+        constants.setdefault(t, Constant(t)) if isinstance(t, str)
+        else (t[0], first.setdefault(t, len(first)))
+        for t in answer
+    )
+
+
+def _choice_worlds(
+    prog: Program, tmpl: TemplateModel, held, types, k: int, constants: dict
+) -> list:
+    """``(choice, prob, answers)`` per choice combination of one world shape.
+
+    The rules run over the named facts plus ``k`` representatives of each
+    anonymous type; ``answers`` holds each parfactor's binding answers as a
+    tuple of patterns, or None for a ``top`` binding.
+    """
+    base: dict[str, set[tuple]] = {}
+    for atom in prog.facts:
+        base.setdefault(atom.predicate, set()).add(atom.terms)
+    for (_, pred), cs in zip(prog.populate, held):
+        base.setdefault(pred, set()).update((c,) for c in cs)
+    pred_of = dict(prog.populate)
+    for typ in types:
+        for lv_name in typ:
+            base.setdefault(pred_of[lv_name], set()).update(((typ, i),) for i in range(k))
+    atoms = [prog.binding_for(name).atom for name in tmpl.names]
+
+    worlds = []
+    sizes = [range(len(g.facts)) for g in prog.choice_groups]
+    for combo in itertools.product(*sizes):
+        prob = 1.0
+        chosen = {p: set(ts) for p, ts in base.items()}
+        for g, fi in zip(prog.choice_groups, combo):
+            prob *= g.probs[fi]
+            chosen.setdefault(g.predicate, set()).add(g.facts[fi].terms)
+        rel = _derive(chosen, prog.rules)
+        answers = tuple(
+            None if atom is None
+            else tuple({_pattern(t, constants) for t in rel.get(atom.predicate, ())})
+            for atom in atoms
+        )
+        worlds.append((combo, prob, answers))
+    worlds.sort(key=lambda w: (-w[1], w[0]))
+    return worlds
+
+
+def _list(pattern: tuple, pools: dict, shared: dict) -> list[tuple[Constant, ...]]:
+    """A world's tuples of one pattern.
+
+    Each of the pattern's representatives is mapped one-to-one onto the
+    world's anonymous constants of its type, so a pattern lists nothing when
+    a type holds too few. Tuples already in ``shared`` are reused.
+    """
+    reps = {number: typ for typ, number in (t for t in pattern if isinstance(t, tuple))}
+    fixed = tuple(t for t in pattern if not isinstance(t, tuple))
+    m = len(reps)
+    named = iter(range(m, m + len(fixed)))
+    order = tuple(t[1] if isinstance(t, tuple) else next(named) for t in pattern)
+    rows = itertools.product(*(pools[reps[j]] for j in range(m)))
+    if len(set(reps.values())) < m:  # two representatives of one type
+        rows = (r for r in rows if len(set(r)) == m)
+    if fixed:
+        rows = (r + fixed for r in rows)
+    if order != tuple(range(len(order))):
+        rows = map(itemgetter(*order), rows)
+    return [shared.setdefault(r, r) for r in rows]
+
+
+def evaluate(
+    prog: Program, tmpl: TemplateModel, dw, memo: EvaluationMemo | None = None
+) -> tuple[ConstraintWorld, ...]:
+    """The constraint worlds the program generates in one domain world.
 
     Returns one constraint world per element of the Cartesian product of the
     choice groups, weighted by the product of the chosen facts'
@@ -382,6 +477,11 @@ def evaluate(prog: Program, tmpl: TemplateModel, dw) -> tuple[ConstraintWorld, .
     A program without probabilistic facts yields exactly one world with
     probability 1. Worlds whose binding queries came up empty are emitted
     with an empty constraint and flagged degenerate.
+
+    The rules run once per choice combination and world shape, not per
+    world: pass one ``memo`` to the calls on the worlds of one expansion and
+    worlds of equal shape share the run, and equal constants and tuples
+    share one copy.
     """
     by_name = {lv.name: lv for lv in tmpl.logvars}
     bound = {b.parfactor for b in prog.bindings}
@@ -391,59 +491,67 @@ def evaluate(prog: Program, tmpl: TemplateModel, dw) -> tuple[ConstraintWorld, .
     unknown = bound - set(tmpl.names)
     if unknown:
         raise ValidationError(f"binding for unknown parfactor {sorted(unknown)[0]!r}")
+    k = 0  # representatives per type: enough for every equality pattern of an answer
+    for name, pf in zip(tmpl.names, tmpl.parfactors):
+        atom = prog.binding_for(name).atom
+        if atom is not None and len(atom.terms) != len(pf.constraint.logvars):
+            raise ValidationError(
+                f"binding for {name!r} has arity {len(atom.terms)}, "
+                f"parfactor has {len(pf.constraint.logvars)} logvars"
+            )
+        k = max(k, 0 if atom is None else len(atom.terms))
 
+    if memo is None:
+        memo = EvaluationMemo()
+    intern = memo.constants.setdefault
     domains = dw.domains
-    pop_facts: list[Atom] = []
-    for lv_name, pred in prog.populate:
+    named = _named(prog)
+    held = []  # per populate directive, the named constants its domain holds
+    holders: dict[Constant, list[str]] = {}  # anonymous constant -> populated logvars
+    for lv_name, _ in prog.populate:
         lv = by_name.get(lv_name)
         if lv is None or lv not in domains:
             raise ValidationError(f"missing domain for logvar {lv_name!r}")
-        pop_facts.extend(Atom(pred, (c.name,)) for c in domains[lv])
+        held.append(tuple(sorted({intern(c, c) for c in domains[lv] if c in named})))
+        for c in domains[lv]:
+            if c not in named:
+                lvs = holders.setdefault(intern(c, c), [])
+                if not lvs or lvs[-1] != lv_name:
+                    lvs.append(lv_name)
+    pools: dict[tuple[str, ...], list[Constant]] = {}  # type -> its constants
+    for c, lvs in holders.items():
+        pools.setdefault(tuple(lvs), []).append(c)
+    for constants in pools.values():
+        constants.sort()
 
-    static_base: dict[str, set[tuple[str, ...]]] = {}
-    for atom in itertools.chain(prog.facts, pop_facts):
-        static_base.setdefault(atom.predicate, set()).add(atom.terms)
+    shape = (tuple(held), tuple(sorted(pools)))
+    choice_worlds = memo.shapes.get(shape)
+    if choice_worlds is None:
+        choice_worlds = memo.shapes[shape] = _choice_worlds(
+            prog, tmpl, held, shape[1], k, memo.constants
+        )
 
-    worlds: list[ConstraintWorld] = []
-    sizes = [range(len(g.facts)) for g in prog.choice_groups]
-    for combo in itertools.product(*sizes):
-        chosen = [prog.choice_groups[gi].facts[fi] for gi, fi in enumerate(combo)]
-        prob = 1.0
-        for gi, fi in enumerate(combo):
-            prob *= prog.choice_groups[gi].probs[fi]
-        base = {p: set(ts) for p, ts in static_base.items()}
-        for atom in chosen:
-            base.setdefault(atom.predicate, set()).add(atom.terms)
-        rel = _derive(base, prog.rules)
-
+    listed: dict[tuple, list] = {}  # pattern -> this world's tuples
+    worlds = []
+    for combo, prob, answers in choice_worlds:
         constraints: list[Constraint] = []
         degenerate = False
-        for name, pf in zip(tmpl.names, tmpl.parfactors):
-            binding = prog.binding_for(name)
+        for pf, patterns in zip(tmpl.parfactors, answers):
             logvars = pf.constraint.logvars
-            if binding.atom is None:
+            if patterns is None:
                 constraints.append(_product(logvars, domains))
                 continue
-            if len(binding.atom.terms) != len(logvars):
-                raise ValidationError(
-                    f"binding for {name!r} has arity {len(binding.atom.terms)}, "
-                    f"parfactor has {len(logvars)} logvars"
-                )
-            answers = rel.get(binding.atom.predicate, set())
-            if not answers:
+            tuples = []
+            for p in patterns:
+                if p not in listed:
+                    listed[p] = _list(p, pools, memo.tuples)
+                tuples += listed[p]
+            if tuples:
+                constraints.append(Constraint.extensional(logvars, tuples))
+            else:
                 constraints.append(Constraint.empty(logvars))
                 degenerate = True
-                continue
-            # answers are unique string tuples; sorting them matches the
-            # name order Constraint keeps, so the trusted path is safe
-            constraints.append(
-                Constraint._presorted(
-                    logvars, tuple(_constant_tuple(t) for t in sorted(answers))
-                )
-            )
         worlds.append(ConstraintWorld(tuple(constraints), prob, combo, degenerate))
-
-    worlds.sort(key=lambda w: (-w.prob, w.choice))
     return tuple(worlds)
 
 

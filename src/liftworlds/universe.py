@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .domains import DomainSpec, WorldFilter, enumerate_worlds, filter_worlds
 from .errors import ValidationError
 from .model import ConstraintKind, Parfactor, ParameterisedModel, TemplateModel
-from .program import ConstraintWorld, Program, evaluate, uniformize
+from .program import ConstraintWorld, EvaluationMemo, Program, evaluate, uniformize
 
 
 @dataclass(frozen=True)
@@ -107,9 +107,12 @@ def expand(u: UniverseModel) -> tuple[WeightedModel, ...]:
         indexed = [(k, w) for k, w in indexed if id(w) in kept]
     varying = u.domain_spec.varying()
 
+    # one memo per call, so no process-wide cache keeps tuples alive after
+    # the models that hold them are gone
+    memo = EvaluationMemo()
     out: list[WeightedModel] = []
     for k, dw in indexed:
-        cws = evaluate(u.program, u.template, dw)
+        cws = evaluate(u.program, u.template, dw, memo)
         if cws and all(w.prob is None for w in cws):
             cws = uniformize(cws)
         for j, cw in enumerate(cws):

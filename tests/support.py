@@ -2,12 +2,14 @@
 
 The oracles deliberately avoid the code paths they check: joint enumeration
 walks every assignment of the full joint, the datalog oracle grounds every
-rule over every constant combination, and the skyline oracle is the
-quadratic dominance check.
+rule over every constant combination, the program oracle runs the rules
+tuple at a time over each domain world's whole populated database, and the
+skyline oracle is the quadratic dominance check.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -23,6 +25,7 @@ from liftworlds import (
     PRV,
     TemplateModel,
 )
+from liftworlds.program import ConstraintWorld
 
 X = Logvar("X")
 T = Logvar("T")
@@ -162,6 +165,90 @@ def naive_datalog(facts: set[tuple[str, tuple[str, ...]]], rules):
                         facts.add(head)
                         changed = True
     return facts
+
+
+def _is_variable(term: str) -> bool:
+    return term[0].isupper() or term[0] == "_"
+
+
+def _fire(rule, rel) -> set[tuple[str, ...]]:
+    """Head tuples of one rule, joining its body one fact at a time."""
+    bindings: list[dict] = [{}]
+    for atom in rule.body:
+        joined = []
+        for b in bindings:
+            for fact in rel.get(atom.predicate, ()):
+                if len(fact) != len(atom.terms):
+                    continue
+                nb = dict(b)
+                if all(
+                    nb.setdefault(t, v) == v if _is_variable(t) else t == v
+                    for t, v in zip(atom.terms, fact)
+                ):
+                    joined.append(nb)
+        bindings = joined
+    return {tuple(b.get(t, t) for t in rule.head.terms) for b in bindings}
+
+
+def datalog_fixpoint(facts: dict[str, set], rules) -> dict[str, set]:
+    """Fire every rule until nothing new is derived."""
+    rel = {p: set(ts) for p, ts in facts.items()}
+    while True:
+        new = {(r.head.predicate, t) for r in rules for t in _fire(r, rel)}
+        new = {(p, t) for p, t in new if t not in rel.get(p, ())}
+        if not new:
+            return rel
+        for p, t in new:
+            rel.setdefault(p, set()).add(t)
+
+
+def full_evaluate(prog, tmpl: TemplateModel, dw) -> list[ConstraintWorld]:
+    """The program's constraint worlds in ``dw``, from its whole populated database."""
+    by_name = {lv.name: lv for lv in tmpl.logvars}
+    base: dict[str, set] = {}
+    for atom in prog.facts:
+        base.setdefault(atom.predicate, set()).add(atom.terms)
+    for lv_name, pred in prog.populate:
+        base.setdefault(pred, set()).update((str(c),) for c in dw.domains[by_name[lv_name]])
+    worlds = []
+    for combo in itertools.product(*(range(len(g.facts)) for g in prog.choice_groups)):
+        prob = 1.0
+        facts = {p: set(ts) for p, ts in base.items()}
+        for g, fi in zip(prog.choice_groups, combo):
+            prob *= g.probs[fi]
+            facts.setdefault(g.predicate, set()).add(g.facts[fi].terms)
+        rel = datalog_fixpoint(facts, prog.rules)
+        constraints, degenerate = [], False
+        for name, pf in zip(tmpl.names, tmpl.parfactors):
+            atom = prog.binding_for(name).atom
+            logvars = pf.constraint.logvars
+            if atom is None:
+                every = itertools.product(*(dw.domains[lv] for lv in logvars))
+                constraints.append(Constraint.extensional(logvars, every))
+            elif rel.get(atom.predicate):
+                answers = [tuple(map(Constant, t)) for t in rel[atom.predicate]]
+                constraints.append(Constraint.extensional(logvars, answers))
+            else:
+                constraints.append(Constraint.empty(logvars))
+                degenerate = True
+        worlds.append(ConstraintWorld(tuple(constraints), prob, combo, degenerate))
+    worlds.sort(key=lambda w: (-w.prob, w.choice))
+    return worlds
+
+
+def expansion_digest(models) -> str:
+    """SHA-256 over every model's provenance, exact weight and constraint tuples."""
+    h = hashlib.sha256()
+    for wm in models:
+        p = wm.provenance
+        head = (p.domain_world, p.constraint_world, sorted(p.domain_sizes.items()),
+                p.varying, wm.prob.hex(), wm.degenerate)
+        h.update(repr(head).encode())
+        for pf in () if wm.model is None else wm.model.parfactors:
+            c = pf.constraint
+            h.update(repr((c.kind.value, [str(lv) for lv in c.logvars],
+                           [[str(a) for a in t] for t in c.tuples])).encode())
+    return h.hexdigest()
 
 
 def brute_force_skyline(points: np.ndarray) -> list[int]:

@@ -1,17 +1,42 @@
+import re
+
 import pytest
 
 from liftworlds import (
+    BetaBinomialDomain,
     Constant,
+    Constraint,
     ConstraintKind,
+    DomainSpec,
     DomainWorld,
+    EnumeratedDomain,
+    FixedDomain,
+    Logvar,
+    Parfactor,
     ParseError,
+    PotentialTable,
+    PRV,
+    TemplateModel,
+    UniverseModel,
     ValidationError,
+    enumerate_worlds,
     evaluate_program,
+    expand,
+    io,
     parse_program,
     uniformize,
 )
+from liftworlds import program
 from liftworlds.program import ConstraintWorld
-from support import EXAMPLE_PROGRAM, T, X, epidemic_template, naive_datalog, ts
+from support import (
+    EXAMPLE_PROGRAM,
+    T,
+    X,
+    epidemic_template,
+    full_evaluate,
+    naive_datalog,
+    ts,
+)
 
 
 def people_world(*names):
@@ -256,6 +281,210 @@ class TestEvaluate:
             rel = _derive(by_pred, rules)
             got = {(p, t) for p, tuples in rel.items() for t in tuples}
             assert got == want
+
+
+Y = Logvar("Y")
+
+
+def xy_template() -> TemplateModel:
+    """g0 over no logvar, g1 over X, g2 over (X, Y), g3 over Y."""
+    a, b, c, d = PRV("A"), PRV("B", (X,)), PRV("C", (X, Y)), PRV("D", (Y,))
+    return TemplateModel(
+        (
+            Parfactor(PotentialTable((a,), (1.0, 2.0)), Constraint.empty(())),
+            Parfactor(PotentialTable((b,), (1.0, 2.0)), Constraint.empty((X,))),
+            Parfactor(PotentialTable((c,), (1.0, 2.0)), Constraint.empty((X, Y))),
+            Parfactor(PotentialTable((d,), (1.0, 2.0)), Constraint.empty((Y,))),
+        ),
+        ("g0", "g1", "g2", "g3"),
+    )
+
+
+def beta(guaranteed=(), bins=3) -> BetaBinomialDomain:
+    named = tuple(map(Constant, guaranteed))
+    return BetaBinomialDomain(2.0, 3.0, bins=bins, step=1, guaranteed=named)
+
+
+def enumerated(*options) -> EnumeratedDomain:
+    p = 1.0 / len(options)
+    return EnumeratedDomain(tuple((tuple(map(Constant, cs)), p) for cs in options))
+
+
+def check_against_oracle(text: str, spec: dict, monkeypatch) -> list:
+    """Evaluate every world of ``spec`` with one shared memo, as ``expand``
+    does, and compare each with the full-database oracle. Also checks that no
+    tuple of a world is listed by two patterns. Returns the oracle's worlds."""
+    prog, tmpl = parse_program(text), xy_template()
+    listed: list = []
+    real = program._list
+
+    def spy(pattern, pools, shared):
+        out = real(pattern, pools, shared)
+        listed.append(out)
+        return out
+
+    monkeypatch.setattr(program, "_list", spy)
+    memo = program.EvaluationMemo()
+    seen = []
+    for dw in enumerate_worlds(DomainSpec(spec), tmpl):
+        listed.clear()
+        want = full_evaluate(prog, tmpl, dw)
+        assert list(evaluate_program(prog, tmpl, dw, memo)) == want, (text, dw.domains)
+        every = [t for out in listed for t in out]
+        assert len(every) == len(set(every)), (text, dw.domains)
+        seen.extend(want)
+    return seen
+
+
+DIRECTIVES = """
+constraint g0 <- top.
+populate p/1 from X.
+populate q/1 from Y.
+"""
+
+# each case exercises one way a world's answers can depend on its constants
+SHAPE_CASES = {
+    "facts name guaranteed and enumerated constants": (
+        "d0(A) :- p(A) & e(A,B). d1(A,B) :- p(A) & q(B) & e(A,c0). e(a,c0). e(x2,c0). e(y,a).",
+        {"X": beta(("a",)), "Y": enumerated(("x1", "y"), ("y", "x2", "x3"))},
+    ),
+    "overlapping synthetic names": (
+        "d0(A) :- p(A) & q(A). d1(A,B) :- p(A) & q(B). d3(B) :- q(B) & p(x2).",
+        {"X": beta(), "Y": beta(bins=4)},
+    ),
+    "domain smaller than k": (
+        "d0(A) :- p(A). d1(A,B) :- p(A) & p(B). d3(B) :- q(B).",
+        {"X": beta(), "Y": beta(bins=1)},
+    ),
+    "repeated head variable": (
+        "d0(A) :- p(A). d1(A,A) :- p(A) & q(A). d3(B) :- q(B).",
+        {"X": beta(), "Y": beta()},
+    ),
+    "existential body variables": (
+        "d0(A) :- p(A) & q(B). d1(A,B) :- p(A) & p(C) & q(B) & q(C). d3(B) :- e(B,C).  e(x1,c0).",
+        {"X": beta(), "Y": beta()},
+    ),
+    "constants in heads and bodies": (
+        "d0(x9) :- p(A). d1(A,x1) :- p(A). d1(c0,B) :- q(B). d3(B) :- q(B) & e(B,c0). e(x2,c0).",
+        {"X": beta(), "Y": beta()},
+    ),
+    "empty answers": (
+        "d0(A) :- p(A) & never(A). d1(A,B) :- p(A) & q(B). d3(B) :- q(B) & p(c0).",
+        {"X": beta(), "Y": beta()},
+    ),
+    "two choice groups": (
+        "0.6 f(x1). 0.4 f(c0). 0.5 h(a,x2). 0.5 h(c0,c0). d0(A) :- p(A) & f(A). "
+        "d1(A,B) :- h(A,B). d1(A,B) :- p(A) & q(B) & f(B). d3(B) :- q(B).",
+        {"X": beta(("a",)), "Y": beta()},
+    ),
+}
+
+
+def _case_program(rules: str) -> str:
+    heads = {"g1": "d0(X)", "g2": "d1(X,Y)", "g3": "d3(Y)"}
+    return rules + DIRECTIVES + "".join(f"constraint {g} <- {a}.\n" for g, a in heads.items())
+
+
+CONSTANTS = ("a", "x1", "y", "c0")
+ARITY = {"p": 1, "q": 1, "e": 2, "f": 1, "h": 2, "d0": 1, "d1": 2, "d2": 2, "d3": 1}
+CHOICE_PROBS = {1: (1.0,), 2: (0.6, 0.4), 3: (0.5, 0.3, 0.2)}
+
+
+def random_case(rng) -> tuple[str, dict]:
+    """A random program over p/q (populated), e (facts), f/h (choices), d0..d3."""
+
+    def pick(pool) -> str:
+        return str(rng.choice(pool))
+
+    def term(variables) -> str:
+        return pick(CONSTANTS) if rng.random() < 0.15 or not variables else pick(variables)
+
+    def atom(pred: str, variables) -> str:
+        return f"{pred}({','.join(term(variables) for _ in range(ARITY[pred]))})"
+
+    lines = [atom("e", ()) + "." for _ in range(rng.integers(0, 4))]
+    for pred in ("f", "h"):
+        lines += [f"{p} {atom(pred, ())}." for p in CHOICE_PROBS.get(int(rng.integers(0, 4)), ())]
+    derived = ("d0", "d1", "d2", "d3")
+    for i, head in enumerate(derived):
+        for _ in range(rng.integers(1, 3)):
+            usable = ["p", "q", "p", "q", "e", "f", "h", *derived[:i]]
+            body = [atom(pick(usable), ("A", "B", "C")) for _ in range(rng.integers(1, 4))]
+            variables = sorted(set(re.findall(r"[A-Z]", "".join(body))))
+            lines.append(f"{atom(head, variables)} :- {' & '.join(body)}.")
+    kinds = (
+        lambda: beta(("a",) if rng.random() < 0.3 else (), bins=4),
+        lambda: beta(bins=int(rng.integers(1, 5))),
+        lambda: enumerated(("x1", "y"), ("a", "x2", "x3", "x4")),
+        lambda: FixedDomain(tuple(map(Constant, ("x1", "x3", "x4", "c0")))),
+    )
+    spec = {"X": kinds[rng.integers(0, 3)](), "Y": kinds[rng.integers(0, 4)]()}
+    return "\n".join(lines) + "\n", spec
+
+
+class TestWorldShapes:
+    @pytest.mark.parametrize("name", SHAPE_CASES)
+    def test_case_matches_full_database(self, name, monkeypatch):
+        rules, spec = SHAPE_CASES[name]
+        worlds = check_against_oracle(_case_program(rules), spec, monkeypatch)
+        if name == "empty answers":
+            assert any(w.degenerate for w in worlds)
+
+    def test_randomized_programs_match_full_database(self, rng, monkeypatch):
+        degenerate = exact = 0
+        for _ in range(300):
+            text, spec = random_case(rng)
+            worlds = check_against_oracle(_case_program(text), spec, monkeypatch)
+            degenerate += any(w.degenerate for w in worlds)
+            exact += any(not w.degenerate for w in worlds)
+        assert degenerate and exact
+
+    def test_bundled_triple_runs_rules_once_per_choice(self, data_dir, monkeypatch):
+        calls = []
+        real = program._derive
+        monkeypatch.setattr(program, "_derive", lambda *a: calls.append(1) or real(*a))
+        u = UniverseModel(
+            io.load_model(data_dir / "model.json"),
+            io.load_program(data_dir / "constraints.program"),
+            io.load_domain_spec(data_dir / "domains.json"),
+        )
+        assert len(expand(u)) == 60
+        assert len(calls) == 3
+
+    def test_named_persons_that_differ_per_world_run_once_per_world(self, monkeypatch):
+        calls = []
+        real = program._derive
+        monkeypatch.setattr(program, "_derive", lambda *a: calls.append(1) or real(*a))
+        text = """
+            treated(X,t1) :- instance_of_X(X).
+            treated(X,t2) :- instance_of_X(X) & second(X).
+            second(x2). second(x6). second(x10).
+            populate instance_of_X/1 from X.
+            constraint g0 <- top.
+            constraint g1 <- instance_of_X(X).
+            constraint g2 <- treated(X,T).
+        """
+        people = [[f"x{i}" for i in range(1, n + 1)] for n in (4, 8, 12)]
+        spec = DomainSpec({
+            "X": EnumeratedDomain(tuple((tuple(map(Constant, p)), 1 / 3) for p in people)),
+            "T": FixedDomain(tuple(ts(2))),
+        })
+        models = expand(UniverseModel(epidemic_template(), parse_program(text), spec))
+        assert len(models) == 3
+        assert len(calls) == 3
+        for wm in models:
+            g2 = wm.model.parfactors[2].constraint
+            assert sum(1 for _, t in g2.tuples if t == "t2") == len(
+                {"x2", "x6", "x10"} & {x for x, _ in g2.tuples}
+            )
+
+    def test_module_holds_no_mutable_containers(self):
+        mutable = [
+            name
+            for name, value in vars(program).items()
+            if not name.startswith("__") and isinstance(value, (dict, list, set, bytearray))
+        ]
+        assert mutable == []
 
 
 class TestUniformize:

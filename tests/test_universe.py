@@ -13,12 +13,13 @@ from liftworlds import (
     beta_binomial_pmf,
     expand,
     instantiate,
+    io,
     manifest_rows,
     parse_program,
 )
 from liftworlds.program import ConstraintWorld, evaluate as evaluate_program
 from liftworlds.domains import DomainWorld
-from support import EXAMPLE_PROGRAM, T, X, epidemic_template, ts
+from support import EXAMPLE_PROGRAM, T, X, epidemic_template, expansion_digest, ts
 
 
 PEOPLE = tuple(Constant(n) for n in ("alice", "bob", "eve"))
@@ -200,6 +201,29 @@ class TestExpand:
             UniverseModel(
                 epidemic_template(), parse_program("constraint g0 <- top."), spec
             )
+
+
+class TestGolden:
+    # digests of the tuple-at-a-time, per-world evaluation over the whole
+    # populated database, which world-shape evaluation must reproduce
+    @pytest.mark.parametrize(
+        "filt, digest",
+        [
+            (None, "f124e2b848beb76b3f658d5f775f87c6e38c3582efe371b81f3f36ad30669d9a"),
+            (
+                WorldFilter(0.05, cascade=True),
+                "95853991d3f5af378342e2dbabfb24ee4a071674f156d8611866cc396742c21a",
+            ),
+        ],
+    )
+    def test_bundled_triple_expansion(self, data_dir, filt, digest):
+        u = UniverseModel(
+            io.load_model(data_dir / "model.json"),
+            io.load_program(data_dir / "constraints.program"),
+            io.load_domain_spec(data_dir / "domains.json"),
+            filt,
+        )
+        assert expansion_digest(expand(u)) == digest
 
 
 class TestManifest:

@@ -123,23 +123,15 @@ class WorldFilter:
     """Keep worlds with probability strictly above ``threshold``.
 
     With ``cascade`` set, the threshold is applied a second time to the
-    combined domain-world x constraint-world weights; ``cascade_threshold``
-    overrides the cutoff for that second pass (defaults to ``threshold``).
+    combined domain-world x constraint-world weights.
     """
 
     threshold: float
     cascade: bool = False
-    cascade_threshold: float | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.threshold < 1.0:
             raise ValidationError("threshold must lie in [0, 1)")
-        if self.cascade_threshold is not None and not 0.0 <= self.cascade_threshold < 1.0:
-            raise ValidationError("cascade threshold must lie in [0, 1)")
-
-    @property
-    def effective_cascade_threshold(self) -> float:
-        return self.threshold if self.cascade_threshold is None else self.cascade_threshold
 
 
 T = TypeVar("T")
@@ -173,16 +165,17 @@ def _options(entry: DomainEntry) -> list[tuple[tuple[Constant, ...], float | Non
         return [(entry.constants, 1.0)]
     if isinstance(entry, EnumeratedDomain):
         return list(entry.options)
+    g = len(entry.guaranteed)
+    # the largest bin's synthetic constants; each bin takes a prefix
+    synthetic = tuple(Constant(f"x{i}") for i in range(g + 1, entry.step * entry.bins + 1))
     out = []
     for k in range(1, entry.bins + 1):
         size = entry.step * k
-        if len(entry.guaranteed) > size:
-            raise ValidationError(
-                f"{len(entry.guaranteed)} guaranteed constants do not fit a domain of size {size}"
-            )
-        synthetic = tuple(Constant(f"x{i}") for i in range(len(entry.guaranteed) + 1, size + 1))
+        if g > size:
+            raise ValidationError(f"{g} guaranteed constants do not fit a domain of size {size}")
         out.append(
-            (entry.guaranteed + synthetic, beta_binomial_pmf(k, entry.bins, entry.alpha, entry.beta))
+            (entry.guaranteed + synthetic[: size - g],
+             beta_binomial_pmf(k, entry.bins, entry.alpha, entry.beta))
         )
     return out
 

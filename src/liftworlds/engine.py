@@ -39,14 +39,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import ConstraintsMisaligned, InferenceError, NotCountNormalized, ValidationError
 from .model import (
     Constraint,
-    ConstraintKind,
     GroundAtom,
     Logvar,
     Constant,
@@ -56,6 +55,9 @@ from .model import (
     PRV,
     Range,
     _flat_index,
+    _groundings,
+    _join,
+    _partition,
     _restrict,
     _uniform_count,
 )
@@ -209,46 +211,11 @@ def _lifted(args: tuple[PRV, ...], logtab: np.ndarray, c: Constraint) -> _Lifted
 
 
 def _to_lifted(p: Parfactor) -> _Lifted:
-    if p.constraint.kind is not ConstraintKind.EXTENSIONAL:
-        raise ValidationError("constraint not grounded")
     return _lifted(p.table.args, _log(p.table.as_array()), p.constraint)
 
 
 def _to_parfactor(lf: _Lifted) -> Parfactor:
     return Parfactor(PotentialTable(lf.args, np.exp(lf.logtab).ravel()), lf.constraint)
-
-
-def _partition(c: Constraint, key: Callable[[tuple], Hashable]) -> dict[Hashable, Constraint]:
-    """One constraint per distinct ``key(tuple)``, in first-seen order.
-
-    A constraint whose tuples all share one key comes back as it is.
-    """
-    parts: dict[Hashable, list[tuple]] = {}
-    for t in c.tuples:
-        parts.setdefault(key(t), []).append(t)
-    if len(parts) == 1:
-        return dict.fromkeys(parts, c)
-    return {k: Constraint.extensional(c.logvars, ts) for k, ts in parts.items()}
-
-
-def _join(c1: Constraint, c2: Constraint) -> Constraint:
-    """The join of two constraints that pair their groundings one-to-one.
-
-    ``c2``'s tuples are keyed on the shared logvars, and each tuple of ``c1``
-    pops the partner with its key. A repeated key in ``c2``, a ``c1`` tuple
-    with no partner or a ``c2`` tuple left over raises
-    :class:`ConstraintsMisaligned`.
-    """
-    shared = [lv for lv in c2.logvars if lv in c1.logvars]
-    extra = [lv for lv in c2.logvars if lv not in c1.logvars]
-    partner = dict(zip(_restrict(c2, shared), _restrict(c2, extra)))
-    keys_unique = len(partner) == c2.size
-    joined = [t + partner.pop(k) for t, k in zip(c1.tuples, _restrict(c1, shared)) if k in partner]
-    if not keys_unique or len(joined) < c1.size or partner:
-        raise ConstraintsMisaligned(
-            "constraints misaligned: join does not pair groundings one-to-one"
-        )
-    return Constraint.extensional(c1.logvars + tuple(extra), joined)
 
 
 def _multiply(a: _Lifted, b: _Lifted) -> _Lifted:
@@ -310,8 +277,6 @@ def split(
     Either part may be ``None`` when empty; the two parts' groundings
     partition the groundings of ``g``.
     """
-    if g.constraint.kind is not ConstraintKind.EXTENSIONAL:
-        raise ValidationError("can only split an extensional constraint")
     pos = g.constraint.position(x)
     wanted = set(constants)
     parts = {
@@ -378,13 +343,10 @@ class _Ground:
 
 
 def _ground_from_lifted(lf: _Lifted) -> list[_Ground]:
-    pos = {lv: i for i, lv in enumerate(lf.constraint.logvars)}
+    """One ground factor per grounding; a grounding that repeats an atom is refused."""
     ranges = tuple(a.range for a in lf.args)
     out = []
-    for t in lf.constraint.tuples:
-        atoms = tuple(
-            GroundAtom(a.name, tuple(t[pos[lv]] for lv in a.params)) for a in lf.args
-        )
+    for atoms in _groundings(lf.args, lf.constraint):
         if len(set(atoms)) != len(atoms):
             raise InferenceError(f"aliased arguments in one grounding: {atoms}")
         out.append(_Ground(atoms, ranges, lf.logtab))
@@ -499,14 +461,12 @@ def ground_ve(m: ParameterisedModel, q: QuerySpec) -> MarginalDistribution:
     _validate_query(m, q)
     observed = dict(q.evidence.assignments)
     factors: list[_Ground] = []
-    for gf in m.ground():
-        if len(set(gf.atoms)) != len(gf.atoms):
-            raise InferenceError(f"aliased arguments in one grounding: {gf.atoms}")
-        f = _Ground(gf.atoms, tuple(a.range for a in gf.table.args), _log(gf.table.as_array()))
-        for atom in gf.atoms:
-            if atom in observed:
-                f = _ground_slice(f, atom, observed[atom])
-        factors.append(f)
+    for p in m.parfactors:
+        for f in _ground_from_lifted(_to_lifted(p)):
+            for atom in f.atoms:
+                if atom in observed:
+                    f = _ground_slice(f, atom, observed[atom])
+            factors.append(f)
     factors = _eliminate_atoms(factors, q.targets)
     return _assemble(factors, q.targets, m.signatures)
 
@@ -521,8 +481,6 @@ def _shatter(
     """Give every constant named by the query or evidence its own groups."""
     out = []
     for p in parfactors:
-        if p.constraint.kind is not ConstraintKind.EXTENSIONAL:
-            raise ValidationError("constraint not grounded")
         parts = {(): p.constraint}
         if mentioned:
             # "" stands for any unmentioned constant; no constant has an empty name

@@ -13,7 +13,7 @@ Model file (JSON)::
           "name": "g1",                                    // optional, defaults g<i>
           "args": [["Epid"], ["Sick", "X"]],               // randvar then its logvars
           "values": [4, 2, 1, 3],                          // row-major, LAST arg fastest
-          "constraint": "empty"                            // or "top", or
+          "constraint": "empty"                            // or explicit:
                                                            // {"logvars": ["X"],
                                                            //  "tuples": [["alice"], ["bob"]]}
         }
@@ -22,7 +22,10 @@ Model file (JSON)::
 
 ``"values": "random"`` draws the table from a seeded generator (uniform on
 [0.1, 2)); pass the seed to :func:`load_model`. A file whose constraints are
-all "empty" loads as a template model, otherwise as a parameterised model.
+all "empty" loads as a template model; one whose constraints all list
+tuples loads as a parameterised model. A model file has no "top"
+constraint: the full Cartesian product of the domains is a program binding,
+``constraint g <- top.``, resolved when a domain world is known.
 
 Domain spec file (JSON), one entry per logvar; the entry shape picks the kind::
 
@@ -99,7 +102,6 @@ def parse_model(doc: dict, seed: int | None = None):
 
     parfactors: list[Parfactor] = []
     names: list[str] = []
-    kinds: set[str] = set()
     for i, spec in enumerate(_require(doc, "parfactors", "model file")):
         pname = spec.get("name", f"g{i}")
         args = []
@@ -137,25 +139,26 @@ def parse_model(doc: dict, seed: int | None = None):
                 arg_logvars.setdefault(lv)
         if raw_c == "empty":
             constraint = Constraint.empty(tuple(arg_logvars))
-            kinds.add("empty")
         elif raw_c == "top":
-            constraint = Constraint.top(tuple(arg_logvars))
-            kinds.add("filled")
+            raise ParseError(
+                f"parfactor {pname}: a model file has no 'top' constraint; make it 'empty' "
+                f"and bind it in the program with 'constraint {pname} <- top.'"
+            )
         elif isinstance(raw_c, dict):
             c_logvars = tuple(logvars[n] for n in _require(raw_c, "logvars", f"parfactor {pname}"))
             tuples = [
                 tuple(Constant(c) for c in t) for t in _require(raw_c, "tuples", f"parfactor {pname}")
             ]
             constraint = Constraint.extensional(c_logvars, tuples)
-            kinds.add("filled")
         else:
-            raise ParseError(f"parfactor {pname}: constraint must be 'empty', 'top', or explicit")
+            raise ParseError(f"parfactor {pname}: constraint must be 'empty' or explicit")
         parfactors.append(Parfactor(table, constraint))
         names.append(pname)
 
-    if kinds == {"empty"}:
+    empty = [not p.constraint.size for p in parfactors]
+    if empty and all(empty):
         return TemplateModel(tuple(parfactors), tuple(names))
-    if "empty" in kinds:
+    if any(empty):
         raise ValidationError("model file mixes empty and filled constraints")
     return ParameterisedModel(tuple(parfactors))
 

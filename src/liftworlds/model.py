@@ -2,9 +2,10 @@
 
 A parfactor packages a dense potential table over parameterised random
 variables (PRVs) with a constraint listing, extensionally, the logvar
-bindings the table applies to. A template model is the same structure with
-every constraint left empty; a parameterised model has every constraint
-filled in, so it can be grounded into ordinary propositional factors.
+bindings the table applies to. A constraint is empty exactly when it lists
+no tuples. A template model is the same structure with every constraint
+left empty; a parameterised model has every constraint filled in, so it can
+be grounded into ordinary propositional factors.
 
 Table layout is fixed once and for all: the flat value array is row-major
 over the argument ranges with the *last* argument varying fastest, i.e.
@@ -14,7 +15,9 @@ and every operation in this package rely on that order.
 Logvars and constants are their names: both subclass ``str``, so equality,
 hashing and order are the string's, and ``Constant("x") == "x"``. No
 container mixes the two kinds. Constraint tuples are sorted by constant
-name.
+name. This module is the only one that reads a constraint's tuples: the
+rest of the package restricts, counts, partitions, joins and grounds
+constraints through the functions below.
 
 All types are immutable after construction and safe to share between
 threads; the operations below are pure functions.
@@ -22,16 +25,15 @@ threads; the operations below are pure functions.
 
 from __future__ import annotations
 
-import enum
 import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import NotCountNormalized, ValidationError
+from .errors import ConstraintsMisaligned, NotCountNormalized, ValidationError
 
 _IDENT_HINT = "identifiers must be non-empty strings"
 
@@ -132,25 +134,17 @@ class GroundAtom:
         return f"{self.name}({','.join(self.args)})"
 
 
-class ConstraintKind(enum.Enum):
-    EXTENSIONAL = "extensional"
-    TOP = "top"
-    EMPTY = "empty"
-
-
 @dataclass(frozen=True, slots=True)
 class Constraint:
     """A logvar sequence plus the set of constant tuples it may bind to.
 
-    ``TOP`` stands for the full Cartesian product of the logvars' domains and
-    carries no tuples until resolved against a concrete domain world;
-    ``EMPTY`` carries none by definition. Tuples are stored sorted so equal
+    A constraint with no tuples is empty: a template's constraints are, and
+    so is a degenerate constraint world's. Tuples are stored sorted so equal
     constraints compare and hash equal regardless of construction order.
     """
 
     logvars: tuple[Logvar, ...]
     tuples: tuple[tuple[Constant, ...], ...] = ()
-    kind: ConstraintKind = ConstraintKind.EXTENSIONAL
 
     def __post_init__(self):
         logvars = tuple(self.logvars)
@@ -160,29 +154,23 @@ class Constraint:
         tuples = tuple(sorted(dict.fromkeys(map(tuple, self.tuples))))
         object.__setattr__(self, "logvars", logvars)
         object.__setattr__(self, "tuples", tuples)
-        if self.kind is ConstraintKind.EXTENSIONAL:
-            if not tuples:
-                raise ValidationError("extensional constraint needs at least one tuple")
-            if set(map(len, tuples)) != {len(logvars)}:
-                bad = next(t for t in tuples if len(t) != len(logvars))
-                raise ValidationError(
-                    f"tuple {tuple(c.name for c in bad)} does not match logvars "
-                    f"{tuple(l.name for l in logvars)}"
-                )
-        elif tuples:
-            raise ValidationError(f"{self.kind.value} constraint carries no tuples")
+        if tuples and set(map(len, tuples)) != {len(logvars)}:
+            bad = next(t for t in tuples if len(t) != len(logvars))
+            raise ValidationError(
+                f"tuple {tuple(c.name for c in bad)} does not match logvars "
+                f"{tuple(l.name for l in logvars)}"
+            )
 
     @classmethod
     def extensional(cls, logvars: Iterable[Logvar], tuples: Iterable[Sequence[Constant]]) -> "Constraint":
-        return cls(tuple(logvars), tuples, ConstraintKind.EXTENSIONAL)
-
-    @classmethod
-    def top(cls, logvars: Iterable[Logvar]) -> "Constraint":
-        return cls(tuple(logvars), (), ConstraintKind.TOP)
+        c = cls(tuple(logvars), tuples)
+        if not c.tuples:
+            raise ValidationError("extensional constraint needs at least one tuple")
+        return c
 
     @classmethod
     def empty(cls, logvars: Iterable[Logvar]) -> "Constraint":
-        return cls(tuple(logvars), (), ConstraintKind.EMPTY)
+        return cls(tuple(logvars))
 
     @property
     def size(self) -> int:
@@ -199,7 +187,7 @@ def _restrict(c: Constraint, logvars: Sequence[Logvar]) -> Iterator[tuple[Consta
     """Each tuple of ``c`` cut down to ``logvars``, in ``c``'s tuple order."""
     if not logvars:
         return itertools.repeat((), c.size)
-    columns = tuple(zip(*c.tuples))
+    columns = tuple(zip(*c.tuples)) or ((),) * len(c.logvars)  # an empty constraint
     return zip(*[columns[c.position(lv)] for lv in logvars])
 
 
@@ -330,7 +318,7 @@ class TemplateModel:
         if len(set(names)) != len(names):
             raise ValidationError("parfactor names must be unique")
         for name, p in zip(names, parfactors):
-            if p.constraint.kind is not ConstraintKind.EMPTY:
+            if p.constraint.tuples:
                 raise ValidationError(f"template parfactor {name} must have an empty constraint")
         _check_signatures(parfactors)
 
@@ -357,7 +345,7 @@ class ParameterisedModel:
         parfactors = tuple(self.parfactors)
         object.__setattr__(self, "parfactors", parfactors)
         for p in parfactors:
-            if p.constraint.kind is ConstraintKind.EMPTY:
+            if not p.constraint.tuples:
                 raise ValidationError("parameterised model must not contain empty constraints")
         _check_signatures(parfactors)
 
@@ -373,15 +361,10 @@ class ParameterisedModel:
 
     def ground_size(self) -> int:
         """Number of ground factors the model expands to."""
-        for p in self.parfactors:
-            if p.constraint.kind is not ConstraintKind.EXTENSIONAL:
-                raise ValidationError("constraint not grounded")
         return sum(p.constraint.size for p in self.parfactors)
 
     def contains_atom(self, atom: GroundAtom) -> bool:
         for p in self.parfactors:
-            if p.constraint.kind is not ConstraintKind.EXTENSIONAL:
-                raise ValidationError("constraint not grounded")
             for arg in p.table.args:
                 if arg.name != atom.name or len(arg.params) != len(atom.args):
                     continue
@@ -392,25 +375,23 @@ class ParameterisedModel:
         return False
 
 
+def _groundings(args: Sequence[PRV], c: Constraint) -> Iterator[tuple[GroundAtom, ...]]:
+    """The ground atoms of ``args`` under each tuple of ``c``, in tuple order.
+
+    The one routine that turns constraint tuples into ground atoms.
+    """
+    pos = {lv: i for i, lv in enumerate(c.logvars)}
+    for t in c.tuples:
+        yield tuple(GroundAtom(a.name, tuple(t[pos[lv]] for lv in a.params)) for a in args)
+
+
 def ground(p: Parfactor) -> tuple[GroundFactor, ...]:
     """Expand a parfactor into one ground factor per constraint tuple."""
-    c = p.constraint
-    if c.kind is not ConstraintKind.EXTENSIONAL:
-        raise ValidationError("constraint not grounded")
-    pos = {lv: i for i, lv in enumerate(c.logvars)}
-    out = []
-    for t in c.tuples:
-        atoms = tuple(
-            GroundAtom(arg.name, tuple(t[pos[lv]] for lv in arg.params)) for arg in p.table.args
-        )
-        out.append(GroundFactor(atoms, p.table))
-    return tuple(out)
+    return tuple(GroundFactor(atoms, p.table) for atoms in _groundings(p.table.args, p.constraint))
 
 
 def project(c: Constraint, keep: Sequence[Logvar]) -> Constraint:
     """Restrict the tuple set to ``keep`` (order as given), dropping duplicates."""
-    if c.kind is not ConstraintKind.EXTENSIONAL:
-        raise ValidationError("can only project an extensional constraint")
     keep = tuple(keep)
     if len(set(keep)) != len(keep):
         raise ValidationError("projection logvars must be distinct")
@@ -424,8 +405,6 @@ def conditional_count(c: Constraint, eliminate: Iterable[Logvar]) -> int:
     the count must be the same for every kept tuple, otherwise a single
     exponent cannot stand in for the eliminated groundings.
     """
-    if c.kind is not ConstraintKind.EXTENSIONAL:
-        raise ValidationError("can only count an extensional constraint")
     elim = set(eliminate)
     for lv in elim:
         c.position(lv)
@@ -448,20 +427,41 @@ def _uniform_count(c: Constraint, keep: Sequence[Logvar]) -> tuple[int, Constrai
     return distinct.pop(), Constraint.extensional(keep, counts.keys())
 
 
-def resolve_top(p: Parfactor, domains) -> Parfactor:
-    """Replace a TOP constraint with the Cartesian product of the logvars' domains.
+def _partition(c: Constraint, key: Callable[[tuple], Hashable]) -> dict[Hashable, Constraint]:
+    """One constraint per distinct ``key(tuple)``, in first-seen order.
 
-    ``domains`` may be a mapping ``Logvar -> constants`` or any object with a
-    ``.domains`` attribute holding one (a domain world, in particular).
+    A constraint whose tuples all share one key comes back as it is.
     """
-    if p.constraint.kind is not ConstraintKind.TOP:
-        raise ValidationError("constraint is not top")
-    mapping = getattr(domains, "domains", domains)
-    return Parfactor(p.table, _product(p.constraint.logvars, mapping))
+    parts: dict[Hashable, list[tuple]] = {}
+    for t in c.tuples:
+        parts.setdefault(key(t), []).append(t)
+    if len(parts) == 1:
+        return dict.fromkeys(parts, c)
+    return {k: Constraint.extensional(c.logvars, ts) for k, ts in parts.items()}
+
+
+def _join(c1: Constraint, c2: Constraint) -> Constraint:
+    """The join of two constraints that pair their groundings one-to-one.
+
+    ``c2``'s tuples are keyed on the shared logvars, and each tuple of ``c1``
+    pops the partner with its key. A repeated key in ``c2``, a ``c1`` tuple
+    with no partner or a ``c2`` tuple left over raises
+    :class:`ConstraintsMisaligned`.
+    """
+    shared = [lv for lv in c2.logvars if lv in c1.logvars]
+    extra = [lv for lv in c2.logvars if lv not in c1.logvars]
+    partner = dict(zip(_restrict(c2, shared), _restrict(c2, extra)))
+    keys_unique = len(partner) == c2.size
+    joined = [t + partner.pop(k) for t, k in zip(c1.tuples, _restrict(c1, shared)) if k in partner]
+    if not keys_unique or len(joined) < c1.size or partner:
+        raise ConstraintsMisaligned(
+            "constraints misaligned: join does not pair groundings one-to-one"
+        )
+    return Constraint.extensional(c1.logvars + tuple(extra), joined)
 
 
 def _product(logvars: tuple[Logvar, ...], domains: Mapping[Logvar, Sequence[Constant]]) -> Constraint:
-    """The extensional constraint binding ``logvars`` to every tuple of their domains."""
+    """The constraint binding ``logvars`` to every tuple of their domains."""
     per_logvar = []
     for lv in logvars:
         if lv not in domains:

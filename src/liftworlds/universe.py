@@ -3,8 +3,9 @@
 The triple fixes a distribution over parameterised models: every retained
 domain world is fed to the constraint program, every resulting constraint
 world instantiates the template, and the model weight is the product of the
-two world probabilities (the sides are independent by construction). An
-unweighted side is completed to the uniform distribution before combining.
+two world probabilities (the sides are independent by construction). The
+program always weights its worlds; unweighted domain worlds are completed to
+the uniform distribution before combining.
 
 Threshold filtering happens on domain worlds first and, when cascading, a
 second time on the combined weights. Nothing is ever renormalized; weights
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 from .domains import DomainSpec, WorldFilter, enumerate_worlds, filter_worlds
 from .errors import ValidationError
-from .model import ConstraintKind, Parfactor, ParameterisedModel, TemplateModel
+from .model import Parfactor, ParameterisedModel, TemplateModel
 from .program import ConstraintWorld, EvaluationMemo, Program, evaluate, uniformize
 
 
@@ -77,7 +78,7 @@ def instantiate(tmpl: TemplateModel, cw: ConstraintWorld) -> ParameterisedModel:
         raise ValidationError("invalid constraint world: wrong number of constraints")
     parfactors = []
     for name, pf, constraint in zip(tmpl.names, tmpl.parfactors, cw.constraints):
-        if constraint.kind is ConstraintKind.EMPTY:
+        if not constraint.size:
             raise ValidationError(f"invalid constraint world: empty constraint for {name!r}")
         if constraint.logvars != pf.constraint.logvars:
             raise ValidationError(
@@ -112,16 +113,9 @@ def expand(u: UniverseModel) -> tuple[WeightedModel, ...]:
     memo = EvaluationMemo()
     out: list[WeightedModel] = []
     for k, dw in indexed:
-        cws = evaluate(u.program, u.template, dw, memo)
-        if cws and all(w.prob is None for w in cws):
-            cws = uniformize(cws)
-        for j, cw in enumerate(cws):
+        for j, cw in enumerate(evaluate(u.program, u.template, dw, memo)):
             weight = dw.prob * cw.prob
-            if (
-                u.filter is not None
-                and u.filter.cascade
-                and weight <= u.filter.effective_cascade_threshold
-            ):
+            if u.filter is not None and u.filter.cascade and weight <= u.filter.threshold:
                 continue
             model = None if cw.degenerate else instantiate(u.template, cw)
             out.append(

@@ -246,7 +246,7 @@ def expansion_digest(models) -> str:
         h.update(repr(head).encode())
         for pf in () if wm.model is None else wm.model.parfactors:
             c = pf.constraint
-            h.update(repr((c.kind.value, [str(lv) for lv in c.logvars],
+            h.update(repr(("extensional", [str(lv) for lv in c.logvars],
                            [[str(a) for a in t] for t in c.tuples])).encode())
     return h.hexdigest()
 

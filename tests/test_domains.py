@@ -80,6 +80,18 @@ class TestEnumerateWorlds:
         assert worlds[0].domains[X] == (Constant("a"), Constant("x2"), Constant("x3"))
         assert worlds[0].prob == pytest.approx(beta_binomial_pmf(1, 1, 2.0, 2.0), rel=1e-12)
 
+    def test_bins_share_one_constant_per_synthetic_name(self):
+        worlds = enumerate_worlds(example_spec(), epidemic_template())
+        assert len({id(c) for w in worlds for c in w.domains[X]}) == 2000
+        spec = DomainSpec(
+            {
+                "X": BetaBinomialDomain(2.0, 2.0, bins=3, step=2, guaranteed=(Constant("a"),)),
+                "T": FixedDomain(tuple(ts(3))),
+            }
+        )
+        names = [list(w.domains[X]) for w in enumerate_worlds(spec, epidemic_template())]
+        assert names == [["a", "x2"], ["a", "x2", "x3", "x4"], ["a"] + [f"x{i}" for i in range(2, 7)]]
+
     def test_deterministic_and_names_stable(self):
         a = enumerate_worlds(example_spec(), epidemic_template())
         b = enumerate_worlds(example_spec(), epidemic_template())

@@ -490,6 +490,22 @@ class TestLiftedQuery:
         want = ground_ve(m, q)
         assert np.max(np.abs(got.probs - want.probs)) < 1e-9
 
+    @pytest.mark.parametrize("answer", [ground_ve, lifted_query])
+    @pytest.mark.parametrize("target", ["Epid", "Sick(a)"])
+    def test_aliased_arguments_rejected(self, answer, target):
+        # Sick(X), Sick(Y) under (a, a) puts the atom Sick(a) twice in one grounding
+        y, a = Logvar("Y"), Constant("a")
+        aliased = PotentialTable((SICK, PRV("Sick", (y,))), [1, 2, 3, 4])
+        m = ParameterisedModel(
+            (
+                Parfactor(aliased, Constraint.extensional((X, y), [(a, a)])),
+                Parfactor(PotentialTable((EPID, SICK), [4, 2, 1, 3]), Constraint.extensional((X,), [(a,)])),
+            )
+        )
+        q = QuerySpec((GroundAtom(target) if target == "Epid" else atom("Sick", "a"),))
+        with pytest.raises(InferenceError, match="aliased arguments"):
+            answer(m, q)
+
     def test_target_in_evidence_rejected(self):
         with pytest.raises(ValidationError):
             QuerySpec((atom("Epid"),), Evidence(((atom("Epid"), "true"),)))

@@ -4,7 +4,6 @@ import pytest
 from liftworlds import (
     BetaBinomialDomain,
     Constant,
-    ConstraintKind,
     EnumeratedDomain,
     FixedDomain,
     GroundAtom,
@@ -31,7 +30,7 @@ class TestModelFile:
         assert isinstance(tmpl, TemplateModel)
         assert tmpl.names == ("g0", "g1", "g2")
         assert [lv.name for lv in tmpl.logvars] == ["X", "T"]
-        assert all(p.constraint.kind is ConstraintKind.EMPTY for p in tmpl.parfactors)
+        assert all(not p.constraint.tuples for p in tmpl.parfactors)
         assert tmpl.parfactors[1].table.values.tolist() == [2, 1, 3, 4, 3, 4, 3, 1]
 
     def test_explicit_tuples_load_as_parameterised(self):
@@ -70,11 +69,11 @@ class TestModelFile:
             "randvars": [{"name": "Sick", "arity": 1}],
             "logvars": ["X"],
             "parfactors": [
-                {"args": [["Sick", "X"]], "values": [1, 2], "constraint": "top"}
+                {"name": "g1", "args": [["Sick", "X"]], "values": [1, 2], "constraint": "top"}
             ],
         }
-        model = parse_model(doc)
-        assert model.parfactors[0].constraint.kind is ConstraintKind.TOP
+        with pytest.raises(ParseError, match=r"'constraint g1 <- top\.'"):
+            parse_model(doc)
 
     def test_mixed_constraints_rejected(self):
         doc = {
@@ -82,7 +81,11 @@ class TestModelFile:
             "logvars": ["X"],
             "parfactors": [
                 {"args": [["Sick", "X"]], "values": [1, 2], "constraint": "empty"},
-                {"args": [["Sick", "X"]], "values": [1, 2], "constraint": "top"},
+                {
+                    "args": [["Sick", "X"]],
+                    "values": [1, 2],
+                    "constraint": {"logvars": ["X"], "tuples": [["a"]]},
+                },
             ],
         }
         with pytest.raises(ValidationError, match="mixes"):

@@ -4,7 +4,6 @@ import pytest
 from liftworlds import (
     Constant,
     Constraint,
-    DomainWorld,
     GroundAtom,
     Logvar,
     NotCountNormalized,
@@ -17,7 +16,6 @@ from liftworlds import (
     conditional_count,
     ground,
     project,
-    resolve_top,
 )
 from support import EPID, SICK, TRAVEL, TREAT, T, X, epidemic_model, ts, xs
 
@@ -48,11 +46,6 @@ class TestGround:
     def test_cartesian_count(self):
         g2 = Parfactor(PotentialTable((EPID, SICK, TREAT), np.arange(1, 9)), c2(3, 2))
         assert len(ground(g2)) == 6
-
-    def test_unresolved_top_rejected(self):
-        g = Parfactor(PotentialTable((EPID, SICK, TRAVEL), np.arange(1, 9)), Constraint.top((X,)))
-        with pytest.raises(ValidationError, match="not grounded"):
-            ground(g)
 
     def test_ground_count_matches_tuple_count(self, rng):
         for _ in range(25):
@@ -92,6 +85,15 @@ class TestProject:
         with pytest.raises(ValidationError):
             project(c1(3), (T,))
 
+    def test_empty_constraint_has_no_projection_or_count(self):
+        c = Constraint.empty((X, T))
+        with pytest.raises(ValidationError, match="at least one tuple"):
+            project(c, (X,))
+        with pytest.raises(ValidationError, match="not in constraint"):
+            project(c, (Logvar("Y"),))
+        with pytest.raises(NotCountNormalized):
+            conditional_count(c, (T,))
+
 
 class TestConditionalCount:
     def test_cartesian_treatments(self):
@@ -113,53 +115,6 @@ class TestConditionalCount:
             c = c2(dx, dt)
             n = conditional_count(c, (T,))
             assert n * project(c, (X,)).size == c.size
-
-
-class TestResolveTop:
-    def test_cartesian_product(self):
-        g = Parfactor(PotentialTable((EPID, SICK, TREAT), np.arange(1, 9)), Constraint.top((X, T)))
-        dw = DomainWorld({X: tuple(xs(3)), T: tuple(ts(2))})
-        assert resolve_top(g, dw).constraint == c2(3, 2)
-
-    def test_singleton(self):
-        g = Parfactor(PotentialTable((EPID, SICK, TRAVEL), np.arange(1, 9)), Constraint.top((X,)))
-        resolved = resolve_top(g, {X: (Constant("a"),)})
-        assert resolved.constraint.tuples == ((Constant("a"),),)
-
-    def test_missing_domain(self):
-        g = Parfactor(PotentialTable((EPID, SICK, TREAT), np.arange(1, 9)), Constraint.top((X, T)))
-        with pytest.raises(ValidationError, match="missing domain"):
-            resolve_top(g, {X: tuple(xs(2))})
-
-    def test_empty_domain(self):
-        g = Parfactor(PotentialTable((EPID, SICK, TRAVEL), np.arange(1, 9)), Constraint.top((X,)))
-        with pytest.raises(ValidationError):
-            resolve_top(g, {X: ()})
-
-    def test_loaded_top_model_resolves_and_answers(self, rng):
-        from liftworlds import ground_ve, lifted_query, parse_model, parse_query
-
-        doc = {
-            "randvars": [{"name": "Epid", "arity": 0}, {"name": "Sick", "arity": 1}],
-            "logvars": ["X"],
-            "parfactors": [
-                {
-                    "args": [["Epid"], ["Sick", "X"]],
-                    "values": [2, 1, 1, 2],
-                    "constraint": "top",
-                }
-            ],
-        }
-        loaded = parse_model(doc)
-        with pytest.raises(ValidationError, match="not grounded"):
-            loaded.ground_size()
-        dw = DomainWorld({X: tuple(xs(3))})
-        resolved = type(loaded)(tuple(resolve_top(p, dw) for p in loaded.parfactors))
-        assert resolved.ground_size() == 3
-        q = parse_query("P(Epid | Sick(x1)=true)")
-        got = lifted_query(resolved, q)
-        want = ground_ve(resolved, q)
-        assert np.max(np.abs(got.probs - want.probs)) < 1e-9
 
 
 class TestPotentialTable:

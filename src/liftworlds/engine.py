@@ -11,13 +11,12 @@ than the number of constants.
 
 The lifted toolbox is deliberately small: lifted sum-out, lifted multiply,
 evidence absorption, and one partition routine that groups a constraint's
-tuples by a key (public splitting, shattering on query constants, refining
-overlapping groups and the one-grounding-at-a-time absorb of a ragged
-constraint all go through it). A factor's groups (each argument's set of
-instances) are computed once, when the factor is made over a new
-constraint; multiply, sum-out and absorb carry them over, since none of
-them changes the instances of an argument it keeps. Each operator checks
-the counting conditions that make it exact:
+tuples by a key (public splitting, shattering on query constants and
+refining overlapping groups all go through it). A factor's groups (each
+argument's set of instances) are computed once, when the factor is made
+over a new constraint; multiply, sum-out and absorb carry them over, since
+none of them changes the instances of an argument it keeps. Each operator
+checks the counting conditions that make it exact:
 
 * multiply pairs the groundings of both inputs one-to-one on the values of
   their shared logvars while it joins: a key repeated in either input, or a
@@ -28,15 +27,17 @@ the counting conditions that make it exact:
   tuple to extend to the same number of groundings (that shared count is
   the exponent).
 
-When a condition fails, the factors involved are grounded on the spot and
-their instances are eliminated propositionally, so answers stay exact while
-liftedness degrades. Potentials travel in log space (an exponent of a few
-hundred overflows linear doubles); the public operators accept and return
-ordinary linear tables.
+When a condition fails for a group, the group is set aside and never tried
+again. Once no lifted step is left, every remaining factor is grounded and
+the rest is eliminated propositionally by the routine ``ground_ve`` uses, so
+answers stay exact while liftedness degrades. Potentials travel in log
+space (an exponent of a few hundred overflows linear doubles); the public
+operators accept and return ordinary linear tables.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -332,7 +333,7 @@ def _absorb(lf: _Lifted, evidence: Mapping[GroundAtom, str]) -> _Lifted:
 
 
 # ---------------------------------------------------------------------------
-# propositional factors (ground route and lifted fallback)
+# propositional factors (ground route and the lifted route's second phase)
 
 
 @dataclass
@@ -379,42 +380,43 @@ def _ground_slice(f: _Ground, atom: GroundAtom, value: str) -> _Ground:
     )
 
 
-def _eliminate_atom(factors: list[_Ground], atom: GroundAtom, log: list | None) -> list[_Ground]:
-    """Multiply the factors that mention ``atom``, then sum it out."""
-    touching = [f for f in factors if atom in f.atoms]
-    prod = touching[0]
-    for other in touching[1:]:
-        prod = _ground_multiply(prod, other)
-        _note(log, "multiply", f"ground {atom}")
-    _note(log, "sum_out", f"ground {atom}", exponent=1)
-    return [f for f in factors if atom not in f.atoms] + [_ground_sum_out(prod, atom)]
+def _eliminate(
+    factors: list[_Ground], targets: Sequence[GroundAtom], log: list | None
+) -> list[_Ground]:
+    """Propositional elimination of every non-target atom, fewest factors first.
 
-
-def _eliminate_atoms(factors: list[_Ground], targets: Sequence[GroundAtom]) -> list[_Ground]:
-    """Propositional elimination of every non-target atom, smallest scope first."""
+    ``holders`` maps each non-target atom to the live factors that mention
+    it, and ``heap`` orders atoms by (factor count, atom); an entry whose
+    count is no longer the atom's is stale and skipped. A step multiplies the
+    factors of the first atom into the first of them, sums the atom out and
+    points the product's atoms at it, so no step rescans the factor list.
+    """
+    live = dict(enumerate(factors))
     protected = set(targets)
-    factors = list(factors)
-    while True:
-        ranges: dict[GroundAtom, Range] = {}
-        for f in factors:
-            ranges.update(zip(f.atoms, f.ranges))
-        candidates = [a for a in ranges if a not in protected]
-        if not candidates:
-            return factors
-
-        def scope_cost(atom: GroundAtom) -> int:
-            scope: set[GroundAtom] = set()
-            for f in factors:
-                if atom in f.atoms:
-                    scope.update(f.atoms)
-            scope.discard(atom)
-            cost = 1
-            for a in scope:
-                cost *= len(ranges[a])
-            return cost
-
-        victim = min(candidates, key=lambda a: (scope_cost(a), a))
-        factors = _eliminate_atom(factors, victim, None)
+    holders: dict[GroundAtom, set[int]] = {}
+    for i, f in live.items():
+        for atom in f.atoms:
+            if atom not in protected:
+                holders.setdefault(atom, set()).add(i)
+    heap = [(len(ids), atom) for atom, ids in holders.items()]
+    heapq.heapify(heap)
+    while heap:
+        count, atom = heapq.heappop(heap)
+        if len(holders.get(atom, ())) != count:
+            continue
+        first, *rest = sorted(holders.pop(atom))
+        prod = live.pop(first)
+        for i in rest:
+            prod = _ground_multiply(prod, live.pop(i))
+            _note(log, "multiply", f"ground {atom}")
+        _note(log, "sum_out", f"ground {atom}", exponent=1)
+        live[first] = _ground_sum_out(prod, atom)
+        for other in live[first].atoms:
+            if other in holders:
+                holders[other].difference_update(rest)
+                holders[other].add(first)
+                heapq.heappush(heap, (len(holders[other]), other))
+    return list(live.values())
 
 
 def _assemble(
@@ -455,8 +457,8 @@ def ground_ve(m: ParameterisedModel, q: QuerySpec) -> MarginalDistribution:
     """Exact conditional marginal by propositional variable elimination.
 
     Grounds every parfactor, slices in the evidence, eliminates all
-    non-target atoms greedily (smallest resulting scope first, deterministic
-    tie-break), multiplies what is left and normalizes.
+    non-target atoms greedily (the atom in the fewest factors first, ties by
+    atom), multiplies what is left and normalizes.
     """
     _validate_query(m, q)
     observed = dict(q.evidence.assignments)
@@ -467,8 +469,7 @@ def ground_ve(m: ParameterisedModel, q: QuerySpec) -> MarginalDistribution:
                 if atom in observed:
                     f = _ground_slice(f, atom, observed[atom])
             factors.append(f)
-    factors = _eliminate_atoms(factors, q.targets)
-    return _assemble(factors, q.targets, m.signatures)
+    return _assemble(_eliminate(factors, q.targets, None), q.targets, m.signatures)
 
 
 # ---------------------------------------------------------------------------
@@ -530,110 +531,69 @@ def lifted_query(
     Pipeline: shatter on the constants mentioned by the query and evidence,
     absorb evidence, then repeatedly pick the cheapest non-target group
     (fewest covered groundings, ties by name), multiply the parfactors
-    containing it and sum it out. Groups where a lifted precondition fails
-    are grounded and eliminated propositionally instead. Matches
-    :func:`ground_ve` entrywise to within 1e-9.
+    containing it and sum it out. A group whose multiply or sum-out fails a
+    lifted precondition is noted as stuck and skipped from then on. When no
+    group is left, the remaining factors are grounded and their non-target
+    atoms eliminated as in :func:`ground_ve`. Matches :func:`ground_ve`
+    entrywise to within 1e-9.
 
-    Pass a list as ``op_log`` to record every lifted operation performed.
+    Pass a list as ``op_log`` to record every operation performed; a
+    ``ground`` record names each stuck group and why it is stuck.
     """
     _validate_query(m, q)
     mentioned = {c for atom in tuple(q.targets) + q.evidence.atoms() for c in atom.args}
     evidence = dict(q.evidence.assignments)
     lifted: list[_Lifted] = []
     for lf in _refine(_shatter(m.parfactors, mentioned, op_log), op_log):
-        try:
-            a = _absorb(lf, evidence)
-            if a is not lf:
-                dropped = [str(arg) for arg in lf.args if arg not in a.args]
-                _note(op_log, "absorb", ",".join(dropped))
-            lifted.append(a)
-        except NotCountNormalized:
-            # ragged constraint: absorb one grounding at a time
-            _note(op_log, "ground", "absorb")
-            for one in _partition(lf.constraint, lambda t: t).values():
-                lifted.append(_absorb(_lifted(lf.args, lf.logtab, one), evidence))
-    grounds: list[_Ground] = []
+        a = _absorb(lf, evidence)
+        if a is not lf:
+            dropped = [str(arg) for arg in lf.args if arg not in a.args]
+            _note(op_log, "absorb", ",".join(dropped))
+        lifted.append(a)
     targets = [(t.name, t.args) for t in q.targets]
+    stuck: set[tuple[str, frozenset]] = set()
 
+    # phase 1: lifted elimination. After _refine same-name groups are equal or
+    # disjoint, and multiply, sum-out and absorb only carry or drop groups, so
+    # a unit's holders are exactly the factors with that group
     while True:
-        # (name, args) of every ground atom -> the ground factors mentioning it
-        ground_ids: dict[tuple[str, tuple], list[int]] = {}
-        for j, gf in enumerate(grounds):
-            for atom in gf.atoms:
-                ground_ids.setdefault((atom.name, atom.args), []).append(j)
-        units = {(a.name, g) for lf in lifted for a, g in zip(lf.args, lf.groups)}
-        units.update((name, frozenset({args})) for name, args in ground_ids)
-        candidates = [u for u in units if not any(n == u[0] and a in u[1] for n, a in targets)]
+        holders: dict[tuple[str, frozenset], list[int]] = {}
+        for i, lf in enumerate(lifted):
+            for a, g in zip(lf.args, lf.groups):
+                ids = holders.setdefault((a.name, g), [])
+                if not ids or ids[-1] != i:
+                    ids.append(i)
+        candidates = [
+            u for u in holders
+            if u not in stuck and not any(n == u[0] and a in u[1] for n, a in targets)
+        ]
         if not candidates:
             break
 
-        # membership is by overlap: an earlier fallback may have broken a
-        # group into singleton ground atoms that still belong to it
-        def members(u):
-            name, insts = u
-            l_ids, exact = [], True
-            for i, lf in enumerate(lifted):
-                for arg, have in zip(lf.args, lf.groups):
-                    if arg.name == name and not have.isdisjoint(insts):
-                        l_ids.append(i)
-                        exact = exact and have == insts
-                        break
-            if not ground_ids:
-                return l_ids, [], exact
-            g_ids = sorted({j for inst in insts for j in ground_ids.get((name, inst), ())})
-            return l_ids, g_ids, exact
-
-        membership = {u: members(u) for u in candidates}
-
         def cost(u):
-            l_ids, g_ids, _ = membership[u]
-            return sum(lifted[i].constraint.size for i in l_ids) + len(g_ids)
+            return sum(lifted[i].constraint.size for i in holders[u])
 
-        # same-name candidates are disjoint, or a ground singleton inside a
-        # lifted group, so this orders them as sorting whole sets would
+        # same-name candidates are disjoint, so this orders them as sorting
+        # whole sets would
         unit = min(candidates, key=lambda u: (cost(u), u[0], min(u[1]), len(u[1])))
         name, instances = unit
-        l_ids, g_ids, exact = membership[unit]
-        if not g_ids and exact:
-            try:
-                prod = lifted[l_ids[0]]
-                for i in l_ids[1:]:
-                    prod = _multiply(prod, lifted[i])
-                    _note(op_log, "multiply", name)
-                hits = [
-                    a for a, g in zip(prod.args, prod.groups) if a.name == name and g == instances
-                ]
-                if len(hits) != 1:
-                    raise ConstraintsMisaligned(f"group {name} is ambiguous after multiply")
-                result, n = _sum_out(prod, hits[0])
-                _note(op_log, "sum_out", name, exponent=n)
-                lifted = [lf for i, lf in enumerate(lifted) if i not in l_ids] + [result]
-                continue
-            except (ConstraintsMisaligned, NotCountNormalized) as exc:
-                _note(op_log, "ground", f"{name}: {exc}")
-        else:
-            _note(op_log, "ground", f"{name}: group overlaps grounded factors")
-        # propositional fallback for this group
-        pool = [grounds[j] for j in g_ids]
-        for i in l_ids:
-            pool.extend(_ground_from_lifted(lifted[i]))
-        lifted = [lf for i, lf in enumerate(lifted) if i not in l_ids]
-        grounds = [gf for j, gf in enumerate(grounds) if j not in g_ids]
-        for atom in sorted(GroundAtom(name, inst) for inst in instances):
-            pool = _eliminate_atom(pool, atom, op_log)
-        grounds.extend(pool)
-
-    # final assembly over the surviving target groups
-    if grounds:
-        final = grounds + [g for lf in lifted for g in _ground_from_lifted(lf)]
-    else:
+        ids = holders[unit]
         try:
-            prod = lifted[0]
-            for lf in lifted[1:]:
-                prod = _multiply(prod, lf)
-                _note(op_log, "multiply", "assemble")
-            final = _ground_from_lifted(prod)
-        except ConstraintsMisaligned:
-            _note(op_log, "ground", "assemble")
-            final = [g for lf in lifted for g in _ground_from_lifted(lf)]
-    return _assemble(final, q.targets, m.signatures)
+            prod = lifted[ids[0]]
+            for i in ids[1:]:
+                prod = _multiply(prod, lifted[i])
+                _note(op_log, "multiply", name)
+            hits = [a for a, g in zip(prod.args, prod.groups) if a.name == name and g == instances]
+            if len(hits) != 1:
+                raise ConstraintsMisaligned(f"group {name} is ambiguous after multiply")
+            result, n = _sum_out(prod, hits[0])
+        except (ConstraintsMisaligned, NotCountNormalized) as exc:
+            _note(op_log, "ground", f"{name}: {exc}")
+            stuck.add(unit)
+            continue
+        _note(op_log, "sum_out", name, exponent=n)
+        lifted = [lf for i, lf in enumerate(lifted) if i not in ids] + [result]
+
+    # phase 2: ground what is left and eliminate it propositionally
+    grounds = [g for lf in lifted for g in _ground_from_lifted(lf)]
+    return _assemble(_eliminate(grounds, q.targets, op_log), q.targets, m.signatures)

@@ -403,11 +403,14 @@ def conditional_count(c: Constraint, eliminate: Iterable[Logvar]) -> int:
 
     This is the count-normalization check behind lifted sum-out exponents:
     the count must be the same for every kept tuple, otherwise a single
-    exponent cannot stand in for the eliminated groundings.
+    exponent cannot stand in for the eliminated groundings. A constraint with
+    no tuples has no count.
     """
     elim = set(eliminate)
     for lv in elim:
         c.position(lv)
+    if not c.size:
+        raise NotCountNormalized("not count-normalized: the constraint has no tuples")
     return _uniform_count(c, [lv for lv in c.logvars if lv not in elim])[0]
 
 

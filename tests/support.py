@@ -71,17 +71,23 @@ def example_tables(rng: np.random.Generator | None = None):
 
 def epidemic_model(dx: int, dt: int, rng: np.random.Generator | None = None) -> ParameterisedModel:
     """Epid/Sick/Travel/Treat model over dx persons and dt treatments."""
+    return ragged_model([(p, t) for p in xs(dx) for t in ts(dt)], rng)
+
+
+def ragged_model(pairs, rng: np.random.Generator | None = None) -> ParameterisedModel:
+    """Epid/Sick/Travel/Treat model where person p has treatment t when (p, t) is in ``pairs``.
+
+    Sick and Travel range over the persons ``pairs`` names. A person with a
+    different number of treatments from another makes Treat ragged.
+    """
     v0, v1, v2 = example_tables(rng)
-    people, treatments = xs(dx), ts(dt)
+    people = dict.fromkeys(p for p, _ in pairs)
     g0 = Parfactor(PotentialTable((EPID,), v0), Constraint.extensional((), [()]))
     g1 = Parfactor(
         PotentialTable((EPID, SICK, TRAVEL), v1),
         Constraint.extensional((X,), [(p,) for p in people]),
     )
-    g2 = Parfactor(
-        PotentialTable((EPID, SICK, TREAT), v2),
-        Constraint.extensional((X, T), [(p, t) for p in people for t in treatments]),
-    )
+    g2 = Parfactor(PotentialTable((EPID, SICK, TREAT), v2), Constraint.extensional((X, T), pairs))
     return ParameterisedModel((g0, g1, g2))
 
 

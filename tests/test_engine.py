@@ -39,6 +39,7 @@ from support import (
     all_atoms,
     epidemic_model,
     joint_enumeration,
+    ragged_model,
     ts,
     unnormalized_table,
     xs,
@@ -404,14 +405,7 @@ class TestLiftedQuery:
     def test_ragged_constraint_falls_back_to_grounding(self, rng):
         a, b = xs(2)
         t1, t2 = ts(2)
-        v0, v1, v2 = rng.uniform(0.1, 2, 2), rng.uniform(0.1, 2, 8), rng.uniform(0.1, 2, 8)
-        g0 = Parfactor(PotentialTable((EPID,), v0), Constraint.extensional((), [()]))
-        g1 = Parfactor(PotentialTable((EPID, SICK, TRAVEL), v1), c_x(2))
-        g2 = Parfactor(
-            PotentialTable((EPID, SICK, TREAT), v2),
-            Constraint.extensional((X, T), [(a, t1), (a, t2), (b, t1)]),
-        )
-        m = ParameterisedModel((g0, g1, g2))
+        m = ragged_model([(a, t1), (a, t2), (b, t1)], rng)
         q = QuerySpec((atom("Epid"),))
         log = []
         got = lifted_query(m, q, op_log=log)
@@ -444,14 +438,7 @@ class TestLiftedQuery:
             for x in persons:
                 subset = int(rng.integers(1, 2 ** len(treatments)))
                 pairs.extend((x, t) for b, t in enumerate(treatments) if subset >> b & 1)
-            m = ParameterisedModel((
-                Parfactor(PotentialTable((EPID,), rng.uniform(0.1, 2, 2)),
-                          Constraint.extensional((), [()])),
-                Parfactor(PotentialTable((EPID, SICK, TRAVEL), rng.uniform(0.1, 2, 8)),
-                          Constraint.extensional((X,), [(x,) for x in persons])),
-                Parfactor(PotentialTable((EPID, SICK, TREAT), rng.uniform(0.1, 2, 8)),
-                          Constraint.extensional((X, T), pairs)),
-            ))
+            m = ragged_model(pairs, rng)
             atoms = all_atoms(m)
             drawn = rng.choice(len(atoms), int(rng.integers(1, 4)), replace=False)
             picked = [atoms[i] for i in drawn]
@@ -462,6 +449,21 @@ class TestLiftedQuery:
             assert np.max(np.abs(got.probs - ground_ve(m, q).probs)) < 1e-9
             grounded += any(r.kind == "ground" for r in log)
         assert 0 < grounded < 200
+
+    def test_ragged_fallback_grounds_per_group_not_per_person(self, rng):
+        # the ragged-query benchmark's shape: every other person also gets t2,
+        # so x1 has one treatment and the observed x2 has two
+        t1, t2 = ts(2)
+        q = QuerySpec((atom("Sick", "x1"),), Evidence(((atom("Travel", "x2"), "true"),)))
+        grounded = []
+        for n in (50, 150):
+            pairs = [(x, t) for i, x in enumerate(xs(n)) for t in ((t1, t2) if i % 2 else (t1,))]
+            m = ragged_model(pairs, rng)
+            log = []
+            got = lifted_query(m, q, op_log=log)
+            grounded.append(sum(r.kind == "ground" for r in log))
+        assert grounded[0] == grounded[1] > 0
+        assert np.max(np.abs(got.probs - ground_ve(m, q).probs)) < 1e-9
 
     def test_operation_log_records_exponents(self):
         m = epidemic_model(3, 2)

@@ -91,7 +91,7 @@ class TestProject:
             project(c, (X,))
         with pytest.raises(ValidationError, match="not in constraint"):
             project(c, (Logvar("Y"),))
-        with pytest.raises(NotCountNormalized):
+        with pytest.raises(NotCountNormalized, match="has no tuples"):
             conditional_count(c, (T,))
 
 

@@ -10,13 +10,16 @@ instances covered, so its cost tracks the number of parfactor groups rather
 than the number of constants.
 
 The lifted toolbox is deliberately small: lifted sum-out, lifted multiply,
-evidence absorption, and one partition routine that groups a constraint's
-tuples by a key (public splitting, shattering on query constants and
-refining overlapping groups all go through it). A factor's groups (each
-argument's set of instances) are computed once, when the factor is made
-over a new constraint; multiply, sum-out and absorb carry them over, since
-none of them changes the instances of an argument it keeps. Each operator
-checks the counting conditions that make it exact:
+evidence absorption, shattering and splitting. Inside a query every
+constraint is held in its block form (``model.BlockConstraint``, a union of
+disjoint products of per-logvar constant sets), built once per parfactor.
+Shattering peels the query's constants off each block; public splitting and
+refining overlapping groups cut blocks on a group. A factor's groups (each
+argument's instance set, in block form) are computed once, when the factor
+is made over a new constraint; multiply, sum-out and absorb carry them
+over, since none of them changes the instances of an argument it keeps. No
+step of the lifted phase lists the tuples of a product; only grounding
+does. Each operator checks the counting conditions that make it exact:
 
 * multiply pairs the groundings of both inputs one-to-one on the values of
   their shared logvars while it joins: a key repeated in either input, or a
@@ -46,6 +49,7 @@ import numpy as np
 
 from .errors import ConstraintsMisaligned, InferenceError, NotCountNormalized, ValidationError
 from .model import (
+    BlockConstraint,
     Constraint,
     GroundAtom,
     Logvar,
@@ -55,12 +59,18 @@ from .model import (
     PotentialTable,
     PRV,
     Range,
+    _count,
     _flat_index,
+    _group,
     _groundings,
+    _holds,
     _join,
-    _partition,
-    _restrict,
+    _least,
+    _meet,
+    _peel,
+    _split,
     _uniform_count,
+    blocks_of,
 )
 
 # ---------------------------------------------------------------------------
@@ -197,26 +207,26 @@ def _aligned(tab: np.ndarray, src: Sequence, dst: Sequence) -> np.ndarray:
 class _Lifted:
     args: tuple[PRV, ...]
     logtab: np.ndarray  # shape: one axis per argument range
-    constraint: Constraint
-    groups: tuple[frozenset, ...]  # each argument's instances
+    constraint: BlockConstraint
+    groups: tuple[frozenset, ...]  # each argument's instances, as blocks
 
 
-def _lifted(args: tuple[PRV, ...], logtab: np.ndarray, c: Constraint) -> _Lifted:
+def _lifted(args: tuple[PRV, ...], logtab: np.ndarray, c: BlockConstraint) -> _Lifted:
     """A factor over a new constraint: the one place groups are computed.
 
     Operators that keep a constraint's instance sets (a one-to-one join, a
     projection onto the remaining arguments) carry their input's groups.
     """
-    groups = tuple(frozenset(_restrict(c, a.params)) for a in args)
-    return _Lifted(args, logtab, c, groups)
+    return _Lifted(args, logtab, c, tuple(_group(c, a.params) for a in args))
 
 
 def _to_lifted(p: Parfactor) -> _Lifted:
-    return _lifted(p.table.args, _log(p.table.as_array()), p.constraint)
+    return _lifted(p.table.args, _log(p.table.as_array()), blocks_of(p.constraint))
 
 
 def _to_parfactor(lf: _Lifted) -> Parfactor:
-    return Parfactor(PotentialTable(lf.args, np.exp(lf.logtab).ravel()), lf.constraint)
+    c = Constraint(lf.constraint.logvars, lf.constraint.tuples)
+    return Parfactor(PotentialTable(lf.args, np.exp(lf.logtab).ravel()), c)
 
 
 def _multiply(a: _Lifted, b: _Lifted) -> _Lifted:
@@ -233,7 +243,7 @@ def _sum_out(lf: _Lifted, prv: PRV) -> tuple[_Lifted, int]:
         raise ValidationError(f"{prv} must occur exactly once among the arguments")
     axis = hits[0]
     # each instance of prv may appear in only one grounding, or a plain sum is wrong
-    if len(lf.groups[axis]) != lf.constraint.size:
+    if _count(lf.groups[axis]) != lf.constraint.size:
         raise NotCountNormalized(
             f"instances of {prv} are shared between groundings; sum-out needs grounding"
         )
@@ -278,13 +288,11 @@ def split(
     Either part may be ``None`` when empty; the two parts' groundings
     partition the groundings of ``g``.
     """
-    pos = g.constraint.position(x)
-    wanted = set(constants)
-    parts = {
-        k: g if c is g.constraint else Parfactor(g.table, c)
-        for k, c in _partition(g.constraint, lambda t: t[pos] in wanted).items()
-    }
-    return parts.get(True), parts.get(False)
+    c = blocks_of(g.constraint)
+    parts = _split(c, (x,), frozenset({(frozenset(constants),)}))
+    if not all(part.size for part in parts):
+        return tuple(g if part.size else None for part in parts)
+    return tuple(Parfactor(g.table, Constraint(part.logvars, part.tuples)) for part in parts)
 
 
 def absorb(g: Parfactor, ev: Evidence) -> Parfactor:
@@ -313,13 +321,16 @@ def _absorb(lf: _Lifted, evidence: Mapping[GroundAtom, str]) -> _Lifted:
     kept: list[PRV] = []
     kept_groups: list[frozenset] = []
     for arg, group in zip(lf.args, lf.groups):
-        observed = [evidence[a] for a in (GroundAtom(arg.name, i) for i in group) if a in evidence]
+        observed = [
+            v for a, v in evidence.items()
+            if a.name == arg.name and len(a.args) == len(arg.params) and _holds(group, a.args)
+        ]
         if not observed:
             kept.append(arg)
             kept_groups.append(group)
             continue
         values = set(observed)
-        if len(observed) < len(group) or len(values) != 1:
+        if len(observed) < _count(group) or len(values) != 1:
             raise InferenceError(f"shatter first: group {arg} is not uniformly observed")
         logtab = np.take(logtab, arg.range.index(values.pop()), axis=len(kept))
     if logtab is lf.logtab:
@@ -343,14 +354,16 @@ class _Ground:
     logtab: np.ndarray
 
 
-def _ground_from_lifted(lf: _Lifted) -> list[_Ground]:
+def _ground_factors(
+    args: tuple[PRV, ...], logtab: np.ndarray, c: Constraint | BlockConstraint
+) -> list[_Ground]:
     """One ground factor per grounding; a grounding that repeats an atom is refused."""
-    ranges = tuple(a.range for a in lf.args)
+    ranges = tuple(a.range for a in args)
     out = []
-    for atoms in _groundings(lf.args, lf.constraint):
+    for atoms in _groundings(args, c):
         if len(set(atoms)) != len(atoms):
             raise InferenceError(f"aliased arguments in one grounding: {atoms}")
-        out.append(_Ground(atoms, ranges, lf.logtab))
+        out.append(_Ground(atoms, ranges, logtab))
     return out
 
 
@@ -464,7 +477,7 @@ def ground_ve(m: ParameterisedModel, q: QuerySpec) -> MarginalDistribution:
     observed = dict(q.evidence.assignments)
     factors: list[_Ground] = []
     for p in m.parfactors:
-        for f in _ground_from_lifted(_to_lifted(p)):
+        for f in _ground_factors(p.table.args, _log(p.table.as_array()), p.constraint):
             for atom in f.atoms:
                 if atom in observed:
                     f = _ground_slice(f, atom, observed[atom])
@@ -482,12 +495,7 @@ def _shatter(
     """Give every constant named by the query or evidence its own groups."""
     out = []
     for p in parfactors:
-        parts = {(): p.constraint}
-        if mentioned:
-            # "" stands for any unmentioned constant; no constant has an empty name
-            parts = _partition(
-                p.constraint, lambda t: tuple(c if c in mentioned else "" for c in t)
-            )
+        parts = _peel(blocks_of(p.constraint), mentioned)
         if len(parts) > 1:
             _note(log, "split", f"{len(parts)} groups")
         logtab = _log(p.table.as_array())
@@ -499,17 +507,18 @@ def _refine(lifted: Sequence[_Lifted], log: list | None) -> list[_Lifted]:
     """Split until same-name argument groups are equal or disjoint everywhere."""
     lfs = list(lifted)
     while True:
-        by_name: dict[str, list[tuple[int, PRV, frozenset]]] = {}
+        # each distinct group of a name, with the first argument that has it;
+        # the first overlapping pair of those is the first pair of all entries
+        by_name: dict[str, dict[frozenset, tuple[int, PRV]]] = {}
         for i, lf in enumerate(lfs):
             for arg, group in zip(lf.args, lf.groups):
-                by_name.setdefault(arg.name, []).append((i, arg, group))
+                by_name.setdefault(arg.name, {}).setdefault(group, (i, arg))
         offender = None
         for name in sorted(by_name):
-            entries = by_name[name]
-            for (i, a1, s1), (j, a2, s2) in itertools.combinations(entries, 2):
-                if s1 & s2 and s1 != s2:
-                    inter = s1 & s2
-                    offender = (i, a1, inter) if s1 - inter else (j, a2, inter)
+            for (g1, (i, a1)), (g2, (j, a2)) in itertools.combinations(by_name[name].items(), 2):
+                inter = _meet(g1, g2)
+                if inter:
+                    offender = (i, a1, inter) if _count(inter) < _count(g1) else (j, a2, inter)
                     break
             if offender:
                 break
@@ -518,9 +527,8 @@ def _refine(lifted: Sequence[_Lifted], log: list | None) -> list[_Lifted]:
         idx, arg, inter = offender
         _note(log, "split", f"refine {arg.name}")
         lf = lfs[idx]
-        pos = [lf.constraint.position(lv) for lv in arg.params]
-        parts = _partition(lf.constraint, lambda t: tuple(t[i] for i in pos) in inter)
-        lfs[idx : idx + 1] = [_lifted(lf.args, lf.logtab, parts[k]) for k in (True, False)]
+        parts = _split(lf.constraint, arg.params, inter)
+        lfs[idx : idx + 1] = [_lifted(lf.args, lf.logtab, part) for part in parts]
 
 
 def lifted_query(
@@ -563,19 +571,19 @@ def lifted_query(
                 ids = holders.setdefault((a.name, g), [])
                 if not ids or ids[-1] != i:
                     ids.append(i)
-        candidates = [
-            u for u in holders
-            if u not in stuck and not any(n == u[0] and a in u[1] for n, a in targets)
-        ]
-        if not candidates:
+        costs = {
+            u: (sum(lifted[i].constraint.size for i in ids), u[0])
+            for u, ids in holders.items()
+            if u not in stuck and not any(n == u[0] and _holds(u[1], a) for n, a in targets)
+        }
+        if not costs:
             break
-
-        def cost(u):
-            return sum(lifted[i].constraint.size for i in holders[u])
-
-        # same-name candidates are disjoint, so this orders them as sorting
-        # whole sets would
-        unit = min(candidates, key=lambda u: (cost(u), u[0], min(u[1]), len(u[1])))
+        # fewest groundings, then name, then least instance; same-name
+        # candidates are disjoint, so this orders them as sorting whole sets
+        # would, and the least instance is read only on a tie
+        best = min(costs.values())
+        tied = [u for u, c in costs.items() if c == best]
+        unit = tied[0] if len(tied) == 1 else min(tied, key=lambda u: (_least(u[1]), _count(u[1])))
         name, instances = unit
         ids = holders[unit]
         try:
@@ -595,5 +603,5 @@ def lifted_query(
         lifted = [lf for i, lf in enumerate(lifted) if i not in ids] + [result]
 
     # phase 2: ground what is left and eliminate it propositionally
-    grounds = [g for lf in lifted for g in _ground_from_lifted(lf)]
+    grounds = [g for lf in lifted for g in _ground_factors(lf.args, lf.logtab, lf.constraint)]
     return _assemble(_eliminate(grounds, q.targets, op_log), q.targets, m.signatures)

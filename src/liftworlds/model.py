@@ -16,8 +16,19 @@ Logvars and constants are their names: both subclass ``str``, so equality,
 hashing and order are the string's, and ``Constant("x") == "x"``. No
 container mixes the two kinds. Constraint tuples are sorted by constant
 name. This module is the only one that reads a constraint's tuples: the
-rest of the package restricts, counts, partitions, joins and grounds
-constraints through the functions below.
+rest of the package projects, counts, splits, joins and grounds constraints
+through the functions below.
+
+Those operations work on a constraint's block form,
+:class:`BlockConstraint`: a union of disjoint blocks, each the product of
+one constant set per logvar (the intensional constraints of Taghipour,
+Fierens, Davis & Blockeel, JAIR 2013). A constraint whose tuples are the
+product of its column sets is one block, and an operation on one block
+works on its sets: peeling a named constant off is one set difference.
+Only grounding lists tuples, through ``_listed``, in the stored sorted
+order. On a union of several blocks a join, a count, or a projection onto
+two or more logvars lists that constraint's tuples too, where the algebra
+would need to reason about pairs of blocks.
 
 All types are immutable after construction and safe to share between
 threads; the operations below are pure functions.
@@ -26,10 +37,12 @@ threads; the operations below are pure functions.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -181,14 +194,6 @@ class Constraint:
             return self.logvars.index(logvar)
         except ValueError:
             raise ValidationError(f"logvar {logvar.name} not in constraint") from None
-
-
-def _restrict(c: Constraint, logvars: Sequence[Logvar]) -> Iterator[tuple[Constant, ...]]:
-    """Each tuple of ``c`` cut down to ``logvars``, in ``c``'s tuple order."""
-    if not logvars:
-        return itertools.repeat((), c.size)
-    columns = tuple(zip(*c.tuples)) or ((),) * len(c.logvars)  # an empty constraint
-    return zip(*[columns[c.position(lv)] for lv in logvars])
 
 
 def _flat_index(ranges: Sequence[Range], assignment: Sequence[str], what: str) -> int:
@@ -370,15 +375,21 @@ class ParameterisedModel:
                     continue
                 if not arg.params:
                     return True
-                if atom.args in _restrict(p.constraint, arg.params):
+                # the first matching tuple ends the scan; no column is listed
+                pos = [p.constraint.position(lv) for lv in arg.params]
+                key = atom.args if len(pos) > 1 else atom.args[0]
+                if key in map(operator.itemgetter(*pos), p.constraint.tuples):
                     return True
         return False
 
 
-def _groundings(args: Sequence[PRV], c: Constraint) -> Iterator[tuple[GroundAtom, ...]]:
-    """The ground atoms of ``args`` under each tuple of ``c``, in tuple order.
+def _groundings(
+    args: Sequence[PRV], c: Constraint | BlockConstraint
+) -> Iterator[tuple[GroundAtom, ...]]:
+    """The ground atoms of ``args`` under each tuple of ``c``, in sorted tuple order.
 
-    The one routine that turns constraint tuples into ground atoms.
+    The one routine that turns constraint tuples into ground atoms, from a
+    constraint's stored tuples or a block form's listed ones.
     """
     pos = {lv: i for i, lv in enumerate(c.logvars)}
     for t in c.tuples:
@@ -390,12 +401,227 @@ def ground(p: Parfactor) -> tuple[GroundFactor, ...]:
     return tuple(GroundFactor(atoms, p.table) for atoms in _groundings(p.table.args, p.constraint))
 
 
+# ---------------------------------------------------------------------------
+# the block form: a constraint as a union of disjoint products
+
+Block = tuple[frozenset[Constant], ...]  # one non-empty constant set per logvar
+
+_MISALIGNED = "constraints misaligned: join does not pair groundings one-to-one"
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class BlockConstraint:
+    """A constraint as a union of disjoint blocks, each the product of one set per logvar.
+
+    The lifted engine holds every constraint in this form. :func:`blocks_of`
+    builds it once per parfactor per query; it is not stored on a model.
+    ``tuples`` lists the tuples in :class:`Constraint`'s sorted order.
+    """
+
+    logvars: tuple[Logvar, ...]
+    blocks: tuple[Block, ...]
+    size: int = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "size", sum(math.prod(map(len, b)) for b in self.blocks))
+
+    position = Constraint.position
+
+    @property
+    def tuples(self) -> list[tuple[Constant, ...]]:
+        return _listed(self.blocks)
+
+
+def _listed(blocks: Sequence[Block]) -> list[tuple[Constant, ...]]:
+    """Every tuple of ``blocks``, sorted: the one routine that lists a block form."""
+    rows = [itertools.product(*map(sorted, b)) for b in blocks]
+    return list(rows[0]) if len(rows) == 1 else sorted(itertools.chain(*rows))
+
+
+def blocks_of(c: Constraint) -> BlockConstraint:
+    """The block form of ``c``: one block when its tuples are the product of its columns."""
+    return BlockConstraint(c.logvars, _decompose(c.tuples))
+
+
+def _decompose(tuples: Collection[tuple]) -> tuple[Block, ...]:
+    """Disjoint blocks covering exactly ``tuples`` (distinct, all of one width).
+
+    One block when the tuples are the product of their column sets;
+    otherwise the first column's constants are grouped by how the rest of
+    their tuples decompose. The blocks, as a set, depend only on the set of
+    tuples, so equal tuple sets give equal frozensets of blocks.
+    """
+    if not tuples:
+        return ()
+    columns = tuple(map(frozenset, zip(*tuples)))
+    if math.prod(map(len, columns)) == len(tuples):
+        return (columns,)
+    rests: dict[Constant, list[tuple]] = {}
+    for t in tuples:
+        rests.setdefault(t[0], []).append(t[1:])
+    firsts: dict[frozenset, list[Constant]] = {}
+    for first, rest in rests.items():
+        firsts.setdefault(frozenset(_decompose(rest)), []).append(first)
+    return tuple((frozenset(cs),) + b for rest, cs in firsts.items() for b in rest)
+
+
+def _merged(blocks: Sequence[Block]) -> tuple[Block, ...]:
+    """Blocks of one width, which may overlap, as :func:`_decompose` gives their tuples."""
+    if len(blocks) <= 1:
+        return tuple(blocks)
+    if len(blocks[0]) <= 1:  # no logvar or one: the union of the sets
+        return (tuple(frozenset().union(*col) for col in zip(*blocks)),)
+    return _decompose(set(_listed(blocks)))
+
+
+def _project(c: BlockConstraint, keep: Sequence[Logvar]) -> tuple[Block, ...]:
+    """The blocks of ``c``'s tuples cut down to ``keep``."""
+    pos = [c.position(lv) for lv in keep]
+    return _merged([tuple(b[i] for i in pos) for b in c.blocks])
+
+
+# A group is the instance set of one argument: a frozenset of the blocks
+# _decompose gives for it, so equal instance sets give equal groups.
+
+
+def _group(c: BlockConstraint, params: Sequence[Logvar]) -> frozenset[Block]:
+    return frozenset(_project(c, params))
+
+
+def _count(group: frozenset[Block]) -> int:
+    return sum(math.prod(map(len, b)) for b in group)
+
+
+def _least(group: frozenset[Block]) -> tuple[Constant, ...]:
+    return min(tuple(map(min, b)) for b in group)
+
+
+def _holds(group: frozenset[Block], instance: tuple[Constant, ...]) -> bool:
+    return any(all(map(operator.contains, b, instance)) for b in group)
+
+
+def _meet(g1: frozenset[Block], g2: frozenset[Block]) -> frozenset[Block]:
+    """The instances two groups share, as a group."""
+    met = [tuple(map(operator.and_, b1, b2)) for b1 in g1 for b2 in g2]
+    return frozenset(_merged([m for m in met if all(m)]))
+
+
+def _split(
+    c: BlockConstraint, params: Sequence[Logvar], group: frozenset[Block]
+) -> tuple[BlockConstraint, BlockConstraint]:
+    """The groundings of ``c`` whose ``params`` instance is in ``group``, and the rest.
+
+    Each block of ``c`` is cut on each block of ``group``: the part inside
+    it, and for each logvar of ``params`` whose set reaches outside it, one
+    disjoint block of what is left.
+    """
+    pos = [c.position(lv) for lv in params]
+    inside: list[Block] = []
+    outside = list(c.blocks)
+    for g in group:
+        left = []
+        for b in outside:
+            met = list(b)
+            for i, s in zip(pos, g):
+                met[i] = b[i] & s
+            if not all(met):
+                left.append(b)
+                continue
+            inside.append(tuple(met))
+            head = list(b)
+            for i in pos:
+                if diff := b[i] - met[i]:
+                    left.append(tuple(head[:i] + [diff] + head[i + 1 :]))
+                head[i] = met[i]
+        outside = left
+    return BlockConstraint(c.logvars, tuple(inside)), BlockConstraint(c.logvars, tuple(outside))
+
+
+def _peel(c: BlockConstraint, named: Collection[Constant]) -> dict[tuple, BlockConstraint]:
+    """``c`` split by which ``named`` constant each logvar binds, ``""`` for any other.
+
+    Each set gives up the named constants it holds, each as a set of its
+    own; a part is keyed as keying every tuple that way would key it (no
+    constant has an empty name).
+    """
+    parts: dict[tuple, list[Block]] = {}
+    for b in c.blocks:
+        choices = []
+        for s in b:
+            hit = [k for k in named if k in s]
+            rest = s.difference(hit) if hit else s
+            choices.append([(k, frozenset((k,))) for k in hit] + ([("", rest)] if rest else []))
+        for combo in itertools.product(*choices):
+            parts.setdefault(tuple(k for k, _ in combo), []).append(tuple(s for _, s in combo))
+    return {k: BlockConstraint(c.logvars, tuple(bs)) for k, bs in parts.items()}
+
+
+def _join(c1: BlockConstraint, c2: BlockConstraint) -> BlockConstraint:
+    """The join of two constraints that pair their groundings one-to-one.
+
+    A block with more than one constant in a set of a logvar only its side
+    has holds two groundings with one key on the shared logvars, so it
+    cannot pair. Two single blocks then pair exactly when their shared sets
+    are equal. Unions of blocks are joined on their listed tuples: ``c2``'s
+    are keyed on the shared logvars and each tuple of ``c1`` pops its
+    partner. A failed pairing raises :class:`ConstraintsMisaligned`.
+    """
+    shared = [lv for lv in c2.logvars if lv in c1.logvars]
+    extra = tuple(lv for lv in c2.logvars if lv not in c1.logvars)
+    own = [i for i, lv in enumerate(c1.logvars) if lv not in c2.logvars]
+    s1, s2 = [c1.position(lv) for lv in shared], [c2.position(lv) for lv in shared]
+    x2 = [c2.position(lv) for lv in extra]
+    if any(len(b[i]) > 1 for b in c1.blocks for i in own) or any(
+        len(b[i]) > 1 for b in c2.blocks for i in x2
+    ):
+        raise ConstraintsMisaligned(_MISALIGNED)
+    logvars = c1.logvars + extra
+    if len(c1.blocks) == len(c2.blocks) == 1:
+        (b1,), (b2,) = c1.blocks, c2.blocks
+        if tuple(b1[i] for i in s1) != tuple(b2[i] for i in s2):
+            raise ConstraintsMisaligned(_MISALIGNED)
+        return BlockConstraint(logvars, (b1 + tuple(b2[i] for i in x2),))
+    partner = {tuple(t[i] for i in s2): tuple(t[i] for i in x2) for t in c2.tuples}
+    keys_unique = len(partner) == c2.size
+    tuples1 = c1.tuples
+    keys1 = [tuple(t[i] for i in s1) for t in tuples1]
+    joined = [t + partner.pop(k) for t, k in zip(tuples1, keys1) if k in partner]
+    if not keys_unique or len(joined) < c1.size or partner:
+        raise ConstraintsMisaligned(_MISALIGNED)
+    return BlockConstraint(logvars, _decompose(joined))
+
+
+def _uniform_count(c: BlockConstraint, keep: Sequence[Logvar]) -> tuple[int, BlockConstraint]:
+    """How many groundings each tuple cut down to ``keep`` extends to, and the projection.
+
+    One block extends every kept tuple by the product of its other sets; a
+    union of blocks counts its listed tuples. Raises
+    :class:`NotCountNormalized` when the count differs between kept tuples
+    or ``c`` has no tuples.
+    """
+    if not c.blocks:
+        raise NotCountNormalized("not count-normalized: the constraint has no tuples")
+    keep = tuple(keep)
+    pos = [c.position(lv) for lv in keep]
+    if len(c.blocks) == 1:
+        (b,) = c.blocks
+        n = c.size // math.prod(len(b[i]) for i in pos)
+        return n, BlockConstraint(keep, (tuple(b[i] for i in pos),))
+    counts = Counter(tuple(t[i] for i in pos) for t in c.tuples)
+    distinct = set(counts.values())
+    if len(distinct) != 1:
+        raise NotCountNormalized(
+            f"not count-normalized: kept tuples extend to {sorted(distinct)} groundings"
+        )
+    return distinct.pop(), BlockConstraint(keep, _decompose(counts))
+
+
 def project(c: Constraint, keep: Sequence[Logvar]) -> Constraint:
     """Restrict the tuple set to ``keep`` (order as given), dropping duplicates."""
     keep = tuple(keep)
     if len(set(keep)) != len(keep):
         raise ValidationError("projection logvars must be distinct")
-    return Constraint.extensional(keep, set(_restrict(c, keep)))
+    return Constraint.extensional(keep, _listed(_project(blocks_of(c), keep)))
 
 
 def conditional_count(c: Constraint, eliminate: Iterable[Logvar]) -> int:
@@ -409,58 +635,7 @@ def conditional_count(c: Constraint, eliminate: Iterable[Logvar]) -> int:
     elim = set(eliminate)
     for lv in elim:
         c.position(lv)
-    if not c.size:
-        raise NotCountNormalized("not count-normalized: the constraint has no tuples")
-    return _uniform_count(c, [lv for lv in c.logvars if lv not in elim])[0]
-
-
-def _uniform_count(c: Constraint, keep: Sequence[Logvar]) -> tuple[int, Constraint]:
-    """Count and project in one walk over ``c``.
-
-    Returns how many tuples each tuple cut down to ``keep`` extends to, and
-    the projection onto ``keep``. Raises :class:`NotCountNormalized` when
-    that count differs between kept tuples.
-    """
-    counts = Counter(_restrict(c, keep))
-    distinct = set(counts.values())
-    if len(distinct) != 1:
-        raise NotCountNormalized(
-            f"not count-normalized: kept tuples extend to {sorted(distinct)} groundings"
-        )
-    return distinct.pop(), Constraint.extensional(keep, counts.keys())
-
-
-def _partition(c: Constraint, key: Callable[[tuple], Hashable]) -> dict[Hashable, Constraint]:
-    """One constraint per distinct ``key(tuple)``, in first-seen order.
-
-    A constraint whose tuples all share one key comes back as it is.
-    """
-    parts: dict[Hashable, list[tuple]] = {}
-    for t in c.tuples:
-        parts.setdefault(key(t), []).append(t)
-    if len(parts) == 1:
-        return dict.fromkeys(parts, c)
-    return {k: Constraint.extensional(c.logvars, ts) for k, ts in parts.items()}
-
-
-def _join(c1: Constraint, c2: Constraint) -> Constraint:
-    """The join of two constraints that pair their groundings one-to-one.
-
-    ``c2``'s tuples are keyed on the shared logvars, and each tuple of ``c1``
-    pops the partner with its key. A repeated key in ``c2``, a ``c1`` tuple
-    with no partner or a ``c2`` tuple left over raises
-    :class:`ConstraintsMisaligned`.
-    """
-    shared = [lv for lv in c2.logvars if lv in c1.logvars]
-    extra = [lv for lv in c2.logvars if lv not in c1.logvars]
-    partner = dict(zip(_restrict(c2, shared), _restrict(c2, extra)))
-    keys_unique = len(partner) == c2.size
-    joined = [t + partner.pop(k) for t, k in zip(c1.tuples, _restrict(c1, shared)) if k in partner]
-    if not keys_unique or len(joined) < c1.size or partner:
-        raise ConstraintsMisaligned(
-            "constraints misaligned: join does not pair groundings one-to-one"
-        )
-    return Constraint.extensional(c1.logvars + tuple(extra), joined)
+    return _uniform_count(blocks_of(c), [lv for lv in c.logvars if lv not in elim])[0]
 
 
 def _product(logvars: tuple[Logvar, ...], domains: Mapping[Logvar, Sequence[Constant]]) -> Constraint:

@@ -318,42 +318,42 @@ def _derive(base: dict[str, set[tuple[str, ...]]], rules: Sequence[Rule]) -> dic
 
     One pass over the rules in dependency order reaches the fixpoint because
     recursion is rejected: every body predicate is complete before its rule
-    fires.
+    fires. Every binding of a rule's body so far binds the same variables,
+    so each body atom's facts are indexed once on the positions those
+    variables and its constants fix (a hash join), and a binding reads only
+    the facts that match it.
     """
     rel = {p: set(ts) for p, ts in base.items()}
     for rule in _rule_order(rules):
         bindings: list[dict] = [{}]
+        bound: set[str] = set()
         for atom in rule.body:
-            facts = rel.get(atom.predicate, ())
-            if not facts:
-                bindings = []
-                break
+            fixed: list[tuple[int, str]] = []  # position, constant or bound variable
+            free: dict[str, int] = {}  # unbound variable -> position it binds from
+            same: list[tuple[int, int]] = []  # a repeated unbound variable
+            for i, t in enumerate(atom.terms):
+                if not _is_variable(t) or t in bound:
+                    fixed.append((i, t))
+                elif t in free:
+                    same.append((free[t], i))
+                else:
+                    free[t] = i
             arity = len(atom.terms)
-            positions = [(i, t, _is_variable(t)) for i, t in enumerate(atom.terms)]
+            index: dict[tuple, list[tuple]] = {}
+            for fact in rel.get(atom.predicate, ()):
+                if len(fact) == arity and all(fact[i] == fact[j] for i, j in same):
+                    index.setdefault(tuple(fact[i] for i, _ in fixed), []).append(fact)
             joined: list[dict] = []
             for b in bindings:
-                fixed: list[tuple[int, str]] = []  # fact[i] must equal the value
-                free: dict[str, int] = {}  # variable -> position it binds from
-                same: list[tuple[int, int]] = []  # a repeated unbound variable
-                for i, t, is_var in positions:
-                    if not is_var or t in b:
-                        fixed.append((i, b[t] if is_var else t))
-                    elif t in free:
-                        same.append((free[t], i))
-                    else:
-                        free[t] = i
-                for fact in facts:
-                    if len(fact) != arity:
-                        continue
-                    if fixed and any(fact[i] != v for i, v in fixed):
-                        continue
-                    if same and any(fact[i] != fact[j] for i, j in same):
-                        continue
+                for fact in index.get(tuple(b.get(t, t) for _, t in fixed), ()):
                     nb = dict(b)
                     for t, i in free.items():
                         nb[t] = fact[i]
                     joined.append(nb)
             bindings = joined
+            bound.update(free)
+            if not bindings:
+                break
         if bindings:
             head = [(t, _is_variable(t)) for t in rule.head.terms]
             derived = rel.setdefault(rule.head.predicate, set())

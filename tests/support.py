@@ -99,6 +99,11 @@ def epidemic_template(rng: np.random.Generator | None = None) -> TemplateModel:
     return TemplateModel((g0, g1, g2), ("g0", "g1", "g2"))
 
 
+def group_instances(group) -> set[tuple]:
+    """Every instance of an engine group, a frozenset of blocks of constant sets."""
+    return {t for block in group for t in itertools.product(*block)}
+
+
 def all_atoms(m: ParameterisedModel) -> list[GroundAtom]:
     seen: dict[GroundAtom, None] = {}
     for f in m.ground():

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -17,9 +18,11 @@ from liftworlds import (
     ParameterisedModel,
     PotentialTable,
     QuerySpec,
+    UniverseModel,
     ValidationError,
     absorb,
     conditional_count,
+    expand,
     ground,
     ground_ve,
     lift_multiply,
@@ -28,7 +31,9 @@ from liftworlds import (
     project,
     split,
 )
-from liftworlds.engine import _absorb, _lifted, _multiply, _sum_out, _to_lifted
+from liftworlds import io
+from liftworlds.engine import _absorb, _multiply, _sum_out, _to_lifted
+from liftworlds.model import _decompose
 from support import (
     EPID,
     SICK,
@@ -38,6 +43,7 @@ from support import (
     X,
     all_atoms,
     epidemic_model,
+    group_instances,
     joint_enumeration,
     ragged_model,
     ts,
@@ -327,14 +333,20 @@ class TestAbsorb:
 
 def test_operators_carry_the_groups_they_keep():
     # multiply, sum-out and absorb hand their inputs' groups on; each must
-    # equal what a factor built from scratch over the same constraint holds.
-    # Two factors named "A" share an argument when their logvars agree.
+    # equal the group computed from the constraint's listed tuples, both as
+    # an instance set and in its block form. Two factors named "A" share an
+    # argument when their logvars agree.
     rng = np.random.default_rng(11)
     made = 0
 
     def check(lf):
         nonlocal made
-        assert lf.groups == _lifted(lf.args, lf.logtab, lf.constraint).groups
+        tuples = lf.constraint.tuples
+        for arg, group in zip(lf.args, lf.groups):
+            pos = [lf.constraint.position(lv) for lv in arg.params]
+            want = {tuple(t[i] for i in pos) for t in tuples}
+            assert group_instances(group) == want
+            assert group == frozenset(_decompose(want))
         made += 1
 
     for _ in range(1000):
@@ -353,8 +365,9 @@ def test_operators_carry_the_groups_they_keep():
                     pass
             prv, group = lf.args[-1], lf.groups[-1]
             value = str(rng.choice(["false", "true"]))
+            observed = {GroundAtom(prv.name, i): value for i in group_instances(group)}
             try:
-                check(_absorb(lf, {GroundAtom(prv.name, i): value for i in group}))
+                check(_absorb(lf, observed))
             except NotCountNormalized:
                 pass
     assert made > 2000
@@ -570,3 +583,56 @@ class TestLiftedQuery:
                 continue
             want = ground_ve(m, q).probs
             assert np.max(np.abs(got - want)) < 1e-9
+
+
+def _op_log_digest(cases) -> str:
+    """SHA-256 over each case's ``lifted_query`` op records and answer ``probs`` bytes."""
+    h = hashlib.sha256()
+    for m, q in cases:
+        log = []
+        probs = lifted_query(m, q, op_log=log).probs
+        h.update(repr([(r.kind, r.detail, r.exponent) for r in log]).encode())
+        h.update(repr([float(p).hex() for p in probs]).encode())
+    return h.hexdigest()
+
+
+def test_op_logs_and_answers_are_pinned(data_dir):
+    # recorded before constraints took their block form inside lifted_query:
+    # the form changes how the engine reads a constraint, not what it does
+    u = UniverseModel(
+        io.load_model(data_dir / "model.json"),
+        io.load_program(data_dir / "constraints.program"),
+        io.load_domain_spec(data_dir / "domains.json"),
+    )
+    sick = QuerySpec((atom("Sick", "x1"),))
+    bundled = [(wm.model, sick) for wm in expand(u) if wm.model is not None]
+    assert len(bundled) == 60
+    rng = np.random.default_rng(9)
+    t1, t2, t3 = ts(3)
+    shapes = [
+        [(x, t) for i, x in enumerate(xs(n)) for t in ((t1, t2) if i % 2 else (t1,))]
+        for n in (10, 40)
+    ]
+    for _ in range(40):
+        treatments = (t1, t2, t3)[: int(rng.integers(2, 4))]
+        pairs = []
+        for x in xs(int(rng.integers(2, 7))):
+            subset = int(rng.integers(1, 2 ** len(treatments)))
+            pairs.extend((x, t) for b, t in enumerate(treatments) if subset >> b & 1)
+        shapes.append(pairs)
+    travel = QuerySpec((atom("Sick", "x1"),), Evidence(((atom("Travel", "x2"), "true"),)))
+    ragged = [(ragged_model(pairs, rng), travel) for pairs in shapes]
+    # Sick and Travel over more persons than Treat: same-name groups overlap
+    # without being equal, so _refine splits
+    rng = np.random.default_rng(9)
+    refined = []
+    for _ in range(20):
+        persons = xs(int(rng.integers(4, 8)))
+        treated = persons[:2] + [x for x in persons[2:] if rng.random() < 0.5]
+        pairs = [(x, t) for x in treated for t in (t1, t2, t3)[: int(rng.integers(1, 3))]]
+        g0, g1, g2 = ragged_model(pairs, rng).parfactors
+        wide = Parfactor(g1.table, Constraint.extensional((X,), [(x,) for x in persons]))
+        refined.append((ParameterisedModel((g0, wide, g2)), travel))
+    assert _op_log_digest(bundled) == "fa75b1f98910503bd4ddd120477cd8d751a99cbf7a277c9121a767e51cde5104"
+    assert _op_log_digest(ragged) == "2643768c5da58f075eb89360a8d19854e65bd57383cd8bf7c2d514d57be9e739"
+    assert _op_log_digest(refined) == "2ee4d94cbeb875f8f975c2ef8db637ceb428cf80bd155032623741ff9a79fbd0"

@@ -10,11 +10,11 @@ instances covered, so its cost tracks the number of parfactor groups rather
 than the number of constants.
 
 The lifted toolbox is deliberately small: lifted sum-out, lifted multiply,
-evidence absorption, shattering and splitting. Inside a query every
-constraint is held in its block form (``model.BlockConstraint``, a union of
-disjoint products of per-logvar constant sets), built once per parfactor.
-Shattering peels the query's constants off each block; public splitting and
-refining overlapping groups cut blocks on a group. A factor's groups (each
+evidence absorption, shattering and splitting. A constraint is a union of
+disjoint blocks, each a product of per-logvar constant sets, and the engine
+takes it as the model holds it: nothing is converted per query. Shattering
+peels the query's constants off each block; public splitting and refining
+overlapping groups cut blocks on a group. A factor's groups (each
 argument's instance set, in block form) are computed once, when the factor
 is made over a new constraint; multiply, sum-out and absorb carry them
 over, since none of them changes the instances of an argument it keeps. No
@@ -49,7 +49,6 @@ import numpy as np
 
 from .errors import ConstraintsMisaligned, InferenceError, NotCountNormalized, ValidationError
 from .model import (
-    BlockConstraint,
     Constraint,
     GroundAtom,
     Logvar,
@@ -70,7 +69,6 @@ from .model import (
     _peel,
     _split,
     _uniform_count,
-    blocks_of,
 )
 
 # ---------------------------------------------------------------------------
@@ -207,11 +205,11 @@ def _aligned(tab: np.ndarray, src: Sequence, dst: Sequence) -> np.ndarray:
 class _Lifted:
     args: tuple[PRV, ...]
     logtab: np.ndarray  # shape: one axis per argument range
-    constraint: BlockConstraint
+    constraint: Constraint
     groups: tuple[frozenset, ...]  # each argument's instances, as blocks
 
 
-def _lifted(args: tuple[PRV, ...], logtab: np.ndarray, c: BlockConstraint) -> _Lifted:
+def _lifted(args: tuple[PRV, ...], logtab: np.ndarray, c: Constraint) -> _Lifted:
     """A factor over a new constraint: the one place groups are computed.
 
     Operators that keep a constraint's instance sets (a one-to-one join, a
@@ -221,12 +219,11 @@ def _lifted(args: tuple[PRV, ...], logtab: np.ndarray, c: BlockConstraint) -> _L
 
 
 def _to_lifted(p: Parfactor) -> _Lifted:
-    return _lifted(p.table.args, _log(p.table.as_array()), blocks_of(p.constraint))
+    return _lifted(p.table.args, _log(p.table.as_array()), p.constraint)
 
 
 def _to_parfactor(lf: _Lifted) -> Parfactor:
-    c = Constraint(lf.constraint.logvars, lf.constraint.tuples)
-    return Parfactor(PotentialTable(lf.args, np.exp(lf.logtab).ravel()), c)
+    return Parfactor(PotentialTable(lf.args, np.exp(lf.logtab).ravel()), lf.constraint)
 
 
 def _multiply(a: _Lifted, b: _Lifted) -> _Lifted:
@@ -288,11 +285,8 @@ def split(
     Either part may be ``None`` when empty; the two parts' groundings
     partition the groundings of ``g``.
     """
-    c = blocks_of(g.constraint)
-    parts = _split(c, (x,), frozenset({(frozenset(constants),)}))
-    if not all(part.size for part in parts):
-        return tuple(g if part.size else None for part in parts)
-    return tuple(Parfactor(g.table, Constraint(part.logvars, part.tuples)) for part in parts)
+    parts = _split(g.constraint, (x,), frozenset({(frozenset(constants),)}))
+    return tuple(Parfactor(g.table, part) if part.size else None for part in parts)
 
 
 def absorb(g: Parfactor, ev: Evidence) -> Parfactor:
@@ -355,7 +349,7 @@ class _Ground:
 
 
 def _ground_factors(
-    args: tuple[PRV, ...], logtab: np.ndarray, c: Constraint | BlockConstraint
+    args: tuple[PRV, ...], logtab: np.ndarray, c: Constraint
 ) -> list[_Ground]:
     """One ground factor per grounding; a grounding that repeats an atom is refused."""
     ranges = tuple(a.range for a in args)
@@ -495,7 +489,7 @@ def _shatter(
     """Give every constant named by the query or evidence its own groups."""
     out = []
     for p in parfactors:
-        parts = _peel(blocks_of(p.constraint), mentioned)
+        parts = _peel(p.constraint, mentioned)
         if len(parts) > 1:
             _note(log, "split", f"{len(parts)} groups")
         logtab = _log(p.table.as_array())

@@ -1,11 +1,11 @@
 """Value types and grounding machinery for parameterised factor models.
 
 A parfactor packages a dense potential table over parameterised random
-variables (PRVs) with a constraint listing, extensionally, the logvar
-bindings the table applies to. A constraint is empty exactly when it lists
-no tuples. A template model is the same structure with every constraint
-left empty; a parameterised model has every constraint filled in, so it can
-be grounded into ordinary propositional factors.
+variables (PRVs) with a constraint: the logvar bindings the table applies
+to. A constraint is empty exactly when it has no tuples. A template model is
+the same structure with every constraint left empty; a parameterised model
+has every constraint filled in, so it can be grounded into ordinary
+propositional factors.
 
 Table layout is fixed once and for all: the flat value array is row-major
 over the argument ranges with the *last* argument varying fastest, i.e.
@@ -14,21 +14,19 @@ and every operation in this package rely on that order.
 
 Logvars and constants are their names: both subclass ``str``, so equality,
 hashing and order are the string's, and ``Constant("x") == "x"``. No
-container mixes the two kinds. Constraint tuples are sorted by constant
-name. This module is the only one that reads a constraint's tuples: the
-rest of the package projects, counts, splits, joins and grounds constraints
-through the functions below.
+container mixes the two kinds.
 
-Those operations work on a constraint's block form,
-:class:`BlockConstraint`: a union of disjoint blocks, each the product of
-one constant set per logvar (the intensional constraints of Taghipour,
-Fierens, Davis & Blockeel, JAIR 2013). A constraint whose tuples are the
-product of its column sets is one block, and an operation on one block
-works on its sets: peeling a named constant off is one set difference.
-Only grounding lists tuples, through ``_listed``, in the stored sorted
-order. On a union of several blocks a join, a count, or a projection onto
-two or more logvars lists that constraint's tuples too, where the algebra
-would need to reason about pairs of blocks.
+A constraint is held as a union of disjoint blocks, each the product of one
+constant set per logvar (the intensional constraints of Taghipour, Fierens,
+Davis & Blockeel, JAIR 2013). A constraint whose tuples are the product of
+their column sets is one block, and an operation on one block works on its
+sets: peeling a named constant off is one set difference. This module is
+the only one that reads a constraint's blocks or tuples: the rest of the
+package projects, counts, splits, joins and grounds constraints through the
+functions below. Only grounding lists tuples, through ``_listed``, in
+sorted order. On a union of several blocks a join, a count, or a projection
+onto two or more logvars lists that constraint's tuples too, where the
+algebra would need to reason about pairs of blocks.
 
 All types are immutable after construction and safe to share between
 threads; the operations below are pure functions.
@@ -147,53 +145,66 @@ class GroundAtom:
         return f"{self.name}({','.join(self.args)})"
 
 
-@dataclass(frozen=True, slots=True)
-class Constraint:
-    """A logvar sequence plus the set of constant tuples it may bind to.
+Block = tuple[frozenset[Constant], ...]  # one non-empty constant set per logvar
 
-    A constraint with no tuples is empty: a template's constraints are, and
-    so is a degenerate constraint world's. Tuples are stored sorted so equal
-    constraints compare and hash equal regardless of construction order.
+
+@dataclass(frozen=True, slots=True, eq=False)
+class Constraint:
+    """A logvar sequence plus the constant tuples it may bind to, as disjoint blocks.
+
+    Each block is the product of one non-empty constant set per logvar, and
+    no tuple lies in two blocks. A constraint with no blocks is empty: a
+    template's constraints are, and so is a degenerate constraint world's.
+    ``tuples`` lists the tuples sorted by constant name, on demand. Equality
+    and hashing depend only on the logvars and the set of tuples, however
+    the blocks cut it.
     """
 
     logvars: tuple[Logvar, ...]
-    tuples: tuple[tuple[Constant, ...], ...] = ()
+    blocks: tuple[Block, ...] = ()
+    size: int = field(init=False)
 
     def __post_init__(self):
-        logvars = tuple(self.logvars)
+        logvars, blocks = tuple(self.logvars), tuple(self.blocks)
         if len(set(logvars)) != len(logvars):
             raise ValidationError("constraint logvars must be distinct")
-        # order-preserving dedup, then sort: linear when the caller pre-sorts
-        tuples = tuple(sorted(dict.fromkeys(map(tuple, self.tuples))))
+        if any(len(b) != len(logvars) or not all(b) for b in blocks):
+            raise ValidationError("a block needs one non-empty constant set per logvar")
         object.__setattr__(self, "logvars", logvars)
-        object.__setattr__(self, "tuples", tuples)
-        if tuples and set(map(len, tuples)) != {len(logvars)}:
-            bad = next(t for t in tuples if len(t) != len(logvars))
-            raise ValidationError(
-                f"tuple {tuple(c.name for c in bad)} does not match logvars "
-                f"{tuple(l.name for l in logvars)}"
-            )
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "size", _count(blocks))
 
     @classmethod
     def extensional(cls, logvars: Iterable[Logvar], tuples: Iterable[Sequence[Constant]]) -> "Constraint":
-        c = cls(tuple(logvars), tuples)
-        if not c.tuples:
+        logvars = tuple(logvars)
+        distinct = dict.fromkeys(map(tuple, tuples))
+        if not distinct:
             raise ValidationError("extensional constraint needs at least one tuple")
-        return c
+        for t in distinct:
+            if len(t) != len(logvars):
+                names = tuple(map(str, logvars))
+                raise ValidationError(f"tuple {tuple(map(str, t))} does not match logvars {names}")
+        return cls(logvars, _decompose(distinct))
 
     @classmethod
     def empty(cls, logvars: Iterable[Logvar]) -> "Constraint":
         return cls(tuple(logvars))
 
     @property
-    def size(self) -> int:
-        return len(self.tuples)
+    def tuples(self) -> tuple[tuple[Constant, ...], ...]:
+        return tuple(_listed(self.blocks))
 
     def position(self, logvar: Logvar) -> int:
         try:
             return self.logvars.index(logvar)
         except ValueError:
             raise ValidationError(f"logvar {logvar.name} not in constraint") from None
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Constraint) and (self.logvars, self.tuples) == (other.logvars, other.tuples)
+
+    def __hash__(self) -> int:
+        return hash((self.logvars, self.tuples))
 
 
 def _flat_index(ranges: Sequence[Range], assignment: Sequence[str], what: str) -> int:
@@ -323,7 +334,7 @@ class TemplateModel:
         if len(set(names)) != len(names):
             raise ValidationError("parfactor names must be unique")
         for name, p in zip(names, parfactors):
-            if p.constraint.tuples:
+            if p.constraint.size:
                 raise ValidationError(f"template parfactor {name} must have an empty constraint")
         _check_signatures(parfactors)
 
@@ -350,7 +361,7 @@ class ParameterisedModel:
         parfactors = tuple(self.parfactors)
         object.__setattr__(self, "parfactors", parfactors)
         for p in parfactors:
-            if not p.constraint.tuples:
+            if not p.constraint.size:
                 raise ValidationError("parameterised model must not contain empty constraints")
         _check_signatures(parfactors)
 
@@ -375,24 +386,19 @@ class ParameterisedModel:
                     continue
                 if not arg.params:
                     return True
-                # the first matching tuple ends the scan; no column is listed
                 pos = [p.constraint.position(lv) for lv in arg.params]
-                key = atom.args if len(pos) > 1 else atom.args[0]
-                if key in map(operator.itemgetter(*pos), p.constraint.tuples):
+                if _holds((tuple(b[i] for i in pos) for b in p.constraint.blocks), atom.args):
                     return True
         return False
 
 
-def _groundings(
-    args: Sequence[PRV], c: Constraint | BlockConstraint
-) -> Iterator[tuple[GroundAtom, ...]]:
+def _groundings(args: Sequence[PRV], c: Constraint) -> Iterator[tuple[GroundAtom, ...]]:
     """The ground atoms of ``args`` under each tuple of ``c``, in sorted tuple order.
 
-    The one routine that turns constraint tuples into ground atoms, from a
-    constraint's stored tuples or a block form's listed ones.
+    The one routine that turns constraint tuples into ground atoms.
     """
     pos = {lv: i for i, lv in enumerate(c.logvars)}
-    for t in c.tuples:
+    for t in _listed(c.blocks):
         yield tuple(GroundAtom(a.name, tuple(t[pos[lv]] for lv in a.params)) for a in args)
 
 
@@ -402,45 +408,15 @@ def ground(p: Parfactor) -> tuple[GroundFactor, ...]:
 
 
 # ---------------------------------------------------------------------------
-# the block form: a constraint as a union of disjoint products
-
-Block = tuple[frozenset[Constant], ...]  # one non-empty constant set per logvar
+# the block algebra
 
 _MISALIGNED = "constraints misaligned: join does not pair groundings one-to-one"
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class BlockConstraint:
-    """A constraint as a union of disjoint blocks, each the product of one set per logvar.
-
-    The lifted engine holds every constraint in this form. :func:`blocks_of`
-    builds it once per parfactor per query; it is not stored on a model.
-    ``tuples`` lists the tuples in :class:`Constraint`'s sorted order.
-    """
-
-    logvars: tuple[Logvar, ...]
-    blocks: tuple[Block, ...]
-    size: int = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "size", sum(math.prod(map(len, b)) for b in self.blocks))
-
-    position = Constraint.position
-
-    @property
-    def tuples(self) -> list[tuple[Constant, ...]]:
-        return _listed(self.blocks)
-
-
 def _listed(blocks: Sequence[Block]) -> list[tuple[Constant, ...]]:
-    """Every tuple of ``blocks``, sorted: the one routine that lists a block form."""
+    """Every tuple of ``blocks``, sorted: the one routine that lists a constraint."""
     rows = [itertools.product(*map(sorted, b)) for b in blocks]
     return list(rows[0]) if len(rows) == 1 else sorted(itertools.chain(*rows))
-
-
-def blocks_of(c: Constraint) -> BlockConstraint:
-    """The block form of ``c``: one block when its tuples are the product of its columns."""
-    return BlockConstraint(c.logvars, _decompose(c.tuples))
 
 
 def _decompose(tuples: Collection[tuple]) -> tuple[Block, ...]:
@@ -465,30 +441,46 @@ def _decompose(tuples: Collection[tuple]) -> tuple[Block, ...]:
     return tuple((frozenset(cs),) + b for rest, cs in firsts.items() for b in rest)
 
 
-def _merged(blocks: Sequence[Block]) -> tuple[Block, ...]:
-    """Blocks of one width, which may overlap, as :func:`_decompose` gives their tuples."""
+def _union(blocks: Sequence[Block]) -> tuple[Block, ...]:
+    """Disjoint blocks of one width, as :func:`_decompose` gives their tuples.
+
+    They are one block when their sizes add up to the product of their
+    column unions (``_decompose``'s own product test); otherwise their
+    tuples are listed.
+    """
     if len(blocks) <= 1:
         return tuple(blocks)
-    if len(blocks[0]) <= 1:  # no logvar or one: the union of the sets
+    # a column of equal sets keeps its first set, so a shared pool is not copied
+    columns = tuple(c[0] if c.count(c[0]) == len(c) else frozenset().union(*c) for c in zip(*blocks))
+    if math.prod(map(len, columns)) == _count(blocks):
+        return (columns,)
+    return _decompose(_listed(blocks))
+
+
+def _project(c: Constraint, keep: Sequence[Logvar]) -> tuple[Block, ...]:
+    """``c``'s tuples cut down to ``keep``, as :func:`_decompose` gives them.
+
+    The cut blocks may overlap, so two or more of them are merged as sets
+    onto one logvar or fewer, and listed onto more.
+    """
+    pos = [c.position(lv) for lv in keep]
+    blocks = [tuple(b[i] for i in pos) for b in c.blocks]
+    if len(blocks) <= 1:
+        return tuple(blocks)
+    if len(pos) <= 1:
         return (tuple(frozenset().union(*col) for col in zip(*blocks)),)
     return _decompose(set(_listed(blocks)))
-
-
-def _project(c: BlockConstraint, keep: Sequence[Logvar]) -> tuple[Block, ...]:
-    """The blocks of ``c``'s tuples cut down to ``keep``."""
-    pos = [c.position(lv) for lv in keep]
-    return _merged([tuple(b[i] for i in pos) for b in c.blocks])
 
 
 # A group is the instance set of one argument: a frozenset of the blocks
 # _decompose gives for it, so equal instance sets give equal groups.
 
 
-def _group(c: BlockConstraint, params: Sequence[Logvar]) -> frozenset[Block]:
+def _group(c: Constraint, params: Sequence[Logvar]) -> frozenset[Block]:
     return frozenset(_project(c, params))
 
 
-def _count(group: frozenset[Block]) -> int:
+def _count(group: Collection[Block]) -> int:
     return sum(math.prod(map(len, b)) for b in group)
 
 
@@ -496,19 +488,19 @@ def _least(group: frozenset[Block]) -> tuple[Constant, ...]:
     return min(tuple(map(min, b)) for b in group)
 
 
-def _holds(group: frozenset[Block], instance: tuple[Constant, ...]) -> bool:
+def _holds(group: Iterable[Block], instance: tuple[Constant, ...]) -> bool:
     return any(all(map(operator.contains, b, instance)) for b in group)
 
 
 def _meet(g1: frozenset[Block], g2: frozenset[Block]) -> frozenset[Block]:
     """The instances two groups share, as a group."""
     met = [tuple(map(operator.and_, b1, b2)) for b1 in g1 for b2 in g2]
-    return frozenset(_merged([m for m in met if all(m)]))
+    return frozenset(_union([m for m in met if all(m)]))
 
 
 def _split(
-    c: BlockConstraint, params: Sequence[Logvar], group: frozenset[Block]
-) -> tuple[BlockConstraint, BlockConstraint]:
+    c: Constraint, params: Sequence[Logvar], group: frozenset[Block]
+) -> tuple[Constraint, Constraint]:
     """The groundings of ``c`` whose ``params`` instance is in ``group``, and the rest.
 
     Each block of ``c`` is cut on each block of ``group``: the part inside
@@ -534,10 +526,10 @@ def _split(
                     left.append(tuple(head[:i] + [diff] + head[i + 1 :]))
                 head[i] = met[i]
         outside = left
-    return BlockConstraint(c.logvars, tuple(inside)), BlockConstraint(c.logvars, tuple(outside))
+    return Constraint(c.logvars, inside), Constraint(c.logvars, outside)
 
 
-def _peel(c: BlockConstraint, named: Collection[Constant]) -> dict[tuple, BlockConstraint]:
+def _peel(c: Constraint, named: Collection[Constant]) -> dict[tuple, Constraint]:
     """``c`` split by which ``named`` constant each logvar binds, ``""`` for any other.
 
     Each set gives up the named constants it holds, each as a set of its
@@ -553,10 +545,10 @@ def _peel(c: BlockConstraint, named: Collection[Constant]) -> dict[tuple, BlockC
             choices.append([(k, frozenset((k,))) for k in hit] + ([("", rest)] if rest else []))
         for combo in itertools.product(*choices):
             parts.setdefault(tuple(k for k, _ in combo), []).append(tuple(s for _, s in combo))
-    return {k: BlockConstraint(c.logvars, tuple(bs)) for k, bs in parts.items()}
+    return {k: Constraint(c.logvars, bs) for k, bs in parts.items()}
 
 
-def _join(c1: BlockConstraint, c2: BlockConstraint) -> BlockConstraint:
+def _join(c1: Constraint, c2: Constraint) -> Constraint:
     """The join of two constraints that pair their groundings one-to-one.
 
     A block with more than one constant in a set of a logvar only its side
@@ -580,7 +572,7 @@ def _join(c1: BlockConstraint, c2: BlockConstraint) -> BlockConstraint:
         (b1,), (b2,) = c1.blocks, c2.blocks
         if tuple(b1[i] for i in s1) != tuple(b2[i] for i in s2):
             raise ConstraintsMisaligned(_MISALIGNED)
-        return BlockConstraint(logvars, (b1 + tuple(b2[i] for i in x2),))
+        return Constraint(logvars, (b1 + tuple(b2[i] for i in x2),))
     partner = {tuple(t[i] for i in s2): tuple(t[i] for i in x2) for t in c2.tuples}
     keys_unique = len(partner) == c2.size
     tuples1 = c1.tuples
@@ -588,10 +580,10 @@ def _join(c1: BlockConstraint, c2: BlockConstraint) -> BlockConstraint:
     joined = [t + partner.pop(k) for t, k in zip(tuples1, keys1) if k in partner]
     if not keys_unique or len(joined) < c1.size or partner:
         raise ConstraintsMisaligned(_MISALIGNED)
-    return BlockConstraint(logvars, _decompose(joined))
+    return Constraint(logvars, _decompose(joined))
 
 
-def _uniform_count(c: BlockConstraint, keep: Sequence[Logvar]) -> tuple[int, BlockConstraint]:
+def _uniform_count(c: Constraint, keep: Sequence[Logvar]) -> tuple[int, Constraint]:
     """How many groundings each tuple cut down to ``keep`` extends to, and the projection.
 
     One block extends every kept tuple by the product of its other sets; a
@@ -606,14 +598,14 @@ def _uniform_count(c: BlockConstraint, keep: Sequence[Logvar]) -> tuple[int, Blo
     if len(c.blocks) == 1:
         (b,) = c.blocks
         n = c.size // math.prod(len(b[i]) for i in pos)
-        return n, BlockConstraint(keep, (tuple(b[i] for i in pos),))
+        return n, Constraint(keep, (tuple(b[i] for i in pos),))
     counts = Counter(tuple(t[i] for i in pos) for t in c.tuples)
     distinct = set(counts.values())
     if len(distinct) != 1:
         raise NotCountNormalized(
             f"not count-normalized: kept tuples extend to {sorted(distinct)} groundings"
         )
-    return distinct.pop(), BlockConstraint(keep, _decompose(counts))
+    return distinct.pop(), Constraint(keep, _decompose(counts))
 
 
 def project(c: Constraint, keep: Sequence[Logvar]) -> Constraint:
@@ -621,7 +613,10 @@ def project(c: Constraint, keep: Sequence[Logvar]) -> Constraint:
     keep = tuple(keep)
     if len(set(keep)) != len(keep):
         raise ValidationError("projection logvars must be distinct")
-    return Constraint.extensional(keep, _listed(_project(blocks_of(c), keep)))
+    blocks = _project(c, keep)
+    if not blocks:
+        raise ValidationError("a projection needs at least one tuple")
+    return Constraint(keep, blocks)
 
 
 def conditional_count(c: Constraint, eliminate: Iterable[Logvar]) -> int:
@@ -635,17 +630,17 @@ def conditional_count(c: Constraint, eliminate: Iterable[Logvar]) -> int:
     elim = set(eliminate)
     for lv in elim:
         c.position(lv)
-    return _uniform_count(blocks_of(c), [lv for lv in c.logvars if lv not in elim])[0]
+    return _uniform_count(c, [lv for lv in c.logvars if lv not in elim])[0]
 
 
 def _product(logvars: tuple[Logvar, ...], domains: Mapping[Logvar, Sequence[Constant]]) -> Constraint:
-    """The constraint binding ``logvars`` to every tuple of their domains."""
-    per_logvar = []
+    """The constraint binding ``logvars`` to every tuple of their domains: one block."""
+    block = []
     for lv in logvars:
         if lv not in domains:
             raise ValidationError(f"missing domain for logvar {lv.name!r}")
         dom = tuple(domains[lv])
         if not dom:
             raise ValidationError(f"empty domain for logvar {lv.name!r}")
-        per_logvar.append(dom)
-    return Constraint.extensional(logvars, itertools.product(*per_logvar))
+        block.append(frozenset(dom))
+    return Constraint(logvars, (tuple(block),))

@@ -29,10 +29,12 @@ per choice combination and world *shape* (the named constants each
 populated domain holds, and which types are non-empty), over the named facts
 plus k representatives per type, k the largest bound arity. Each answer
 becomes a pattern of named constants and numbered representatives, and a
-world lists a pattern by mapping its representatives one-to-one onto its own
-constants of their types. Positive rules commute with renaming unnamed
-constants, and survive merging two of one type, so this gives exactly the
-answers of the whole world; the README's design note has the argument.
+world maps a pattern's representatives one-to-one onto its own constants of
+their types; a pattern whose representatives are of distinct types is thus
+one block, and no tuple of it is listed. Positive rules commute with
+renaming unnamed constants, and survive merging two of one type, so this
+gives exactly the answers of the whole world; the README's design note has
+the argument.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import ParseError, ValidationError
-from .model import Constant, Constraint, TemplateModel, _product
+from .model import Constant, Constraint, TemplateModel, _decompose, _product, _union
 
 _IDENT = r"[a-z][A-Za-z0-9_]*"
 _VAR = r"[A-Z_][A-Za-z0-9_]*"
@@ -368,16 +370,13 @@ class EvaluationMemo:
     """What ``evaluate`` shares between the domain worlds of one program and template.
 
     ``shapes`` maps a world shape to its choice worlds, each binding's answers
-    kept as patterns. ``constants`` and ``tuples`` keep one copy of every
-    constant and listed constraint tuple, so worlds that list equal tuples
-    share them, and the engine's lookups on equal names meet one object. A
-    memo grows with the worlds it serves: make one per expansion and let it
-    go with it.
+    kept as patterns. ``constants`` keeps one copy of every constant, so the
+    engine's lookups on equal names meet one object. A memo grows with the
+    worlds it serves: make one per expansion and let it go with it.
     """
 
     shapes: dict = field(default_factory=dict)
     constants: dict = field(default_factory=dict)
-    tuples: dict = field(default_factory=dict)
 
 
 def _named(prog: Program) -> frozenset[str]:
@@ -444,12 +443,25 @@ def _choice_worlds(
     return worlds
 
 
-def _list(pattern: tuple, pools: dict, shared: dict) -> list[tuple[Constant, ...]]:
+def _blocks(pattern: tuple, pools: dict) -> tuple:
+    """A world's blocks of one pattern.
+
+    A named constant is a singleton and a representative its type's pool, so
+    a pattern whose representatives sit at positions of distinct types is
+    one block; any other pattern is listed and decomposed.
+    """
+    types = [t[0] for t in pattern if isinstance(t, tuple)]
+    if len(set(types)) == len(types):
+        return (tuple(pools[t[0]] if isinstance(t, tuple) else frozenset((t,)) for t in pattern),)
+    return _decompose(_list(pattern, pools))
+
+
+def _list(pattern: tuple, pools: dict) -> list[tuple[Constant, ...]]:
     """A world's tuples of one pattern.
 
     Each of the pattern's representatives is mapped one-to-one onto the
     world's anonymous constants of its type, so a pattern lists nothing when
-    a type holds too few. Tuples already in ``shared`` are reused.
+    a type holds too few.
     """
     reps = {number: typ for typ, number in (t for t in pattern if isinstance(t, tuple))}
     fixed = tuple(t for t in pattern if not isinstance(t, tuple))
@@ -463,7 +475,7 @@ def _list(pattern: tuple, pools: dict, shared: dict) -> list[tuple[Constant, ...
         rows = (r + fixed for r in rows)
     if order != tuple(range(len(order))):
         rows = map(itemgetter(*order), rows)
-    return [shared.setdefault(r, r) for r in rows]
+    return list(rows)
 
 
 def evaluate(
@@ -480,8 +492,7 @@ def evaluate(
 
     The rules run once per choice combination and world shape, not per
     world: pass one ``memo`` to the calls on the worlds of one expansion and
-    worlds of equal shape share the run, and equal constants and tuples
-    share one copy.
+    worlds of equal shape share the run, and equal constants share one copy.
     """
     by_name = {lv.name: lv for lv in tmpl.logvars}
     bound = {b.parfactor for b in prog.bindings}
@@ -518,11 +529,10 @@ def evaluate(
                 lvs = holders.setdefault(intern(c, c), [])
                 if not lvs or lvs[-1] != lv_name:
                     lvs.append(lv_name)
-    pools: dict[tuple[str, ...], list[Constant]] = {}  # type -> its constants
+    by_type: dict[tuple[str, ...], list[Constant]] = {}
     for c, lvs in holders.items():
-        pools.setdefault(tuple(lvs), []).append(c)
-    for constants in pools.values():
-        constants.sort()
+        by_type.setdefault(tuple(lvs), []).append(c)
+    pools = {typ: frozenset(cs) for typ, cs in by_type.items()}  # type -> its constants
 
     shape = (tuple(held), tuple(sorted(pools)))
     choice_worlds = memo.shapes.get(shape)
@@ -531,7 +541,6 @@ def evaluate(
             prog, tmpl, held, shape[1], k, memo.constants
         )
 
-    listed: dict[tuple, list] = {}  # pattern -> this world's tuples
     worlds = []
     for combo, prob, answers in choice_worlds:
         constraints: list[Constraint] = []
@@ -541,13 +550,9 @@ def evaluate(
             if patterns is None:
                 constraints.append(_product(logvars, domains))
                 continue
-            tuples = []
-            for p in patterns:
-                if p not in listed:
-                    listed[p] = _list(p, pools, memo.tuples)
-                tuples += listed[p]
-            if tuples:
-                constraints.append(Constraint.extensional(logvars, tuples))
+            blocks = [b for p in patterns for b in _blocks(p, pools)]
+            if blocks:
+                constraints.append(Constraint(logvars, _union(blocks)))
             else:
                 constraints.append(Constraint.empty(logvars))
                 degenerate = True

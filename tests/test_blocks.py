@@ -1,7 +1,8 @@
-"""The block form of a constraint against the same operations on its listed tuples.
+"""Constraint operations on blocks against the same operations on tuple lists.
 
-Every reference below works on a :class:`Constraint`'s stored tuples only,
-so a block operation that disagrees with it is wrong.
+Every reference below works on the tuple list a constraint was built from,
+never on the constraint's own listing, so a block operation that disagrees
+with it is wrong.
 """
 
 import itertools
@@ -19,9 +20,12 @@ from liftworlds import (
     Logvar,
     NotCountNormalized,
     QuerySpec,
+    UniverseModel,
+    expand,
+    io,
     lifted_query,
 )
-from liftworlds import model
+from liftworlds import model, program
 from liftworlds.model import (
     _count,
     _decompose,
@@ -34,7 +38,7 @@ from liftworlds.model import (
     _project,
     _split,
     _uniform_count,
-    blocks_of,
+    project,
 )
 from support import epidemic_model, group_instances
 
@@ -50,24 +54,32 @@ def draw(rng, n):
     return tuple(POOL[i] for i in rng.integers(0, len(POOL), n))
 
 
-def random_constraint(rng, logvars=None):
-    """A product, a union of products or a constraint with no tuples, over 0-3 logvars."""
-    if logvars is None:
-        logvars = tuple(LOGVARS[i] for i in rng.permutation(3)[: rng.integers(0, 4)])
+def random_tuples(rng, logvars):
+    """A product, a union of products or no tuples, in a random order."""
     kind = rng.integers(4)
     if kind == 0:
-        return Constraint(logvars, ())
+        return []
 
     def product():
         sets = [[c for c in POOL if rng.random() < 0.6] or [POOL[rng.integers(4)]] for _ in logvars]
-        return set(itertools.product(*sets))
+        return list(itertools.product(*sets))
 
     if kind == 1:
-        return Constraint(logvars, product())
-    if kind == 2:
-        return Constraint(logvars, set().union(*(product() for _ in range(rng.integers(2, 4)))))
-    every = list(itertools.product(POOL[: rng.integers(1, 5)], repeat=len(logvars)))
-    return Constraint(logvars, [t for t in every if rng.random() < 0.5] or every[:1])
+        ts = product()
+    elif kind == 2:
+        ts = [t for _ in range(rng.integers(2, 4)) for t in product()]
+    else:
+        every = list(itertools.product(POOL[: rng.integers(1, 5)], repeat=len(logvars)))
+        ts = [t for t in every if rng.random() < 0.5] or every[:1]
+    return [ts[i] for i in rng.permutation(len(ts))]
+
+
+def random_constraint(rng):
+    """A constraint over 0-3 logvars, and the sorted tuple list it was built from."""
+    logvars = tuple(LOGVARS[i] for i in rng.permutation(3)[: rng.integers(0, 4)])
+    ts = random_tuples(rng, logvars)
+    c = Constraint.extensional(logvars, ts) if ts else Constraint.empty(logvars)
+    return c, sorted(set(ts))
 
 
 def random_group(rng, tuples, width):
@@ -76,13 +88,13 @@ def random_group(rng, tuples, width):
     return frozenset(_decompose(picked))
 
 
-def partner_of(rng, c1):
+def partner_of(rng, c1, ts1):
     """A constraint that shares some of ``c1``'s logvars and pairs with it when left alone."""
     shared = [lv for lv in c1.logvars if rng.random() < 0.7]
     extra = [lv for lv in LOGVARS if lv not in c1.logvars and rng.random() < 0.5]
     pick = {}
     tuples = []
-    for key in dict.fromkeys(cut(c1.tuples, [c1.position(lv) for lv in shared])):
+    for key in dict.fromkeys(cut(ts1, [c1.position(lv) for lv in shared])):
         row = dict(zip(shared, key))
         for lv in extra:
             row[lv] = pick.setdefault((key, lv), POOL[rng.integers(4)])
@@ -93,37 +105,37 @@ def partner_of(rng, c1):
         rows.pop(rng.integers(len(rows)))
     if rng.random() < 0.3:
         rows.append(draw(rng, len(order)))
-    return Constraint(tuple(order), rows)
+    c = Constraint.extensional(order, rows) if rows else Constraint.empty(order)
+    return c, sorted(set(rows))
 
 
-def reference_join(c1, c2):
+def reference_join(c1, ts1, c2, ts2):
     """The join when each tuple of either side has exactly one partner, else None."""
     shared = [lv for lv in c2.logvars if lv in c1.logvars]
     extra = [c2.position(lv) for lv in c2.logvars if lv not in c1.logvars]
-    k1 = cut(c1.tuples, [c1.position(lv) for lv in shared])
-    k2 = cut(c2.tuples, [c2.position(lv) for lv in shared])
+    k1 = cut(ts1, [c1.position(lv) for lv in shared])
+    k2 = cut(ts2, [c2.position(lv) for lv in shared])
     if sorted(k1) != sorted(k2) or len(set(k1)) != len(k1) or len(set(k2)) != len(k2):
         return None
-    partner = dict(zip(k2, cut(c2.tuples, extra)))
-    return sorted(t + partner[k] for t, k in zip(c1.tuples, k1))
+    partner = dict(zip(k2, cut(ts2, extra)))
+    return sorted(t + partner[k] for t, k in zip(ts1, k1))
 
 
 def test_block_operations_match_the_listed_tuples():
     rng = np.random.default_rng(23)
     seen = Counter()
     for _ in range(1500):
-        c = random_constraint(rng)
-        b = blocks_of(c)
-        seen[("empty", "product", "union")[min(len(b.blocks), 2)]] += 1
+        c, ts = random_constraint(rng)
+        seen[("empty", "product", "union")[min(len(c.blocks), 2)]] += 1
         # size and listing
-        assert b.size == c.size
-        assert b.tuples == list(c.tuples)
+        assert c.size == len(ts)
+        assert c.tuples == tuple(ts)
         # groups: instances, count, least instance and membership
         width = len(c.logvars)
         params = tuple(c.logvars[i] for i in rng.permutation(width)[: rng.integers(0, width + 1)])
         pos = [c.position(lv) for lv in params]
-        want = set(cut(c.tuples, pos))
-        group = _group(b, params)
+        want = set(cut(ts, pos))
+        group = _group(c, params)
         assert group_instances(group) == want
         assert group == frozenset(_decompose(want))
         assert _count(group) == len(want)
@@ -132,50 +144,97 @@ def test_block_operations_match_the_listed_tuples():
         probe = draw(rng, len(params))
         assert _holds(group, probe) == (probe in want)
         # projection
-        assert sorted(group_instances(_project(b, params))) == sorted(want)
+        assert sorted(group_instances(_project(c, params))) == sorted(want)
         # peel: the same part keys, in the same order, and the same tuples
         named = {POOL[i] for i in rng.permutation(4)[: rng.integers(0, 3)]} | {Constant("e")}
         ref: dict[tuple, list] = {}
-        for t in c.tuples:
+        for t in ts:
             ref.setdefault(tuple(k if k in named else "" for k in t), []).append(t)
-        parts = _peel(b, named)
+        parts = _peel(c, named)
         assert sorted(parts) == sorted(ref)
-        assert all(parts[k].tuples == ref[k] for k in ref)
+        assert all(parts[k].tuples == tuple(ref[k]) for k in ref)
         # split on a group's instances, and the meet of two groups
         other = random_group(rng, want, len(params))
-        inside, outside = _split(b, params, other)
+        inside, outside = _split(c, params, other)
         got_in = group_instances(other)
-        assert inside.tuples == [t for t in c.tuples if tuple(t[i] for i in pos) in got_in]
-        assert outside.tuples == [t for t in c.tuples if tuple(t[i] for i in pos) not in got_in]
+        assert inside.tuples == tuple(t for t in ts if tuple(t[i] for i in pos) in got_in)
+        assert outside.tuples == tuple(t for t in ts if tuple(t[i] for i in pos) not in got_in)
         assert group_instances(_meet(group, other)) == want & got_in
         assert _meet(group, other) == frozenset(_decompose(want & got_in))
         # uniform count and projection
         keep = [lv for lv in c.logvars if lv in params]
-        kept = cut(c.tuples, [c.position(lv) for lv in keep])
+        kept = cut(ts, [c.position(lv) for lv in keep])
         counts = Counter(kept)
         if len(set(counts.values())) != 1:
             with pytest.raises(NotCountNormalized):
-                _uniform_count(b, keep)
+                _uniform_count(c, keep)
             seen["count refused"] += 1
         else:
-            n, projected = _uniform_count(b, keep)
+            n, projected = _uniform_count(c, keep)
             assert n == counts.popitem()[1]
-            assert (projected.logvars, projected.tuples) == (tuple(keep), sorted(set(kept)))
+            assert (projected.logvars, projected.tuples) == (tuple(keep), tuple(sorted(set(kept))))
         # join, against a partner made to pair and against an unrelated constraint
-        for c2 in (partner_of(rng, c), random_constraint(rng)):
-            want_join = reference_join(c, c2)
+        for c2, ts2 in (partner_of(rng, c, ts), random_constraint(rng)):
+            want_join = reference_join(c, ts, c2, ts2)
             if want_join is None:
                 with pytest.raises(ConstraintsMisaligned):
-                    _join(b, blocks_of(c2))
+                    _join(c, c2)
                 seen["join refused"] += 1
             else:
-                joined = _join(b, blocks_of(c2))
+                joined = _join(c, c2)
                 extra = tuple(lv for lv in c2.logvars if lv not in c.logvars)
                 assert joined.logvars == c.logvars + extra
-                assert joined.tuples == want_join
+                assert joined.tuples == tuple(want_join)
                 assert joined.size == len(want_join)
                 seen["join"] += 1
     assert min(seen.values()) > 50, seen
+
+
+def test_extensional_round_trips_its_tuples():
+    rng = np.random.default_rng(29)
+    for _ in range(500):
+        logvars = tuple(LOGVARS[i] for i in rng.permutation(3)[: rng.integers(0, 4)])
+        ts = random_tuples(rng, logvars)
+        if not ts:
+            continue
+        c = Constraint.extensional(logvars, ts)
+        assert c.tuples == tuple(sorted(set(ts)))
+        assert set(c.blocks) == set(_decompose(set(ts)))
+
+
+def test_equal_tuple_sets_give_equal_constraints():
+    # built from one tuple set in another order, or made by the engine's
+    # operations: equal tuple sets compare and hash equal, however cut
+    rng = np.random.default_rng(31)
+
+    def same(got, logvars, tuples):
+        want = Constraint.extensional(logvars, tuples) if tuples else Constraint.empty(logvars)
+        assert got == want and hash(got) == hash(want)
+
+    made = Counter()
+    for _ in range(500):
+        c, ts = random_constraint(rng)
+        same(c, c.logvars, ts[::-1])
+        assert (c == Constraint.empty(c.logvars)) == (not ts)
+        width = len(c.logvars)
+        params = tuple(c.logvars[i] for i in rng.permutation(width)[: rng.integers(0, width + 1)])
+        pos = [c.position(lv) for lv in params]
+        other = random_group(rng, set(cut(ts, pos)), len(params))
+        inside, outside = _split(c, params, other)
+        got_in = group_instances(other)
+        same(inside, c.logvars, [t for t in ts if tuple(t[i] for i in pos) in got_in])
+        same(outside, c.logvars, [t for t in ts if tuple(t[i] for i in pos) not in got_in])
+        made["split"] += 1
+        if ts:
+            same(project(c, params), params, cut(ts, pos))
+            made["project"] += 1
+        c2, ts2 = partner_of(rng, c, ts)
+        want_join = reference_join(c, ts, c2, ts2)
+        if want_join is not None:
+            same(_join(c, c2), c.logvars + tuple(lv for lv in c2.logvars if lv not in c.logvars),
+                 want_join)
+            made["join"] += 1
+    assert min(made.values()) > 100, made
 
 
 def test_lifted_query_lists_no_tuple_of_a_product(monkeypatch):
@@ -196,3 +255,20 @@ def test_lifted_query_lists_no_tuple_of_a_product(monkeypatch):
         listed.clear()
         lifted_query(m, q)
         assert listed == [1]
+
+
+def test_expand_lists_no_tuple_of_a_product(monkeypatch, data_dir):
+    # every binding of the bundled triple is a product in every world, so
+    # its answer patterns become blocks without a tuple listed
+    calls = []
+    for owner, name in ((model, "_listed"), (program, "_list")):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    u = UniverseModel(
+        io.load_model(data_dir / "model.json"),
+        io.load_program(data_dir / "constraints.program"),
+        io.load_domain_spec(data_dir / "domains.json"),
+    )
+    models = expand(u)
+    assert len(models) == 60
+    assert calls == []

@@ -1,6 +1,10 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import liftworlds
 from liftworlds import (
     Constant,
     Constraint,
@@ -159,6 +163,10 @@ class TestValidation:
         with pytest.raises(ValidationError):
             Constraint.extensional((X, T), [(Constant("a"),)])
 
+    def test_width_mismatch_of_plain_strings_is_a_validation_error(self):
+        with pytest.raises(ValidationError, match=r"tuple \('a', 'b'\) does not match logvars \('X',\)"):
+            Constraint.extensional((X,), [("a", "b")])
+
     def test_extensional_needs_tuples(self):
         with pytest.raises(ValidationError):
             Constraint.extensional((X,), [])
@@ -204,3 +212,15 @@ class TestValidation:
         assert not m.contains_atom(GroundAtom("Sick", (Constant("x9"),)))
         assert m.contains_atom(GroundAtom("Epid"))
         assert not m.contains_atom(GroundAtom("Cough", (Constant("x1"),)))
+
+
+def test_only_model_reads_a_constraints_tuples_or_blocks():
+    # the rest of the package goes through model.py's operations, so the
+    # block form can change without touching it
+    readers = {
+        path.name: sorted(set(re.findall(r"\.(?:tuples|blocks)\b", path.read_text())))
+        for path in Path(liftworlds.__file__).parent.glob("*.py")
+        if path.name != "model.py"
+    }
+    assert len(readers) > 5
+    assert {name: found for name, found in readers.items() if found} == {}

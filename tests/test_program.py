@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import pytest
@@ -26,6 +27,7 @@ from liftworlds import (
     uniformize,
 )
 from liftworlds import program
+from liftworlds.model import _decompose
 from liftworlds.program import ConstraintWorld
 from support import (
     EXAMPLE_PROGRAM,
@@ -312,24 +314,29 @@ def enumerated(*options) -> EnumeratedDomain:
 def check_against_oracle(text: str, spec: dict, monkeypatch) -> list:
     """Evaluate every world of ``spec`` with one shared memo, as ``expand``
     does, and compare each with the full-database oracle. Also checks that no
-    tuple of a world is listed by two patterns. Returns the oracle's worlds."""
+    tuple of a world lies in the blocks of two patterns, and that every
+    constraint's blocks are, as a set, those ``_decompose`` gives for the
+    oracle's tuples. Returns the oracle's worlds."""
     prog, tmpl = parse_program(text), xy_template()
-    listed: list = []
-    real = program._list
+    made: dict = {}  # pattern -> its blocks in the current world
+    real = program._blocks
 
-    def spy(pattern, pools, shared):
-        out = real(pattern, pools, shared)
-        listed.append(out)
-        return out
+    def spy(pattern, pools):
+        made[pattern] = real(pattern, pools)
+        return made[pattern]
 
-    monkeypatch.setattr(program, "_list", spy)
+    monkeypatch.setattr(program, "_blocks", spy)
     memo = program.EvaluationMemo()
     seen = []
     for dw in enumerate_worlds(DomainSpec(spec), tmpl):
-        listed.clear()
+        made.clear()
         want = full_evaluate(prog, tmpl, dw)
-        assert list(evaluate_program(prog, tmpl, dw, memo)) == want, (text, dw.domains)
-        every = [t for out in listed for t in out]
+        got = list(evaluate_program(prog, tmpl, dw, memo))
+        assert got == want, (text, dw.domains)
+        for w, ref in zip(got, want):
+            for c, r in zip(w.constraints, ref.constraints):
+                assert set(c.blocks) == set(_decompose(r.tuples)), (text, dw.domains)
+        every = [t for out in made.values() for block in out for t in itertools.product(*block)]
         assert len(every) == len(set(every)), (text, dw.domains)
         seen.extend(want)
     return seen

@@ -5,7 +5,8 @@ enumeration of weighted alternatives, or a binned beta-binomial distribution
 over sizes (bin k of n holds size ``step * k``, weighted by the pmf at k;
 the k = 0 bin is dropped without renormalizing, a size-zero domain being
 impossible). Synthetic constants are named x1, x2, ... after any guaranteed
-constants, so runs are reproducible.
+constants, so runs are reproducible. A domain lists each constant once, so a
+guaranteed constant may not take a synthetic name.
 
 Threshold filtering keeps worlds whose probability exceeds t and never
 renormalizes; the retained mass is reported instead so callers can see how
@@ -15,12 +16,19 @@ much of the distribution they kept.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from math import exp, lgamma
 from typing import Generic, Sequence, TypeVar
 
 from .errors import ValidationError
 from .model import Constant, Logvar, TemplateModel
+
+
+def _distinct(constants: Sequence[Constant], what: str) -> None:
+    """A domain's size counts its constants, so none may be listed twice."""
+    if len(set(constants)) != len(constants):
+        raise ValidationError(f"{what} lists a constant twice")
 
 
 @dataclass(frozen=True)
@@ -54,6 +62,7 @@ class FixedDomain:
         object.__setattr__(self, "constants", tuple(self.constants))
         if not self.constants:
             raise ValidationError("fixed domain must not be empty")
+        _distinct(self.constants, "fixed domain")
 
 
 @dataclass(frozen=True)
@@ -75,6 +84,7 @@ class EnumeratedDomain:
         for cs, _ in options:
             if not cs:
                 raise ValidationError("enumerated domain option must not be empty")
+            _distinct(cs, "enumerated domain option")
 
     @property
     def weighted(self) -> bool:
@@ -97,6 +107,11 @@ class BetaBinomialDomain:
             raise ValidationError("alpha and beta must be positive")
         if self.bins < 1 or self.step < 1:
             raise ValidationError("bins and step must be positive integers")
+        _distinct(self.guaranteed, "guaranteed constants")
+        g, n = len(self.guaranteed), self.step * self.bins
+        for c in self.guaranteed:
+            if re.fullmatch(r"x[1-9][0-9]*", c) and g < int(c[1:]) <= n:  # synthetic: x{g+1} .. x{n}
+                raise ValidationError(f"guaranteed constant '{c}' is also a synthetic constant's name")
 
 
 DomainEntry = FixedDomain | EnumeratedDomain | BetaBinomialDomain

@@ -9,17 +9,18 @@ sums out one representative and raises the result to the number of
 instances covered, so its cost tracks the number of parfactor groups rather
 than the number of constants.
 
-The lifted toolbox is deliberately small: lifted sum-out, lifted multiply,
-evidence absorption, shattering and splitting. A constraint is a union of
-disjoint blocks, each a product of per-logvar constant sets, and the engine
-takes it as the model holds it: nothing is converted per query. Shattering
-peels the query's constants off each block; public splitting and refining
-overlapping groups cut blocks on a group. A factor's groups (each
-argument's instance set, in block form) are computed once, when the factor
-is made over a new constraint; multiply, sum-out and absorb carry them
-over, since none of them changes the instances of an argument it keeps. No
-step of the lifted phase lists the tuples of a product; only grounding
-does. Each operator checks the counting conditions that make it exact:
+The lifted toolbox is deliberately small and private to ``lifted_query``:
+lifted sum-out, lifted multiply, evidence absorption, shattering and
+refining. A constraint is a union of disjoint blocks, each a product of
+per-logvar constant sets, and the engine takes it as the model holds it:
+nothing is converted per query. Shattering peels the query's constants off
+each block; refining overlapping groups cuts blocks on a group. A factor's
+groups (each argument's instance set, in block form) are computed once,
+when the factor is made over a new constraint; multiply, sum-out and absorb
+carry them over, since none of them changes the instances of an argument it
+keeps. No step of the lifted phase lists the tuples of a product; only
+grounding does. Each operator checks the counting conditions that make it
+exact:
 
 * multiply pairs the groundings of both inputs one-to-one on the values of
   their shared logvars while it joins: a key repeated in either input, or a
@@ -34,8 +35,7 @@ When a condition fails for a group, the group is set aside and never tried
 again. Once no lifted step is left, every remaining factor is grounded and
 the rest is eliminated propositionally by the routine ``ground_ve`` uses, so
 answers stay exact while liftedness degrades. Potentials travel in log
-space (an exponent of a few hundred overflows linear doubles); the public
-operators accept and return ordinary linear tables.
+space (an exponent of a few hundred overflows linear doubles).
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -51,11 +51,9 @@ from .errors import ConstraintsMisaligned, InferenceError, NotCountNormalized, V
 from .model import (
     Constraint,
     GroundAtom,
-    Logvar,
     Constant,
     Parfactor,
     ParameterisedModel,
-    PotentialTable,
     PRV,
     Range,
     _count,
@@ -91,12 +89,6 @@ class Evidence:
 
     def atoms(self) -> tuple[GroundAtom, ...]:
         return tuple(a for a, _ in self.assignments)
-
-    def value_of(self, atom: GroundAtom) -> str | None:
-        for a, v in self.assignments:
-            if a == atom:
-                return v
-        return None
 
     def __len__(self) -> int:
         return len(self.assignments)
@@ -218,14 +210,6 @@ def _lifted(args: tuple[PRV, ...], logtab: np.ndarray, c: Constraint) -> _Lifted
     return _Lifted(args, logtab, c, tuple(_group(c, a.params) for a in args))
 
 
-def _to_lifted(p: Parfactor) -> _Lifted:
-    return _lifted(p.table.args, _log(p.table.as_array()), p.constraint)
-
-
-def _to_parfactor(lf: _Lifted) -> Parfactor:
-    return Parfactor(PotentialTable(lf.args, np.exp(lf.logtab).ravel()), lf.constraint)
-
-
 def _multiply(a: _Lifted, b: _Lifted) -> _Lifted:
     join = _join(a.constraint, b.constraint)
     new = [i for i, x in enumerate(b.args) if x not in a.args]
@@ -252,44 +236,7 @@ def _sum_out(lf: _Lifted, prv: PRV) -> tuple[_Lifted, int]:
     return _Lifted(rest, logtab, projected, lf.groups[:axis] + lf.groups[axis + 1 :]), n
 
 
-# ---------------------------------------------------------------------------
-# public lifted operators (linear tables in, linear tables out)
-
-
-def lift_multiply(g1: Parfactor, g2: Parfactor) -> Parfactor:
-    """Pointwise product over the argument union, constraints joined.
-
-    Raises :class:`ConstraintsMisaligned` when the join would not pair the
-    groundings of both inputs one-to-one; callers fall back to grounding.
-    """
-    return _to_parfactor(_multiply(_to_lifted(g1), _to_lifted(g2)))
-
-
-def lift_sum_out(g: Parfactor, a: PRV) -> Parfactor:
-    """Sum out all instances of ``a`` at once.
-
-    The table is summed over ``a``'s axis and raised entrywise to the number
-    of groundings each kept tuple stands for; the constraint is projected
-    onto the remaining logvars. Raises :class:`NotCountNormalized` when no
-    single exponent exists.
-    """
-    lf, _ = _sum_out(_to_lifted(g), a)
-    return _to_parfactor(lf)
-
-
-def split(
-    g: Parfactor, x: Logvar, constants: Iterable[Constant]
-) -> tuple[Parfactor | None, Parfactor | None]:
-    """Partition the constraint on whether the ``x`` component is in ``constants``.
-
-    Either part may be ``None`` when empty; the two parts' groundings
-    partition the groundings of ``g``.
-    """
-    parts = _split(g.constraint, (x,), frozenset({(frozenset(constants),)}))
-    return tuple(Parfactor(g.table, part) if part.size else None for part in parts)
-
-
-def absorb(g: Parfactor, ev: Evidence) -> Parfactor:
+def _absorb(lf: _Lifted, evidence: Mapping[GroundAtom, str]) -> _Lifted:
     """Condition on evidence covering whole argument groups.
 
     Every argument whose instances are all observed with one shared value is
@@ -299,16 +246,9 @@ def absorb(g: Parfactor, ev: Evidence) -> Parfactor:
     dropping an argument orphans logvars, each surviving grounding stands
     for several absorbed ones, so the slice is raised to that count and the
     constraint projected (no single count raises
-    :class:`NotCountNormalized`). Returns ``g`` itself when no evidence
+    :class:`NotCountNormalized`). Returns ``lf`` itself when no evidence
     applies.
     """
-    lf = _to_lifted(g)
-    out = _absorb(lf, dict(ev.assignments))
-    return g if out is lf else _to_parfactor(out)
-
-
-def _absorb(lf: _Lifted, evidence: Mapping[GroundAtom, str]) -> _Lifted:
-    """:func:`absorb` in log space; returns ``lf`` itself when no evidence applies."""
     if not evidence:
         return lf
     logtab = lf.logtab

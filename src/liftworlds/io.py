@@ -46,6 +46,7 @@ Query strings::
 from __future__ import annotations
 
 import json
+import math
 import re
 from pathlib import Path
 
@@ -66,6 +67,7 @@ from .model import (
     PRV,
     Range,
     TemplateModel,
+    _arg_logvars,
 )
 from .program import Program, parse as parse_program
 
@@ -73,8 +75,26 @@ _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
 _ATOM_RE = re.compile(rf"^(?P<name>{_NAME})\s*(?:\((?P<args>[^()]*)\))?$")
 
 
+def _expect(obj, kind: type, where: str):
+    """``obj`` when it has the JSON type ``kind`` (``dict`` or ``list``); else a ParseError."""
+    if not isinstance(obj, kind):
+        shape = "an object" if kind is dict else "a list"
+        raise ParseError(f"{where}: expected {shape}, got {type(obj).__name__}")
+    return obj
+
+
+def _constants(obj, where: str) -> tuple[Constant, ...]:
+    return tuple(Constant(c) for c in _expect(obj, list, where))
+
+
+def _logvar(logvars: dict[str, Logvar], name, where: str) -> Logvar:
+    if name not in logvars:
+        raise ParseError(f"{where}: unknown logvar {name!r}")
+    return logvars[name]
+
+
 def _require(obj: dict, key: str, where: str):
-    if key not in obj:
+    if key not in _expect(obj, dict, where):
         raise ParseError(f"{where}: missing {key!r}")
     return obj[key]
 
@@ -90,68 +110,55 @@ def load_model(path, seed: int | None = None):
 
 def parse_model(doc: dict, seed: int | None = None):
     randvars: dict[str, tuple[int, Range]] = {}
-    for rv in _require(doc, "randvars", "model file"):
+    for rv in _expect(_require(doc, "randvars", "model file"), list, "randvars"):
         name = _require(rv, "name", "randvar")
         arity = int(_require(rv, "arity", f"randvar {name}"))
         rng = Range(tuple(rv["range"])) if "range" in rv else BOOLEAN
         if name in randvars:
             raise ParseError(f"duplicate randvar {name!r}")
         randvars[name] = (arity, rng)
-    logvars = {name: Logvar(name) for name in doc.get("logvars", [])}
+    logvars = {name: Logvar(name) for name in _expect(doc.get("logvars", []), list, "logvars")}
     rng_source = np.random.default_rng(0 if seed is None else seed)
 
     parfactors: list[Parfactor] = []
     names: list[str] = []
-    for i, spec in enumerate(_require(doc, "parfactors", "model file")):
-        pname = spec.get("name", f"g{i}")
+    for i, spec in enumerate(_expect(_require(doc, "parfactors", "model file"), list, "parfactors")):
+        pname = _expect(spec, dict, f"parfactor g{i}").get("name", f"g{i}")
+        where = f"parfactor {pname}"
         args = []
-        for raw in _require(spec, "args", f"parfactor {pname}"):
-            if not raw:
-                raise ParseError(f"parfactor {pname}: empty argument")
+        for raw in _expect(_require(spec, "args", where), list, where):
+            if not _expect(raw, list, where):
+                raise ParseError(f"{where}: empty argument")
             rv_name, *param_names = raw
             if rv_name not in randvars:
-                raise ParseError(f"parfactor {pname}: unknown randvar {rv_name!r}")
+                raise ParseError(f"{where}: unknown randvar {rv_name!r}")
             arity, rng = randvars[rv_name]
             if len(param_names) != arity:
-                raise ParseError(
-                    f"parfactor {pname}: {rv_name} has arity {arity}, got {len(param_names)} logvars"
-                )
-            params = []
-            for ln in param_names:
-                if ln not in logvars:
-                    raise ParseError(f"parfactor {pname}: unknown logvar {ln!r}")
-                params.append(logvars[ln])
-            args.append(PRV(rv_name, tuple(params), rng))
-        values = _require(spec, "values", f"parfactor {pname}")
+                raise ParseError(f"{where}: {rv_name} has arity {arity}, got {len(param_names)} logvars")
+            params = tuple(_logvar(logvars, ln, where) for ln in param_names)
+            args.append(PRV(rv_name, params, rng))
+        values = _require(spec, "values", where)
         if values == "random":
-            size = 1
-            for a in args:
-                size *= len(a.range)
-            values = rng_source.uniform(0.1, 2.0, size)
+            values = rng_source.uniform(0.1, 2.0, math.prod(len(a.range) for a in args))
         elif not isinstance(values, list):
-            raise ParseError(f"parfactor {pname}: values must be a list or 'random'")
+            raise ParseError(f"{where}: values must be a list or 'random'")
         table = PotentialTable(tuple(args), np.asarray(values, dtype=float))
 
-        raw_c = _require(spec, "constraint", f"parfactor {pname}")
-        arg_logvars: dict[Logvar, None] = {}
-        for a in args:
-            for lv in a.params:
-                arg_logvars.setdefault(lv)
+        raw_c = _require(spec, "constraint", where)
         if raw_c == "empty":
-            constraint = Constraint.empty(tuple(arg_logvars))
+            constraint = Constraint.empty(_arg_logvars(args))
         elif raw_c == "top":
             raise ParseError(
-                f"parfactor {pname}: a model file has no 'top' constraint; make it 'empty' "
+                f"{where}: a model file has no 'top' constraint; make it 'empty' "
                 f"and bind it in the program with 'constraint {pname} <- top.'"
             )
         elif isinstance(raw_c, dict):
-            c_logvars = tuple(logvars[n] for n in _require(raw_c, "logvars", f"parfactor {pname}"))
-            tuples = [
-                tuple(Constant(c) for c in t) for t in _require(raw_c, "tuples", f"parfactor {pname}")
-            ]
+            c_names = _expect(_require(raw_c, "logvars", where), list, where)
+            c_logvars = tuple(_logvar(logvars, ln, where) for ln in c_names)
+            tuples = [_constants(t, where) for t in _expect(_require(raw_c, "tuples", where), list, where)]
             constraint = Constraint.extensional(c_logvars, tuples)
         else:
-            raise ParseError(f"parfactor {pname}: constraint must be 'empty' or explicit")
+            raise ParseError(f"{where}: constraint must be 'empty' or explicit")
         parfactors.append(Parfactor(table, constraint))
         names.append(pname)
 
@@ -173,27 +180,25 @@ def load_domain_spec(path) -> DomainSpec:
 
 def parse_domain_spec(doc: dict) -> DomainSpec:
     entries = {}
-    for logvar, raw in doc.items():
-        if "constants" in raw:
-            entries[logvar] = FixedDomain(tuple(Constant(c) for c in raw["constants"]))
+    for logvar, raw in _expect(doc, dict, "domain spec").items():
+        where = f"domain {logvar}"
+        if "constants" in _expect(raw, dict, where):
+            entries[logvar] = FixedDomain(_constants(raw["constants"], where))
         elif "worlds" in raw:
             options = []
-            for w in raw["worlds"]:
-                constants = tuple(Constant(c) for c in _require(w, "constants", f"domain {logvar}"))
-                options.append((constants, w.get("prob")))
+            for w in _expect(raw["worlds"], list, where):
+                options.append((_constants(_require(w, "constants", where), where), w.get("prob")))
             entries[logvar] = EnumeratedDomain(tuple(options))
         elif "alpha" in raw:
             entries[logvar] = BetaBinomialDomain(
-                alpha=float(_require(raw, "alpha", f"domain {logvar}")),
-                beta=float(_require(raw, "beta", f"domain {logvar}")),
-                bins=int(_require(raw, "bins", f"domain {logvar}")),
-                step=int(_require(raw, "step", f"domain {logvar}")),
-                guaranteed=tuple(Constant(c) for c in raw.get("guaranteed", [])),
+                alpha=float(_require(raw, "alpha", where)),
+                beta=float(_require(raw, "beta", where)),
+                bins=int(_require(raw, "bins", where)),
+                step=int(_require(raw, "step", where)),
+                guaranteed=_constants(raw.get("guaranteed", []), where),
             )
         else:
-            raise ParseError(
-                f"domain {logvar}: need 'constants', 'worlds', or beta-binomial parameters"
-            )
+            raise ParseError(f"{where}: need 'constants', 'worlds', or beta-binomial parameters")
     return DomainSpec(entries)
 
 

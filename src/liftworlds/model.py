@@ -242,24 +242,6 @@ class PotentialTable:
     def as_array(self) -> np.ndarray:
         return self.values.reshape(self.shape)
 
-    def encode(self, assignment: Sequence[str]) -> int:
-        """Flat index of one joint range-value tuple (last argument fastest)."""
-        return _flat_index(tuple(a.range for a in self.args), assignment, "arguments")
-
-    def decode(self, index: int) -> tuple[str, ...]:
-        if not 0 <= index < self.values.size:
-            raise ValidationError("index out of bounds")
-        out = []
-        for arg in reversed(self.args):
-            index, pos = divmod(index, len(arg.range))
-            out.append(arg.range.values[pos])
-        return tuple(reversed(out))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PotentialTable):
-            return NotImplemented
-        return self.args == other.args and np.array_equal(self.values, other.values)
-
 
 def _arg_logvars(args: Iterable[PRV]) -> tuple[Logvar, ...]:
     seen: dict[Logvar, None] = {}
@@ -284,14 +266,6 @@ class Parfactor:
                 f"constraint logvars {sorted(l.name for l in have)} must cover exactly "
                 f"the argument logvars {sorted(l.name for l in need)}"
             )
-
-    @property
-    def args(self) -> tuple[PRV, ...]:
-        return self.table.args
-
-    @property
-    def logvars(self) -> tuple[Logvar, ...]:
-        return self.constraint.logvars
 
 
 @dataclass(frozen=True, eq=False)
@@ -346,10 +320,6 @@ class TemplateModel:
                 seen.setdefault(lv)
         return tuple(seen)
 
-    @cached_property
-    def signatures(self) -> dict[str, tuple[int, Range]]:
-        return _check_signatures(self.parfactors)
-
 
 @dataclass(frozen=True)
 class ParameterisedModel:
@@ -370,10 +340,11 @@ class ParameterisedModel:
         return _check_signatures(self.parfactors)
 
     def ground(self) -> tuple[GroundFactor, ...]:
-        out: list[GroundFactor] = []
-        for p in self.parfactors:
-            out.extend(ground(p))
-        return tuple(out)
+        return tuple(
+            GroundFactor(atoms, p.table)
+            for p in self.parfactors
+            for atoms in _groundings(p.table.args, p.constraint)
+        )
 
     def ground_size(self) -> int:
         """Number of ground factors the model expands to."""
@@ -400,11 +371,6 @@ def _groundings(args: Sequence[PRV], c: Constraint) -> Iterator[tuple[GroundAtom
     pos = {lv: i for i, lv in enumerate(c.logvars)}
     for t in _listed(c.blocks):
         yield tuple(GroundAtom(a.name, tuple(t[pos[lv]] for lv in a.params)) for a in args)
-
-
-def ground(p: Parfactor) -> tuple[GroundFactor, ...]:
-    """Expand a parfactor into one ground factor per constraint tuple."""
-    return tuple(GroundFactor(atoms, p.table) for atoms in _groundings(p.table.args, p.constraint))
 
 
 # ---------------------------------------------------------------------------

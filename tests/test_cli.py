@@ -107,6 +107,13 @@ class TestExpand:
         assert result.exit_code == 2
         assert "missing domain" in result.stderr
 
+    def test_domain_file_that_is_a_list_is_input_error(self, small_universe, tmp_path):
+        domains = tmp_path / "list.json"
+        domains.write_text(json.dumps([{"X": {"constants": ["a"]}}]))
+        result = run("expand", *small_universe[:4], "--domains", str(domains))
+        assert result.exit_code == 2
+        assert "expected an object" in result.stderr
+
     def test_non_string_constant_is_input_error(self, small_universe, tmp_path):
         model = tmp_path / "mixed.json"
         parfactor = {

@@ -12,6 +12,7 @@ from liftworlds import (
     beta_binomial_pmf,
     enumerate_worlds,
     filter_worlds,
+    parse_domain_spec,
 )
 from support import T, X, epidemic_template, ts
 
@@ -156,6 +157,33 @@ class TestEnumerateWorlds:
     def test_empty_fixed_domain_rejected(self):
         with pytest.raises(ValidationError):
             FixedDomain(())
+
+    def test_repeated_constants_rejected(self):
+        a = Constant("a")
+        with pytest.raises(ValidationError, match="twice"):
+            FixedDomain((a, a))
+        with pytest.raises(ValidationError, match="twice"):
+            EnumeratedDomain((((a,), 0.5), ((a, a), 0.5)))
+        with pytest.raises(ValidationError, match="twice"):
+            BetaBinomialDomain(2.0, 2.0, bins=1, step=3, guaranteed=(a, a))
+
+    def test_guaranteed_name_of_a_synthetic_constant_rejected(self):
+        # the synthetic names run x2 .. x6 after one guaranteed constant
+        for name in ("x2", "x3", "x6"):
+            with pytest.raises(ValidationError, match="synthetic"):
+                BetaBinomialDomain(2.0, 2.0, bins=2, step=3, guaranteed=(Constant(name),))
+        for name in ("x1", "x7", "x03"):
+            BetaBinomialDomain(2.0, 2.0, bins=2, step=3, guaranteed=(Constant(name),))
+
+    def test_world_size_counts_distinct_constants(self):
+        # with x3 guaranteed, bin 1 would be (x3, x2, x3): its provenance would
+        # say X = 3 while g1 holds 2 persons
+        spec = {
+            "X": {"alpha": 2, "beta": 2, "bins": 1, "step": 3, "guaranteed": ["x3"]},
+            "T": {"constants": ["t1", "t2"]},
+        }
+        with pytest.raises(ValidationError, match="synthetic"):
+            parse_domain_spec(spec)
 
 
 class TestFilterWorlds:

@@ -20,20 +20,13 @@ from liftworlds import (
     QuerySpec,
     UniverseModel,
     ValidationError,
-    absorb,
-    conditional_count,
     expand,
-    ground,
     ground_ve,
-    lift_multiply,
-    lift_sum_out,
     lifted_query,
-    project,
-    split,
 )
 from liftworlds import io
-from liftworlds.engine import _absorb, _multiply, _sum_out, _to_lifted
-from liftworlds.model import _decompose
+from liftworlds.engine import _absorb, _lifted, _multiply, _sum_out
+from liftworlds.model import _decompose, _groundings, _split, conditional_count, project
 from support import (
     EPID,
     SICK,
@@ -62,6 +55,15 @@ def c_x(n):
 
 def c_xt(nx, nt):
     return Constraint.extensional((X, T), [(x, t) for x in xs(nx) for t in ts(nt)])
+
+
+def lifted(p):
+    """The engine's log-space factor for a parfactor."""
+    return _lifted(p.table.args, np.log(p.table.as_array()), p.constraint)
+
+
+def ground(p):
+    return ParameterisedModel((p,)).ground()
 
 
 def random_factor(rng, name):
@@ -151,16 +153,16 @@ class TestLiftMultiply:
         v1, v2 = rng.uniform(0.1, 2, 4), rng.uniform(0.1, 2, 4)
         g1 = Parfactor(PotentialTable((EPID, SICK), v1), c_x(3))
         g2 = Parfactor(PotentialTable((EPID, SICK), v2), c_x(3))
-        out = lift_multiply(g1, g2)
+        out = _multiply(lifted(g1), lifted(g2))
         assert out.constraint == c_x(3)
-        assert np.allclose(out.table.values, v1 * v2, rtol=1e-12)
+        assert np.allclose(np.exp(out.logtab).ravel(), v1 * v2, rtol=1e-12)
 
     def test_table_of_ones_is_identity(self, rng):
         v = rng.uniform(0.1, 2, 4)
         g1 = Parfactor(PotentialTable((EPID, SICK), v), c_x(2))
         g2 = Parfactor(PotentialTable((EPID, SICK), np.ones(4)), c_x(2))
-        out = lift_multiply(g1, g2)
-        assert np.allclose(out.table.values, v, rtol=1e-12)
+        out = _multiply(lifted(g1), lifted(g2))
+        assert np.allclose(np.exp(out.logtab).ravel(), v, rtol=1e-12)
 
     def test_disjoint_arguments_outer_product(self, rng):
         # singleton groups over unrelated logvars; checked against ground_ve
@@ -172,8 +174,8 @@ class TestLiftMultiply:
             PotentialTable((travel_y,), v2),
             Constraint.extensional((y,), [(Constant("x2"),)]),
         )
-        out = lift_multiply(g1, g2)
-        assert np.allclose(out.table.as_array(), np.outer(v1, v2), rtol=1e-12)
+        out = _multiply(lifted(g1), lifted(g2))
+        assert np.allclose(np.exp(out.logtab), np.outer(v1, v2), rtol=1e-12)
         m = ParameterisedModel((g1, g2))
         q = QuerySpec((atom("Sick", "x1"), atom("Travel", "x2")))
         got = ground_ve(m, q).probs
@@ -184,7 +186,7 @@ class TestLiftMultiply:
         g1 = Parfactor(PotentialTable((EPID, SICK), np.arange(1, 5)), c_x(3))
         g2 = Parfactor(PotentialTable((EPID, SICK), np.arange(1, 5)), c_x(2))
         with pytest.raises(ConstraintsMisaligned):
-            lift_multiply(g1, g2)
+            _multiply(lifted(g1), lifted(g2))
 
     def test_pairing_check_matches_brute_force_join(self):
         rng = np.random.default_rng(5)
@@ -194,14 +196,14 @@ class TestLiftMultiply:
             join, one_to_one = reference_join(g1.constraint, g2.constraint)
             if not one_to_one:
                 with pytest.raises(ConstraintsMisaligned):
-                    lift_multiply(g1, g2)
+                    _multiply(lifted(g1), lifted(g2))
                 rejected += 1
                 continue
-            out = lift_multiply(g1, g2)
+            out = _multiply(lifted(g1), lifted(g2))
             assert out.constraint == join
-            assert out.table.args == g1.table.args + g2.table.args
+            assert out.args == g1.table.args + g2.table.args
             want = np.multiply.outer(g1.table.as_array(), g2.table.as_array())
-            assert np.allclose(out.table.as_array(), want, rtol=1e-12)
+            assert np.allclose(np.exp(out.logtab), want, rtol=1e-12)
             accepted += 1
         assert accepted > 500 and rejected > 500
 
@@ -209,31 +211,31 @@ class TestLiftMultiply:
         g0 = Parfactor(PotentialTable((EPID,), [3, 1]), Constraint.extensional((), [()]))
         g1 = Parfactor(PotentialTable((EPID, SICK), np.arange(1, 5)), c_x(3))
         with pytest.raises(ConstraintsMisaligned):
-            lift_multiply(g0, g1)
+            _multiply(lifted(g0), lifted(g1))
 
 
 class TestLiftSumOut:
     def test_treatment_exponent_two(self, rng):
         v = rng.uniform(0.1, 2, 8)
         g2 = Parfactor(PotentialTable((EPID, SICK, TREAT), v), c_xt(3, 2))
-        out = lift_sum_out(g2, TREAT)
-        assert out.constraint == c_x(3)
+        out, n = _sum_out(lifted(g2), TREAT)
+        assert n == 2 and out.constraint == c_x(3)
         want = v.reshape(2, 2, 2).sum(axis=2) ** 2
-        assert np.allclose(out.table.as_array(), want, rtol=1e-9)
+        assert np.allclose(np.exp(out.logtab), want, rtol=1e-9)
 
     def test_travel_exponent_one(self, rng):
         v = rng.uniform(0.1, 2, 8)
         g1 = Parfactor(PotentialTable((EPID, SICK, TRAVEL), v), c_x(3))
-        out = lift_sum_out(g1, TRAVEL)
-        assert out.constraint == c_x(3)
-        assert np.allclose(out.table.as_array(), v.reshape(2, 2, 2).sum(axis=2), rtol=1e-9)
+        out, n = _sum_out(lifted(g1), TRAVEL)
+        assert n == 1 and out.constraint == c_x(3)
+        assert np.allclose(np.exp(out.logtab), v.reshape(2, 2, 2).sum(axis=2), rtol=1e-9)
 
     def test_person_exponent_three(self):
         # potentials (epid, sick): tt->2, tf->1, ft->1, ff->3
         g12 = Parfactor(PotentialTable((EPID, SICK), [3, 1, 1, 2]), c_x(3))
-        out = lift_sum_out(g12, SICK)
-        assert out.constraint.tuples == ((),)
-        assert np.allclose(out.table.values, [64.0, 27.0], rtol=1e-9)
+        out, n = _sum_out(lifted(g12), SICK)
+        assert n == 3 and out.constraint.tuples == ((),)
+        assert np.allclose(np.exp(out.logtab), [64.0, 27.0], rtol=1e-9)
 
     def test_ragged_constraint_rejected(self):
         a, b = xs(2)
@@ -241,24 +243,26 @@ class TestLiftSumOut:
         c = Constraint.extensional((X, T), [(a, t1), (a, t2), (b, t1)])
         g = Parfactor(PotentialTable((EPID, SICK, TREAT), np.arange(1, 9)), c)
         with pytest.raises(NotCountNormalized):
-            lift_sum_out(g, TREAT)
+            _sum_out(lifted(g), TREAT)
 
     def test_absent_argument_rejected(self):
         g = Parfactor(PotentialTable((EPID, SICK), np.arange(1, 5)), c_x(2))
         with pytest.raises(ValidationError):
-            lift_sum_out(g, TREAT)
+            _sum_out(lifted(g), TREAT)
 
     def test_shared_instances_need_grounding(self):
         # summing out Sick while Treat keeps X: each Sick(x) sits in two groundings
         g = Parfactor(PotentialTable((SICK, TREAT), np.arange(1, 5)), c_xt(2, 2))
         with pytest.raises(NotCountNormalized):
-            lift_sum_out(g, SICK)
+            _sum_out(lifted(g), SICK)
 
     def test_sum_out_commutes_with_grounding(self, rng):
         for d in (1, 2, 3, 4):
             v = rng.uniform(0.1, 2, 8)
             g2 = Parfactor(PotentialTable((EPID, SICK, TREAT), v), c_xt(d, 2))
-            lifted_then_ground = ground(lift_sum_out(g2, TREAT))
+            out, _ = _sum_out(lifted(g2), TREAT)
+            summed = Parfactor(PotentialTable(out.args, np.exp(out.logtab).ravel()), out.constraint)
+            lifted_then_ground = ground(summed)
             ranges = {}
             for f in ground(g2):
                 for a, arg in zip(f.atoms, f.table.args):
@@ -270,22 +274,25 @@ class TestLiftSumOut:
 
 
 class TestSplit:
+    @staticmethod
+    def on_x(*names):
+        """The group of the ``X`` instances named, in the engine's block form."""
+        return frozenset({(frozenset(Constant(n) for n in names),)})
+
     def test_partition_sizes(self):
-        g1 = Parfactor(PotentialTable((EPID, SICK, TRAVEL), np.arange(1, 9)), c_x(3))
-        part, rest = split(g1, X, {Constant("x3")})
-        assert part.constraint.size == 1 and rest.constraint.size == 2
+        part, rest = _split(c_x(3), (X,), self.on_x("x3"))
+        assert part.size == 1 and rest.size == 2
 
     def test_disjoint_constants(self):
-        g1 = Parfactor(PotentialTable((EPID, SICK, TRAVEL), np.arange(1, 9)), c_x(3))
-        part, rest = split(g1, X, {Constant("zz")})
-        assert part is None
-        assert rest.constraint == g1.constraint
+        part, rest = _split(c_x(3), (X,), self.on_x("zz"))
+        assert part.size == 0
+        assert rest == c_x(3)
 
     def test_parts_partition_the_groundings(self):
-        g2 = Parfactor(PotentialTable((EPID, SICK, TREAT), np.arange(1, 9)), c_xt(3, 2))
-        part, rest = split(g2, X, {Constant("x1")})
-        merged = sorted(f.atoms for f in ground(part) + ground(rest))
-        assert merged == sorted(f.atoms for f in ground(g2))
+        args = (EPID, SICK, TREAT)
+        part, rest = _split(c_xt(3, 2), (X,), self.on_x("x1"))
+        merged = sorted(list(_groundings(args, part)) + list(_groundings(args, rest)))
+        assert merged == sorted(_groundings(args, c_xt(3, 2)))
 
 
 class TestAbsorb:
@@ -294,19 +301,20 @@ class TestAbsorb:
             PotentialTable((EPID, SICK, TRAVEL), np.arange(1.0, 9.0)),
             Constraint.extensional((X,), [(Constant("eve"),)]),
         )
-        out = absorb(g1, Evidence(((atom("Sick", "eve"), "true"),)))
-        assert out.table.args == (EPID, TRAVEL)
-        assert np.allclose(out.table.values, [3, 4, 7, 8])
+        out = _absorb(lifted(g1), {atom("Sick", "eve"): "true"})
+        assert out.args == (EPID, TRAVEL)
+        assert np.allclose(np.exp(out.logtab).ravel(), [3, 4, 7, 8])
         assert out.constraint == g1.constraint
 
     def test_unrelated_evidence_is_ignored(self):
         g1 = Parfactor(PotentialTable((EPID, SICK, TRAVEL), np.arange(1, 9)), c_x(2))
-        assert absorb(g1, Evidence(((atom("Cough", "x1"), "true"),))) is g1
+        lf = lifted(g1)
+        assert _absorb(lf, {atom("Cough", "x1"): "true"}) is lf
 
     def test_partial_observation_rejected(self):
         g1 = Parfactor(PotentialTable((EPID, SICK, TRAVEL), np.arange(1, 9)), c_x(2))
         with pytest.raises(InferenceError, match="shatter"):
-            absorb(g1, Evidence(((atom("Sick", "x1"), "true"),)))
+            _absorb(lifted(g1), {atom("Sick", "x1"): "true"})
 
     def test_conditional_query_matches_oracle(self, rng):
         m = epidemic_model(3, 2, rng)
@@ -321,11 +329,11 @@ class TestAbsorb:
         v = rng.uniform(0.1, 2, 4)
         g = Parfactor(PotentialTable((EPID, SICK), v), c_x(2))
         ev = Evidence(((atom("Sick", "x1"), "true"), (atom("Sick", "x2"), "true")))
-        out = absorb(g, ev)
-        assert out.table.args == (EPID,)
+        out = _absorb(lifted(g), dict(ev.assignments))
+        assert out.args == (EPID,)
         assert out.constraint.tuples == ((),)
         want = v.reshape(2, 2)[:, 1] ** 2
-        assert np.allclose(out.table.values, want, rtol=1e-12)
+        assert np.allclose(np.exp(out.logtab), want, rtol=1e-12)
         m = ParameterisedModel((g,))
         marginal = ground_ve(m, QuerySpec((atom("Epid"),), ev))
         assert np.allclose(marginal.probs, want / want.sum(), atol=1e-12)
@@ -350,9 +358,9 @@ def test_operators_carry_the_groups_they_keep():
         made += 1
 
     for _ in range(1000):
-        a = _to_lifted(random_factor(rng, "A"))
+        a = lifted(random_factor(rng, "A"))
         try:
-            b = _to_lifted(random_factor(rng, str(rng.choice(["A", "B"]))))
+            b = lifted(random_factor(rng, str(rng.choice(["A", "B"]))))
             factors = [a, _multiply(a, b)]
             check(factors[1])
         except ConstraintsMisaligned:

@@ -109,6 +109,37 @@ class TestModelFile:
         with pytest.raises(ParseError, match="arity"):
             parse_model(doc)
 
+    def test_wrong_container_types_are_parse_errors(self):
+        sick = {"name": "Sick", "arity": 1}
+        pf = {"args": [["Sick", "X"]], "values": [1, 2], "constraint": "empty"}
+        bad = [
+            3,
+            {"randvars": 3, "parfactors": []},
+            {"randvars": [3], "parfactors": []},
+            {"randvars": [sick], "logvars": "X", "parfactors": [pf]},
+            {"randvars": [sick], "logvars": ["X"], "parfactors": {"g1": pf}},
+            {"randvars": [sick], "logvars": ["X"], "parfactors": [3]},
+            {"randvars": [sick], "logvars": ["X"], "parfactors": [{**pf, "args": ["Sick"]}]},
+        ]
+        for doc in bad:
+            with pytest.raises(ParseError, match="expected"):
+                parse_model(doc)
+
+    def test_unknown_constraint_logvar_rejected(self):
+        doc = {
+            "randvars": [{"name": "Sick", "arity": 1}],
+            "logvars": ["X"],
+            "parfactors": [
+                {
+                    "args": [["Sick", "X"]],
+                    "values": [1, 2],
+                    "constraint": {"logvars": ["Y"], "tuples": [["a"]]},
+                }
+            ],
+        }
+        with pytest.raises(ParseError, match="unknown logvar 'Y'"):
+            parse_model(doc)
+
     def test_wrong_value_count_rejected(self):
         doc = {
             "randvars": [{"name": "Epid", "arity": 0}],
@@ -165,6 +196,19 @@ class TestDomainSpecFile:
         with pytest.raises(ParseError):
             parse_domain_spec({"X": {"size": 3}})
 
+    def test_wrong_container_types_are_parse_errors(self):
+        bad = [
+            ["X"],
+            {"X": 3},
+            {"X": {"constants": "ab"}},
+            {"X": {"worlds": {"constants": ["a"]}}},
+            {"X": {"worlds": [["a"]]}},
+            {"X": {"alpha": 6, "beta": 15, "bins": 2, "step": 1, "guaranteed": "a"}},
+        ]
+        for doc in bad:
+            with pytest.raises(ParseError, match="expected"):
+                parse_domain_spec(doc)
+
     def test_beta_binomial_requires_bins_and_step(self):
         with pytest.raises(ParseError):
             parse_domain_spec({"X": {"alpha": 6, "beta": 15}})
@@ -179,8 +223,9 @@ class TestQueryStrings:
     def test_evidence(self):
         q = parse_query("P(Epid | Sick(x1)=true, Travel(x2)=false)")
         assert q.targets == (atom("Epid"),)
-        assert q.evidence.value_of(atom("Sick", "x1")) == "true"
-        assert q.evidence.value_of(atom("Travel", "x2")) == "false"
+        observed = dict(q.evidence.assignments)
+        assert observed[atom("Sick", "x1")] == "true"
+        assert observed[atom("Travel", "x2")] == "false"
 
     def test_multiple_targets(self):
         q = parse_query("P(Sick(x1), Sick(x2))")
@@ -188,7 +233,7 @@ class TestQueryStrings:
 
     def test_whitespace_tolerated(self):
         q = parse_query("  P( Epid |  Sick( x1 ) = true )  ")
-        assert q.evidence.value_of(atom("Sick", "x1")) == "true"
+        assert dict(q.evidence.assignments)[atom("Sick", "x1")] == "true"
 
     def test_empty_target_rejected(self):
         with pytest.raises(ParseError):

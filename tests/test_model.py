@@ -12,15 +12,14 @@ from liftworlds import (
     Logvar,
     NotCountNormalized,
     Parfactor,
+    ParameterisedModel,
     PotentialTable,
     PRV,
     Range,
     TemplateModel,
     ValidationError,
-    conditional_count,
-    ground,
-    project,
 )
+from liftworlds.model import _flat_index, conditional_count, project
 from support import EPID, SICK, TRAVEL, TREAT, T, X, epidemic_model, ts, xs
 
 
@@ -30,6 +29,10 @@ def c2(dx, dt):
 
 def c1(dx):
     return Constraint.extensional((X,), [(x,) for x in xs(dx)])
+
+
+def ground(p):
+    return ParameterisedModel((p,)).ground()
 
 
 class TestGround:
@@ -122,22 +125,10 @@ class TestConditionalCount:
 
 
 class TestPotentialTable:
-    def test_index_round_trip(self, rng):
-        table = PotentialTable((EPID, SICK, TREAT), rng.uniform(0.1, 2.0, 8))
-        for i in range(8):
-            assert table.encode(table.decode(i)) == i
-
-    def test_round_trip_nonboolean(self):
-        colour = Range(("red", "green", "blue"))
-        prv = PRV("Paint", (X,), colour)
-        table = PotentialTable((prv, EPID), np.arange(1, 7))
-        for i in range(6):
-            assert table.encode(table.decode(i)) == i
-
     def test_last_argument_varies_fastest(self):
-        table = PotentialTable((EPID, SICK, TRAVEL), np.arange(8))
-        assert table.encode(("false", "false", "true")) == 1
-        assert table.encode(("true", "false", "false")) == 4
+        ranges = tuple(a.range for a in (EPID, SICK, TRAVEL))
+        assert _flat_index(ranges, ("false", "false", "true"), "arguments") == 1
+        assert _flat_index(ranges, ("true", "false", "false"), "arguments") == 4
 
     def test_rejects_wrong_length_and_negatives(self):
         with pytest.raises(ValidationError):

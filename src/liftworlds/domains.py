@@ -8,6 +8,11 @@ impossible). Synthetic constants are named x1, x2, ... after any guaranteed
 constants, so runs are reproducible. A domain lists each constant once, so a
 guaranteed constant may not take a synthetic name.
 
+A world's domain is a :class:`~liftworlds.model.ConstantSet`: a bin of a
+beta-binomial entry is its guaranteed constants plus one run of synthetic
+names, so enumerating the worlds makes no constant for a synthetic name and
+costs the same at any bin width.
+
 Threshold filtering keeps worlds whose probability exceeds t and never
 renormalizes; the retained mass is reported instead so callers can see how
 much of the distribution they kept.
@@ -22,7 +27,7 @@ from math import exp, lgamma
 from typing import Generic, Sequence, TypeVar
 
 from .errors import ValidationError
-from .model import Constant, Logvar, TemplateModel
+from .model import Constant, ConstantSet, Logvar, TemplateModel
 
 
 def _distinct(constants: Sequence[Constant], what: str) -> None:
@@ -33,15 +38,16 @@ def _distinct(constants: Sequence[Constant], what: str) -> None:
 
 @dataclass(frozen=True)
 class DomainWorld:
-    """One domain per logvar, optionally weighted."""
+    """One domain per logvar, optionally weighted; a domain given as constants becomes a set."""
 
-    domains: dict[Logvar, tuple[Constant, ...]]
+    domains: dict[Logvar, ConstantSet]
     prob: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "domains", {lv: tuple(cs) for lv, cs in self.domains.items()}
-        )
+        object.__setattr__(self, "domains", {
+            lv: cs if isinstance(cs, ConstantSet) else ConstantSet(cs)
+            for lv, cs in self.domains.items()
+        })
         for lv, cs in self.domains.items():
             if not cs:
                 raise ValidationError(f"domain for logvar {lv.name} must not be empty")
@@ -175,21 +181,26 @@ def beta_binomial_pmf(k: int, n: int, alpha: float, beta: float) -> float:
     return exp(log_choose + _log_beta(k + alpha, n - k + beta) - _log_beta(alpha, beta))
 
 
-def _options(entry: DomainEntry) -> list[tuple[tuple[Constant, ...], float | None]]:
+def _options(entry: DomainEntry) -> list[tuple[tuple[Constant, ...], ConstantSet, float | None]]:
+    """``(order, domain, prob)`` per alternative of ``entry``.
+
+    ``order`` is the constants as the spec lists them, which breaks ties
+    between worlds of equal sizes; a beta-binomial entry's bins differ in
+    size, so they need none.
+    """
     if isinstance(entry, FixedDomain):
-        return [(entry.constants, 1.0)]
+        return [(entry.constants, ConstantSet(entry.constants), 1.0)]
     if isinstance(entry, EnumeratedDomain):
-        return list(entry.options)
+        return [(cs, ConstantSet(cs), p) for cs, p in entry.options]
     g = len(entry.guaranteed)
-    # the largest bin's synthetic constants; each bin takes a prefix
-    synthetic = tuple(Constant(f"x{i}") for i in range(g + 1, entry.step * entry.bins + 1))
     out = []
     for k in range(1, entry.bins + 1):
         size = entry.step * k
         if g > size:
             raise ValidationError(f"{g} guaranteed constants do not fit a domain of size {size}")
+        synthetic = ((g + 1, size),) if size > g else ()  # x{g+1} .. x{size}
         out.append(
-            (entry.guaranteed + synthetic[: size - g],
+            ((), ConstantSet(entry.guaranteed, synthetic),
              beta_binomial_pmf(k, entry.bins, entry.alpha, entry.beta))
         )
     return out
@@ -221,21 +232,17 @@ def enumerate_worlds(spec: DomainSpec, tmpl: TemplateModel) -> tuple[DomainWorld
     option_lists = [_options(spec.entries[lv.name]) for lv in ordered]
     worlds = []
     for combo in itertools.product(*option_lists):
-        domains = {lv: constants for lv, (constants, _) in zip(ordered, combo)}
+        domains = {lv: constants for lv, (_, constants, _) in zip(ordered, combo)}
         if unweighted_kinds:
             prob = None
         else:
             prob = 1.0
-            for _, p in combo:
+            for _, _, p in combo:
                 prob *= p
-        worlds.append(DomainWorld(domains, prob))
-    worlds.sort(
-        key=lambda w: (
-            tuple(len(w.domains[lv]) for lv in ordered),
-            tuple(w.domains[lv] for lv in ordered),
-        )
-    )
-    return tuple(worlds)
+        key = (tuple(len(cs) for _, cs, _ in combo), tuple(order for order, _, _ in combo))
+        worlds.append((key, DomainWorld(domains, prob)))
+    worlds.sort(key=lambda kw: kw[0])
+    return tuple(w for _, w in worlds)
 
 
 def filter_worlds(worlds: Sequence[T], f: WorldFilter) -> FilterResult[T]:

@@ -14,13 +14,15 @@ lifted sum-out, lifted multiply, evidence absorption, shattering and
 refining. A constraint is a union of disjoint blocks, each a product of
 per-logvar constant sets, and the engine takes it as the model holds it:
 nothing is converted per query. Shattering peels the query's constants off
-each block; refining overlapping groups cuts blocks on a group. A factor's
-groups (each argument's instance set, in block form) are computed once,
-when the factor is made over a new constraint; multiply, sum-out and absorb
-carry them over, since none of them changes the instances of an argument it
-keeps. No step of the lifted phase lists the tuples of a product; only
-grounding does. Each operator checks the counting conditions that make it
-exact:
+each block; refining overlapping groups cuts blocks on a group. Anonymous
+constants sit in runs of synthetic names, so peeling ``x1`` off a million
+persons cuts one run, and no lifted step costs more as the domain grows. A
+factor's groups (each argument's instance set, in block form) are computed
+once, when the factor is made over a new constraint; multiply, sum-out and
+absorb carry them over, since none of them changes the instances of an
+argument it keeps. No step of the lifted phase lists the tuples of a
+product; only grounding does. Each operator checks the counting conditions
+that make it exact:
 
 * multiply pairs the groundings of both inputs one-to-one on the values of
   their shared logvars while it joins: a key repeated in either input, or a
@@ -493,22 +495,35 @@ def lifted_query(
             _note(op_log, "absorb", ",".join(dropped))
         lifted.append(a)
     targets = [(t.name, t.args) for t in q.targets]
-    stuck: set[tuple[str, frozenset]] = set()
 
     # phase 1: lifted elimination. After _refine same-name groups are equal or
     # disjoint, and multiply, sum-out and absorb only carry or drop groups, so
-    # a unit's holders are exactly the factors with that group
+    # a unit's holders are exactly the factors with that group. Factors carry
+    # ids in creation order, so a unit's ids, ascending, are its factors in
+    # list order; each step drops its factors' ids and adds its result's.
+    live = dict(enumerate(lifted))
+    holders: dict[tuple[str, frozenset], list[int]] = {}
+    skip: set[tuple[str, frozenset]] = set()  # the targets' units and the stuck ones
+
+    def hold(i: int, lf: _Lifted) -> None:
+        for a, g in zip(lf.args, lf.groups):
+            unit = (a.name, g)
+            if unit not in holders:
+                holders[unit] = []
+                if any(n == a.name and _holds(g, t) for n, t in targets):
+                    skip.add(unit)
+            ids = holders[unit]
+            if not ids or ids[-1] != i:
+                ids.append(i)
+
+    for i, lf in live.items():
+        hold(i, lf)
+    next_id = len(lifted)
     while True:
-        holders: dict[tuple[str, frozenset], list[int]] = {}
-        for i, lf in enumerate(lifted):
-            for a, g in zip(lf.args, lf.groups):
-                ids = holders.setdefault((a.name, g), [])
-                if not ids or ids[-1] != i:
-                    ids.append(i)
         costs = {
-            u: (sum(lifted[i].constraint.size for i in ids), u[0])
+            u: (sum(live[i].constraint.size for i in ids), u[0])
             for u, ids in holders.items()
-            if u not in stuck and not any(n == u[0] and _holds(u[1], a) for n, a in targets)
+            if u not in skip
         }
         if not costs:
             break
@@ -519,11 +534,11 @@ def lifted_query(
         tied = [u for u, c in costs.items() if c == best]
         unit = tied[0] if len(tied) == 1 else min(tied, key=lambda u: (_least(u[1]), _count(u[1])))
         name, instances = unit
-        ids = holders[unit]
+        ids = list(holders[unit])
         try:
-            prod = lifted[ids[0]]
+            prod = live[ids[0]]
             for i in ids[1:]:
-                prod = _multiply(prod, lifted[i])
+                prod = _multiply(prod, live[i])
                 _note(op_log, "multiply", name)
             hits = [a for a, g in zip(prod.args, prod.groups) if a.name == name and g == instances]
             if len(hits) != 1:
@@ -531,11 +546,19 @@ def lifted_query(
             result, n = _sum_out(prod, hits[0])
         except (ConstraintsMisaligned, NotCountNormalized) as exc:
             _note(op_log, "ground", f"{name}: {exc}")
-            stuck.add(unit)
+            skip.add(unit)
             continue
         _note(op_log, "sum_out", name, exponent=n)
-        lifted = [lf for i, lf in enumerate(lifted) if i not in ids] + [result]
+        for i in ids:
+            lf = live.pop(i)
+            for u in {(a.name, g) for a, g in zip(lf.args, lf.groups)}:
+                holders[u].remove(i)
+                if not holders[u]:
+                    del holders[u]
+        live[next_id] = result
+        hold(next_id, result)
+        next_id += 1
 
     # phase 2: ground what is left and eliminate it propositionally
-    grounds = [g for lf in lifted for g in _ground_factors(lf.args, lf.logtab, lf.constraint)]
+    grounds = [g for lf in live.values() for g in _ground_factors(lf.args, lf.logtab, lf.constraint)]
     return _assemble(_eliminate(grounds, q.targets, op_log), q.targets, m.signatures)

@@ -83,12 +83,33 @@ def _expect(obj, kind: type, where: str):
     return obj
 
 
+def _number(obj, where: str) -> float:
+    """A finite JSON number (not a bool) as a float; else a ParseError naming ``where``."""
+    if isinstance(obj, bool) or not isinstance(obj, (int, float)) or not math.isfinite(obj):
+        raise ParseError(f"{where}: expected a number, got {obj!r}")
+    return float(obj)
+
+
+def _integer(obj, where: str) -> int:
+    """A JSON integer (not a bool, not a fractional float); else a ParseError naming ``where``."""
+    if isinstance(obj, bool) or not (isinstance(obj, int) or isinstance(obj, float) and obj.is_integer()):
+        raise ParseError(f"{where}: expected an integer, got {obj!r}")
+    return int(obj)
+
+
+def _name(obj, where: str) -> str:
+    """A JSON string; else a ParseError naming ``where``."""
+    if not isinstance(obj, str):
+        raise ParseError(f"{where}: expected a name, got {obj!r}")
+    return obj
+
+
 def _constants(obj, where: str) -> tuple[Constant, ...]:
     return tuple(Constant(c) for c in _expect(obj, list, where))
 
 
 def _logvar(logvars: dict[str, Logvar], name, where: str) -> Logvar:
-    if name not in logvars:
+    if _name(name, f"{where}: logvar") not in logvars:
         raise ParseError(f"{where}: unknown logvar {name!r}")
     return logvars[name]
 
@@ -111,9 +132,12 @@ def load_model(path, seed: int | None = None):
 def parse_model(doc: dict, seed: int | None = None):
     randvars: dict[str, tuple[int, Range]] = {}
     for rv in _expect(_require(doc, "randvars", "model file"), list, "randvars"):
-        name = _require(rv, "name", "randvar")
-        arity = int(_require(rv, "arity", f"randvar {name}"))
-        rng = Range(tuple(rv["range"])) if "range" in rv else BOOLEAN
+        name = _name(_require(rv, "name", "randvar"), "randvar name")
+        arity = _integer(_require(rv, "arity", f"randvar {name}"), f"randvar {name}: 'arity'")
+        rng = BOOLEAN
+        if "range" in rv:
+            labels = _expect(rv["range"], list, f"randvar {name}: 'range'")
+            rng = Range(tuple(_name(v, f"randvar {name}: range value") for v in labels))
         if name in randvars:
             raise ParseError(f"duplicate randvar {name!r}")
         randvars[name] = (arity, rng)
@@ -123,14 +147,14 @@ def parse_model(doc: dict, seed: int | None = None):
     parfactors: list[Parfactor] = []
     names: list[str] = []
     for i, spec in enumerate(_expect(_require(doc, "parfactors", "model file"), list, "parfactors")):
-        pname = _expect(spec, dict, f"parfactor g{i}").get("name", f"g{i}")
+        pname = _name(_expect(spec, dict, f"parfactor g{i}").get("name", f"g{i}"), f"parfactor g{i}: 'name'")
         where = f"parfactor {pname}"
         args = []
         for raw in _expect(_require(spec, "args", where), list, where):
             if not _expect(raw, list, where):
                 raise ParseError(f"{where}: empty argument")
             rv_name, *param_names = raw
-            if rv_name not in randvars:
+            if _name(rv_name, f"{where}: randvar") not in randvars:
                 raise ParseError(f"{where}: unknown randvar {rv_name!r}")
             arity, rng = randvars[rv_name]
             if len(param_names) != arity:
@@ -140,7 +164,9 @@ def parse_model(doc: dict, seed: int | None = None):
         values = _require(spec, "values", where)
         if values == "random":
             values = rng_source.uniform(0.1, 2.0, math.prod(len(a.range) for a in args))
-        elif not isinstance(values, list):
+        elif isinstance(values, list):
+            values = [_number(v, f"{where}: value") for v in values]
+        else:
             raise ParseError(f"{where}: values must be a list or 'random'")
         table = PotentialTable(tuple(args), np.asarray(values, dtype=float))
 
@@ -187,14 +213,16 @@ def parse_domain_spec(doc: dict) -> DomainSpec:
         elif "worlds" in raw:
             options = []
             for w in _expect(raw["worlds"], list, where):
-                options.append((_constants(_require(w, "constants", where), where), w.get("prob")))
+                constants = _constants(_require(w, "constants", where), where)
+                prob = w.get("prob")
+                options.append((constants, None if prob is None else _number(prob, f"{where}: 'prob'")))
             entries[logvar] = EnumeratedDomain(tuple(options))
         elif "alpha" in raw:
             entries[logvar] = BetaBinomialDomain(
-                alpha=float(_require(raw, "alpha", where)),
-                beta=float(_require(raw, "beta", where)),
-                bins=int(_require(raw, "bins", where)),
-                step=int(_require(raw, "step", where)),
+                alpha=_number(_require(raw, "alpha", where), f"{where}: 'alpha'"),
+                beta=_number(_require(raw, "beta", where), f"{where}: 'beta'"),
+                bins=_integer(_require(raw, "bins", where), f"{where}: 'bins'"),
+                step=_integer(_require(raw, "step", where), f"{where}: 'step'"),
                 guaranteed=_constants(raw.get("guaranteed", []), where),
             )
         else:

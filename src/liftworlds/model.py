@@ -18,15 +18,21 @@ container mixes the two kinds.
 
 A constraint is held as a union of disjoint blocks, each the product of one
 constant set per logvar (the intensional constraints of Taghipour, Fierens,
-Davis & Blockeel, JAIR 2013). A constraint whose tuples are the product of
-their column sets is one block, and an operation on one block works on its
-sets: peeling a named constant off is one set difference. This module is
-the only one that reads a constraint's blocks or tuples: the rest of the
-package projects, counts, splits, joins and grounds constraints through the
-functions below. Only grounding lists tuples, through ``_listed``, in
-sorted order. On a union of several blocks a join, a count, or a projection
-onto two or more logvars lists that constraint's tuples too, where the
-algebra would need to reason about pairs of blocks.
+Davis & Blockeel, JAIR 2013). A constant set is a :class:`ConstantSet`: its
+named constants plus runs of synthetic names ``x{lo}`` .. ``x{hi}``, so the
+N anonymous persons of a domain world are one run, and "every person but
+x1" is the run ``x2`` .. ``x{N}``, the constraint form of Kisynski & Poole
+(UAI 2009). Every set operation costs O(named constants + runs), never
+O(N). A constraint whose tuples are the product of their column sets is one
+block, and an operation on one block works on its sets: peeling a named
+constant off is one set difference. This module is the only one that reads
+a constraint's blocks or tuples: the rest of the package projects, counts,
+splits, joins and grounds constraints through the functions below. Only
+grounding lists tuples, through ``_listed``, in sorted order, and
+``_listed`` is the only routine that names the constants of a run. On a
+union of several blocks a join, a count, or a projection onto two or more
+logvars lists that constraint's tuples too, where the algebra would need to
+reason about pairs of blocks.
 
 All types are immutable after construction and safe to share between
 threads; the operations below are pure functions.
@@ -34,9 +40,11 @@ threads; the operations below are pure functions.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import operator
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -77,6 +85,134 @@ class Constant(_Identifier):
     """A named individual; distinct names denote distinct individuals."""
 
     __slots__ = ()
+
+
+_SYNTHETIC = re.compile(r"x([1-9][0-9]*)")
+
+
+def _synthetic(name: str) -> int:
+    """The index ``i`` of a synthetic name ``x{i}``, or 0 for any other name."""
+    m = _SYNTHETIC.fullmatch(name)
+    return int(m[1]) if m else 0
+
+
+class ConstantSet:
+    """An immutable set of constants: named ones plus runs of synthetic names.
+
+    A run ``(lo, hi)`` holds ``x{lo}`` .. ``x{hi}``. Every name ``x{i}``
+    (``i >= 1``, no leading zero) sits in a run, however the set was given,
+    and the runs are sorted, disjoint and never adjacent, so equal sets have
+    equal parts and compare and hash equal. Size, membership, meet,
+    difference, union, equality and hashing cost O(named + runs). A set
+    names none of its run constants: ``_listed`` does, in string order.
+
+    ``ConstantSet(["a", "x1"], [(5, 9)])`` holds a, x1 and x5 .. x9.
+    """
+
+    __slots__ = ("named", "runs", "size", "_hash")
+    named: frozenset[Constant]
+    runs: tuple[tuple[int, int], ...]
+    size: int
+
+    def __init__(self, named: Iterable[str] = (), runs: Iterable[tuple[int, int]] = ()):
+        if isinstance(named, str):
+            raise ValidationError("a constant set takes a collection of names, not one name")
+        named = frozenset(named)
+        spans = list(runs)
+        if [c for c in named if type(c) is not Constant or c[:1] == "x"]:
+            plain = []
+            for c in named:
+                if i := _synthetic(c):
+                    spans.append((i, i))
+                else:
+                    plain.append(c if type(c) is Constant else Constant(c))
+            named = frozenset(plain)
+        merged: list[tuple[int, int]] = []
+        size = len(named)
+        for lo, hi in sorted(spans):
+            if not (type(lo) is int and type(hi) is int and 1 <= lo <= hi):
+                raise ValidationError(f"a run needs integers 1 <= lo <= hi, got ({lo!r}, {hi!r})")
+            if merged and lo <= merged[-1][1] + 1:  # overlapping or adjacent: one run
+                first, last = merged[-1]
+                if hi > last:
+                    size += hi - last
+                    merged[-1] = (first, hi)
+            else:
+                size += hi - lo + 1
+                merged.append((lo, hi))
+        runs = tuple(merged)
+        set_ = object.__setattr__
+        set_(self, "named", named)
+        set_(self, "runs", runs)
+        set_(self, "size", size)
+        set_(self, "_hash", hash((named, runs)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ConstantSet is immutable")
+
+    def __repr__(self) -> str:
+        return f"ConstantSet({sorted(map(str, self.named))!r}, {list(self.runs)!r})"
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __bool__(self) -> bool:
+        return self.size > 0
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        return self is other or (
+            isinstance(other, ConstantSet)
+            and self._hash == other._hash
+            and self.runs == other.runs
+            and self.named == other.named
+        )
+
+    def __contains__(self, c) -> bool:
+        if c in self.named:
+            return True
+        i = _synthetic(c)
+        if not i:
+            return False
+        k = bisect.bisect_right(self.runs, i, key=operator.itemgetter(0))
+        return k > 0 and i <= self.runs[k - 1][1]
+
+    def __and__(self, other: "ConstantSet") -> "ConstantSet":
+        runs, a, b = [], self.runs, other.runs
+        i = j = 0
+        while i < len(a) and j < len(b):
+            lo, hi = max(a[i][0], b[j][0]), min(a[i][1], b[j][1])
+            if lo <= hi:
+                runs.append((lo, hi))
+            if a[i][1] < b[j][1]:
+                i += 1
+            else:
+                j += 1
+        return ConstantSet(self.named & other.named, runs)
+
+    def __sub__(self, other: "ConstantSet") -> "ConstantSet":
+        runs, cuts = [], other.runs
+        j = 0
+        for lo, hi in self.runs:
+            while j < len(cuts) and cuts[j][1] < lo:
+                j += 1
+            k = j
+            while k < len(cuts) and cuts[k][0] <= hi:
+                if cuts[k][0] > lo:
+                    runs.append((lo, cuts[k][0] - 1))
+                lo = max(lo, cuts[k][1] + 1)
+                k += 1
+            if lo <= hi:
+                runs.append((lo, hi))
+        return ConstantSet(self.named - other.named, runs)
+
+    def union(self, *others: "ConstantSet") -> "ConstantSet":
+        if not others:
+            return self
+        runs = itertools.chain(self.runs, *(o.runs for o in others))
+        return ConstantSet(self.named.union(*(o.named for o in others)), runs)
 
 
 @dataclass(frozen=True, slots=True)
@@ -145,19 +281,19 @@ class GroundAtom:
         return f"{self.name}({','.join(self.args)})"
 
 
-Block = tuple[frozenset[Constant], ...]  # one non-empty constant set per logvar
+Block = tuple[ConstantSet, ...]  # one non-empty constant set per logvar
 
 
 @dataclass(frozen=True, slots=True, eq=False)
 class Constraint:
     """A logvar sequence plus the constant tuples it may bind to, as disjoint blocks.
 
-    Each block is the product of one non-empty constant set per logvar, and
-    no tuple lies in two blocks. A constraint with no blocks is empty: a
-    template's constraints are, and so is a degenerate constraint world's.
-    ``tuples`` lists the tuples sorted by constant name, on demand. Equality
-    and hashing depend only on the logvars and the set of tuples, however
-    the blocks cut it.
+    Each block is the product of one non-empty :class:`ConstantSet` per
+    logvar, and no tuple lies in two blocks. A constraint with no blocks is
+    empty: a template's constraints are, and so is a degenerate constraint
+    world's. ``tuples`` lists the tuples sorted by constant name, on demand.
+    Equality and hashing depend only on the logvars and the set of tuples,
+    however the blocks cut it, and list no tuple.
     """
 
     logvars: tuple[Logvar, ...]
@@ -168,8 +304,11 @@ class Constraint:
         logvars, blocks = tuple(self.logvars), tuple(self.blocks)
         if len(set(logvars)) != len(logvars):
             raise ValidationError("constraint logvars must be distinct")
-        if any(len(b) != len(logvars) or not all(b) for b in blocks):
-            raise ValidationError("a block needs one non-empty constant set per logvar")
+        if any(
+            len(b) != len(logvars) or not all(isinstance(s, ConstantSet) and s for s in b)
+            for b in blocks
+        ):
+            raise ValidationError("a block needs one non-empty ConstantSet per logvar")
         object.__setattr__(self, "logvars", logvars)
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "size", _count(blocks))
@@ -201,10 +340,20 @@ class Constraint:
             raise ValidationError(f"logvar {logvar.name} not in constraint") from None
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Constraint) and (self.logvars, self.tuples) == (other.logvars, other.tuples)
+        # blocks are disjoint on each side, so their pairwise meets hold
+        # ``size`` tuples exactly when the two tuple sets are equal
+        if not isinstance(other, Constraint) or (self.logvars, self.size) != (other.logvars, other.size):
+            return False
+        return self.blocks == other.blocks or self.size == sum(
+            math.prod(len(s1 & s2) for s1, s2 in zip(b1, b2))
+            for b1 in self.blocks
+            for b2 in other.blocks
+        )
 
     def __hash__(self) -> int:
-        return hash((self.logvars, self.tuples))
+        # the logvars, the size and each logvar's constants do not depend on the cut
+        columns = tuple(col[0].union(*col[1:]) for col in zip(*self.blocks))
+        return hash((self.logvars, self.size, columns))
 
 
 def _flat_index(ranges: Sequence[Range], assignment: Sequence[str], what: str) -> int:
@@ -379,9 +528,17 @@ def _groundings(args: Sequence[PRV], c: Constraint) -> Iterator[tuple[GroundAtom
 _MISALIGNED = "constraints misaligned: join does not pair groundings one-to-one"
 
 
-def _listed(blocks: Sequence[Block]) -> list[tuple[Constant, ...]]:
-    """Every tuple of ``blocks``, sorted: the one routine that lists a constraint."""
-    rows = [itertools.product(*map(sorted, b)) for b in blocks]
+def _listed(blocks: Iterable[Block]) -> list[tuple[Constant, ...]]:
+    """Every tuple of ``blocks``, sorted: the one routine that lists a constraint.
+
+    It is also the only one that names the constants of a run.
+    """
+
+    def names(s: ConstantSet) -> list[Constant]:
+        made = (Constant(f"x{i}") for lo, hi in s.runs for i in range(lo, hi + 1))
+        return sorted(itertools.chain(s.named, made))
+
+    rows = [itertools.product(*map(names, b)) for b in blocks]
     return list(rows[0]) if len(rows) == 1 else sorted(itertools.chain(*rows))
 
 
@@ -389,13 +546,14 @@ def _decompose(tuples: Collection[tuple]) -> tuple[Block, ...]:
     """Disjoint blocks covering exactly ``tuples`` (distinct, all of one width).
 
     One block when the tuples are the product of their column sets;
-    otherwise the first column's constants are grouped by how the rest of
-    their tuples decompose. The blocks, as a set, depend only on the set of
-    tuples, so equal tuple sets give equal frozensets of blocks.
+    otherwise the first column's constants are grouped by the rest of their
+    tuples, and each distinct rest is decomposed once. The blocks, as a set,
+    depend only on the set of tuples, so equal tuple sets give equal
+    frozensets of blocks.
     """
     if not tuples:
         return ()
-    columns = tuple(map(frozenset, zip(*tuples)))
+    columns = tuple(map(ConstantSet, zip(*tuples)))
     if math.prod(map(len, columns)) == len(tuples):
         return (columns,)
     rests: dict[Constant, list[tuple]] = {}
@@ -403,23 +561,45 @@ def _decompose(tuples: Collection[tuple]) -> tuple[Block, ...]:
         rests.setdefault(t[0], []).append(t[1:])
     firsts: dict[frozenset, list[Constant]] = {}
     for first, rest in rests.items():
-        firsts.setdefault(frozenset(_decompose(rest)), []).append(first)
-    return tuple((frozenset(cs),) + b for rest, cs in firsts.items() for b in rest)
+        firsts.setdefault(frozenset(rest), []).append(first)
+    return tuple((ConstantSet(cs),) + b for rest, cs in firsts.items() for b in _decompose(rest))
+
+
+def _apart(blocks: Sequence[Block]) -> bool:
+    """Whether the first sets of ``blocks`` are pairwise disjoint."""
+    firsts = [b[0] for b in blocks]
+    return sum(map(len, firsts)) == len(firsts[0].union(*firsts[1:]))
+
+
+def _by_rest(blocks: Sequence[Block]) -> tuple[Block, ...]:
+    """Blocks whose first sets are disjoint, as :func:`_decompose` gives their tuples.
+
+    Each constant of a first set extends to its own block's rest, so
+    grouping the first constants by their rests, as ``_decompose`` does,
+    merges the first sets of blocks with equal rests.
+    """
+    merged: dict[tuple, list[ConstantSet]] = {}
+    for b in blocks:
+        merged.setdefault(b[1:], []).append(b[0])
+    return tuple((f[0].union(*f[1:]),) + rest for rest, f in merged.items())
 
 
 def _union(blocks: Sequence[Block]) -> tuple[Block, ...]:
     """Disjoint blocks of one width, as :func:`_decompose` gives their tuples.
 
     They are one block when their sizes add up to the product of their
-    column unions (``_decompose``'s own product test); otherwise their
-    tuples are listed.
+    column unions (``_decompose``'s own product test). Otherwise blocks with
+    disjoint first sets merge by their rests, and other blocks' tuples are
+    listed.
     """
     if len(blocks) <= 1:
         return tuple(blocks)
     # a column of equal sets keeps its first set, so a shared pool is not copied
-    columns = tuple(c[0] if c.count(c[0]) == len(c) else frozenset().union(*c) for c in zip(*blocks))
+    columns = tuple(c[0] if c.count(c[0]) == len(c) else c[0].union(*c[1:]) for c in zip(*blocks))
     if math.prod(map(len, columns)) == _count(blocks):
         return (columns,)
+    if _apart(blocks):
+        return _by_rest(blocks)
     return _decompose(_listed(blocks))
 
 
@@ -427,15 +607,16 @@ def _project(c: Constraint, keep: Sequence[Logvar]) -> tuple[Block, ...]:
     """``c``'s tuples cut down to ``keep``, as :func:`_decompose` gives them.
 
     The cut blocks may overlap, so two or more of them are merged as sets
-    onto one logvar or fewer, and listed onto more.
+    onto one logvar or fewer, merged by their rests onto more when their
+    first sets are disjoint, and listed otherwise.
     """
     pos = [c.position(lv) for lv in keep]
     blocks = [tuple(b[i] for i in pos) for b in c.blocks]
     if len(blocks) <= 1:
         return tuple(blocks)
     if len(pos) <= 1:
-        return (tuple(frozenset().union(*col) for col in zip(*blocks)),)
-    return _decompose(set(_listed(blocks)))
+        return (tuple(col[0].union(*col[1:]) for col in zip(*blocks)),)
+    return _by_rest(blocks) if _apart(blocks) else _decompose(set(_listed(blocks)))
 
 
 # A group is the instance set of one argument: a frozenset of the blocks
@@ -451,7 +632,19 @@ def _count(group: Collection[Block]) -> int:
 
 
 def _least(group: frozenset[Block]) -> tuple[Constant, ...]:
-    return min(tuple(map(min, b)) for b in group)
+    """The least instance of a group, in the string order ``_listed`` sorts by."""
+
+    def first(s: ConstantSet) -> Constant:
+        # a run's least name is x{lo} or the first power of ten past lo
+        # (x100 sorts before x99), whichever sorts first
+        ends = []
+        for lo, hi in s.runs:
+            ten = 10 ** len(str(lo))
+            ends += [lo, ten] if ten <= hi else [lo]
+        least = min(itertools.chain(s.named, (f"x{i}" for i in ends)))
+        return least if type(least) is Constant else Constant(least)
+
+    return min(tuple(map(first, b)) for b in group)
 
 
 def _holds(group: Iterable[Block], instance: tuple[Constant, ...]) -> bool:
@@ -507,8 +700,8 @@ def _peel(c: Constraint, named: Collection[Constant]) -> dict[tuple, Constraint]
         choices = []
         for s in b:
             hit = [k for k in named if k in s]
-            rest = s.difference(hit) if hit else s
-            choices.append([(k, frozenset((k,))) for k in hit] + ([("", rest)] if rest else []))
+            rest = s - ConstantSet(hit) if hit else s
+            choices.append([(k, ConstantSet((k,))) for k in hit] + ([("", rest)] if rest else []))
         for combo in itertools.product(*choices):
             parts.setdefault(tuple(k for k, _ in combo), []).append(tuple(s for _, s in combo))
     return {k: Constraint(c.logvars, bs) for k, bs in parts.items()}
@@ -552,8 +745,9 @@ def _join(c1: Constraint, c2: Constraint) -> Constraint:
 def _uniform_count(c: Constraint, keep: Sequence[Logvar]) -> tuple[int, Constraint]:
     """How many groundings each tuple cut down to ``keep`` extends to, and the projection.
 
-    One block extends every kept tuple by the product of its other sets; a
-    union of blocks counts its listed tuples. Raises
+    A kept tuple of one block, or of blocks whose kept first sets are
+    disjoint, lies in one block and extends to the product of that block's
+    other sets; any other union of blocks counts its listed tuples. Raises
     :class:`NotCountNormalized` when the count differs between kept tuples
     or ``c`` has no tuples.
     """
@@ -561,17 +755,18 @@ def _uniform_count(c: Constraint, keep: Sequence[Logvar]) -> tuple[int, Constrai
         raise NotCountNormalized("not count-normalized: the constraint has no tuples")
     keep = tuple(keep)
     pos = [c.position(lv) for lv in keep]
-    if len(c.blocks) == 1:
-        (b,) = c.blocks
-        n = c.size // math.prod(len(b[i]) for i in pos)
-        return n, Constraint(keep, (tuple(b[i] for i in pos),))
-    counts = Counter(tuple(t[i] for i in pos) for t in c.tuples)
-    distinct = set(counts.values())
+    cut = [tuple(b[i] for i in pos) for b in c.blocks]
+    if len(cut) == 1 or pos and _apart(cut):
+        distinct = {_count([b]) // _count([k]) for b, k in zip(c.blocks, cut)}
+        projected = tuple(cut) if len(cut) == 1 else _by_rest(cut)
+    else:
+        counts = Counter(tuple(t[i] for i in pos) for t in c.tuples)
+        distinct, projected = set(counts.values()), _decompose(counts)
     if len(distinct) != 1:
         raise NotCountNormalized(
             f"not count-normalized: kept tuples extend to {sorted(distinct)} groundings"
         )
-    return distinct.pop(), Constraint(keep, _decompose(counts))
+    return distinct.pop(), Constraint(keep, projected)
 
 
 def project(c: Constraint, keep: Sequence[Logvar]) -> Constraint:
@@ -599,14 +794,11 @@ def conditional_count(c: Constraint, eliminate: Iterable[Logvar]) -> int:
     return _uniform_count(c, [lv for lv in c.logvars if lv not in elim])[0]
 
 
-def _product(logvars: tuple[Logvar, ...], domains: Mapping[Logvar, Sequence[Constant]]) -> Constraint:
+def _product(logvars: tuple[Logvar, ...], domains: Mapping[Logvar, ConstantSet]) -> Constraint:
     """The constraint binding ``logvars`` to every tuple of their domains: one block."""
-    block = []
     for lv in logvars:
         if lv not in domains:
             raise ValidationError(f"missing domain for logvar {lv.name!r}")
-        dom = tuple(domains[lv])
-        if not dom:
+        if not domains[lv]:
             raise ValidationError(f"empty domain for logvar {lv.name!r}")
-        block.append(frozenset(dom))
-    return Constraint(logvars, (tuple(block),))
+    return Constraint(logvars, (tuple(domains[lv] for lv in logvars),))

@@ -35,6 +35,11 @@ one block, and no tuple of it is listed. Positive rules commute with
 renaming unnamed constants, and survive merging two of one type, so this
 gives exactly the answers of the whole world; the README's design note has
 the argument.
+
+A world's domains are constant sets, most of them one run of synthetic
+names, and so are its types: the shape and the type pools come from set
+meets and differences of the domains, and only the named constants are
+tested for membership, so no step walks the constants of a domain.
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import ParseError, ValidationError
-from .model import Constant, Constraint, TemplateModel, _decompose, _product, _union
+from .model import Constant, Constraint, ConstantSet, TemplateModel, _decompose, _listed, _product, _union
 
 _IDENT = r"[a-z][A-Za-z0-9_]*"
 _VAR = r"[A-Z_][A-Za-z0-9_]*"
@@ -370,9 +375,9 @@ class EvaluationMemo:
     """What ``evaluate`` shares between the domain worlds of one program and template.
 
     ``shapes`` maps a world shape to its choice worlds, each binding's answers
-    kept as patterns. ``constants`` keeps one copy of every constant, so the
-    engine's lookups on equal names meet one object. A memo grows with the
-    worlds it serves: make one per expansion and let it go with it.
+    kept as patterns. ``constants`` maps each named constant to its singleton
+    set, which the blocks of every world share. A memo grows with the worlds
+    it serves: make one per expansion and let it go with it.
     """
 
     shapes: dict = field(default_factory=dict)
@@ -392,16 +397,20 @@ def _named(prog: Program) -> frozenset[str]:
 def _pattern(answer: tuple, constants: dict) -> tuple:
     """An answer over representatives, each renumbered by its first appearance.
 
-    Named constants stay, as their copies in ``constants``; a representative
-    becomes ``(type, number)``, so answers that differ only by which
-    representatives they use coincide.
+    A named constant becomes its singleton set in ``constants``; a
+    representative becomes ``(type, number)``, so answers that differ only
+    by which representatives they use coincide.
     """
     first: dict = {}
-    return tuple(
-        constants.setdefault(t, Constant(t)) if isinstance(t, str)
-        else (t[0], first.setdefault(t, len(first)))
-        for t in answer
-    )
+    out = []
+    for t in answer:
+        if not isinstance(t, str):
+            out.append((t[0], first.setdefault(t, len(first))))
+            continue
+        if t not in constants:
+            constants[t] = ConstantSet((t,))
+        out.append(constants[t])
+    return tuple(out)
 
 
 def _choice_worlds(
@@ -446,13 +455,13 @@ def _choice_worlds(
 def _blocks(pattern: tuple, pools: dict) -> tuple:
     """A world's blocks of one pattern.
 
-    A named constant is a singleton and a representative its type's pool, so
-    a pattern whose representatives sit at positions of distinct types is
+    A named constant is its singleton and a representative its type's pool,
+    so a pattern whose representatives sit at positions of distinct types is
     one block; any other pattern is listed and decomposed.
     """
     types = [t[0] for t in pattern if isinstance(t, tuple)]
     if len(set(types)) == len(types):
-        return (tuple(pools[t[0]] if isinstance(t, tuple) else frozenset((t,)) for t in pattern),)
+        return (tuple(pools[t[0]] if isinstance(t, tuple) else t for t in pattern),)
     return _decompose(_list(pattern, pools))
 
 
@@ -468,11 +477,9 @@ def _list(pattern: tuple, pools: dict) -> list[tuple[Constant, ...]]:
     m = len(reps)
     named = iter(range(m, m + len(fixed)))
     order = tuple(t[1] if isinstance(t, tuple) else next(named) for t in pattern)
-    rows = itertools.product(*(pools[reps[j]] for j in range(m)))
+    rows = _listed([tuple(pools[reps[j]] for j in range(m)) + fixed])
     if len(set(reps.values())) < m:  # two representatives of one type
-        rows = (r for r in rows if len(set(r)) == m)
-    if fixed:
-        rows = (r + fixed for r in rows)
+        rows = (r for r in rows if len(set(r[:m])) == m)
     if order != tuple(range(len(order))):
         rows = map(itemgetter(*order), rows)
     return list(rows)
@@ -492,7 +499,8 @@ def evaluate(
 
     The rules run once per choice combination and world shape, not per
     world: pass one ``memo`` to the calls on the worlds of one expansion and
-    worlds of equal shape share the run, and equal constants share one copy.
+    worlds of equal shape share the run, and a named constant's singleton
+    set is made once.
     """
     by_name = {lv.name: lv for lv in tmpl.logvars}
     bound = {b.parfactor for b in prog.bindings}
@@ -514,25 +522,31 @@ def evaluate(
 
     if memo is None:
         memo = EvaluationMemo()
-    intern = memo.constants.setdefault
     domains = dw.domains
     named = _named(prog)
+    named_set = ConstantSet(named)
     held = []  # per populate directive, the named constants its domain holds
-    holders: dict[Constant, list[str]] = {}  # anonymous constant -> populated logvars
+    # type (the populated logvars whose domains hold a constant) -> its
+    # anonymous constants: each domain cuts the pools so far by meet and
+    # difference, and what it holds beyond them is a type of its own
+    pools: dict[tuple[str, ...], ConstantSet] = {}
     for lv_name, _ in prog.populate:
         lv = by_name.get(lv_name)
         if lv is None or lv not in domains:
             raise ValidationError(f"missing domain for logvar {lv_name!r}")
-        held.append(tuple(sorted({intern(c, c) for c in domains[lv] if c in named})))
-        for c in domains[lv]:
-            if c not in named:
-                lvs = holders.setdefault(intern(c, c), [])
-                if not lvs or lvs[-1] != lv_name:
-                    lvs.append(lv_name)
-    by_type: dict[tuple[str, ...], list[Constant]] = {}
-    for c, lvs in holders.items():
-        by_type.setdefault(tuple(lvs), []).append(c)
-    pools = {typ: frozenset(cs) for typ, cs in by_type.items()}  # type -> its constants
+        held.append(tuple(sorted(c for c in named if c in domains[lv])))
+        anonymous = domains[lv] - named_set
+        cut = {}
+        for typ, pool in pools.items():
+            inside = pool & anonymous
+            if inside:
+                cut[typ + (lv_name,)] = inside
+                anonymous -= inside
+            if outside := pool - inside:
+                cut[typ] = outside
+        if anonymous:
+            cut[(lv_name,)] = anonymous
+        pools = cut
 
     shape = (tuple(held), tuple(sorted(pools)))
     choice_worlds = memo.shapes.get(shape)

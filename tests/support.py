@@ -16,6 +16,7 @@ import numpy as np
 
 from liftworlds import (
     Constant,
+    ConstantSet,
     Constraint,
     GroundAtom,
     Logvar,
@@ -25,6 +26,7 @@ from liftworlds import (
     PRV,
     TemplateModel,
 )
+from liftworlds.model import _Identifier, _listed
 from liftworlds.program import ConstraintWorld
 
 X = Logvar("X")
@@ -70,8 +72,18 @@ def example_tables(rng: np.random.Generator | None = None):
 
 
 def epidemic_model(dx: int, dt: int, rng: np.random.Generator | None = None) -> ParameterisedModel:
-    """Epid/Sick/Travel/Treat model over dx persons and dt treatments."""
-    return ragged_model([(p, t) for p in xs(dx) for t in ts(dt)], rng)
+    """Epid/Sick/Travel/Treat model over persons x1..x{dx} and dt treatments.
+
+    Its constraints are one block each, the persons one run, so a model of
+    any size is built at once; ``ragged_model`` of every (person, treatment)
+    pair is the same model.
+    """
+    v0, v1, v2 = example_tables(rng)
+    persons, treatments = ConstantSet(runs=((1, dx),)), ConstantSet(ts(dt))
+    g0 = Parfactor(PotentialTable((EPID,), v0), Constraint.extensional((), [()]))
+    g1 = Parfactor(PotentialTable((EPID, SICK, TRAVEL), v1), Constraint((X,), ((persons,),)))
+    g2 = Parfactor(PotentialTable((EPID, SICK, TREAT), v2), Constraint((X, T), ((persons, treatments),)))
+    return ParameterisedModel((g0, g1, g2))
 
 
 def ragged_model(pairs, rng: np.random.Generator | None = None) -> ParameterisedModel:
@@ -101,7 +113,25 @@ def epidemic_template(rng: np.random.Generator | None = None) -> TemplateModel:
 
 def group_instances(group) -> set[tuple]:
     """Every instance of an engine group, a frozenset of blocks of constant sets."""
-    return {t for block in group for t in itertools.product(*block)}
+    return set(_listed(group))
+
+
+def members(s) -> list:
+    """A constant set's constants, in the string order the library lists them."""
+    return [c for (c,) in _listed([(s,)])]
+
+
+def record_constants(monkeypatch) -> list[str]:
+    """The name of every ``Constant`` made from now until the test ends, in order."""
+    made: list[str] = []
+    make = _Identifier.__new__
+
+    def recording(cls, name):
+        made.append(name)
+        return make(cls, name)
+
+    monkeypatch.setattr(Constant, "__new__", staticmethod(recording))
+    return made
 
 
 def all_atoms(m: ParameterisedModel) -> list[GroundAtom]:
@@ -220,7 +250,7 @@ def full_evaluate(prog, tmpl: TemplateModel, dw) -> list[ConstraintWorld]:
     for atom in prog.facts:
         base.setdefault(atom.predicate, set()).add(atom.terms)
     for lv_name, pred in prog.populate:
-        base.setdefault(pred, set()).update((str(c),) for c in dw.domains[by_name[lv_name]])
+        base.setdefault(pred, set()).update((str(c),) for c in members(dw.domains[by_name[lv_name]]))
     worlds = []
     for combo in itertools.product(*(range(len(g.facts)) for g in prog.choice_groups)):
         prob = 1.0
@@ -234,7 +264,7 @@ def full_evaluate(prog, tmpl: TemplateModel, dw) -> list[ConstraintWorld]:
             atom = prog.binding_for(name).atom
             logvars = pf.constraint.logvars
             if atom is None:
-                every = itertools.product(*(dw.domains[lv] for lv in logvars))
+                every = itertools.product(*(members(dw.domains[lv]) for lv in logvars))
                 constraints.append(Constraint.extensional(logvars, every))
             elif rel.get(atom.predicate):
                 answers = [tuple(map(Constant, t)) for t in rel[atom.predicate]]

@@ -2,10 +2,15 @@
 
 Every reference below works on the tuple list a constraint was built from,
 never on the constraint's own listing, so a block operation that disagrees
-with it is wrong.
+with it is wrong. The constants mix named ones with synthetic names, whose
+string order differs from their numeric order (x10 sorts before x2), and
+some sets are given as runs of synthetic names, which peels and meets cut.
 """
 
+import dataclasses
 import itertools
+import re
+import time
 from collections import Counter
 
 import numpy as np
@@ -13,8 +18,10 @@ import pytest
 
 from liftworlds import (
     Constant,
+    ConstantSet,
     Constraint,
     ConstraintsMisaligned,
+    DomainSpec,
     Evidence,
     GroundAtom,
     Logvar,
@@ -40,10 +47,11 @@ from liftworlds.model import (
     _uniform_count,
     project,
 )
-from support import epidemic_model, group_instances
+from support import epidemic_model, group_instances, record_constants
 
 LOGVARS = tuple(Logvar(n) for n in "XYZ")
-POOL = tuple(Constant(c) for c in ("a", "b", "c", "d"))
+POOL = tuple(Constant(c) for c in ("a", "b", "x1", "x2", "x3", "x10", "x11", "x100"))
+PROBES = POOL + tuple(Constant(c) for c in ("c", "x5", "x12", "x99"))
 
 
 def cut(tuples, pos):
@@ -51,34 +59,54 @@ def cut(tuples, pos):
 
 
 def draw(rng, n):
-    return tuple(POOL[i] for i in rng.integers(0, len(POOL), n))
+    return tuple(PROBES[i] for i in rng.integers(0, len(PROBES), n))
+
+
+def random_set(rng):
+    """Some of ``POOL``, maybe plus a run near x10 or x100: its names and the set."""
+    names = [c for c in POOL if rng.random() < 0.4] or [POOL[rng.integers(len(POOL))]]
+    runs = []
+    if rng.random() < 0.3:
+        lo = int(rng.choice([1, 8, 95])) + int(rng.integers(0, 5))
+        runs.append((lo, lo + int(rng.integers(0, 8))))
+    made = names + [Constant(f"x{i}") for lo, hi in runs for i in range(lo, hi + 1)]
+    return made, ConstantSet(names, runs)
 
 
 def random_tuples(rng, logvars):
-    """A product, a union of products or no tuples, in a random order."""
+    """A product, a union of products or no tuples, in a random order, and
+    the product's own sets when it is one."""
     kind = rng.integers(4)
     if kind == 0:
-        return []
+        return [], None
 
     def product():
-        sets = [[c for c in POOL if rng.random() < 0.6] or [POOL[rng.integers(4)]] for _ in logvars]
-        return list(itertools.product(*sets))
+        sets = [random_set(rng) for _ in logvars]
+        return list(itertools.product(*(names for names, _ in sets))), tuple(s for _, s in sets)
 
+    block = None
     if kind == 1:
-        ts = product()
+        ts, block = product()
     elif kind == 2:
-        ts = [t for _ in range(rng.integers(2, 4)) for t in product()]
+        ts = [t for _ in range(rng.integers(2, 4)) for t in product()[0]]
     else:
-        every = list(itertools.product(POOL[: rng.integers(1, 5)], repeat=len(logvars)))
+        every = list(itertools.product(POOL[: rng.integers(1, 6)], repeat=len(logvars)))
         ts = [t for t in every if rng.random() < 0.5] or every[:1]
-    return [ts[i] for i in rng.permutation(len(ts))]
+    return [ts[i] for i in rng.permutation(len(ts))], block
 
 
 def random_constraint(rng):
-    """A constraint over 0-3 logvars, and the sorted tuple list it was built from."""
+    """A constraint over 0-3 logvars, and the sorted tuple list it was built from.
+
+    A product is built from its sets half the time, runs given as runs, and
+    from its tuples otherwise.
+    """
     logvars = tuple(LOGVARS[i] for i in rng.permutation(3)[: rng.integers(0, 4)])
-    ts = random_tuples(rng, logvars)
-    c = Constraint.extensional(logvars, ts) if ts else Constraint.empty(logvars)
+    ts, block = random_tuples(rng, logvars)
+    if block is not None and rng.random() < 0.5:
+        c = Constraint(logvars, (block,))
+    else:
+        c = Constraint.extensional(logvars, ts) if ts else Constraint.empty(logvars)
     return c, sorted(set(ts))
 
 
@@ -127,6 +155,8 @@ def test_block_operations_match_the_listed_tuples():
     for _ in range(1500):
         c, ts = random_constraint(rng)
         seen[("empty", "product", "union")[min(len(c.blocks), 2)]] += 1
+        if any(lo < hi for b in c.blocks for s in b for lo, hi in s.runs):
+            seen["runs"] += 1
         # size and listing
         assert c.size == len(ts)
         assert c.tuples == tuple(ts)
@@ -146,7 +176,7 @@ def test_block_operations_match_the_listed_tuples():
         # projection
         assert sorted(group_instances(_project(c, params))) == sorted(want)
         # peel: the same part keys, in the same order, and the same tuples
-        named = {POOL[i] for i in rng.permutation(4)[: rng.integers(0, 3)]} | {Constant("e")}
+        named = {PROBES[i] for i in rng.permutation(len(PROBES))[: rng.integers(0, 4)]} | {Constant("e")}
         ref: dict[tuple, list] = {}
         for t in ts:
             ref.setdefault(tuple(k if k in named else "" for k in t), []).append(t)
@@ -194,7 +224,7 @@ def test_extensional_round_trips_its_tuples():
     rng = np.random.default_rng(29)
     for _ in range(500):
         logvars = tuple(LOGVARS[i] for i in rng.permutation(3)[: rng.integers(0, 4)])
-        ts = random_tuples(rng, logvars)
+        ts, _ = random_tuples(rng, logvars)
         if not ts:
             continue
         c = Constraint.extensional(logvars, ts)
@@ -259,16 +289,64 @@ def test_lifted_query_lists_no_tuple_of_a_product(monkeypatch):
 
 def test_expand_lists_no_tuple_of_a_product(monkeypatch, data_dir):
     # every binding of the bundled triple is a product in every world, so
-    # its answer patterns become blocks without a tuple listed
+    # its answer patterns become blocks without a tuple listed; the domains
+    # are runs, and the program's pools are cut from them, so no person is
+    # named either, with bins of 100 persons or of 10^5
     calls = []
     for owner, name in ((model, "_listed"), (program, "_list")):
         real = getattr(owner, name)
         monkeypatch.setattr(owner, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
-    u = UniverseModel(
-        io.load_model(data_dir / "model.json"),
-        io.load_program(data_dir / "constraints.program"),
-        io.load_domain_spec(data_dir / "domains.json"),
-    )
-    models = expand(u)
-    assert len(models) == 60
+    spec = io.load_domain_spec(data_dir / "domains.json")
+    template = io.load_model(data_dir / "model.json")
+    rules = io.load_program(data_dir / "constraints.program")
+    made = record_constants(monkeypatch)
+    for step in (100, 10**5):
+        wide = DomainSpec({**spec.entries, "X": dataclasses.replace(spec.entries["X"], step=step)})
+        models = expand(UniverseModel(template, rules, wide))
+        assert len(models) == 60
+        assert max(wm.provenance.domain_sizes["X"] for wm in models) == 20 * step
+    assert calls == []
+    assert [c for c in made if re.fullmatch(r"x[1-9][0-9]*", c)] == []
+
+
+def test_lifted_query_on_a_million_persons_costs_what_a_thousand_do():
+    # the persons are one run, peeling x1 cuts it in two, and no step
+    # depends on the run's length: the same op records (only the exponents
+    # that count the other persons differ), in a time far below the ~0.45 s
+    # a million set members took to peel and hash
+    q = QuerySpec((GroundAtom("Sick", (Constant("x1"),)),))
+    small, large = epidemic_model(10**3, 2), epidemic_model(10**6, 2)
+    logs = [], []
+    lifted_query(small, q, op_log=logs[0])
+    lifted_query(large, q, op_log=logs[1])
+    assert [(r.kind, r.detail) for r in logs[0]] == [(r.kind, r.detail) for r in logs[1]]
+    assert {(a.exponent, b.exponent) for a, b in zip(*logs) if a.exponent != b.exponent} == {(999, 10**6 - 1)}
+    best = float("inf")
+    for _ in range(3):
+        started = time.perf_counter()
+        lifted_query(large, q)
+        best = min(best, time.perf_counter() - started)
+    assert best < 0.1, best
+
+
+def test_equality_and_hash_list_no_tuple(monkeypatch):
+    # one tuple set cut three ways over a million persons compares and
+    # hashes equal, without a tuple listed
+    calls = []
+    real = model._listed
+    monkeypatch.setattr(model, "_listed", lambda blocks: calls.append(blocks) or real(blocks))
+    x, t = LOGVARS[0], Logvar("T")
+    persons, both = ConstantSet(runs=((1, 10**6),)), ConstantSet(("t1", "t2"))
+    whole = Constraint((x, t), ((persons, both),))
+    by_person = Constraint((x, t), (
+        (ConstantSet(("x10",)), both),
+        (persons - ConstantSet(("x10",)), both),
+    ))
+    by_treatment = Constraint((x, t), ((persons, ConstantSet(("t1",))), (persons, ConstantSet(("t2",)))))
+    assert whole == by_person == by_treatment == whole
+    assert hash(whole) == hash(by_person) == hash(by_treatment)
+    x7 = ConstantSet(("x7",))
+    fewer = Constraint((x, t), ((persons - x7, both), (x7, ConstantSet(("t1",)))))
+    shifted = Constraint((x, t), ((ConstantSet(runs=((2, 10**6 + 1),)), both),))
+    assert whole != fewer and whole != shifted and by_treatment != shifted
     assert calls == []

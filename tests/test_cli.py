@@ -114,6 +114,15 @@ class TestExpand:
         assert result.exit_code == 2
         assert "expected an object" in result.stderr
 
+    def test_malformed_number_is_input_error(self, small_universe, tmp_path):
+        domains = tmp_path / "alpha.json"
+        domains.write_text(json.dumps({"X": {"alpha": "six", "beta": 15, "bins": 2, "step": 1},
+                                       "T": {"constants": ["t1"]}}))
+        result = run("expand", *small_universe[:4], "--domains", str(domains))
+        assert result.exit_code == 2
+        assert "'alpha': expected a number" in result.stderr
+        assert "Traceback" not in result.stderr
+
     def test_non_string_constant_is_input_error(self, small_universe, tmp_path):
         model = tmp_path / "mixed.json"
         parfactor = {

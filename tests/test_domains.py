@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from liftworlds import (
@@ -14,7 +16,7 @@ from liftworlds import (
     filter_worlds,
     parse_domain_spec,
 )
-from support import T, X, epidemic_template, ts
+from support import T, X, epidemic_template, members, record_constants, ts
 
 
 def example_spec(**kwargs):
@@ -64,7 +66,7 @@ class TestEnumerateWorlds:
         worlds = enumerate_worlds(example_spec(), epidemic_template())
         total = 0.0
         for k, w in enumerate(worlds, start=1):
-            assert w.domains[T] == tuple(ts(3))
+            assert members(w.domains[T]) == ts(3)
             total += w.prob
         # the k=0 bin is dropped without renormalizing
         assert total == pytest.approx(1.0 - beta_binomial_pmf(0, 20, 6, 15), rel=1e-9)
@@ -78,26 +80,29 @@ class TestEnumerateWorlds:
         )
         worlds = enumerate_worlds(spec, epidemic_template())
         assert len(worlds) == 1
-        assert worlds[0].domains[X] == (Constant("a"), Constant("x2"), Constant("x3"))
+        assert members(worlds[0].domains[X]) == ["a", "x2", "x3"]
         assert worlds[0].prob == pytest.approx(beta_binomial_pmf(1, 1, 2.0, 2.0), rel=1e-12)
 
-    def test_bins_share_one_constant_per_synthetic_name(self):
-        worlds = enumerate_worlds(example_spec(), epidemic_template())
-        assert len({id(c) for w in worlds for c in w.domains[X]}) == 2000
+    def test_bins_make_no_constant_for_a_synthetic_name(self, monkeypatch):
+        made = record_constants(monkeypatch)
+        worlds = enumerate_worlds(example_spec(step=10**5), epidemic_template())
+        assert [len(w.domains[X]) for w in worlds] == [10**5 * k for k in range(1, 21)]
+        assert [w.domains[X].runs for w in worlds] == [((1, 10**5 * k),) for k in range(1, 21)]
+        assert not [c for c in made if re.fullmatch(r"x[1-9][0-9]*", c)]
         spec = DomainSpec(
             {
                 "X": BetaBinomialDomain(2.0, 2.0, bins=3, step=2, guaranteed=(Constant("a"),)),
                 "T": FixedDomain(tuple(ts(3))),
             }
         )
-        names = [list(w.domains[X]) for w in enumerate_worlds(spec, epidemic_template())]
+        names = [members(w.domains[X]) for w in enumerate_worlds(spec, epidemic_template())]
         assert names == [["a", "x2"], ["a", "x2", "x3", "x4"], ["a"] + [f"x{i}" for i in range(2, 7)]]
 
     def test_deterministic_and_names_stable(self):
         a = enumerate_worlds(example_spec(), epidemic_template())
         b = enumerate_worlds(example_spec(), epidemic_template())
         assert a == b
-        assert a[0].domains[X][0] == Constant("x1")
+        assert members(a[0].domains[X])[0] == Constant("x1")
 
     def test_guaranteed_overflow_rejected(self):
         spec = DomainSpec(

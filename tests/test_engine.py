@@ -6,6 +6,7 @@ import pytest
 
 from liftworlds import (
     Constant,
+    ConstantSet,
     Constraint,
     ConstraintsMisaligned,
     Evidence,
@@ -277,7 +278,7 @@ class TestSplit:
     @staticmethod
     def on_x(*names):
         """The group of the ``X`` instances named, in the engine's block form."""
-        return frozenset({(frozenset(Constant(n) for n in names),)})
+        return frozenset({(ConstantSet(names),)})
 
     def test_partition_sizes(self):
         part, rest = _split(c_x(3), (X,), self.on_x("x3"))

@@ -125,6 +125,21 @@ class TestModelFile:
             with pytest.raises(ParseError, match="expected"):
                 parse_model(doc)
 
+    def test_arity_must_be_an_integer(self):
+        for arity in ("one", 1.5, True):
+            doc = {"randvars": [{"name": "Sick", "arity": arity}], "parfactors": []}
+            with pytest.raises(ParseError, match="randvar Sick: 'arity': expected an integer"):
+                parse_model(doc)
+
+    def test_a_list_in_a_logvar_slot_is_a_parse_error(self):
+        doc = {
+            "randvars": [{"name": "Sick", "arity": 1}],
+            "logvars": ["X"],
+            "parfactors": [{"args": [["Sick", ["X"]]], "values": [1, 2], "constraint": "empty"}],
+        }
+        with pytest.raises(ParseError, match=r"parfactor g0: logvar: expected a name, got \['X'\]"):
+            parse_model(doc)
+
     def test_unknown_constraint_logvar_rejected(self):
         doc = {
             "randvars": [{"name": "Sick", "arity": 1}],
@@ -208,6 +223,24 @@ class TestDomainSpecFile:
         for doc in bad:
             with pytest.raises(ParseError, match="expected"):
                 parse_domain_spec(doc)
+
+    def test_alpha_must_be_a_number(self):
+        with pytest.raises(ParseError, match="domain X: 'alpha': expected a number, got 'six'"):
+            parse_domain_spec({"X": {"alpha": "six", "beta": 15, "bins": 2, "step": 1}})
+
+    def test_enumerated_prob_must_be_a_number(self):
+        doc = {"X": {"worlds": [{"constants": ["a"], "prob": "half"}, {"constants": ["b"], "prob": 0.5}]}}
+        with pytest.raises(ParseError, match="domain X: 'prob': expected a number, got 'half'"):
+            parse_domain_spec(doc)
+
+    def test_bins_and_step_must_be_integers(self):
+        # a fractional bin count was truncated before; a bool is not a count
+        for field, value in (("bins", 2.5), ("bins", True), ("step", "2"), ("step", 1.5)):
+            raw = {"alpha": 6, "beta": 15, "bins": 2, "step": 1, field: value}
+            with pytest.raises(ParseError, match=f"domain X: '{field}': expected an integer"):
+                parse_domain_spec({"X": raw})
+        spec = parse_domain_spec({"X": {"alpha": 6, "beta": 15, "bins": 2.0, "step": 3}})
+        assert spec.entries["X"].bins == 2 and type(spec.entries["X"].bins) is int
 
     def test_beta_binomial_requires_bins_and_step(self):
         with pytest.raises(ParseError):

@@ -7,6 +7,7 @@ import pytest
 import liftworlds
 from liftworlds import (
     Constant,
+    ConstantSet,
     Constraint,
     GroundAtom,
     Logvar,
@@ -19,8 +20,8 @@ from liftworlds import (
     TemplateModel,
     ValidationError,
 )
-from liftworlds.model import _flat_index, conditional_count, project
-from support import EPID, SICK, TRAVEL, TREAT, T, X, epidemic_model, ts, xs
+from liftworlds.model import _flat_index, _least, conditional_count, project
+from support import EPID, SICK, TRAVEL, TREAT, T, X, epidemic_model, members, ts, xs
 
 
 def c2(dx, dt):
@@ -33,6 +34,37 @@ def c1(dx):
 
 def ground(p):
     return ParameterisedModel((p,)).ground()
+
+
+class TestConstantSet:
+    def test_synthetic_names_become_runs_however_given(self):
+        given = ConstantSet(["a", "x3", "x4", "x01", "x5", "xa"], [(1, 2), (9, 12), (10, 10)])
+        assert given.runs == ((1, 5), (9, 12))
+        assert given.named == {"a", "x01", "xa"}
+        assert len(given) == 12
+        same = ConstantSet(["xa", "x01", "a"] + [f"x{i}" for i in (1, 2, 3, 4, 5, 9, 10, 11, 12)])
+        assert given == same and hash(given) == hash(same)
+        assert eval(repr(given)) == given
+        assert "x12" in given and "x6" not in given and "x01" in given and "x1" in given
+
+    def test_malformed_sets_are_refused(self):
+        for runs in ([(0, 3)], [(4, 3)], [(1.0, 3)]):
+            with pytest.raises(ValidationError, match="run"):
+                ConstantSet(runs=runs)
+        with pytest.raises(ValidationError, match="not one name"):
+            ConstantSet("t1")
+        with pytest.raises(ValidationError):
+            ConstantSet([""])
+
+    def test_names_and_least_member_follow_string_order(self):
+        # x100 sorts before x11 and x99, x10 before x2
+        s = ConstantSet(["b"], [(2, 11), (95, 120)])
+        names = members(s)
+        assert names == sorted(names) and len(names) == len(s) == 37
+        assert names[:4] == ["b", "x10", "x100", "x101"]
+        assert _least(frozenset({(s,)})) == ("b",)
+        assert _least(frozenset({(ConstantSet(runs=[(95, 120)]),)})) == ("x100",)
+        assert _least(frozenset({(ConstantSet(runs=[(2, 9)]),)})) == ("x2",)
 
 
 class TestGround:

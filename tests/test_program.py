@@ -1,4 +1,3 @@
-import itertools
 import re
 
 import pytest
@@ -27,7 +26,7 @@ from liftworlds import (
     uniformize,
 )
 from liftworlds import program
-from liftworlds.model import _decompose
+from liftworlds.model import _decompose, _listed
 from liftworlds.program import ConstraintWorld
 from support import (
     EXAMPLE_PROGRAM,
@@ -336,7 +335,7 @@ def check_against_oracle(text: str, spec: dict, monkeypatch) -> list:
         for w, ref in zip(got, want):
             for c, r in zip(w.constraints, ref.constraints):
                 assert set(c.blocks) == set(_decompose(r.tuples)), (text, dw.domains)
-        every = [t for out in made.values() for block in out for t in itertools.product(*block)]
+        every = [t for out in made.values() for t in _listed(out)]
         assert len(every) == len(set(every)), (text, dw.domains)
         seen.extend(want)
     return seen

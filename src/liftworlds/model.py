@@ -34,6 +34,11 @@ union of several blocks a join, a count, or a projection onto two or more
 logvars lists that constraint's tuples too, where the algebra would need to
 reason about pairs of blocks.
 
+``_shape`` keys a model for one query: it cuts every block set into
+disjoint regions (``_regions``), each of the query's constants one of its
+own, and two models with equal keys map onto each other by a renaming that
+fixes the query's constants, so ``query_all`` answers one of them for both.
+
 All types are immutable after construction and safe to share between
 threads; the operations below are pure functions.
 """
@@ -584,13 +589,49 @@ def _by_rest(blocks: Sequence[Block]) -> tuple[Block, ...]:
     return tuple((f[0].union(*f[1:]),) + rest for rest, f in merged.items())
 
 
+def _regions(
+    sets: Sequence[ConstantSet], fixed: Iterable[Constant] = ()
+) -> list[tuple[ConstantSet, tuple[int, ...]]]:
+    """``sets`` cut into disjoint regions, each with the indices of the sets that hold it.
+
+    Each ``fixed`` constant starts as a region of its own, in sorted order.
+    Then each set in turn cuts every region it meets into the part inside it
+    and, right after, the part outside, and what no region held of it
+    becomes a new region. So the regions come in an order that depends on
+    which sets meet which, never on names, and the cut costs O(sets x
+    regions) meets and differences, whatever the sets' sizes.
+    """
+    regions = [(ConstantSet((c,)), ()) for c in sorted(set(fixed))]
+    for j, s in enumerate(sets):
+        cut: list[tuple[ConstantSet, tuple[int, ...]]] = []
+        for k, (r, held) in enumerate(regions):
+            if not s:
+                cut += regions[k:]
+                break
+            inside = r & s
+            if not inside:
+                cut.append((r, held))
+                continue
+            cut.append((inside, held + (j,)))
+            if len(inside) < len(r):
+                cut.append((r - inside, held))
+            s = s - inside
+        if s:
+            cut.append((s, (j,)))
+        regions = cut
+    return regions
+
+
 def _union(blocks: Sequence[Block]) -> tuple[Block, ...]:
     """Disjoint blocks of one width, as :func:`_decompose` gives their tuples.
 
     They are one block when their sizes add up to the product of their
-    column unions (``_decompose``'s own product test). Otherwise blocks with
-    disjoint first sets merge by their rests, and other blocks' tuples are
-    listed.
+    column unions (``_decompose``'s own product test). Otherwise the
+    distinct first sets are cut into regions, one per set when they are
+    disjoint; the constants of one region extend to the
+    rests of the blocks that hold it, which are disjoint, and regions whose
+    rests unite to the same blocks merge, as ``_decompose`` groups first
+    constants by their rests. Nothing is listed.
     """
     if len(blocks) <= 1:
         return tuple(blocks)
@@ -598,9 +639,24 @@ def _union(blocks: Sequence[Block]) -> tuple[Block, ...]:
     columns = tuple(c[0] if c.count(c[0]) == len(c) else c[0].union(*c[1:]) for c in zip(*blocks))
     if math.prod(map(len, columns)) == _count(blocks):
         return (columns,)
-    if _apart(blocks):
-        return _by_rest(blocks)
-    return _decompose(_listed(blocks))
+    rests: dict[ConstantSet, list[Block]] = {}
+    for b in blocks:
+        rests.setdefault(b[0], []).append(b[1:])
+    firsts = list(rests)
+    # a ragged binding's first sets are one pool plus many singletons, apart
+    # once equal sets are merged; cutting them would cost O(sets^2) for nothing
+    if _apart([(f,) for f in firsts]):
+        regions = [(f, (j,)) for j, f in enumerate(firsts)]
+    else:
+        regions = _regions(firsts)
+    united: dict[tuple[Block, ...], frozenset[Block]] = {}  # many regions share their rests
+    merged: dict[frozenset[Block], list[ConstantSet]] = {}
+    for r, held in regions:
+        rest = tuple(b for j in held for b in rests[firsts[j]])
+        if rest not in united:
+            united[rest] = frozenset(_union(rest))
+        merged.setdefault(united[rest], []).append(r)
+    return tuple((f[0].union(*f[1:]),) + b for rest, f in merged.items() for b in rest)
 
 
 def _project(c: Constraint, keep: Sequence[Logvar]) -> tuple[Block, ...]:
@@ -792,6 +848,34 @@ def conditional_count(c: Constraint, eliminate: Iterable[Logvar]) -> int:
     for lv in elim:
         c.position(lv)
     return _uniform_count(c, [lv for lv in c.logvars if lv not in elim])[0]
+
+
+def _shape(m: ParameterisedModel, fixed: Iterable[Constant]) -> tuple:
+    """A key that two models share only if a renaming fixing ``fixed`` maps one onto the other.
+
+    Every block set of every parfactor is cut into regions (:func:`_regions`),
+    each ``fixed`` constant a region of its own. The key holds the region
+    sizes and, per parfactor, its table, its logvars and each block as the
+    regions each of its sets covers. Equal keys give a bijection of each
+    region onto the region of the same place, and it maps one model's blocks
+    onto the other's, one by one, and fixes ``fixed``. Models whose blocks
+    come in another order get other keys.
+    """
+    sets = list(dict.fromkeys(s for p in m.parfactors for b in p.constraint.blocks for s in b))
+    regions = _regions(sets, fixed)
+    covers: dict[ConstantSet, list[int]] = {s: [] for s in sets}
+    for i, (_, held) in enumerate(regions):
+        for j in held:
+            covers[sets[j]].append(i)
+    return tuple(len(r) for r, _ in regions), tuple(
+        (
+            p.table.args,
+            p.table.values.tobytes(),
+            p.constraint.logvars,
+            tuple(tuple(tuple(covers[s]) for s in b) for b in p.constraint.blocks),
+        )
+        for p in m.parfactors
+    )
 
 
 def _product(logvars: tuple[Logvar, ...], domains: Mapping[Logvar, ConstantSet]) -> Constraint:

@@ -51,7 +51,7 @@ from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import ParseError, ValidationError
-from .model import Constant, Constraint, ConstantSet, TemplateModel, _decompose, _listed, _product, _union
+from .model import Constant, Constraint, ConstantSet, TemplateModel, _decompose, _listed, _product, _regions, _union
 
 _IDENT = r"[a-z][A-Za-z0-9_]*"
 _VAR = r"[A-Z_][A-Za-z0-9_]*"
@@ -526,27 +526,19 @@ def evaluate(
     named = _named(prog)
     named_set = ConstantSet(named)
     held = []  # per populate directive, the named constants its domain holds
-    # type (the populated logvars whose domains hold a constant) -> its
-    # anonymous constants: each domain cuts the pools so far by meet and
-    # difference, and what it holds beyond them is a type of its own
-    pools: dict[tuple[str, ...], ConstantSet] = {}
+    anonymous = []
     for lv_name, _ in prog.populate:
         lv = by_name.get(lv_name)
         if lv is None or lv not in domains:
             raise ValidationError(f"missing domain for logvar {lv_name!r}")
         held.append(tuple(sorted(c for c in named if c in domains[lv])))
-        anonymous = domains[lv] - named_set
-        cut = {}
-        for typ, pool in pools.items():
-            inside = pool & anonymous
-            if inside:
-                cut[typ + (lv_name,)] = inside
-                anonymous -= inside
-            if outside := pool - inside:
-                cut[typ] = outside
-        if anonymous:
-            cut[(lv_name,)] = anonymous
-        pools = cut
+        anonymous.append(domains[lv] - named_set)
+    # type (the populated logvars whose domains hold a constant) -> its
+    # anonymous constants: the regions the anonymous parts of the domains cut
+    pools = {
+        tuple(prog.populate[j][0] for j in within): region
+        for region, within in _regions(anonymous)
+    }
 
     shape = (tuple(held), tuple(sorted(pools)))
     choice_worlds = memo.shapes.get(shape)

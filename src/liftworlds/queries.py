@@ -6,16 +6,23 @@ top-k by event probability, top-k by model probability, the skyline (the
 Pareto frontier over both), and trend classification over ascending domain
 sizes. Weights are reported raw; when filtering dropped mass upstream, the
 per-answer model probabilities simply do not sum to 1.
+
+Worlds that differ only by a renaming of constants the query does not
+mention have the same answer (Niepert & Van den Broeck, AAAI 2014), so
+``query_all`` answers each such class once: it keys models by
+``model._shape`` and shares one answer between the worlds of a key, within
+one call. Those worlds then tie exactly in every selection.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
 from .engine import MarginalDistribution, QuerySpec, lifted_query
 from .errors import InferenceError, ValidationError
-from .model import GroundAtom
+from .model import GroundAtom, _shape
 from .universe import Provenance, WeightedModel
 
 
@@ -73,11 +80,27 @@ def query_all(models: Sequence[WeightedModel], q: QuerySpec) -> AnswerSet:
 
     Degenerate models and models missing an atom (a constant absent from a
     small universe, say) are skipped and reported. Raises when no model at
-    all can answer.
+    all can answer. A model whose shape, with the query's constants fixed,
+    an earlier model of this call had gets that model's answer object
+    instead of a :func:`lifted_query` of its own: a renaming of the other
+    constants maps one onto the other, so the answers are equal up to
+    rounding: the engine breaks cost ties by the least unmentioned name, so
+    a model's own :func:`lifted_query`, or a call without the earlier models
+    of its shape, may differ from the shared answer in the last digits. The
+    first model of each shape runs the query, so errors surface as before. A
+    renaming keeps every constraint's size, so a model whose sizes no other
+    model has gets no shape.
     """
     entries: list[AnswerEntry] = []
     skipped: list[SkippedModel] = []
     atoms = tuple(q.targets) + q.evidence.atoms()
+    mentioned = {c for a in atoms for c in a.args}
+    answers: dict[tuple, MarginalDistribution] = {}  # by renaming class, for this call only
+
+    def sizes(m) -> tuple[int, ...]:
+        return tuple(p.constraint.size for p in m.parfactors)
+
+    alike = Counter(sizes(wm.model) for wm in models if wm.model is not None)
     for wm in models:
         if wm.degenerate or wm.model is None:
             skipped.append(SkippedModel(wm.provenance, "degenerate world"))
@@ -86,7 +109,14 @@ def query_all(models: Sequence[WeightedModel], q: QuerySpec) -> AnswerSet:
         if missing:
             skipped.append(SkippedModel(wm.provenance, f"atom {missing[0]} not in model"))
             continue
-        entries.append(AnswerEntry(wm.provenance, wm.prob, lifted_query(wm.model, q)))
+        if alike[sizes(wm.model)] == 1:
+            answer = lifted_query(wm.model, q)
+        else:
+            key = _shape(wm.model, mentioned)
+            answer = answers.get(key)
+            if answer is None:
+                answer = answers[key] = lifted_query(wm.model, q)
+        entries.append(AnswerEntry(wm.provenance, wm.prob, answer))
     if models and not entries:
         raise InferenceError("no model can answer the query: " + skipped[0].reason)
     return AnswerSet(q, tuple(entries), tuple(skipped))
@@ -104,7 +134,9 @@ def top_k_query_prob(a: AnswerSet, e: EventProbe, k: int) -> Selection:
     """The k entries with the highest event probability, descending.
 
     Ties go to the higher model probability, then to expansion order. Asking
-    for more entries than exist returns them all, flagged.
+    for more entries than exist returns them all, flagged. Worlds that
+    ``query_all`` answered as one renaming class share one answer, so they
+    tie exactly. Other ties are exact comparisons of floats too.
     """
     if k < 1:
         raise ValidationError("k must be at least 1")
@@ -148,7 +180,11 @@ def skyline(a: AnswerSet, e: EventProbe) -> tuple[AnswerEntry, ...]:
 
 
 def trend_report(a: AnswerSet, e: EventProbe) -> TrendReport:
-    """Classify the event probability over models sorted by ascending domain size."""
+    """Classify the event probability over models sorted by ascending domain size.
+
+    Adjacent worlds of one renaming class share one answer, so their delta
+    is exactly 0; other deltas are compared with 0 exactly.
+    """
     ordered = sorted(
         range(len(a.entries)), key=lambda i: (a.entries[i].provenance.domain_size, i)
     )

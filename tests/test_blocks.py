@@ -22,7 +22,9 @@ from liftworlds import (
     Constraint,
     ConstraintsMisaligned,
     DomainSpec,
+    EnumeratedDomain,
     Evidence,
+    FixedDomain,
     GroundAtom,
     Logvar,
     NotCountNormalized,
@@ -31,6 +33,7 @@ from liftworlds import (
     expand,
     io,
     lifted_query,
+    parse_program,
 )
 from liftworlds import model, program
 from liftworlds.model import (
@@ -44,10 +47,11 @@ from liftworlds.model import (
     _peel,
     _project,
     _split,
+    _union,
     _uniform_count,
     project,
 )
-from support import epidemic_model, group_instances, record_constants
+from support import epidemic_model, epidemic_template, group_instances, members, record_constants, xs
 
 LOGVARS = tuple(Logvar(n) for n in "XYZ")
 POOL = tuple(Constant(c) for c in ("a", "b", "x1", "x2", "x3", "x10", "x11", "x100"))
@@ -350,3 +354,70 @@ def test_equality_and_hash_list_no_tuple(monkeypatch):
     shifted = Constraint((x, t), ((ConstantSet(runs=((2, 10**6 + 1),)), both),))
     assert whole != fewer and whole != shifted and by_treatment != shifted
     assert calls == []
+
+
+def test_union_of_disjoint_blocks_is_their_decomposition(monkeypatch):
+    # the generator's blocks, each set cut in two a few times: the blocks stay
+    # disjoint, and a cut of a first set leaves first sets that overlap
+    # without being equal, which _union unites without listing a tuple
+    rng = np.random.default_rng(37)
+    listed = []
+    real = model._listed
+    monkeypatch.setattr(model, "_listed", lambda blocks: listed.append(blocks) or real(blocks))
+    seen = Counter()
+    for _ in range(1000):
+        logvars = tuple(LOGVARS[i] for i in rng.permutation(3)[: rng.integers(1, 4)])
+        ts, _ = random_tuples(rng, logvars)
+        if not ts:
+            continue
+        blocks = list(_decompose(set(ts)))
+        for _ in range(rng.integers(0, 9)):
+            i = rng.integers(len(logvars))
+            wide = [k for k, b in enumerate(blocks) if len(b[i]) > 1]
+            if not wide:
+                continue
+            k = wide[rng.integers(len(wide))]
+            names = members(blocks[k][i])
+            part = ConstantSet(names[j] for j in rng.permutation(len(names))[: rng.integers(1, len(names))])
+            b = blocks[k]
+            blocks[k : k + 1] = [b[:i] + (part,) + b[i + 1 :], b[:i] + (b[i] - part,) + b[i + 1 :]]
+        firsts = set(b[0] for b in blocks)
+        if sum(map(len, firsts)) > len(ConstantSet().union(*firsts)):
+            seen["first sets overlap"] += 1
+        seen[len(blocks) > 1] += 1
+        listed.clear()
+        got = _union(blocks)
+        assert listed == []
+        assert frozenset(got) == frozenset(_decompose(set(ts)))
+        assert _count(got) == len(set(ts))
+    assert min(seen.values()) > 100, seen
+
+
+def test_expand_lists_no_tuple_of_a_ragged_binding(monkeypatch):
+    # every person is treated with t1 and the ones in ``second`` with t2 as
+    # well, so the Treat binding's blocks share their first sets; they are
+    # united by set algebra, not listed
+    second = ["x2", "x5", "x7", "x8", "x13", "x21", "x30", "x34"]
+    program = parse_program(
+        "treated(X,t1) :- instance_of_X(X).\n"
+        "treated(X,t2) :- instance_of_X(X) & second(X).\n"
+        "populate instance_of_X/1 from X.\n"
+        "constraint g0 <- top.\nconstraint g1 <- instance_of_X(X).\nconstraint g2 <- treated(X,T).\n"
+        + "".join(f"second({x}).\n" for x in second)
+    )
+    spec = DomainSpec({
+        "X": EnumeratedDomain(tuple((tuple(xs(n)), p) for n, p in ((10, 0.2), (20, 0.3), (40, 0.5)))),
+        "T": FixedDomain((Constant("t1"), Constant("t2"))),
+    })
+    calls = []
+    real = model._listed
+    monkeypatch.setattr(model, "_listed", lambda blocks: calls.append(blocks) or real(blocks))
+    models = expand(UniverseModel(epidemic_template(), program, spec))
+    assert calls == []
+    monkeypatch.undo()
+    for wm in models:
+        n = wm.provenance.domain_sizes["X"]
+        treat = wm.model.parfactors[2].constraint
+        want = {(x, "t1") for x in xs(n)} | {(x, "t2") for x in xs(n) if x in second}
+        assert set(treat.tuples) == want
+        assert len(treat.blocks) == 2

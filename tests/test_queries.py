@@ -1,15 +1,23 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from liftworlds import (
     BOOLEAN,
     Constant,
+    ConstantSet,
+    Constraint,
     DomainSpec,
     EnumeratedDomain,
+    Evidence,
     FixedDomain,
     GroundAtom,
     InferenceError,
     MarginalDistribution,
+    Parfactor,
+    ParameterisedModel,
+    PotentialTable,
     QuerySpec,
     UniverseModel,
     ValidationError,
@@ -17,16 +25,35 @@ from liftworlds import (
     event_probability,
     expand,
     ground_ve,
+    io,
+    lifted_query,
     parse_program,
+    parse_query,
     query_all,
     skyline,
     top_k_model_prob,
     top_k_query_prob,
     trend_report,
 )
+from liftworlds import queries
 from liftworlds.queries import AnswerEntry, AnswerSet
-from liftworlds.universe import Provenance
-from support import brute_force_skyline, epidemic_template, ts, xs
+from liftworlds.universe import Provenance, WeightedModel
+from support import (
+    EPID,
+    SICK,
+    TRAVEL,
+    TREAT,
+    T,
+    X,
+    brute_force_skyline,
+    epidemic_model,
+    epidemic_template,
+    example_tables,
+    members,
+    ragged_model,
+    ts,
+    xs,
+)
 
 TOP_PROGRAM = "constraint g0 <- top.\nconstraint g1 <- top.\nconstraint g2 <- top."
 
@@ -88,6 +115,142 @@ class TestQueryAll:
         aset = query_all(models, QuerySpec((SICK_X1,)))
         p = event_probability(aset.entries[0].answer, PROBE)
         assert p == pytest.approx(float(aset.entries[0].answer.probs[1]), rel=1e-12)
+
+
+def counted_calls(monkeypatch) -> list:
+    """Every model ``query_all`` hands to ``lifted_query`` from now on."""
+    calls = []
+    real = queries.lifted_query
+    monkeypatch.setattr(queries, "lifted_query", lambda m, q: calls.append(m) or real(m, q))
+    return calls
+
+
+def weighted(*models):
+    return [WeightedModel(m, 1 / len(models), Provenance(i, 0, {"X": 0}, ("X",))) for i, m in enumerate(models)]
+
+
+def renamed(m, mapping):
+    """``m`` with every constant ``c`` renamed to ``mapping.get(c, c)``, block by block."""
+
+    def move(s):
+        return ConstantSet([mapping.get(c, c) for c in members(s)])
+
+    return ParameterisedModel(tuple(
+        Parfactor(p.table, Constraint(p.constraint.logvars, tuple(tuple(map(move, b)) for b in p.constraint.blocks)))
+        for p in m.parfactors
+    ))
+
+
+def shaped(g1_persons, g2_persons, treatments=("t1", "t2")):
+    """The epidemic shape with Sick/Travel over ``g1_persons`` and Treat over ``g2_persons`` x ``treatments``."""
+    v0, v1, v2 = example_tables()
+    one = lambda names: ConstantSet(map(Constant, names))
+    return ParameterisedModel((
+        Parfactor(PotentialTable((EPID,), v0), Constraint.extensional((), [()])),
+        Parfactor(PotentialTable((EPID, SICK, TRAVEL), v1), Constraint((X,), ((one(g1_persons),),))),
+        Parfactor(PotentialTable((EPID, SICK, TREAT), v2),
+                  Constraint((X, T), ((one(g2_persons), one(treatments)),))),
+    ))
+
+
+class TestRenamingClasses:
+    """Worlds that a renaming of unmentioned constants maps onto each other share one answer."""
+
+    def test_bundled_triple_answers_twenty_classes(self, monkeypatch, data_dir):
+        # 20 person counts x 3 treatment pairs that no query mentions
+        models = expand(UniverseModel(
+            io.load_model(data_dir / "model.json"),
+            io.load_program(data_dir / "constraints.program"),
+            io.load_domain_spec(data_dir / "domains.json"),
+        ))
+        q = parse_query("P(Sick(x1))")
+        calls = counted_calls(monkeypatch)
+        aset = query_all(models, q)
+        assert len(aset.entries) == 60 and len(calls) == 20
+        assert len({wm.provenance.domain_size for wm in models if wm.model in calls}) == 20
+        monkeypatch.undo()
+        for wm, entry in zip(models, aset.entries):
+            assert entry.answer.probs.tobytes() == lifted_query(wm.model, q).probs.tobytes()
+
+    def test_worlds_of_distinct_sizes_build_no_shape(self, monkeypatch):
+        # a renaming keeps constraint sizes, so these worlds cannot share
+        made = []
+        real = queries._shape
+        monkeypatch.setattr(queries, "_shape", lambda *a: made.append(a) or real(*a))
+        models = expand(sized_universe((2, 3, 4), (0.5, 0.3, 0.2)))
+        calls = counted_calls(monkeypatch)
+        assert len(query_all(models, QuerySpec((SICK_X1,))).entries) == 3
+        assert (len(calls), made) == (3, [])
+
+    def test_renamed_copies_share_one_call(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        kinds = Counter()
+        for _ in range(60):
+            n = int(rng.integers(2, 6))
+            if rng.random() < 0.4:
+                m = epidemic_model(n, int(rng.integers(1, 4)), rng)
+            else:
+                pairs = [(p, t) for p in xs(n) for t in ts(3) if rng.random() < 0.6] or [(xs(1)[0], ts(1)[0])]
+                m = ragged_model(pairs, rng)
+            treat = m.parfactors[2].constraint.tuples
+            persons = sorted({p for p, _ in treat})
+            treatments = sorted({t for _, t in treat})
+            # a target, maybe Travel evidence on a person, maybe Treat evidence
+            target_person = persons[rng.integers(len(persons))]
+            targets = [GroundAtom("Sick", (target_person,))] if rng.random() < 0.7 else [GroundAtom("Epid")]
+            observed = []
+            if rng.random() < 0.5:
+                other = persons[rng.integers(len(persons))]
+                observed.append((GroundAtom("Travel", (other,)), ("false", "true")[rng.integers(2)]))
+            if rng.random() < 0.3:
+                atom = GroundAtom("Treat", treat[rng.integers(len(treat))])
+                if atom not in targets:
+                    observed.append((atom, "true"))
+            q = QuerySpec(tuple(targets), Evidence(tuple(observed)))
+            mentioned = {c for a in q.targets + q.evidence.atoms() for c in a.args}
+            # the others get shuffled fresh names: synthetic ones (runs) and plain ones
+            others = [c for c in persons + treatments if c not in mentioned]
+            pool = [f"x{k}" for k in rng.choice(np.arange(7, 60), len(others), replace=False)]
+            pool = [c if rng.random() < 0.5 else f"p{c[1:]}" for c in pool]
+            names = [pool[i] for i in rng.permutation(len(pool))]
+            if len(names) > 1 and names == sorted(names):
+                names.reverse()
+            copy = renamed(m, dict(zip(others, map(Constant, names))))
+            kinds["plain"] += any(not c.startswith("x") for c in names)
+            kinds["evidence"] += bool(observed)
+            calls = counted_calls(monkeypatch)
+            aset = query_all(weighted(m, copy), q)
+            assert len(calls) == 1
+            monkeypatch.undo()
+            for model_, entry in zip((m, copy), aset.entries):
+                own = lifted_query(model_, q).probs
+                assert np.max(np.abs(entry.answer.probs - own)) < 1e-12
+                assert np.max(np.abs(entry.answer.probs - ground_ve(model_, q).probs)) < 1e-9
+        assert min(kinds.values()) > 10, kinds
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            # the g1 and g2 person sets overlap in one world, are disjoint in the
+            # other; the Treat sets make both cut into five regions of one
+            # constant, so only which regions each set covers tells them apart
+            (shaped(xs(3), ["x3", "t1"], ["t1", "t2"]), shaped(xs(3), ["t1", "t2"], ["x3", "t1"])),
+            # the query's x1 is inside the g2 persons in one world, outside in the other
+            (shaped(xs(3), ["x1", "x2"]), shaped(xs(3), ["x2", "x3"])),
+            # the tables differ
+            (epidemic_model(4, 2, np.random.default_rng(1)), epidemic_model(4, 2, np.random.default_rng(2))),
+        ],
+        ids=["overlap", "query-constant", "tables"],
+    )
+    def test_worlds_that_no_renaming_maps_get_one_call_each(self, monkeypatch, first, second):
+        calls = counted_calls(monkeypatch)
+        aset = query_all(weighted(first, second), QuerySpec((SICK_X1,)))
+        assert len(calls) == 2
+        assert [sorted(map(len, p.constraint.blocks[0])) for p in first.parfactors] == [
+            sorted(map(len, p.constraint.blocks[0])) for p in second.parfactors
+        ]
+        for wm, entry in zip(weighted(first, second), aset.entries):
+            assert np.max(np.abs(entry.answer.probs - ground_ve(wm.model, aset.query).probs)) < 1e-9
 
 
 class TestTopK:

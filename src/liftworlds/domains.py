@@ -21,13 +21,12 @@ much of the distribution they kept.
 from __future__ import annotations
 
 import itertools
-import re
 from dataclasses import dataclass
 from math import exp, lgamma
 from typing import Generic, Sequence, TypeVar
 
 from .errors import ValidationError
-from .model import Constant, ConstantSet, Logvar, TemplateModel
+from .model import Constant, ConstantSet, Logvar, TemplateModel, _synthetic
 
 
 def _distinct(constants: Sequence[Constant], what: str) -> None:
@@ -116,7 +115,7 @@ class BetaBinomialDomain:
         _distinct(self.guaranteed, "guaranteed constants")
         g, n = len(self.guaranteed), self.step * self.bins
         for c in self.guaranteed:
-            if re.fullmatch(r"x[1-9][0-9]*", c) and g < int(c[1:]) <= n:  # synthetic: x{g+1} .. x{n}
+            if g < _synthetic(c) <= n:  # synthetic: x{g+1} .. x{n}
                 raise ValidationError(f"guaranteed constant '{c}' is also a synthetic constant's name")
 
 

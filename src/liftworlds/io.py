@@ -41,6 +41,7 @@ Query strings::
     P(Sick(x1))
     P(Epid | Sick(x1)=true, Travel(x2)=false)
     P(Sick(x1), Sick(x2) | Epid=true)
+    P(Sick(x1) | Treat(x1,t1)=true, Travel(x2)=false)
 """
 
 from __future__ import annotations
@@ -69,10 +70,9 @@ from .model import (
     TemplateModel,
     _arg_logvars,
 )
-from .program import Program, parse as parse_program
+from .program import Program, _read_atom, parse as parse_program
 
-_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
-_ATOM_RE = re.compile(rf"^(?P<name>{_NAME})\s*(?:\((?P<args>[^()]*)\))?$")
+_COMMA = re.compile(r",(?![^()]*\))")  # a comma outside parentheses: no ')' before the next '('
 
 
 def _expect(obj, kind: type, where: str):
@@ -235,14 +235,8 @@ def load_program(path) -> Program:
 
 
 def _parse_atom(text: str) -> GroundAtom:
-    m = _ATOM_RE.match(text.strip())
-    if not m:
-        raise ParseError(f"malformed atom {text.strip()!r}")
-    raw_args = m.group("args")
-    if raw_args is None or not raw_args.strip():
-        return GroundAtom(m.group("name"), ())
-    args = tuple(Constant(a.strip()) for a in raw_args.split(","))
-    return GroundAtom(m.group("name"), args)
+    name, terms = _read_atom(text)
+    return GroundAtom(name, tuple(map(Constant, terms)))
 
 
 def parse_query(text: str) -> QuerySpec:
@@ -258,11 +252,11 @@ def parse_query(text: str) -> QuerySpec:
     target_text = parts[0].strip()
     if not target_text:
         raise ParseError("query has no target atoms")
-    targets = tuple(_parse_atom(t) for t in target_text.split(","))
+    targets = tuple(_parse_atom(t) for t in _COMMA.split(target_text))
     evidence = ()
     if len(parts) == 2:
         items = []
-        for chunk in parts[1].split(","):
+        for chunk in _COMMA.split(parts[1]):
             if "=" not in chunk:
                 raise ParseError(f"evidence must be atom=value: {chunk.strip()!r}")
             atom_text, value = chunk.rsplit("=", 1)

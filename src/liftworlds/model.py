@@ -576,19 +576,6 @@ def _apart(blocks: Sequence[Block]) -> bool:
     return sum(map(len, firsts)) == len(firsts[0].union(*firsts[1:]))
 
 
-def _by_rest(blocks: Sequence[Block]) -> tuple[Block, ...]:
-    """Blocks whose first sets are disjoint, as :func:`_decompose` gives their tuples.
-
-    Each constant of a first set extends to its own block's rest, so
-    grouping the first constants by their rests, as ``_decompose`` does,
-    merges the first sets of blocks with equal rests.
-    """
-    merged: dict[tuple, list[ConstantSet]] = {}
-    for b in blocks:
-        merged.setdefault(b[1:], []).append(b[0])
-    return tuple((f[0].union(*f[1:]),) + rest for rest, f in merged.items())
-
-
 def _regions(
     sets: Sequence[ConstantSet], fixed: Iterable[Constant] = ()
 ) -> list[tuple[ConstantSet, tuple[int, ...]]]:
@@ -663,7 +650,7 @@ def _project(c: Constraint, keep: Sequence[Logvar]) -> tuple[Block, ...]:
     """``c``'s tuples cut down to ``keep``, as :func:`_decompose` gives them.
 
     The cut blocks may overlap, so two or more of them are merged as sets
-    onto one logvar or fewer, merged by their rests onto more when their
+    onto one logvar or fewer, united by :func:`_union` onto more when their
     first sets are disjoint, and listed otherwise.
     """
     pos = [c.position(lv) for lv in keep]
@@ -672,7 +659,7 @@ def _project(c: Constraint, keep: Sequence[Logvar]) -> tuple[Block, ...]:
         return tuple(blocks)
     if len(pos) <= 1:
         return (tuple(col[0].union(*col[1:]) for col in zip(*blocks)),)
-    return _by_rest(blocks) if _apart(blocks) else _decompose(set(_listed(blocks)))
+    return _union(blocks) if _apart(blocks) else _decompose(set(_listed(blocks)))
 
 
 # A group is the instance set of one argument: a frozenset of the blocks
@@ -814,7 +801,7 @@ def _uniform_count(c: Constraint, keep: Sequence[Logvar]) -> tuple[int, Constrai
     cut = [tuple(b[i] for i in pos) for b in c.blocks]
     if len(cut) == 1 or pos and _apart(cut):
         distinct = {_count([b]) // _count([k]) for b, k in zip(c.blocks, cut)}
-        projected = tuple(cut) if len(cut) == 1 else _by_rest(cut)
+        projected = _union(cut)
     else:
         counts = Counter(tuple(t[i] for i in pos) for t in c.tuples)
         distinct, projected = set(counts.values()), _decompose(counts)

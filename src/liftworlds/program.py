@@ -44,6 +44,7 @@ tested for membership, so no step walks the constants of a domain.
 
 from __future__ import annotations
 
+import graphlib
 import itertools
 import re
 from dataclasses import dataclass, field, replace
@@ -56,7 +57,7 @@ from .model import Constant, Constraint, ConstantSet, TemplateModel, _decompose,
 _IDENT = r"[a-z][A-Za-z0-9_]*"
 _VAR = r"[A-Z_][A-Za-z0-9_]*"
 _FLOAT = r"\d+\.\d+(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+"
-_ATOM_RE = re.compile(rf"^(?P<pred>{_IDENT})\s*(?:\((?P<args>[^()]*)\))?$")
+_ATOM_RE = re.compile(r"(?P<name>[A-Za-z_][A-Za-z0-9_]*)\s*(?:\((?P<args>[^()]*)\))?")
 _BINDING_RE = re.compile(r"^constraint\s+(?P<id>\S+)\s*<-\s*(?P<target>.+)$", re.S)
 _POPULATE_RE = re.compile(rf"^populate\s+(?P<pred>{_IDENT})\s*/\s*(?P<arity>\d+)\s+from\s+(?P<logvar>\S+)$")
 _PROBFACT_RE = re.compile(rf"^(?P<prob>{_FLOAT})\s+(?P<atom>.+)$", re.S)
@@ -164,42 +165,30 @@ def _statements(text: str):
         raise ParseError("statement is missing its terminating '.'", line)
 
 
-def _parse_atom(text: str, line: int) -> Atom:
-    m = _ATOM_RE.match(" ".join(text.split()))
+def _read_atom(text: str, line: int | None = None) -> tuple[str, tuple[str, ...]]:
+    """The name and stripped terms of ``name`` or ``name(t1, ..., tn)``.
+
+    The one atom reader of the program and query front ends: it checks the
+    shape only, and each front end checks the name and terms it allows.
+    """
+    m = _ATOM_RE.fullmatch(text.strip())
     if not m:
         raise ParseError(f"malformed atom {text.strip()!r}", line)
-    args = m.group("args")
-    if args is None:
-        return Atom(m.group("pred"))
-    terms = tuple(t.strip() for t in args.split(",")) if args.strip() else ()
+    args = m["args"]
+    terms = tuple(t.strip() for t in args.split(",")) if args and args.strip() else ()
+    if "" in terms:
+        raise ParseError(f"malformed atom {text.strip()!r}: empty term", line)
+    return m["name"], terms
+
+
+def _parse_atom(text: str, line: int) -> Atom:
+    pred, terms = _read_atom(text, line)
+    if not re.fullmatch(_IDENT, pred):
+        raise ParseError(f"malformed atom {text.strip()!r}", line)
     for t in terms:
         if not re.fullmatch(rf"{_IDENT}|{_VAR}|\d+", t):
             raise ParseError(f"malformed term {t!r}", line)
-    return Atom(m.group("pred"), terms)
-
-
-def _check_acyclic(rules: Sequence[Rule]):
-    deps: dict[str, set[str]] = {}
-    for r in rules:
-        deps.setdefault(r.head.predicate, set()).update(a.predicate for a in r.body)
-    # depth-first search for a cycle among rule-defined predicates
-    WHITE, GREY, BLACK = 0, 1, 2
-    colour = {p: WHITE for p in deps}
-
-    def visit(p: str):
-        colour[p] = GREY
-        for d in deps.get(p, ()):
-            if d not in colour:
-                continue
-            if colour[d] == GREY:
-                raise ParseError(f"recursive predicate {d!r}")
-            if colour[d] == WHITE:
-                visit(d)
-        colour[p] = BLACK
-
-    for p in list(colour):
-        if colour[p] == WHITE:
-            visit(p)
+    return Atom(pred, terms)
 
 
 def parse(text: str) -> Program:
@@ -277,7 +266,7 @@ def parse(text: str) -> Program:
             ChoiceGroup(pred, tuple(a for _, a, _ in entries), tuple(p for p, _, _ in entries))
         )
 
-    _check_acyclic(rules)
+    _rule_order(rules)
 
     seen_ids = set()
     for b in bindings:
@@ -298,26 +287,19 @@ def parse(text: str) -> Program:
 
 
 def _rule_order(rules: Sequence[Rule]) -> list[Rule]:
-    """Dependency order; sound because recursion was rejected at parse time."""
-    heads: dict[str, list[int]] = {}
-    for i, r in enumerate(rules):
-        heads.setdefault(r.head.predicate, []).append(i)
-    done: set[int] = set()
-    ordered: list[Rule] = []
-    while len(ordered) < len(rules):
-        for i, r in enumerate(rules):
-            if i in done:
-                continue
-            ready = all(
-                all(j in done for j in heads.get(a.predicate, []) if j != i) for a in r.body
-            )
-            if ready:
-                done.add(i)
-                ordered.append(r)
-                break
-        else:  # pragma: no cover - unreachable once recursion is rejected
-            raise ValidationError("rule dependencies cannot be ordered")
-    return ordered
+    """The rules in dependency order, each after every rule that derives a predicate of its body.
+
+    Rules of one head keep their declaration order. A predicate that depends
+    on itself, directly or through others, raises a ParseError naming it.
+    """
+    graph = graphlib.TopologicalSorter()
+    for r in rules:
+        graph.add(r.head.predicate, *(a.predicate for a in r.body))
+    try:
+        rank = {p: i for i, p in enumerate(graph.static_order())}
+    except graphlib.CycleError as exc:
+        raise ParseError(f"recursive predicate {exc.args[1][0]!r}") from None
+    return sorted(rules, key=lambda r: rank[r.head.predicate])
 
 
 def _derive(base: dict[str, set[tuple[str, ...]]], rules: Sequence[Rule]) -> dict[str, set[tuple[str, ...]]]:

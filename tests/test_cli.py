@@ -204,6 +204,29 @@ class TestQuery:
         for row in rows:
             assert sum(float(row[c]) for c in joint_cols) == pytest.approx(1.0, abs=1e-9)
 
+    def test_binary_atom_query_answers_each_model_that_holds_it(self, data_dir):
+        # pair(t2,t3) leaves t1 out of 20 of the 60 bundled worlds
+        from liftworlds import UniverseModel, expand, lifted_query, load_domain_spec, load_program
+
+        text = "P(Treat(x1,t1))"
+        result = run("query", *paper_args(data_dir), "--query", text)
+        assert result.exit_code == 0
+        assert "skipped 20 of 60 models" in result.stderr
+        rows = rows_of(result.stdout)
+        assert len(rows) == 40
+        universe = UniverseModel(
+            load_model(data_dir / "model.json"),
+            load_program(data_dir / "constraints.program"),
+            load_domain_spec(data_dir / "domains.json"),
+        )
+        models = {wm.provenance.world_id: wm.model for wm in expand(universe)}
+        q = parse_query(text)
+        for row in rows:
+            want = lifted_query(models[row["world_id"]], q)
+            assert [row["p_Treat(x1,t1)=false"], row["p_Treat(x1,t1)=true"]] == [
+                "%.12g" % p for p in want.probs
+            ]
+
     def test_query_json_matches_csv(self, small_universe):
         as_csv = run("query", *small_universe, "--query", "P(Sick(x1))")
         as_json = run("query", *small_universe, "--query", "P(Sick(x1))", "--format", "json")
@@ -268,6 +291,12 @@ class TestSelections:
         assert result.exit_code == 0
         rows = rows_of(result.stdout)
         assert [r["domain_size"] for r in rows] == ["2", "3", "4"]
+        assert [r["reason"] for r in rows] == ["1", "2", "3"]
+
+    def test_topk_by_event_on_a_binary_atom(self, data_dir):
+        result = run("topk", *paper_args(data_dir), "--event", "Treat(x1,t1)=true", "--k", "3")
+        assert result.exit_code == 0
+        rows = rows_of(result.stdout)
         assert [r["reason"] for r in rows] == ["1", "2", "3"]
 
     def test_topk_needs_event_or_query(self, small_universe):

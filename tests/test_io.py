@@ -264,6 +264,23 @@ class TestQueryStrings:
         q = parse_query("P(Sick(x1), Sick(x2))")
         assert len(q.targets) == 2
 
+    def test_atoms_of_several_constants(self):
+        q = parse_query("P(Treat(x1,t1))")
+        assert q.targets == (atom("Treat", "x1", "t1"),)
+        q = parse_query("P(Sick(x1) | Treat(x1,t1)=true, Travel(x2)=false)")
+        assert q.targets == (atom("Sick", "x1"),)
+        assert dict(q.evidence.assignments) == {
+            atom("Treat", "x1", "t1"): "true",
+            atom("Travel", "x2"): "false",
+        }
+        q = parse_query("P(Treat(x1, t1), Sick(x2) | Epid=true)")
+        assert q.targets == (atom("Treat", "x1", "t1"), atom("Sick", "x2"))
+
+    def test_empty_term_is_a_parse_error(self):
+        for text in ("P(Sick(x1,))", "P(Treat(x1, ,t1))", "P(Epid | Sick(,x1)=true)"):
+            with pytest.raises(ParseError, match="empty term"):
+                parse_query(text)
+
     def test_whitespace_tolerated(self):
         q = parse_query("  P( Epid |  Sick( x1 ) = true )  ")
         assert dict(q.evidence.assignments)[atom("Sick", "x1")] == "true"
@@ -283,5 +300,7 @@ class TestQueryStrings:
     def test_event_parsing(self):
         a, v = parse_event("Sick(x1)=true")
         assert a == atom("Sick", "x1") and v == "true"
+        a, v = parse_event("Treat(x1,t1)=true")
+        assert a == atom("Treat", "x1", "t1") and v == "true"
         with pytest.raises(ParseError):
             parse_event("Sick(x1)")

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import pytest
@@ -10,6 +11,7 @@ from liftworlds import (
     DomainWorld,
     EnumeratedDomain,
     FixedDomain,
+    LiftworldsError,
     Logvar,
     Parfactor,
     ParseError,
@@ -73,6 +75,24 @@ class TestParse:
     def test_choice_probabilities_must_sum_to_one(self):
         with pytest.raises(ParseError, match="sum"):
             parse_program("0.7 pair(t1,t2).\n0.2 pair(t2,t3).")
+
+    def test_empty_term_rejected(self):
+        with pytest.raises(ParseError, match="empty term") as err:
+            parse_program("p(a).\nq(a,).")
+        assert err.value.line == 2
+
+    def test_uppercase_predicate_rejected(self):
+        with pytest.raises(ParseError, match="malformed atom 'Q\\(a\\)'"):
+            parse_program("Q(a).")
+
+    def test_rules_run_after_the_rules_they_read(self):
+        prog = parse_program("c(X) :- b(X).\nb(X) :- a(X).\nd(X) :- c(X) & b(X).\nb(X) :- e(X).")
+        assert [str(r) for r in program._rule_order(prog.rules)] == [
+            "b(X) :- a(X).",
+            "b(X) :- e(X).",
+            "c(X) :- b(X).",
+            "d(X) :- c(X) & b(X).",
+        ]
 
     def test_unsafe_rule_rejected(self):
         with pytest.raises(ParseError, match="unsafe"):
@@ -214,6 +234,24 @@ class TestEvaluate:
         )
         with pytest.raises(ValidationError, match="arity"):
             evaluate_program(prog, tmpl, people_world(*PEOPLE))
+
+    def test_hand_built_recursive_program_rejected(self):
+        # parse refuses recursion, so only a Program built by hand reaches
+        # evaluate with a cycle, which the rule order refuses in turn
+        prog = parse_program(
+            """
+            treated(X,Y) :- instance_of_X(X) & kind(Y).
+            kind(t1).
+            populate instance_of_X/1 from X.
+            constraint g0 <- top.
+            constraint g1 <- instance_of_X(X).
+            constraint g2 <- treated(X,Y).
+            """
+        )
+        loop = program.Rule(program.Atom("kind", ("Y",)), (program.Atom("treated", ("X", "Y")),))
+        looped = dataclasses.replace(prog, rules=prog.rules + (loop,))
+        with pytest.raises(LiftworldsError, match="recursive predicate '(treated|kind)'"):
+            evaluate_program(looped, epidemic_template(), people_world(*PEOPLE))
 
     def test_deterministic(self):
         tmpl = epidemic_template()

@@ -28,11 +28,12 @@ block, and an operation on one block works on its sets: peeling a named
 constant off is one set difference. This module is the only one that reads
 a constraint's blocks or tuples: the rest of the package projects, counts,
 splits, joins and grounds constraints through the functions below. Only
-grounding lists tuples, through ``_listed``, in sorted order, and
-``_listed`` is the only routine that names the constants of a run. On a
-union of several blocks a join, a count, or a projection onto two or more
-logvars lists that constraint's tuples too, where the algebra would need to
-reason about pairs of blocks.
+grounding and ``Constraint.tuples`` list tuples, through ``_listed``, in
+sorted order, and ``_listed`` is the only routine that names the constants
+of a run. A projection, a count or a join of any union of blocks works on
+a cover (``_cover``): the blocks, which may overlap, recut into disjoint
+blocks in one canonical form, each with the summed weight of the blocks
+that hold its tuples.
 
 ``_shape`` keys a model for one query: it cuts every block set into
 disjoint regions (``_regions``), each of the query's constants one of its
@@ -50,7 +51,6 @@ import itertools
 import math
 import operator
 import re
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
@@ -530,8 +530,6 @@ def _groundings(args: Sequence[PRV], c: Constraint) -> Iterator[tuple[GroundAtom
 # ---------------------------------------------------------------------------
 # the block algebra
 
-_MISALIGNED = "constraints misaligned: join does not pair groundings one-to-one"
-
 
 def _listed(blocks: Iterable[Block]) -> list[tuple[Constant, ...]]:
     """Every tuple of ``blocks``, sorted: the one routine that lists a constraint.
@@ -550,30 +548,11 @@ def _listed(blocks: Iterable[Block]) -> list[tuple[Constant, ...]]:
 def _decompose(tuples: Collection[tuple]) -> tuple[Block, ...]:
     """Disjoint blocks covering exactly ``tuples`` (distinct, all of one width).
 
-    One block when the tuples are the product of their column sets;
-    otherwise the first column's constants are grouped by the rest of their
-    tuples, and each distinct rest is decomposed once. The blocks, as a set,
-    depend only on the set of tuples, so equal tuple sets give equal
-    frozensets of blocks.
+    The :func:`_union` of one singleton block per tuple, so equal tuple sets
+    give equal frozensets of blocks.
     """
-    if not tuples:
-        return ()
-    columns = tuple(map(ConstantSet, zip(*tuples)))
-    if math.prod(map(len, columns)) == len(tuples):
-        return (columns,)
-    rests: dict[Constant, list[tuple]] = {}
-    for t in tuples:
-        rests.setdefault(t[0], []).append(t[1:])
-    firsts: dict[frozenset, list[Constant]] = {}
-    for first, rest in rests.items():
-        firsts.setdefault(frozenset(rest), []).append(first)
-    return tuple((ConstantSet(cs),) + b for rest, cs in firsts.items() for b in _decompose(rest))
-
-
-def _apart(blocks: Sequence[Block]) -> bool:
-    """Whether the first sets of ``blocks`` are pairwise disjoint."""
-    firsts = [b[0] for b in blocks]
-    return sum(map(len, firsts)) == len(firsts[0].union(*firsts[1:]))
+    one = {c: ConstantSet((c,)) for c in set(itertools.chain.from_iterable(tuples))}
+    return _union([tuple(map(one.__getitem__, t)) for t in tuples])
 
 
 def _regions(
@@ -609,16 +588,48 @@ def _regions(
     return regions
 
 
+def _cover(blocks: Sequence[Block], weights: Sequence[int]) -> dict[Block, int]:
+    """Disjoint blocks in canonical form covering ``blocks``, which may overlap.
+
+    Each cover block maps to the summed weight of the input blocks that hold
+    its tuples. A single block is its own cover; at width 0 the weights add
+    up. Otherwise the distinct first sets are cut into regions (one per set
+    when they are disjoint), each region's constants extend to the rests of
+    the blocks that hold it, with their weights, and regions whose rests
+    have equal covers merge. So the cover, as a set, depends only on which
+    tuple carries which summed weight. Nothing is listed.
+    """
+    if len(blocks) <= 1:
+        return {blocks[0]: weights[0]} if blocks else {}
+    if not blocks[0]:
+        return {(): sum(weights)}
+    rests: dict[ConstantSet, list[tuple[Block, int]]] = {}
+    for b, w in zip(blocks, weights):
+        rests.setdefault(b[0], []).append((b[1:], w))
+    firsts = list(rests)
+    # a ragged binding's first sets are one pool plus many singletons, apart
+    # once equal sets are merged; cutting them would cost O(sets^2) for nothing
+    if sum(map(len, firsts)) == len(firsts[0].union(*firsts[1:])):
+        regions = [(f, (j,)) for j, f in enumerate(firsts)]
+    else:
+        regions = _regions(firsts)
+    united: dict[tuple, list[ConstantSet]] = {}  # many regions share their rests
+    merged: dict[frozenset, tuple[dict[Block, int], list[ConstantSet]]] = {}
+    for r, held in regions:
+        rest = tuple(bw for j in held for bw in rests[firsts[j]])
+        if rest not in united:
+            cover = _cover([b for b, _ in rest], [w for _, w in rest])
+            united[rest] = merged.setdefault(frozenset(cover.items()), (cover, []))[1]
+        united[rest].append(r)
+    return {(f[0].union(*f[1:]),) + b: w for cover, f in merged.values() for b, w in cover.items()}
+
+
 def _union(blocks: Sequence[Block]) -> tuple[Block, ...]:
-    """Disjoint blocks of one width, as :func:`_decompose` gives their tuples.
+    """Disjoint blocks of one width in canonical form: their :func:`_cover`.
 
     They are one block when their sizes add up to the product of their
-    column unions (``_decompose``'s own product test). Otherwise the
-    distinct first sets are cut into regions, one per set when they are
-    disjoint; the constants of one region extend to the
-    rests of the blocks that hold it, which are disjoint, and regions whose
-    rests unite to the same blocks merge, as ``_decompose`` groups first
-    constants by their rests. Nothing is listed.
+    column unions, a test that spares the cover on a product cut in pieces.
+    Nothing is listed.
     """
     if len(blocks) <= 1:
         return tuple(blocks)
@@ -626,44 +637,27 @@ def _union(blocks: Sequence[Block]) -> tuple[Block, ...]:
     columns = tuple(c[0] if c.count(c[0]) == len(c) else c[0].union(*c[1:]) for c in zip(*blocks))
     if math.prod(map(len, columns)) == _count(blocks):
         return (columns,)
-    rests: dict[ConstantSet, list[Block]] = {}
-    for b in blocks:
-        rests.setdefault(b[0], []).append(b[1:])
-    firsts = list(rests)
-    # a ragged binding's first sets are one pool plus many singletons, apart
-    # once equal sets are merged; cutting them would cost O(sets^2) for nothing
-    if _apart([(f,) for f in firsts]):
-        regions = [(f, (j,)) for j, f in enumerate(firsts)]
-    else:
-        regions = _regions(firsts)
-    united: dict[tuple[Block, ...], frozenset[Block]] = {}  # many regions share their rests
-    merged: dict[frozenset[Block], list[ConstantSet]] = {}
-    for r, held in regions:
-        rest = tuple(b for j in held for b in rests[firsts[j]])
-        if rest not in united:
-            united[rest] = frozenset(_union(rest))
-        merged.setdefault(united[rest], []).append(r)
-    return tuple((f[0].union(*f[1:]),) + b for rest, f in merged.items() for b in rest)
+    return tuple(_cover(blocks, [0] * len(blocks)))
 
 
 def _project(c: Constraint, keep: Sequence[Logvar]) -> tuple[Block, ...]:
-    """``c``'s tuples cut down to ``keep``, as :func:`_decompose` gives them.
-
-    The cut blocks may overlap, so two or more of them are merged as sets
-    onto one logvar or fewer, united by :func:`_union` onto more when their
-    first sets are disjoint, and listed otherwise.
-    """
+    """``c``'s tuples cut down to ``keep``: the :func:`_cover` of its cut blocks."""
     pos = [c.position(lv) for lv in keep]
-    blocks = [tuple(b[i] for i in pos) for b in c.blocks]
-    if len(blocks) <= 1:
-        return tuple(blocks)
-    if len(pos) <= 1:
-        return (tuple(col[0].union(*col[1:]) for col in zip(*blocks)),)
-    return _union(blocks) if _apart(blocks) else _decompose(set(_listed(blocks)))
+    return tuple(_cover([tuple(b[i] for i in pos) for b in c.blocks], [0] * len(c.blocks)))
+
+
+def _cut_counts(c: Constraint, pos: Sequence[int]) -> dict[Block, int]:
+    """``c``'s tuples cut down to ``pos``, as a weighted :func:`_cover`.
+
+    A cut block weighs the product of the sets it dropped, so a cover
+    block's weight is how many groundings of ``c`` extend each of its tuples.
+    """
+    cut = [tuple(b[i] for i in pos) for b in c.blocks]
+    return _cover(cut, [math.prod(map(len, b)) // math.prod(map(len, k)) for b, k in zip(c.blocks, cut)])
 
 
 # A group is the instance set of one argument: a frozenset of the blocks
-# _decompose gives for it, so equal instance sets give equal groups.
+# _project gives for it, so equal instance sets give equal groups.
 
 
 def _group(c: Constraint, params: Sequence[Logvar]) -> frozenset[Block]:
@@ -753,63 +747,47 @@ def _peel(c: Constraint, named: Collection[Constant]) -> dict[tuple, Constraint]
 def _join(c1: Constraint, c2: Constraint) -> Constraint:
     """The join of two constraints that pair their groundings one-to-one.
 
-    A block with more than one constant in a set of a logvar only its side
-    has holds two groundings with one key on the shared logvars, so it
-    cannot pair. Two single blocks then pair exactly when their shared sets
-    are equal. Unions of blocks are joined on their listed tuples: ``c2``'s
-    are keyed on the shared logvars and each tuple of ``c1`` pops its
-    partner. A failed pairing raises :class:`ConstraintsMisaligned`.
+    Each side's groundings are counted by their key, their instance on the
+    shared logvars (:func:`_cut_counts`). They pair exactly when each key counts
+    one grounding on each side and both sides hold the same keys, and then
+    the two canonical covers are equal, with every weight 1. Each pair of
+    blocks joins on the meet of their keys, which equal key sets are of
+    themselves. A failed pairing raises :class:`ConstraintsMisaligned`.
     """
     shared = [lv for lv in c2.logvars if lv in c1.logvars]
     extra = tuple(lv for lv in c2.logvars if lv not in c1.logvars)
-    own = [i for i, lv in enumerate(c1.logvars) if lv not in c2.logvars]
     s1, s2 = [c1.position(lv) for lv in shared], [c2.position(lv) for lv in shared]
     x2 = [c2.position(lv) for lv in extra]
-    if any(len(b[i]) > 1 for b in c1.blocks for i in own) or any(
-        len(b[i]) > 1 for b in c2.blocks for i in x2
-    ):
-        raise ConstraintsMisaligned(_MISALIGNED)
-    logvars = c1.logvars + extra
-    if len(c1.blocks) == len(c2.blocks) == 1:
-        (b1,), (b2,) = c1.blocks, c2.blocks
-        if tuple(b1[i] for i in s1) != tuple(b2[i] for i in s2):
-            raise ConstraintsMisaligned(_MISALIGNED)
-        return Constraint(logvars, (b1 + tuple(b2[i] for i in x2),))
-    partner = {tuple(t[i] for i in s2): tuple(t[i] for i in x2) for t in c2.tuples}
-    keys_unique = len(partner) == c2.size
-    tuples1 = c1.tuples
-    keys1 = [tuple(t[i] for i in s1) for t in tuples1]
-    joined = [t + partner.pop(k) for t, k in zip(tuples1, keys1) if k in partner]
-    if not keys_unique or len(joined) < c1.size or partner:
-        raise ConstraintsMisaligned(_MISALIGNED)
-    return Constraint(logvars, _decompose(joined))
+    n1 = _cut_counts(c1, s1)
+    if any(w > 1 for w in n1.values()) or n1 != _cut_counts(c2, s2):
+        raise ConstraintsMisaligned("constraints misaligned: join does not pair groundings one-to-one")
+    joined = []
+    for b1 in c1.blocks:
+        for b2 in c2.blocks:
+            b = list(b1)
+            for i, j in zip(s1, s2):
+                b[i] = b1[i] if b1[i] == b2[j] else b1[i] & b2[j]
+            if all(b):
+                joined.append(tuple(b) + tuple(b2[j] for j in x2))
+    return Constraint(c1.logvars + extra, joined)
 
 
 def _uniform_count(c: Constraint, keep: Sequence[Logvar]) -> tuple[int, Constraint]:
     """How many groundings each tuple cut down to ``keep`` extends to, and the projection.
 
-    A kept tuple of one block, or of blocks whose kept first sets are
-    disjoint, lies in one block and extends to the product of that block's
-    other sets; any other union of blocks counts its listed tuples. Raises
-    :class:`NotCountNormalized` when the count differs between kept tuples
-    or ``c`` has no tuples.
+    Both come from :func:`_cut_counts`. Raises :class:`NotCountNormalized` when
+    the count differs between kept tuples or ``c`` has no tuples.
     """
     if not c.blocks:
         raise NotCountNormalized("not count-normalized: the constraint has no tuples")
     keep = tuple(keep)
-    pos = [c.position(lv) for lv in keep]
-    cut = [tuple(b[i] for i in pos) for b in c.blocks]
-    if len(cut) == 1 or pos and _apart(cut):
-        distinct = {_count([b]) // _count([k]) for b, k in zip(c.blocks, cut)}
-        projected = _union(cut)
-    else:
-        counts = Counter(tuple(t[i] for i in pos) for t in c.tuples)
-        distinct, projected = set(counts.values()), _decompose(counts)
+    counts = _cut_counts(c, [c.position(lv) for lv in keep])
+    distinct = set(counts.values())
     if len(distinct) != 1:
         raise NotCountNormalized(
             f"not count-normalized: kept tuples extend to {sorted(distinct)} groundings"
         )
-    return distinct.pop(), Constraint(keep, projected)
+    return distinct.pop(), Constraint(keep, tuple(counts))
 
 
 def project(c: Constraint, keep: Sequence[Logvar]) -> Constraint:

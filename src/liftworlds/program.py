@@ -303,9 +303,9 @@ def _rule_order(rules: Sequence[Rule]) -> list[Rule]:
 
 
 def _derive(base: dict[str, set[tuple[str, ...]]], rules: Sequence[Rule]) -> dict[str, set[tuple[str, ...]]]:
-    """Bottom-up evaluation to fixpoint.
+    """Bottom-up evaluation to fixpoint of ``rules``, given in :func:`_rule_order`.
 
-    One pass over the rules in dependency order reaches the fixpoint because
+    One pass over the rules in that order reaches the fixpoint because
     recursion is rejected: every body predicate is complete before its rule
     fires. Every binding of a rule's body so far binds the same variables,
     so each body atom's facts are indexed once on the positions those
@@ -313,7 +313,7 @@ def _derive(base: dict[str, set[tuple[str, ...]]], rules: Sequence[Rule]) -> dic
     the facts that match it.
     """
     rel = {p: set(ts) for p, ts in base.items()}
-    for rule in _rule_order(rules):
+    for rule in rules:
         bindings: list[dict] = [{}]
         bound: set[str] = set()
         for atom in rule.body:
@@ -414,6 +414,7 @@ def _choice_worlds(
         for lv_name in typ:
             base.setdefault(pred_of[lv_name], set()).update(((typ, i),) for i in range(k))
     atoms = [prog.binding_for(name).atom for name in tmpl.names]
+    rules = _rule_order(prog.rules)
 
     worlds = []
     sizes = [range(len(g.facts)) for g in prog.choice_groups]
@@ -423,7 +424,7 @@ def _choice_worlds(
         for g, fi in zip(prog.choice_groups, combo):
             prob *= g.probs[fi]
             chosen.setdefault(g.predicate, set()).add(g.facts[fi].terms)
-        rel = _derive(chosen, prog.rules)
+        rel = _derive(chosen, rules)
         answers = tuple(
             None if atom is None
             else tuple({_pattern(t, constants) for t in rel.get(atom.predicate, ())})

@@ -4,13 +4,16 @@ The oracles deliberately avoid the code paths they check: joint enumeration
 walks every assignment of the full joint, the datalog oracle grounds every
 rule over every constant combination, the program oracle runs the rules
 tuple at a time over each domain world's whole populated database, and the
-skyline oracle is the quadratic dominance check.
+skyline oracle is the quadratic dominance check. ``decompose`` works out
+the canonical blocks of a constraint from its tuples, where the library
+works them out from blocks.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 
 import numpy as np
 
@@ -109,6 +112,28 @@ def epidemic_template(rng: np.random.Generator | None = None) -> TemplateModel:
     g1 = Parfactor(PotentialTable((EPID, SICK, TRAVEL), v1), Constraint.empty((X,)))
     g2 = Parfactor(PotentialTable((EPID, SICK, TREAT), v2), Constraint.empty((X, T)))
     return TemplateModel((g0, g1, g2), ("g0", "g1", "g2"))
+
+
+def decompose(tuples) -> tuple:
+    """The canonical disjoint blocks of distinct tuples of one width, from the tuples.
+
+    One block when the tuples are the product of their column sets;
+    otherwise the first column's constants are grouped by the rest of their
+    tuples, and each distinct rest is decomposed once. Equal tuple sets give
+    equal frozensets of blocks.
+    """
+    if not tuples:
+        return ()
+    columns = tuple(map(ConstantSet, zip(*tuples)))
+    if math.prod(map(len, columns)) == len(tuples):
+        return (columns,)
+    rests: dict = {}
+    for t in tuples:
+        rests.setdefault(t[0], []).append(t[1:])
+    firsts: dict = {}
+    for first, rest in rests.items():
+        firsts.setdefault(frozenset(rest), []).append(first)
+    return tuple((ConstantSet(cs),) + b for rest, cs in firsts.items() for b in decompose(rest))
 
 
 def group_instances(group) -> set[tuple]:

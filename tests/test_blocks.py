@@ -9,6 +9,7 @@ some sets are given as runs of synthetic names, which peels and meets cut.
 
 import dataclasses
 import itertools
+import operator
 import re
 import time
 from collections import Counter
@@ -38,7 +39,7 @@ from liftworlds import (
 from liftworlds import model, program
 from liftworlds.model import (
     _count,
-    _decompose,
+    _cover,
     _group,
     _holds,
     _join,
@@ -51,7 +52,15 @@ from liftworlds.model import (
     _uniform_count,
     project,
 )
-from support import epidemic_model, epidemic_template, group_instances, members, record_constants, xs
+from support import (
+    decompose,
+    epidemic_model,
+    epidemic_template,
+    group_instances,
+    members,
+    record_constants,
+    xs,
+)
 
 LOGVARS = tuple(Logvar(n) for n in "XYZ")
 POOL = tuple(Constant(c) for c in ("a", "b", "x1", "x2", "x3", "x10", "x11", "x100"))
@@ -117,7 +126,7 @@ def random_constraint(rng):
 def random_group(rng, tuples, width):
     """Some of ``tuples``' instances plus one that is in none, as a group."""
     picked = {t for t in tuples if rng.random() < 0.5} | {draw(rng, width)}
-    return frozenset(_decompose(picked))
+    return frozenset(decompose(picked))
 
 
 def partner_of(rng, c1, ts1):
@@ -171,7 +180,7 @@ def test_block_operations_match_the_listed_tuples():
         want = set(cut(ts, pos))
         group = _group(c, params)
         assert group_instances(group) == want
-        assert group == frozenset(_decompose(want))
+        assert group == frozenset(decompose(want))
         assert _count(group) == len(want)
         if want:
             assert _least(group) == min(want)
@@ -179,6 +188,25 @@ def test_block_operations_match_the_listed_tuples():
         assert _holds(group, probe) == (probe in want)
         # projection
         assert sorted(group_instances(_project(c, params))) == sorted(want)
+        # cover: the cut blocks, which overlap when they drop a logvar, each
+        # with a weight, against the summed weight of each listed cut tuple;
+        # when every tuple sums to one weight, as under zero weights, the
+        # cover is the canonical decomposition
+        cut_blocks = [tuple(b[i] for i in pos) for b in c.blocks]
+        zero = rng.random() < 0.3
+        weights = [0 if zero else int(w) for w in rng.integers(1, 4, len(cut_blocks))]
+        weighted = Counter()
+        for b, w in zip(c.blocks, weights):
+            for k in set(cut([t for t in ts if all(map(operator.contains, b, t))], pos)):
+                weighted[k] += w
+        cover = _cover(cut_blocks, weights)
+        assert {t: w for b, w in cover.items() for t in group_instances([b])} == dict(weighted)
+        assert _count(cover) == len(weighted)
+        if len(set(weighted.values())) <= 1:
+            assert frozenset(cover) == frozenset(decompose(want))
+            seen["canonical cover"] += 1
+        if _count(cut_blocks) > len(want):
+            seen["cover of overlapping blocks"] += 1
         # peel: the same part keys, in the same order, and the same tuples
         named = {PROBES[i] for i in rng.permutation(len(PROBES))[: rng.integers(0, 4)]} | {Constant("e")}
         ref: dict[tuple, list] = {}
@@ -194,7 +222,7 @@ def test_block_operations_match_the_listed_tuples():
         assert inside.tuples == tuple(t for t in ts if tuple(t[i] for i in pos) in got_in)
         assert outside.tuples == tuple(t for t in ts if tuple(t[i] for i in pos) not in got_in)
         assert group_instances(_meet(group, other)) == want & got_in
-        assert _meet(group, other) == frozenset(_decompose(want & got_in))
+        assert _meet(group, other) == frozenset(decompose(want & got_in))
         # uniform count and projection
         keep = [lv for lv in c.logvars if lv in params]
         kept = cut(ts, [c.position(lv) for lv in keep])
@@ -233,7 +261,7 @@ def test_extensional_round_trips_its_tuples():
             continue
         c = Constraint.extensional(logvars, ts)
         assert c.tuples == tuple(sorted(set(ts)))
-        assert set(c.blocks) == set(_decompose(set(ts)))
+        assert set(c.blocks) == set(decompose(set(ts)))
 
 
 def test_equal_tuple_sets_give_equal_constraints():
@@ -356,6 +384,29 @@ def test_equality_and_hash_list_no_tuple(monkeypatch):
     assert calls == []
 
 
+def test_projection_count_and_join_of_several_blocks_list_no_tuple(monkeypatch):
+    # blocks over a million persons whose cut first sets overlap: each
+    # operation works on their covers, and any listing raises
+    def refuse(blocks):
+        raise AssertionError("a tuple was listed")
+
+    monkeypatch.setattr(model, "_listed", refuse)
+    x, t, z = LOGVARS[0], Logvar("T"), LOGVARS[2]
+    persons, x7 = ConstantSet(runs=((1, 10**6),)), ConstantSet(("x7",))
+    t1, t2, z1, z2 = (ConstantSet((n,)) for n in ("t1", "t2", "z1", "z2"))
+    c = Constraint((x, t, z), ((persons, t1, z1), (persons, t1, z2), (x7, t2, z1)))
+    assert project(c, (x, t)) == Constraint((x, t), ((persons - x7, t1), (x7, t1.union(t2))))
+    with pytest.raises(NotCountNormalized):
+        _uniform_count(c, (x, t))
+    two = Constraint((x, z), ((persons - x7, z1), (persons, z2), (x7, z1)))
+    assert _uniform_count(two, (x,)) == (2, Constraint((x,), ((persons,),)))
+    treated = Constraint((x, t), ((persons - x7, t1), (x7, t2)))
+    joined = _join(treated, Constraint((z, x), ((z1, persons),)))
+    assert joined == Constraint((x, t, z), ((persons - x7, t1, z1), (x7, t2, z1)))
+    with pytest.raises(ConstraintsMisaligned):
+        _join(treated, Constraint((x,), ((persons - x7,), (ConstantSet(("x7", "x8")),))))
+
+
 def test_union_of_disjoint_blocks_is_their_decomposition(monkeypatch):
     # the generator's blocks, each set cut in two a few times: the blocks stay
     # disjoint, and a cut of a first set leaves first sets that overlap
@@ -370,9 +421,9 @@ def test_union_of_disjoint_blocks_is_their_decomposition(monkeypatch):
         ts, _ = random_tuples(rng, logvars)
         if not ts:
             continue
-        # _decompose orders its blocks by string hash; sorted, the same
+        # decompose orders its blocks by string hash; sorted, the same
         # blocks are cut in every process
-        blocks = sorted(_decompose(set(ts)), key=lambda b: real([b])[0])
+        blocks = sorted(decompose(set(ts)), key=lambda b: real([b])[0])
         for _ in range(rng.integers(0, 9)):
             i = rng.integers(len(logvars))
             wide = [k for k, b in enumerate(blocks) if len(b[i]) > 1]
@@ -390,7 +441,7 @@ def test_union_of_disjoint_blocks_is_their_decomposition(monkeypatch):
         listed.clear()
         got = _union(blocks)
         assert listed == []
-        assert frozenset(got) == frozenset(_decompose(set(ts)))
+        assert frozenset(got) == frozenset(decompose(set(ts)))
         assert _count(got) == len(set(ts))
     assert min(seen.values()) > 100, seen
 

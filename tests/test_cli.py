@@ -2,6 +2,10 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -367,3 +371,22 @@ class TestPinnedBytes:
         result = run(command[0], *paper_args(data_dir), *command[1:])
         assert result.exit_code == 0
         assert hashlib.sha256(result.stdout.encode()).hexdigest() == self.DIGESTS[command]
+
+
+@pytest.mark.parametrize("seed", ["6", "12"])
+def test_pinned_outputs_hold_under_other_string_hashes(seed):
+    # groups are frozensets of blocks and ConstantSets hold frozensets of
+    # names, so their iteration order follows string hashes, which differ
+    # between processes; the pinned op logs and CSV bytes are checked again
+    # in a process that hashes strings another way
+    pinned = ["tests/test_engine.py::test_op_logs_and_answers_are_pinned", "tests/test_cli.py::TestPinnedBytes"]
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *pinned],
+        cwd=Path(__file__).resolve().parents[1],
+        env={**os.environ, "PYTHONHASHSEED": seed},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stdout[-3000:]
+    assert "7 passed" in result.stdout, result.stdout[-3000:]

@@ -27,7 +27,7 @@ from liftworlds import (
 )
 from liftworlds import io
 from liftworlds.engine import _absorb, _lifted, _multiply, _sum_out
-from liftworlds.model import _decompose, _groundings, _split, conditional_count, project
+from liftworlds.model import _groundings, _split, conditional_count, project
 from support import (
     EPID,
     SICK,
@@ -36,6 +36,7 @@ from support import (
     TREAT,
     X,
     all_atoms,
+    decompose,
     epidemic_model,
     group_instances,
     joint_enumeration,
@@ -355,7 +356,7 @@ def test_operators_carry_the_groups_they_keep():
             pos = [lf.constraint.position(lv) for lv in arg.params]
             want = {tuple(t[i] for i in pos) for t in tuples}
             assert group_instances(group) == want
-            assert group == frozenset(_decompose(want))
+            assert group == frozenset(decompose(want))
         made += 1
 
     for _ in range(1000):

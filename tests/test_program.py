@@ -11,7 +11,6 @@ from liftworlds import (
     DomainWorld,
     EnumeratedDomain,
     FixedDomain,
-    LiftworldsError,
     Logvar,
     Parfactor,
     ParseError,
@@ -28,12 +27,13 @@ from liftworlds import (
     uniformize,
 )
 from liftworlds import program
-from liftworlds.model import _decompose, _listed
+from liftworlds.model import _listed
 from liftworlds.program import ConstraintWorld
 from support import (
     EXAMPLE_PROGRAM,
     T,
     X,
+    decompose,
     epidemic_template,
     full_evaluate,
     naive_datalog,
@@ -250,7 +250,7 @@ class TestEvaluate:
         )
         loop = program.Rule(program.Atom("kind", ("Y",)), (program.Atom("treated", ("X", "Y")),))
         looped = dataclasses.replace(prog, rules=prog.rules + (loop,))
-        with pytest.raises(LiftworldsError, match="recursive predicate '(treated|kind)'"):
+        with pytest.raises(ParseError, match="recursive predicate '(treated|kind)'"):
             evaluate_program(looped, epidemic_template(), people_world(*PEOPLE))
 
     def test_deterministic(self):
@@ -282,7 +282,7 @@ class TestEvaluate:
         by_pred = {}
         for a in prog.facts:
             by_pred.setdefault(a.predicate, set()).add(a.terms)
-        rel = _derive(by_pred, prog.rules)
+        rel = _derive(by_pred, program._rule_order(prog.rules))
         got = {(p, t) for p, tuples in rel.items() for t in tuples}
         assert got == want
 
@@ -316,7 +316,7 @@ class TestEvaluate:
             by_pred = {}
             for pred, terms in base_facts:
                 by_pred.setdefault(pred, set()).add(terms)
-            rel = _derive(by_pred, rules)
+            rel = _derive(by_pred, program._rule_order(rules))
             got = {(p, t) for p, tuples in rel.items() for t in tuples}
             assert got == want
 
@@ -352,7 +352,7 @@ def check_against_oracle(text: str, spec: dict, monkeypatch) -> list:
     """Evaluate every world of ``spec`` with one shared memo, as ``expand``
     does, and compare each with the full-database oracle. Also checks that no
     tuple of a world lies in the blocks of two patterns, and that every
-    constraint's blocks are, as a set, those ``_decompose`` gives for the
+    constraint's blocks are, as a set, those ``decompose`` gives for the
     oracle's tuples. Returns the oracle's worlds."""
     prog, tmpl = parse_program(text), xy_template()
     made: dict = {}  # pattern -> its blocks in the current world
@@ -372,7 +372,7 @@ def check_against_oracle(text: str, spec: dict, monkeypatch) -> list:
         assert got == want, (text, dw.domains)
         for w, ref in zip(got, want):
             for c, r in zip(w.constraints, ref.constraints):
-                assert set(c.blocks) == set(_decompose(r.tuples)), (text, dw.domains)
+                assert set(c.blocks) == set(decompose(r.tuples)), (text, dw.domains)
         every = [t for out in made.values() for t in _listed(out)]
         assert len(every) == len(set(every)), (text, dw.domains)
         seen.extend(want)
@@ -493,6 +493,20 @@ class TestWorldShapes:
         )
         assert len(expand(u)) == 60
         assert len(calls) == 3
+
+    def test_bundled_triple_orders_its_rules_once_per_world_shape(self, data_dir, monkeypatch):
+        # once when the program is parsed, and once for the one shape its
+        # 60 worlds share, not once per choice combination
+        calls = []
+        real = program._rule_order
+        monkeypatch.setattr(program, "_rule_order", lambda rules: calls.append(1) or real(rules))
+        u = UniverseModel(
+            io.load_model(data_dir / "model.json"),
+            io.load_program(data_dir / "constraints.program"),
+            io.load_domain_spec(data_dir / "domains.json"),
+        )
+        assert len(expand(u)) == 60
+        assert len(calls) == 2
 
     def test_named_persons_that_differ_per_world_run_once_per_world(self, monkeypatch):
         calls = []

@@ -38,12 +38,26 @@ again. Once no lifted step is left, every remaining factor is grounded and
 the rest is eliminated propositionally by the routine ``ground_ve`` uses, so
 answers stay exact while liftedness degrades. Potentials travel in log
 space (an exponent of a few hundred overflows linear doubles).
+
+The lifted route is a plan and a run (compile once, evaluate many times:
+Van den Broeck et al., IJCAI 2011). ``_plan`` does all the structural work
+on one world and records the table work as steps; ``_run`` takes the steps
+over tables with a leading world axis, one row of exponents per world, and
+touches nothing else. ``lifted_query`` runs a world's own plan, a batch of
+one. The plan also records every count comparison a size decided: the join
+and count checks, the equal-weights test behind each exponent and the cost
+order. Each count is a sum of products of sums of the world's region sizes
+(``model._shape``; counts as functions of set sizes, Kisynski & Poole, UAI
+2009), so ``_at_sizes`` gives every decision and exponent at another
+world's sizes, and ``queries.query_all`` runs one plan for every world of
+a structure that makes the same decisions.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -51,18 +65,22 @@ import numpy as np
 
 from .errors import ConstraintsMisaligned, InferenceError, NotCountNormalized, ValidationError
 from .model import (
+    Constant,
+    ConstantSet,
     Constraint,
     GroundAtom,
-    Constant,
+    Logvar,
     Parfactor,
     ParameterisedModel,
     PRV,
     Range,
+    _RegionCounts,
     _count,
     _flat_index,
     _group,
     _groundings,
     _holds,
+    _inside,
     _join,
     _least,
     _meet,
@@ -127,11 +145,12 @@ class MarginalDistribution:
     probs: np.ndarray
 
     def __post_init__(self):
+        # joints are small: plain Python checks them faster than numpy calls
         probs = np.asarray(self.probs, dtype=float).reshape(-1)
-        expected = int(np.prod([len(r) for r in self.ranges], dtype=int))
-        if probs.size != expected:
+        if probs.size != math.prod(map(len, self.ranges)):
             raise ValidationError("probability vector does not match the joint range")
-        if np.any(probs < 0) or abs(float(probs.sum()) - 1.0) > 1e-9:
+        values = probs.tolist()
+        if min(values) < 0 or not abs(sum(values) - 1.0) <= 1e-9:
             raise ValidationError("probabilities must be non-negative and sum to 1")
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
@@ -153,6 +172,8 @@ class MarginalDistribution:
         except ValueError:
             raise ValidationError(f"{atom} is not a query target") from None
         vi = self.ranges[axis].index(value)
+        if len(self.targets) == 1:
+            return float(self.probs[vi])
         return float(np.take(self.as_array(), vi, axis=axis).sum())
 
 
@@ -169,14 +190,19 @@ def _note(log: list | None, kind: str, detail: str = "", exponent: int | None = 
 
 
 # ---------------------------------------------------------------------------
-# table helpers
+# table steps
+#
+# A table's last axes are its arguments' ranges. In a run (``_run``) every
+# table also has a leading world axis, of length 1 until an exponent spreads
+# it over the worlds, so the steps below count argument axes from the end.
+
 
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
-    m = np.max(a, axis=axis, keepdims=True)
+    m = a.max(axis=axis, keepdims=True)
     m = np.where(np.isfinite(m), m, 0.0)
     with np.errstate(divide="ignore"):
-        out = np.log(np.sum(np.exp(a - m), axis=axis))
-    return out + np.squeeze(m, axis=axis)
+        out = np.log(np.exp(a - m).sum(axis=axis))
+    return out + m.squeeze(axis=axis)
 
 
 def _log(values: np.ndarray) -> np.ndarray:
@@ -185,10 +211,80 @@ def _log(values: np.ndarray) -> np.ndarray:
 
 
 def _aligned(tab: np.ndarray, src: Sequence, dst: Sequence) -> np.ndarray:
-    """View of ``tab`` (shaped by src) broadcastable over the dst axis order."""
-    perm = [src.index(x) for x in dst if x in src]
-    idx = tuple(slice(None) if x in src else None for x in dst)
-    return np.transpose(tab, perm)[idx]
+    """View of ``tab`` (its last axes shaped by src) broadcastable over the dst axis order."""
+    lead = tab.ndim - len(src)
+    perm = list(range(lead))
+    perm += [lead + src.index(x) for x in dst if x in src]
+    idx = (...,) + tuple([slice(None) if x in src else None for x in dst])
+    return tab.transpose(perm)[idx]
+
+
+def _added(a: np.ndarray, b: np.ndarray, src_a: Sequence, src_b: Sequence, dst: Sequence) -> np.ndarray:
+    return _aligned(a, src_a, dst) + _aligned(b, src_b, dst)
+
+
+def _scaled(tab: np.ndarray, n) -> np.ndarray:
+    """``tab`` times ``n``: one int, or in a run one int per world."""
+    if np.ndim(n):
+        n = np.reshape(n, (-1,) + (1,) * (tab.ndim - 1))
+    return tab * n
+
+
+def _summed(tab: np.ndarray, n, axis: int) -> np.ndarray:
+    return _scaled(_logsumexp(tab, axis), n)
+
+
+class _Now:
+    """Table work done at once, with nothing recorded: the oracle route and direct operator calls."""
+
+    def tab(self, fn, tabs: tuple, *params):
+        return fn(*tabs, *params)
+
+    def check(self, *record) -> None:
+        pass
+
+    def power(self, n: int, c: Constraint, pos: list[int]):
+        return n
+
+
+_NOW = _Now()
+
+
+class _Plan:
+    """One world's lifted run as table steps, plus what makes it hold at other sizes.
+
+    A step ``(fn, refs, params)`` applies ``fn`` to the tables of the earlier
+    steps ``refs`` and to ``params``; ``result`` is the step that holds the
+    answer's table. A step with no ``fn`` reads each world's exponent number
+    ``params[0]``. ``exponents`` are the planned world's exponents, and
+    ``powers`` name where each comes from: the uniform count of a constraint
+    cut down to some positions. ``checks`` are the count comparisons whose
+    outcome a size could change (:func:`_at_sizes` reads them). ``batchable``
+    says phase 2 grounds only the query's constants, so that every world of
+    the structure grounds the same atoms.
+    """
+
+    def __init__(self, targets: tuple[GroundAtom, ...], ranges: tuple[Range, ...]):
+        self.targets = targets
+        self.ranges = ranges
+        self.steps: list[tuple] = []
+        self.checks: list[tuple] = []
+        self.exponents: list[int] = []
+        self.powers: list[tuple[Constraint, list[int]]] = []
+        self.result = -1
+        self.batchable = False
+
+    def tab(self, fn, tabs: tuple, *params) -> int:
+        self.steps.append((fn, tabs, params))
+        return len(self.steps) - 1
+
+    def check(self, *record) -> None:
+        self.checks.append(record)
+
+    def power(self, n: int, c: Constraint, pos: list[int]) -> int:
+        self.exponents.append(n)
+        self.powers.append((c, pos))
+        return self.tab(None, (), len(self.powers) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -198,12 +294,12 @@ def _aligned(tab: np.ndarray, src: Sequence, dst: Sequence) -> np.ndarray:
 @dataclass
 class _Lifted:
     args: tuple[PRV, ...]
-    logtab: np.ndarray  # shape: one axis per argument range
+    logtab: np.ndarray | int  # one axis per argument range; in a plan, a step
     constraint: Constraint
     groups: tuple[frozenset, ...]  # each argument's instances, as blocks
 
 
-def _lifted(args: tuple[PRV, ...], logtab: np.ndarray, c: Constraint) -> _Lifted:
+def _lifted(args: tuple[PRV, ...], logtab: np.ndarray | int, c: Constraint) -> _Lifted:
     """A factor over a new constraint: the one place groups are computed.
 
     Operators that keep a constraint's instance sets (a one-to-one join, a
@@ -212,20 +308,35 @@ def _lifted(args: tuple[PRV, ...], logtab: np.ndarray, c: Constraint) -> _Lifted
     return _Lifted(args, logtab, c, tuple(_group(c, a.params) for a in args))
 
 
-def _multiply(a: _Lifted, b: _Lifted) -> _Lifted:
+def _uniform(c: Constraint, keep: Sequence[Logvar], plan: _Now | _Plan) -> tuple[int, int, Constraint]:
+    """:func:`_uniform_count`, with its equal-weights test and its count recorded in a plan.
+
+    Returns the count, the count as a table step, and the projection.
+    """
+    pos = [c.position(lv) for lv in keep]
+    plan.check("same", c, pos)
+    n, projected = _uniform_count(c, keep)
+    return n, plan.power(n, c, pos), projected
+
+
+def _multiply(a: _Lifted, b: _Lifted, plan: _Now | _Plan = _NOW) -> _Lifted:
+    shared = [lv for lv in b.constraint.logvars if lv in a.constraint.logvars]
+    for c in (a.constraint, b.constraint):
+        plan.check("one", c, [c.position(lv) for lv in shared])
     join = _join(a.constraint, b.constraint)
     new = [i for i, x in enumerate(b.args) if x not in a.args]
     args = a.args + tuple(b.args[i] for i in new)
-    logtab = _aligned(a.logtab, a.args, args) + _aligned(b.logtab, b.args, args)
+    logtab = plan.tab(_added, (a.logtab, b.logtab), a.args, b.args, args)
     return _Lifted(args, logtab, join, a.groups + tuple(b.groups[i] for i in new))
 
 
-def _sum_out(lf: _Lifted, prv: PRV) -> tuple[_Lifted, int]:
+def _sum_out(lf: _Lifted, prv: PRV, plan: _Now | _Plan = _NOW) -> tuple[_Lifted, int]:
     hits = [i for i, a in enumerate(lf.args) if a == prv]
     if len(hits) != 1:
         raise ValidationError(f"{prv} must occur exactly once among the arguments")
     axis = hits[0]
     # each instance of prv may appear in only one grounding, or a plain sum is wrong
+    plan.check("pair", [lf.groups[axis]], [lf.constraint])
     if _count(lf.groups[axis]) != lf.constraint.size:
         raise NotCountNormalized(
             f"instances of {prv} are shared between groundings; sum-out needs grounding"
@@ -233,12 +344,12 @@ def _sum_out(lf: _Lifted, prv: PRV) -> tuple[_Lifted, int]:
     rest = lf.args[:axis] + lf.args[axis + 1 :]
     rest_logvars = {lv for a in rest for lv in a.params}
     keep = [lv for lv in lf.constraint.logvars if lv in rest_logvars]
-    n, projected = _uniform_count(lf.constraint, keep)
-    logtab = _logsumexp(lf.logtab, axis) * n
+    n, power, projected = _uniform(lf.constraint, keep, plan)
+    logtab = plan.tab(_summed, (lf.logtab, power), axis - len(lf.args))
     return _Lifted(rest, logtab, projected, lf.groups[:axis] + lf.groups[axis + 1 :]), n
 
 
-def _absorb(lf: _Lifted, evidence: Mapping[GroundAtom, str]) -> _Lifted:
+def _absorb(lf: _Lifted, evidence: Mapping[GroundAtom, str], plan: _Now | _Plan = _NOW) -> _Lifted:
     """Condition on evidence covering whole argument groups.
 
     Every argument whose instances are all observed with one shared value is
@@ -256,7 +367,7 @@ def _absorb(lf: _Lifted, evidence: Mapping[GroundAtom, str]) -> _Lifted:
     logtab = lf.logtab
     kept: list[PRV] = []
     kept_groups: list[frozenset] = []
-    for arg, group in zip(lf.args, lf.groups):
+    for i, (arg, group) in enumerate(zip(lf.args, lf.groups)):
         observed = [
             v for a, v in evidence.items()
             if a.name == arg.name and len(a.args) == len(arg.params) and _holds(group, a.args)
@@ -268,14 +379,14 @@ def _absorb(lf: _Lifted, evidence: Mapping[GroundAtom, str]) -> _Lifted:
         values = set(observed)
         if len(observed) < _count(group) or len(values) != 1:
             raise InferenceError(f"shatter first: group {arg} is not uniformly observed")
-        logtab = np.take(logtab, arg.range.index(values.pop()), axis=len(kept))
-    if logtab is lf.logtab:
+        logtab = plan.tab(np.take, (logtab,), arg.range.index(values.pop()), i - len(lf.args))
+    if len(kept) == len(lf.args):
         return lf
     c = lf.constraint
     kept_logvars = {lv for a in kept for lv in a.params}
     if len(kept_logvars) < len(c.logvars):
-        n, c = _uniform_count(c, [lv for lv in c.logvars if lv in kept_logvars])
-        logtab = logtab * n
+        _, power, c = _uniform(c, [lv for lv in c.logvars if lv in kept_logvars], plan)
+        logtab = plan.tab(_scaled, (logtab, power))
     return _Lifted(tuple(kept), logtab, c, tuple(kept_groups))
 
 
@@ -287,11 +398,11 @@ def _absorb(lf: _Lifted, evidence: Mapping[GroundAtom, str]) -> _Lifted:
 class _Ground:
     atoms: tuple[GroundAtom, ...]
     ranges: tuple[Range, ...]
-    logtab: np.ndarray
+    logtab: np.ndarray | int
 
 
 def _ground_factors(
-    args: tuple[PRV, ...], logtab: np.ndarray, c: Constraint
+    args: tuple[PRV, ...], logtab: np.ndarray | int, c: Constraint
 ) -> list[_Ground]:
     """One ground factor per grounding; a grounding that repeats an atom is refused."""
     ranges = tuple(a.range for a in args)
@@ -303,19 +414,18 @@ def _ground_factors(
     return out
 
 
-def _ground_multiply(a: _Ground, b: _Ground) -> _Ground:
+def _ground_multiply(a: _Ground, b: _Ground, plan: _Now | _Plan = _NOW) -> _Ground:
     atoms = a.atoms + tuple(x for x in b.atoms if x not in a.atoms)
     ranges = a.ranges + tuple(r for x, r in zip(b.atoms, b.ranges) if x not in a.atoms)
-    logtab = _aligned(a.logtab, a.atoms, atoms) + _aligned(b.logtab, b.atoms, atoms)
-    return _Ground(atoms, ranges, logtab)
+    return _Ground(atoms, ranges, plan.tab(_added, (a.logtab, b.logtab), a.atoms, b.atoms, atoms))
 
 
-def _ground_sum_out(f: _Ground, atom: GroundAtom) -> _Ground:
+def _ground_sum_out(f: _Ground, atom: GroundAtom, plan: _Now | _Plan = _NOW) -> _Ground:
     axis = f.atoms.index(atom)
     return _Ground(
         f.atoms[:axis] + f.atoms[axis + 1 :],
         f.ranges[:axis] + f.ranges[axis + 1 :],
-        _logsumexp(f.logtab, axis),
+        plan.tab(_logsumexp, (f.logtab,), axis - len(f.atoms)),
     )
 
 
@@ -330,7 +440,7 @@ def _ground_slice(f: _Ground, atom: GroundAtom, value: str) -> _Ground:
 
 
 def _eliminate(
-    factors: list[_Ground], targets: Sequence[GroundAtom], log: list | None
+    factors: list[_Ground], targets: Sequence[GroundAtom], log: list | None, plan: _Now | _Plan = _NOW
 ) -> list[_Ground]:
     """Propositional elimination of every non-target atom, fewest factors first.
 
@@ -339,6 +449,7 @@ def _eliminate(
     count is no longer the atom's is stale and skipped. A step multiplies the
     factors of the first atom into the first of them, sums the atom out and
     points the product's atoms at it, so no step rescans the factor list.
+    The order depends on the atoms alone.
     """
     live = dict(enumerate(factors))
     protected = set(targets)
@@ -356,10 +467,10 @@ def _eliminate(
         first, *rest = sorted(holders.pop(atom))
         prod = live.pop(first)
         for i in rest:
-            prod = _ground_multiply(prod, live.pop(i))
+            prod = _ground_multiply(prod, live.pop(i), plan)
             _note(log, "multiply", f"ground {atom}")
         _note(log, "sum_out", f"ground {atom}", exponent=1)
-        live[first] = _ground_sum_out(prod, atom)
+        live[first] = _ground_sum_out(prod, atom, plan)
         for other in live[first].atoms:
             if other in holders:
                 holders[other].difference_update(rest)
@@ -368,23 +479,27 @@ def _eliminate(
     return list(live.values())
 
 
-def _assemble(
-    factors: list[_Ground], targets: tuple[GroundAtom, ...], sigs: Mapping[str, tuple[int, Range]]
-) -> MarginalDistribution:
+def _assemble(factors: list[_Ground], targets: tuple[GroundAtom, ...], plan: _Now | _Plan = _NOW):
+    """The product of the factors elimination left, its axes in target order."""
     prod = factors[0]
     for other in factors[1:]:
-        prod = _ground_multiply(prod, other)
+        prod = _ground_multiply(prod, other, plan)
     if set(prod.atoms) != set(targets):
         raise InferenceError("elimination left unexpected atoms behind")
-    perm = [prod.atoms.index(t) for t in targets]
-    logtab = np.transpose(prod.logtab, perm)
-    total = _logsumexp(logtab.reshape(1, -1), axis=1).item()
-    if not np.isfinite(total):
+    return plan.tab(_aligned, (prod.logtab,), prod.atoms, targets)
+
+
+def _normalized(
+    logtab: np.ndarray, targets: tuple[GroundAtom, ...], ranges: tuple[Range, ...]
+) -> list[MarginalDistribution]:
+    """One answer per world: ``logtab`` has a leading world axis over the targets' axes."""
+    flat = logtab.reshape(len(logtab), -1)
+    total = _logsumexp(flat, axis=1)
+    if not np.all(np.isfinite(total)):
         raise InferenceError("inconsistent evidence: all joint weights are zero")
-    probs = np.exp(logtab - total).ravel()
-    probs = probs / probs.sum()
-    ranges = tuple(sigs[t.name][1] for t in targets)
-    return MarginalDistribution(targets, ranges, probs)
+    probs = np.exp(flat - total[:, None])
+    probs = probs / probs.sum(axis=1, keepdims=True)
+    return [MarginalDistribution(targets, ranges, p) for p in probs]
 
 
 def _validate_query(m: ParameterisedModel, q: QuerySpec) -> None:
@@ -396,6 +511,10 @@ def _validate_query(m: ParameterisedModel, q: QuerySpec) -> None:
             raise InferenceError(f"atom {atom} not in model")
     for atom, value in q.evidence.assignments:
         sigs[atom.name][1].index(value)
+
+
+def _ranges(m: ParameterisedModel, q: QuerySpec) -> tuple[Range, ...]:
+    return tuple(m.signatures[t.name][1] for t in q.targets)
 
 
 # ---------------------------------------------------------------------------
@@ -418,15 +537,16 @@ def ground_ve(m: ParameterisedModel, q: QuerySpec) -> MarginalDistribution:
                 if atom in observed:
                     f = _ground_slice(f, atom, observed[atom])
             factors.append(f)
-    return _assemble(_eliminate(factors, q.targets, None), q.targets, m.signatures)
+    logtab = _assemble(_eliminate(factors, q.targets, None), q.targets)
+    return _normalized(logtab[None], q.targets, _ranges(m, q))[0]
 
 
 # ---------------------------------------------------------------------------
-# lifted query answering
+# lifted query answering: a plan and a run
 
 
 def _shatter(
-    parfactors: Sequence[Parfactor], mentioned: set[Constant], log: list | None
+    parfactors: Sequence[Parfactor], mentioned: set[Constant], log: list | None, plan: _Plan
 ) -> list[_Lifted]:
     """Give every constant named by the query or evidence its own groups."""
     out = []
@@ -434,7 +554,7 @@ def _shatter(
         parts = _peel(p.constraint, mentioned)
         if len(parts) > 1:
             _note(log, "split", f"{len(parts)} groups")
-        logtab = _log(p.table.as_array())
+        logtab = plan.tab(np.asarray, (), _log(p.table.as_array())[None])
         out.extend(_lifted(p.table.args, logtab, parts[s]) for s in sorted(parts))
     return out
 
@@ -467,29 +587,21 @@ def _refine(lifted: Sequence[_Lifted], log: list | None) -> list[_Lifted]:
         lfs[idx : idx + 1] = [_lifted(lf.args, lf.logtab, part) for part in parts]
 
 
-def lifted_query(
-    m: ParameterisedModel, q: QuerySpec, *, op_log: list | None = None
-) -> MarginalDistribution:
-    """Exact conditional marginal with lifted elimination where possible.
+def _plan(m: ParameterisedModel, q: QuerySpec, op_log: list | None = None) -> _Plan:
+    """The structural half of :func:`lifted_query` on ``m``: every step but the table work.
 
-    Pipeline: shatter on the constants mentioned by the query and evidence,
-    absorb evidence, then repeatedly pick the cheapest non-target group
-    (fewest covered groundings, ties by name), multiply the parfactors
-    containing it and sum it out. A group whose multiply or sum-out fails a
-    lifted precondition is noted as stuck and skipped from then on. When no
-    group is left, the remaining factors are grounded and their non-target
-    atoms eliminated as in :func:`ground_ve`. Matches :func:`ground_ve`
-    entrywise to within 1e-9.
-
-    Pass a list as ``op_log`` to record every operation performed; a
-    ``ground`` record names each stuck group and why it is stuck.
+    Shatters, refines and absorbs, picks the elimination order, runs the join
+    and count checks and grounds what is left, recording the table work as
+    steps, each exponent with where it comes from, and each count comparison
+    a size decided. Ops go to ``op_log`` as :func:`lifted_query` documents.
     """
     _validate_query(m, q)
     mentioned = {c for atom in tuple(q.targets) + q.evidence.atoms() for c in atom.args}
     evidence = dict(q.evidence.assignments)
+    plan = _Plan(q.targets, _ranges(m, q))
     lifted: list[_Lifted] = []
-    for lf in _refine(_shatter(m.parfactors, mentioned, op_log), op_log):
-        a = _absorb(lf, evidence)
+    for lf in _refine(_shatter(m.parfactors, mentioned, op_log, plan), op_log):
+        a = _absorb(lf, evidence, plan)
         if a is not lf:
             dropped = [str(arg) for arg in lf.args if arg not in a.args]
             _note(op_log, "absorb", ",".join(dropped))
@@ -516,6 +628,9 @@ def lifted_query(
             if not ids or ids[-1] != i:
                 ids.append(i)
 
+    def held(unit: tuple[str, frozenset]) -> list[Constraint]:
+        return [live[i].constraint for i in holders[unit]]
+
     for i, lf in live.items():
         hold(i, lf)
     next_id = len(lifted)
@@ -533,18 +648,23 @@ def lifted_query(
         best = min(costs.values())
         tied = [u for u, c in costs.items() if c == best]
         unit = tied[0] if len(tied) == 1 else min(tied, key=lambda u: (_least(u[1]), _count(u[1])))
+        for u in costs:
+            if u != unit:
+                plan.check("pair", held(u), held(unit))
         name, instances = unit
         ids = list(holders[unit])
+        mark = len(plan.steps)
         try:
             prod = live[ids[0]]
             for i in ids[1:]:
-                prod = _multiply(prod, live[i])
+                prod = _multiply(prod, live[i], plan)
                 _note(op_log, "multiply", name)
             hits = [a for a, g in zip(prod.args, prod.groups) if a.name == name and g == instances]
             if len(hits) != 1:
                 raise ConstraintsMisaligned(f"group {name} is ambiguous after multiply")
-            result, n = _sum_out(prod, hits[0])
+            result, n = _sum_out(prod, hits[0], plan)
         except (ConstraintsMisaligned, NotCountNormalized) as exc:
+            del plan.steps[mark:]
             _note(op_log, "ground", f"{name}: {exc}")
             skip.add(unit)
             continue
@@ -560,5 +680,70 @@ def lifted_query(
         next_id += 1
 
     # phase 2: ground what is left and eliminate it propositionally
+    plan.batchable = all(_inside(lf.constraint, mentioned) for lf in live.values())
     grounds = [g for lf in live.values() for g in _ground_factors(lf.args, lf.logtab, lf.constraint)]
-    return _assemble(_eliminate(grounds, q.targets, op_log), q.targets, m.signatures)
+    plan.result = _assemble(_eliminate(grounds, q.targets, op_log, plan), q.targets, plan)
+    return plan
+
+
+def _run(plan: _Plan, exponents) -> list[MarginalDistribution]:
+    """The plan's table steps for many worlds at once: one row of ``exponents`` per world."""
+    exponents = np.asarray(exponents, dtype=np.int64)
+    tabs: list[np.ndarray] = []
+    for fn, refs, params in plan.steps:
+        tabs.append(exponents[:, params[0]] if fn is None else fn(*map(tabs.__getitem__, refs), *params))
+    final = tabs[plan.result]
+    final = np.broadcast_to(final, (len(exponents),) + final.shape[1:])
+    return _normalized(final, plan.targets, plan.ranges)
+
+
+def _at_sizes(
+    plan: _Plan, regions: Sequence[ConstantSet], sizes: Sequence[Sequence[int]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The sign of every check of ``plan`` and every exponent, per row of region sizes.
+
+    ``regions`` are the planned world's (``model._shape``), and each row of
+    ``sizes`` is a world's region sizes in that order (:class:`_RegionCounts`).
+    A ``"pair"`` check compares two sums of counts; a ``"one"`` or ``"same"``
+    check compares each of a cut's counts with 1 or with its first count. A
+    world makes every decision of the plan when its signs equal the planned
+    world's.
+    """
+    counts = _RegionCounts(regions, sizes)
+    signs = []
+    for kind, *args in plan.checks:
+        if kind == "pair":
+            a, b = (sum(map(counts.size, side)) for side in args)
+            signs.append(np.sign(a - b))
+        else:
+            cut = counts.cut(*args)
+            base = 1 if kind == "one" else cut[0]
+            signs += [np.sign(v - base) for v in cut]
+    exponents = [counts.cut(c, pos)[0] for c, pos in plan.powers]
+    n = len(sizes)
+    return (
+        np.array(signs, dtype=object).reshape(len(signs), n).T,
+        np.array(exponents, dtype=np.int64).reshape(len(exponents), n).T,
+    )
+
+
+def lifted_query(
+    m: ParameterisedModel, q: QuerySpec, *, op_log: list | None = None
+) -> MarginalDistribution:
+    """Exact conditional marginal with lifted elimination where possible.
+
+    Pipeline: shatter on the constants mentioned by the query and evidence,
+    absorb evidence, then repeatedly pick the cheapest non-target group
+    (fewest covered groundings, ties by name), multiply the parfactors
+    containing it and sum it out. A group whose multiply or sum-out fails a
+    lifted precondition is noted as stuck and skipped from then on. When no
+    group is left, the remaining factors are grounded and their non-target
+    atoms eliminated as in :func:`ground_ve`. Matches :func:`ground_ve`
+    entrywise to within 1e-9. This is the run of the model's own plan: a
+    batch of one world.
+
+    Pass a list as ``op_log`` to record every operation performed; a
+    ``ground`` record names each stuck group and why it is stuck.
+    """
+    plan = _plan(m, q, op_log)
+    return _run(plan, [plan.exponents])[0]

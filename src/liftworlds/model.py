@@ -39,6 +39,9 @@ that hold its tuples.
 disjoint regions (``_regions``), each of the query's constants one of its
 own, and two models with equal keys map onto each other by a renaming that
 fixes the query's constants, so ``query_all`` answers one of them for both.
+Models whose keys differ only in their region sizes have one structure:
+every count on one is a sum of products of sums of region sizes
+(``_RegionCounts``), so one plan can serve them all.
 
 All types are immutable after construction and safe to share between
 threads; the operations below are pure functions.
@@ -195,7 +198,8 @@ class ConstantSet:
                 i += 1
             else:
                 j += 1
-        return ConstantSet(self.named & other.named, runs)
+        named = self.named & other.named
+        return ConstantSet(named, runs) if named or runs else _EMPTY
 
     def __sub__(self, other: "ConstantSet") -> "ConstantSet":
         runs, cuts = [], other.runs
@@ -218,6 +222,9 @@ class ConstantSet:
             return self
         runs = itertools.chain(self.runs, *(o.runs for o in others))
         return ConstantSet(self.named.union(*(o.named for o in others)), runs)
+
+
+_EMPTY = ConstantSet()  # what a meet that finds nothing returns, built once
 
 
 @dataclass(frozen=True, slots=True)
@@ -328,6 +335,10 @@ class Constraint:
             if len(t) != len(logvars):
                 names = tuple(map(str, logvars))
                 raise ValidationError(f"tuple {tuple(map(str, t))} does not match logvars {names}")
+        # most explicit constraints are a product: one block, no decomposition
+        columns = [set(col) for col in zip(*distinct)]
+        if math.prod(map(len, columns)) == len(distinct):
+            return cls(logvars, (tuple(map(ConstantSet, columns)),))
         return cls(logvars, _decompose(distinct))
 
     @classmethod
@@ -556,18 +567,18 @@ def _decompose(tuples: Collection[tuple]) -> tuple[Block, ...]:
 
 
 def _regions(
-    sets: Sequence[ConstantSet], fixed: Iterable[Constant] = ()
+    sets: Sequence[ConstantSet], fixed: Sequence[ConstantSet] = ()
 ) -> list[tuple[ConstantSet, tuple[int, ...]]]:
     """``sets`` cut into disjoint regions, each with the indices of the sets that hold it.
 
-    Each ``fixed`` constant starts as a region of its own, in sorted order.
-    Then each set in turn cuts every region it meets into the part inside it
-    and, right after, the part outside, and what no region held of it
-    becomes a new region. So the regions come in an order that depends on
+    Each of the disjoint sets ``fixed`` starts as a region of its own. Then
+    each set in turn cuts every region it meets into the part inside it and,
+    right after, the part outside, and what no region held of it becomes a
+    new region. So the regions come in an order that depends on
     which sets meet which, never on names, and the cut costs O(sets x
     regions) meets and differences, whatever the sets' sizes.
     """
-    regions = [(ConstantSet((c,)), ()) for c in sorted(set(fixed))]
+    regions = [(f, ()) for f in fixed]
     for j, s in enumerate(sets):
         cut: list[tuple[ConstantSet, tuple[int, ...]]] = []
         for k, (r, held) in enumerate(regions):
@@ -750,16 +761,28 @@ def _join(c1: Constraint, c2: Constraint) -> Constraint:
     Each side's groundings are counted by their key, their instance on the
     shared logvars (:func:`_cut_counts`). They pair exactly when each key counts
     one grounding on each side and both sides hold the same keys, and then
-    the two canonical covers are equal, with every weight 1. Each pair of
-    blocks joins on the meet of their keys, which equal key sets are of
-    themselves. A failed pairing raises :class:`ConstraintsMisaligned`.
+    the two canonical covers are equal, with every weight 1. A block whose
+    dropped sets hold more than one tuple already counts a key twice, and
+    cover weights only add up, so such a block is refused before any cover
+    is built; one block on each side is its own cover. Each pair of blocks
+    joins on the meet of their keys, which equal key sets are of themselves.
+    A failed pairing raises :class:`ConstraintsMisaligned`.
     """
     shared = [lv for lv in c2.logvars if lv in c1.logvars]
     extra = tuple(lv for lv in c2.logvars if lv not in c1.logvars)
     s1, s2 = [c1.position(lv) for lv in shared], [c2.position(lv) for lv in shared]
     x2 = [c2.position(lv) for lv in extra]
-    n1 = _cut_counts(c1, s1)
-    if any(w > 1 for w in n1.values()) or n1 != _cut_counts(c2, s2):
+    paired = all(
+        math.prod(len(s) for i, s in enumerate(b) if i not in pos) == 1
+        for c, pos in ((c1, s1), (c2, s2))
+        for b in c.blocks
+    )
+    if paired and len(c1.blocks) == len(c2.blocks) == 1:
+        paired = [c1.blocks[0][i] for i in s1] == [c2.blocks[0][j] for j in s2]
+    elif paired:
+        n1 = _cut_counts(c1, s1)
+        paired = all(w == 1 for w in n1.values()) and n1 == _cut_counts(c2, s2)
+    if not paired:
         raise ConstraintsMisaligned("constraints misaligned: join does not pair groundings one-to-one")
     joined = []
     for b1 in c1.blocks:
@@ -815,16 +838,20 @@ def conditional_count(c: Constraint, eliminate: Iterable[Logvar]) -> int:
     return _uniform_count(c, [lv for lv in c.logvars if lv not in elim])[0]
 
 
-def _shape(m: ParameterisedModel, fixed: Iterable[Constant]) -> tuple:
-    """A key that two models share only if a renaming fixing ``fixed`` maps one onto the other.
+def _shape(
+    m: ParameterisedModel, fixed: Sequence[ConstantSet]
+) -> tuple[tuple[int, ...], tuple, list[ConstantSet]]:
+    """Region sizes and a structure that key ``m`` for one query, and the regions.
 
     Every block set of every parfactor is cut into regions (:func:`_regions`),
-    each ``fixed`` constant a region of its own. The key holds the region
-    sizes and, per parfactor, its table, its logvars and each block as the
-    regions each of its sets covers. Equal keys give a bijection of each
-    region onto the region of the same place, and it maps one model's blocks
-    onto the other's, one by one, and fixes ``fixed``. Models whose blocks
-    come in another order get other keys.
+    after ``fixed`` (the query's constants, one set each, in sorted order) as
+    regions of their own. The structure holds, per parfactor, its table, its
+    logvars and each block as the regions each of its sets covers. Models
+    with equal structures map onto each other region by region, each region
+    onto the region of the same place, and one model's blocks onto the
+    other's, one by one, with ``fixed`` fixed; when the region sizes are
+    equal too, the map is a renaming of constants. Models whose blocks come
+    in another order get other structures.
     """
     sets = list(dict.fromkeys(s for p in m.parfactors for b in p.constraint.blocks for s in b))
     regions = _regions(sets, fixed)
@@ -832,15 +859,69 @@ def _shape(m: ParameterisedModel, fixed: Iterable[Constant]) -> tuple:
     for i, (_, held) in enumerate(regions):
         for j in held:
             covers[sets[j]].append(i)
-    return tuple(len(r) for r, _ in regions), tuple(
+    cover = {s: tuple(c) for s, c in covers.items()}.__getitem__
+    structure = tuple([
         (
             p.table.args,
             p.table.values.tobytes(),
             p.constraint.logvars,
-            tuple(tuple(tuple(covers[s]) for s in b) for b in p.constraint.blocks),
+            tuple([tuple(map(cover, b)) for b in p.constraint.blocks]),
         )
         for p in m.parfactors
-    )
+    ])
+    return tuple(len(r) for r, _ in regions), structure, [r for r, _ in regions]
+
+
+def _inside(c: Constraint, named: Collection[Constant]) -> bool:
+    """Whether ``c``'s tuples use no constant but ``named`` ones."""
+    return all(len(s) == sum(k in s for k in named) for b in c.blocks for s in b)
+
+
+class _RegionCounts:
+    """Counts of constraints and groups as functions of region sizes, for many models at once.
+
+    ``regions`` are one model's (:func:`_shape`); each row of ``sizes`` gives
+    the region sizes, in that order, of a model of the same structure. Every
+    set cut from the model's sets and the fixed constants is a union of
+    regions, so every count is a sum of products of sums of region sizes:
+    here a vector of Python ints, one per row.
+    """
+
+    def __init__(self, regions: Sequence[ConstantSet], sizes: Sequence[Sequence[int]]):
+        self.rows = np.array(sizes, dtype=object).reshape(len(sizes), len(regions))
+        self.probes = [next(iter(r.named)) if r.named else f"x{r.runs[0][0]}" for r in regions]
+        self._within: dict[ConstantSet, list[int]] = {}
+        self._sizes: dict[ConstantSet, np.ndarray] = {}
+        self._counts: dict = {}  # by the id of a constraint or group, which the caller keeps
+
+    def _regions(self, s: ConstantSet) -> list[int]:
+        if s not in self._within:
+            self._within[s] = [i for i, k in enumerate(self.probes) if k in s]
+        return self._within[s]
+
+    def _count(self, blocks: Iterable[Block]) -> np.ndarray:
+        one = np.ones(len(self.rows), dtype=object)
+        for s in {s for b in blocks for s in b} - self._sizes.keys():
+            self._sizes[s] = self.rows[:, self._regions(s)].sum(axis=1)
+        return sum((math.prod(map(self._sizes.__getitem__, b), start=one) for b in blocks), start=0 * one)
+
+    def size(self, x: Constraint | frozenset[Block]) -> np.ndarray:
+        """The number of tuples of a constraint, or of instances of a group."""
+        if id(x) not in self._counts:
+            self._counts[id(x)] = self._count(x.blocks if isinstance(x, Constraint) else x)
+        return self._counts[id(x)]
+
+    def cut(self, c: Constraint, pos: Sequence[int]) -> list[np.ndarray]:
+        """How many groundings extend each tuple in each tuple of regions ``c``'s sets at ``pos`` cover."""
+        key = (id(c), tuple(pos))
+        if key not in self._counts:
+            drop = [i for i in range(len(c.logvars)) if i not in pos]
+            by: dict[tuple, list[Block]] = {}
+            for b in c.blocks:
+                for regions in itertools.product(*(self._regions(b[i]) for i in pos)):
+                    by.setdefault(regions, []).append(tuple(b[i] for i in drop))
+            self._counts[key] = [self._count(rests) for rests in by.values()]
+        return self._counts[key]
 
 
 def _product(logvars: tuple[Logvar, ...], domains: Mapping[Logvar, ConstantSet]) -> Constraint:

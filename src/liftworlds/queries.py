@@ -11,18 +11,21 @@ Worlds that differ only by a renaming of constants the query does not
 mention have the same answer (Niepert & Van den Broeck, AAAI 2014), so
 ``query_all`` answers each such class once: it keys models by
 ``model._shape`` and shares one answer between the worlds of a key, within
-one call. Those worlds then tie exactly in every selection.
+one call. Those worlds then tie exactly in every selection. Worlds of one
+structure that differ in their region sizes share one lifted plan and one
+batched numeric run, as far as their sizes make the plan's decisions.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-from .engine import MarginalDistribution, QuerySpec, lifted_query
+import numpy as np
+
+from .engine import MarginalDistribution, QuerySpec, _at_sizes, _plan, _run, lifted_query
 from .errors import InferenceError, ValidationError
-from .model import GroundAtom, _shape
+from .model import ConstantSet, GroundAtom, ParameterisedModel, _shape
 from .universe import Provenance, WeightedModel
 
 
@@ -80,46 +83,79 @@ def query_all(models: Sequence[WeightedModel], q: QuerySpec) -> AnswerSet:
 
     Degenerate models and models missing an atom (a constant absent from a
     small universe, say) are skipped and reported. Raises when no model at
-    all can answer. A model whose shape, with the query's constants fixed,
-    an earlier model of this call had gets that model's answer object
-    instead of a :func:`lifted_query` of its own: a renaming of the other
-    constants maps one onto the other, so the answers are equal up to
-    rounding: the engine breaks cost ties by the least unmentioned name, so
-    a model's own :func:`lifted_query`, or a call without the earlier models
-    of its shape, may differ from the shared answer in the last digits. The
-    first model of each shape runs the query, so errors surface as before. A
-    renaming keeps every constraint's size, so a model whose sizes no other
-    model has gets no shape.
+    all can answer.
+
+    Models are keyed by ``model._shape`` with the query's constants fixed:
+    a structure, and the sizes of its regions. Models with equal keys map
+    onto each other by a renaming of the other constants, so they share one
+    answer object. The models of one structure share one plan
+    (``engine._plan``) and one batched run, as far as their sizes make the
+    plan's decisions (:func:`_answers`). A shared
+    answer equals a model's own :func:`lifted_query` up to rounding: the
+    engine breaks cost ties by the least unmentioned name, which a model of
+    the same structure may have elsewhere. Errors surface as in
+    :func:`lifted_query`.
     """
-    entries: list[AnswerEntry] = []
     skipped: list[SkippedModel] = []
     atoms = tuple(q.targets) + q.evidence.atoms()
-    mentioned = {c for a in atoms for c in a.args}
-    answers: dict[tuple, MarginalDistribution] = {}  # by renaming class, for this call only
-
-    def sizes(m) -> tuple[int, ...]:
-        return tuple(p.constraint.size for p in m.parfactors)
-
-    alike = Counter(sizes(wm.model) for wm in models if wm.model is not None)
+    fixed = [ConstantSet((c,)) for c in sorted({c for a in atoms for c in a.args})]
+    # structure -> the atoms it lacks (the query's constants are regions of
+    # their own, so the structure says), the first model and regions of each
+    # region-size vector, and the answers by region sizes
+    structures: dict[tuple, tuple[list, dict, dict]] = {}
+    keyed: list[tuple[WeightedModel, dict, tuple]] = []
     for wm in models:
         if wm.degenerate or wm.model is None:
             skipped.append(SkippedModel(wm.provenance, "degenerate world"))
             continue
-        missing = [a for a in atoms if not wm.model.contains_atom(a)]
+        sizes, structure, regions = _shape(wm.model, fixed)
+        group = structures.get(structure)
+        if group is None:
+            group = structures[structure] = ([a for a in atoms if not wm.model.contains_atom(a)], {}, {})
+        missing, worlds, answers = group
         if missing:
             skipped.append(SkippedModel(wm.provenance, f"atom {missing[0]} not in model"))
             continue
-        if alike[sizes(wm.model)] == 1:
-            answer = lifted_query(wm.model, q)
-        else:
-            key = _shape(wm.model, mentioned)
-            answer = answers.get(key)
-            if answer is None:
-                answer = answers[key] = lifted_query(wm.model, q)
-        entries.append(AnswerEntry(wm.provenance, wm.prob, answer))
-    if models and not entries:
+        worlds.setdefault(sizes, (wm.model, regions))
+        keyed.append((wm, answers, sizes))
+    if models and not keyed:
         raise InferenceError("no model can answer the query: " + skipped[0].reason)
-    return AnswerSet(q, tuple(entries), tuple(skipped))
+    for _, worlds, answers in structures.values():
+        answers.update(_answers(worlds, q))
+    entries = tuple(AnswerEntry(wm.provenance, wm.prob, answers[sizes]) for wm, answers, sizes in keyed)
+    return AnswerSet(q, entries, tuple(skipped))
+
+
+def _answers(
+    worlds: dict[tuple[int, ...], tuple[ParameterisedModel, list]], q: QuerySpec
+) -> dict[tuple[int, ...], MarginalDistribution]:
+    """One answer per region-size vector of one structure, with as few plans as agree.
+
+    The last pending world is planned, and every pending world whose sizes
+    make all the plan's decisions (``engine._at_sizes``) runs in one batch.
+    The others wait for the next plan. Worlds come in ascending size from
+    ``expand``, and the largest is the least likely to sit on a cost tie or
+    a region of one constant, which other sizes do not share. A plan whose
+    phase 2 grounds more than the query's constants is not batched: its
+    world runs it, and the others run alone. A last world left alone runs
+    :func:`lifted_query`.
+    """
+    answers: dict[tuple[int, ...], MarginalDistribution] = {}
+    pending = list(worlds)
+    while len(pending) > 1:
+        model, regions = worlds[pending[-1]]
+        plan = _plan(model, q)
+        if not plan.batchable:
+            answers[pending[-1]] = _run(plan, [plan.exponents])[0]
+            answers.update((sizes, lifted_query(worlds[sizes][0], q)) for sizes in pending[:-1])
+            return answers
+        signs, exponents = _at_sizes(plan, regions, pending)
+        agree = np.all(signs == signs[-1], axis=1)
+        answers.update(zip([s for s, ok in zip(pending, agree) if ok], _run(plan, exponents[agree])))
+        pending = [s for s, ok in zip(pending, agree) if not ok]
+    if pending:
+        answers[pending[0]] = lifted_query(worlds[pending[0]][0], q)
+    return answers
 
 
 def event_probability(answer: MarginalDistribution, e: EventProbe) -> float:

@@ -26,7 +26,7 @@ from liftworlds import (
     lifted_query,
 )
 from liftworlds import io
-from liftworlds.engine import _absorb, _lifted, _multiply, _sum_out
+from liftworlds.engine import _Plan, _absorb, _at_sizes, _lifted, _multiply, _sum_out
 from liftworlds.model import _groundings, _split, conditional_count, project
 from support import (
     EPID,
@@ -339,6 +339,40 @@ class TestAbsorb:
         m = ParameterisedModel((g,))
         marginal = ground_ve(m, QuerySpec((atom("Epid"),), ev))
         assert np.allclose(marginal.probs, want / want.sum(), atol=1e-12)
+
+
+def test_each_recorded_check_tells_the_sizes_that_change_it():
+    # a plan records the join pairing, the sum-out count check and the
+    # equal-weights test behind each exponent; _at_sizes gives each check's
+    # sign at other region sizes, and each exponent
+    def at(plan, regions, rows):
+        signs, exponents = _at_sizes(plan, regions, rows)
+        return [list(r) for r in signs], [list(r) for r in exponents]
+
+    persons, one, two = ConstantSet(xs(3)), ConstantSet(["t1"]), ConstantSet(["t2", "t3"])
+    logtab = np.zeros((2, 2))
+    # the join pairs Sick's persons with Treat's one to one only while each has one treatment
+    plan = _Plan((), ())
+    _multiply(
+        _lifted((EPID, SICK), logtab, Constraint((X,), ((persons,),))),
+        _lifted((SICK, TREAT), logtab, Constraint((X, T), ((persons, one),))),
+        plan,
+    )
+    signs, _ = at(plan, [persons, one], [(3, 1), (5, 1), (3, 2)])
+    assert signs[0] == signs[1] != signs[2]
+    # summing Sick out of persons x treatments counts its instances once only with one treatment
+    plan = _Plan((), ())
+    _sum_out(_lifted((SICK, TREAT), logtab, Constraint((X, T), ((persons, one),))), SICK, plan)
+    signs, exponents = at(plan, [persons, one], [(3, 1), (5, 1), (3, 2)])
+    assert signs[0] == signs[1] != signs[2] and exponents[:2] == [[1], [1]]
+    # x1 and x2 extend to as many Treat groundings each only while their
+    # treatment sets are as large, and that count is the exponent
+    plan = _Plan((), ())
+    x1, x2, other = ConstantSet(["x1"]), ConstantSet(["x2"]), ConstantSet(["t1", "t4"])
+    ragged = Constraint((X, T), ((x1, other), (x2, two)))
+    _sum_out(_lifted((SICK, TREAT), logtab, ragged), TREAT, plan)
+    signs, exponents = at(plan, [x1, x2, other, two], [(1, 1, 2, 2), (1, 1, 3, 3), (1, 1, 2, 3)])
+    assert signs[0] == signs[1] != signs[2] and exponents[:2] == [[2], [3]]
 
 
 def test_operators_carry_the_groups_they_keep():

@@ -1,3 +1,4 @@
+import json
 from collections import Counter
 
 import numpy as np
@@ -15,6 +16,7 @@ from liftworlds import (
     GroundAtom,
     InferenceError,
     MarginalDistribution,
+    PRV,
     Parfactor,
     ParameterisedModel,
     PotentialTable,
@@ -35,7 +37,8 @@ from liftworlds import (
     top_k_query_prob,
     trend_report,
 )
-from liftworlds import queries
+from liftworlds import engine, queries
+from liftworlds.model import _shape
 from liftworlds.queries import AnswerEntry, AnswerSet
 from liftworlds.universe import Provenance, WeightedModel
 from support import (
@@ -125,6 +128,53 @@ def counted_calls(monkeypatch) -> list:
     return calls
 
 
+def counted_plans(monkeypatch) -> list:
+    """Every model planned from now on, by ``query_all`` or inside ``lifted_query``."""
+    plans = []
+    real = engine._plan
+
+    def plan(m, q, op_log=None):
+        plans.append(m)
+        return real(m, q, op_log)
+
+    monkeypatch.setattr(engine, "_plan", plan)
+    monkeypatch.setattr(queries, "_plan", plan)
+    return plans
+
+
+def bundled_models(data_dir, **domains):
+    """The bundled triple expanded, its ``X`` domain settings replaced by ``domains``."""
+    doc = json.loads((data_dir / "domains.json").read_text())
+    doc["X"].update(domains)
+    return expand(UniverseModel(
+        io.load_model(data_dir / "model.json"),
+        io.load_program(data_dir / "constraints.program"),
+        io.parse_domain_spec(doc),
+    ))
+
+
+def alternating(n, rng_seed=5):
+    """A ragged world over x1..x{n}: every person has t1, every second one t2 as well."""
+    t1, t2 = ts(2)
+    pairs = [(x, t) for i, x in enumerate(xs(n)) for t in ((t1, t2) if i % 2 else (t1,))]
+    return ragged_model(pairs, np.random.default_rng(rng_seed))
+
+
+def counted_pair(treatments):
+    """Epid, A(X) and B(X,T) in one parfactor over three persons and ``treatments`` treatments.
+
+    A and B tie on cost and A goes first by name; summing A out is exact only
+    when each person has one treatment, so only a world with one counts it out.
+    """
+    a, b = PRV("A", (X,)), PRV("B", (X, T))
+    g0 = Parfactor(PotentialTable((EPID,), [1.0, 2.0]), Constraint.extensional((), [()]))
+    g1 = Parfactor(
+        PotentialTable((EPID, a, b), np.linspace(0.5, 2.0, 8)),
+        Constraint((X, T), ((ConstantSet(xs(3)), ConstantSet(ts(treatments))),)),
+    )
+    return ParameterisedModel((g0, g1))
+
+
 def weighted(*models):
     return [WeightedModel(m, 1 / len(models), Provenance(i, 0, {"X": 0}, ("X",))) for i, m in enumerate(models)]
 
@@ -156,31 +206,119 @@ def shaped(g1_persons, g2_persons, treatments=("t1", "t2")):
 class TestRenamingClasses:
     """Worlds that a renaming of unmentioned constants maps onto each other share one answer."""
 
-    def test_bundled_triple_answers_twenty_classes(self, monkeypatch, data_dir):
-        # 20 person counts x 3 treatment pairs that no query mentions
-        models = expand(UniverseModel(
-            io.load_model(data_dir / "model.json"),
-            io.load_program(data_dir / "constraints.program"),
-            io.load_domain_spec(data_dir / "domains.json"),
-        ))
+    def test_bundled_triple_runs_one_plan(self, monkeypatch, data_dir):
+        # 20 person counts x 3 treatment pairs that no query mentions: one
+        # structure, 20 region-size vectors, and no size changes a decision
+        models = bundled_models(data_dir)
         q = parse_query("P(Sick(x1))")
-        calls = counted_calls(monkeypatch)
+        plans, calls = counted_plans(monkeypatch), counted_calls(monkeypatch)
         aset = query_all(models, q)
-        assert len(aset.entries) == 60 and len(calls) == 20
-        assert len({wm.provenance.domain_size for wm in models if wm.model in calls}) == 20
+        assert len(aset.entries) == 60 and len(plans) == 1 and calls == []
+        sizes_of: dict[int, set] = {}
+        for wm, entry in zip(models, aset.entries):
+            sizes_of.setdefault(id(entry.answer), set()).add(wm.provenance.domain_size)
+        assert len(sizes_of) == 20 and all(len(sizes) == 1 for sizes in sizes_of.values())
         monkeypatch.undo()
         for wm, entry in zip(models, aset.entries):
             assert entry.answer.probs.tobytes() == lifted_query(wm.model, q).probs.tobytes()
 
-    def test_worlds_of_distinct_sizes_build_no_shape(self, monkeypatch):
-        # a renaming keeps constraint sizes, so these worlds cannot share
-        made = []
-        real = queries._shape
-        monkeypatch.setattr(queries, "_shape", lambda *a: made.append(a) or real(*a))
-        models = expand(sized_universe((2, 3, 4), (0.5, 0.3, 0.2)))
-        calls = counted_calls(monkeypatch)
-        assert len(query_all(models, QuerySpec((SICK_X1,))).entries) == 3
-        assert (len(calls), made) == (3, [])
+    def test_worlds_of_distinct_sizes_share_one_plan(self, monkeypatch):
+        # no renaming maps these worlds onto each other, but they have one
+        # structure and the plan of the first holds at every size
+        models = expand(sized_universe((4, 5, 6), (0.5, 0.3, 0.2)))
+        q = QuerySpec((SICK_X1,))
+        plans, calls = counted_plans(monkeypatch), counted_calls(monkeypatch)
+        aset = query_all(models, q)
+        assert len(aset.entries) == 3 and len(plans) == 1 and calls == []
+        assert len({id(e.answer) for e in aset.entries}) == 3
+        monkeypatch.undo()
+        for wm, entry in zip(models, aset.entries):
+            assert np.max(np.abs(entry.answer.probs - lifted_query(wm.model, q).probs)) < 1e-12
+            assert np.max(np.abs(entry.answer.probs - ground_ve(wm.model, q).probs)) < 1e-9
+
+    @pytest.mark.parametrize(
+        "first, second, q",
+        [
+            # 2 other persons tie in cost with 2 treatments; 4 do not
+            (epidemic_model(3, 2, np.random.default_rng(3)), epidemic_model(5, 2, np.random.default_rng(3)),
+             QuerySpec((SICK_X1,))),
+            # A's instances count the groundings only with one treatment each
+            (counted_pair(1), counted_pair(2), QuerySpec((GroundAtom("Epid"),))),
+        ],
+        ids=["cost-order", "equal-count"],
+    )
+    def test_a_decision_that_sizes_change_splits_the_plan(self, monkeypatch, first, second, q):
+        fixed = [ConstantSet((c,)) for c in sorted({c for a in q.targets for c in a.args})]
+        (sizes1, structure1, regions), (sizes2, structure2, _) = _shape(first, fixed), _shape(second, fixed)
+        assert structure1 == structure2 and sizes1 != sizes2
+        signs, _ = engine._at_sizes(engine._plan(first, q), regions, [sizes1, sizes2])
+        assert list(signs[0]) != list(signs[1])
+        logs = [], []
+        for m, log in zip((first, second), logs):
+            lifted_query(m, q, op_log=log)
+        sum_outs = [[r.detail for r in log if r.kind == "sum_out"] for log in logs]
+        stuck = [[r.detail for r in log if r.kind == "ground" and ":" in r.detail] for log in logs]
+        assert sum_outs[0] != sum_outs[1] or stuck[0] != stuck[1]
+        plans = counted_plans(monkeypatch)
+        aset = query_all(weighted(first, second), q)
+        assert len(plans) == 2
+        monkeypatch.undo()
+        for m, entry in zip((first, second), aset.entries):
+            assert np.max(np.abs(entry.answer.probs - lifted_query(m, q).probs)) < 1e-12
+            assert np.max(np.abs(entry.answer.probs - ground_ve(m, q).probs)) < 1e-9
+
+    def test_worlds_that_agree_with_a_plan_make_its_decisions(self):
+        # worlds of one structure at random sizes: a world whose signs equal
+        # the planned world's makes every decision its own plan makes (the
+        # same ops on the same groups, up to the reasons for being stuck) and
+        # has the exponents _at_sizes gives it
+        rng = np.random.default_rng(29)
+        agreed = disagreed = 0
+        for _ in range(60):
+            seed, kind = int(rng.integers(100)), int(rng.integers(3))
+            if kind == 0:
+                worlds = [epidemic_model(int(rng.integers(1, 6)), int(rng.integers(1, 4)), np.random.default_rng(seed))
+                          for _ in range(4)]
+            elif kind == 1:
+                worlds = [counted_pair(int(rng.integers(1, 4))) for _ in range(4)]
+            else:
+                worlds = [alternating(int(rng.integers(3, 9)), seed) for _ in range(4)]
+            target = GroundAtom("Epid") if kind == 1 or rng.random() < 0.3 else SICK_X1
+            evidence = ((GroundAtom("Travel", (Constant("x2"),)), "true"),) if kind == 2 else ()
+            q = QuerySpec((target,), Evidence(evidence))
+            fixed = [ConstantSet((c,)) for c in sorted({c for a in q.targets + q.evidence.atoms() for c in a.args})]
+            keys = [_shape(m, fixed) for m in worlds]
+            group = [(m, k) for m, k in zip(worlds, keys) if k[1] == keys[0][1]]
+            log = []
+            plan = engine._plan(worlds[0], q, log)
+            signs, exponents = engine._at_sizes(plan, keys[0][2], [k[0] for _, k in group])
+            for (m, _), row, exps in zip(group, signs, exponents):
+                if list(row) != list(signs[0]):
+                    disagreed += 1
+                    continue
+                own_log = []
+                own = engine._plan(m, q, own_log)
+                assert list(exps) == own.exponents
+                if plan.batchable:
+                    agreed += 1
+                    assert [(r.kind, r.detail.split(":")[0]) for r in own_log] == [
+                        (r.kind, r.detail.split(":")[0]) for r in log
+                    ]
+        assert agreed > 40 and disagreed > 40, (agreed, disagreed)
+
+    def test_worlds_whose_phase_two_grounds_persons_run_alone(self, monkeypatch):
+        # one structure at every size, but Treat is ragged, so phase 2 grounds
+        # every person and no plan can hold for another world
+        worlds = [alternating(n) for n in (4, 6, 9)]
+        q = QuerySpec((SICK_X1,), Evidence(((GroundAtom("Travel", (Constant("x2"),)), "true"),)))
+        fixed = [ConstantSet((Constant(c),)) for c in ("x1", "x2")]
+        assert len({_shape(m, fixed)[1] for m in worlds}) == 1
+        plans, calls = counted_plans(monkeypatch), counted_calls(monkeypatch)
+        aset = query_all(weighted(*worlds), q)
+        assert len(plans) == 3 and calls == worlds[:-1]
+        monkeypatch.undo()
+        for m, entry in zip(worlds, aset.entries):
+            assert np.max(np.abs(entry.answer.probs - ground_ve(m, q).probs)) < 1e-9
 
     def test_renamed_copies_share_one_call(self, monkeypatch):
         rng = np.random.default_rng(41)
@@ -251,6 +389,39 @@ class TestRenamingClasses:
         ]
         for wm, entry in zip(weighted(first, second), aset.entries):
             assert np.max(np.abs(entry.answer.probs - ground_ve(wm.model, aset.query).probs)) < 1e-9
+
+
+def test_query_all_matches_lifted_query(data_dir):
+    # batched answers against each model's own run, to 1e-12: the bundled
+    # worlds (byte for byte), a seeded sample of every person count from 1 to
+    # 2000, and seeded ragged worlds, some of one structure
+    q = parse_query("P(Sick(x1))")
+
+    def check(models, q):
+        aset = query_all(models, q)
+        assert len(aset.entries) == len(models)
+        return [np.max(np.abs(e.answer.probs - lifted_query(wm.model, q).probs)) for wm, e in zip(models, aset.entries)]
+
+    bundled = bundled_models(data_dir)
+    aset = query_all(bundled, q)
+    for wm, entry in zip(bundled, aset.entries):
+        assert entry.answer.probs.tobytes() == lifted_query(wm.model, q).probs.tobytes()
+    unbinned = bundled_models(data_dir, bins=2000, step=1)
+    rng = np.random.default_rng(17)
+    sizes = {1, 2, 3} | {int(n) for n in rng.choice(np.arange(4, 2001), 30, replace=False)}
+    sample = [wm for wm in unbinned if wm.provenance.domain_size in sizes]
+    assert len(sample) == 3 * len(sizes)
+    assert max(check(sample, q)) < 1e-12
+    travel = parse_query("P(Sick(x1) | Travel(x2)=true)")
+    ragged = [alternating(n) for n in (4, 7, 10, 15)]
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        pairs = [(x, t) for x in xs(int(rng.integers(2, 7))) for t in ts(3) if rng.random() < 0.6]
+        persons = {p for p, _ in pairs}
+        if {"x1", "x2"} <= persons:
+            ragged.append(ragged_model(pairs, np.random.default_rng(int(rng.integers(2)))))
+    assert len(ragged) > 10
+    assert max(check(weighted(*ragged), travel)) < 1e-12
 
 
 class TestTopK:

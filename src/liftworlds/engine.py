@@ -51,6 +51,16 @@ order. Each count is a sum of products of sums of the world's region sizes
 2009), so ``_at_sizes`` gives every decision and exponent at another
 world's sizes, and ``queries.query_all`` runs one plan for every world of
 a structure that makes the same decisions.
+
+Phase 2 grounds every person of a stuck group, but the plan records each
+distinct step once, as compiled circuits share equal subcircuits (Chavira &
+Darwiche, IJCAI 2005): another person's ground factors over the same
+tables, multiplied and summed out in the same layout, are steps already
+recorded. So a run computes them once, and a plan grows by about one step
+per grounded person (the product into the factor they all share). A run
+drops each table after the last step that reads it. :func:`_eliminate`
+ranks the atoms once, in the order atoms compare, and orders its heap by
+``(factor count, rank)``, so its loop compares and hashes ints only.
 """
 
 from __future__ import annotations
@@ -59,6 +69,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -210,17 +221,38 @@ def _log(values: np.ndarray) -> np.ndarray:
         return np.log(values)
 
 
-def _aligned(tab: np.ndarray, src: Sequence, dst: Sequence) -> np.ndarray:
-    """View of ``tab`` (its last axes shaped by src) broadcastable over the dst axis order."""
+def _aligned(tab: np.ndarray, src: tuple[int, ...], n: int) -> np.ndarray:
+    """View of ``tab`` broadcastable over ``n`` axes: its last axis k goes to axis ``src[k]``."""
     lead = tab.ndim - len(src)
     perm = list(range(lead))
-    perm += [lead + src.index(x) for x in dst if x in src]
-    idx = (...,) + tuple([slice(None) if x in src else None for x in dst])
+    perm += [lead + k for k in sorted(range(len(src)), key=src.__getitem__)]
+    idx = (...,) + tuple([slice(None) if x in src else None for x in range(n)])
     return tab.transpose(perm)[idx]
 
 
-def _added(a: np.ndarray, b: np.ndarray, src_a: Sequence, src_b: Sequence, dst: Sequence) -> np.ndarray:
-    return _aligned(a, src_a, dst) + _aligned(b, src_b, dst)
+def _added(a: np.ndarray, b: np.ndarray, src_a: tuple[int, ...], src_b: tuple[int, ...], n: int) -> np.ndarray:
+    return _aligned(a, src_a, n) + _aligned(b, src_b, n)
+
+
+def _product_step(
+    a: tuple, b: tuple, logtabs: tuple, plan: _Now | _Plan
+) -> tuple[list[int], np.ndarray | int]:
+    """The product of two factors whose axes are ``a`` and ``b``.
+
+    Returns the indices into ``b`` of the axes ``a`` lacks (the product's
+    axes are a's, then those) and the product's table. The step names axes
+    by position, so products over other atoms or PRVs laid out the same way
+    are one step.
+    """
+    new: list[int] = []
+    src_b = []
+    for k, x in enumerate(b):
+        if x in a:
+            src_b.append(a.index(x))
+        else:
+            src_b.append(len(a) + len(new))
+            new.append(k)
+    return new, plan.tab(_added, logtabs, tuple(range(len(a))), tuple(src_b), len(a) + len(new))
 
 
 def _scaled(tab: np.ndarray, n) -> np.ndarray:
@@ -256,27 +288,62 @@ class _Plan:
     A step ``(fn, refs, params)`` applies ``fn`` to the tables of the earlier
     steps ``refs`` and to ``params``; ``result`` is the step that holds the
     answer's table. A step with no ``fn`` reads each world's exponent number
-    ``params[0]``. ``exponents`` are the planned world's exponents, and
-    ``powers`` name where each comes from: the uniform count of a constraint
-    cut down to some positions. ``checks`` are the count comparisons whose
-    outcome a size could change (:func:`_at_sizes` reads them). ``batchable``
-    says phase 2 grounds only the query's constants, so that every world of
-    the structure grounds the same atoms.
+    ``params[0]``.
+
+    Equal steps are recorded once (hash-consing): ``memo`` maps each step to
+    its index, and :meth:`tab` returns the earlier index for a step equal to
+    one already recorded, as another person's ground factors multiplied and
+    summed the same way in phase 2 are. Steps name axes by position, so
+    every param hashes cheaply; a parfactor's table, an array, is keyed by
+    the parfactor's index. :meth:`drop` forgets a stuck group's steps and
+    their memo entries. ``last`` names, per step, the last step that reads
+    its table, so that a run drops each table after its last reader.
+
+    ``exponents`` are the planned world's exponents, and ``powers`` name
+    where each comes from: the uniform count of a constraint cut down to
+    some positions. ``checks`` are the count comparisons whose outcome a
+    size could change (:func:`_at_sizes` reads them). ``batchable`` says
+    phase 2 grounds only the query's constants, so that every world of the
+    structure grounds the same atoms.
     """
 
     def __init__(self, targets: tuple[GroundAtom, ...], ranges: tuple[Range, ...]):
         self.targets = targets
         self.ranges = ranges
         self.steps: list[tuple] = []
+        self.memo: dict[tuple, int] = {}
+        self.last: list[int] = []
         self.checks: list[tuple] = []
         self.exponents: list[int] = []
         self.powers: list[tuple[Constraint, list[int]]] = []
         self.result = -1
         self.batchable = False
 
-    def tab(self, fn, tabs: tuple, *params) -> int:
-        self.steps.append((fn, tabs, params))
-        return len(self.steps) - 1
+    def tab(self, fn, tabs: tuple, *params, key=None) -> int:
+        """The step ``fn(*tabs, *params)``: an equal earlier one, or a new one.
+
+        ``key`` stands for params that do not hash, in the memo only.
+        """
+        step = (fn, tabs, params)
+        n = len(self.steps)
+        i = self.memo.setdefault(step if key is None else (fn, tabs, key), n)
+        if i == n:
+            self.steps.append(step)
+        return i
+
+    def drop(self, mark: int) -> None:
+        """Forget every step from ``mark`` on, and every memo entry at or past it."""
+        del self.steps[mark:]
+        self.memo = {k: i for k, i in self.memo.items() if i < mark}
+
+    def finish(self, result: int) -> None:
+        """Name the answer's step and the last step that reads each step's table."""
+        self.result = result
+        self.last = last = [-1] * len(self.steps)  # -1: read by no step, or the answer
+        for i, step in enumerate(self.steps):
+            for r in step[1]:
+                last[r] = i
+        last[result] = -1
 
     def check(self, *record) -> None:
         self.checks.append(record)
@@ -324,9 +391,8 @@ def _multiply(a: _Lifted, b: _Lifted, plan: _Now | _Plan = _NOW) -> _Lifted:
     for c in (a.constraint, b.constraint):
         plan.check("one", c, [c.position(lv) for lv in shared])
     join = _join(a.constraint, b.constraint)
-    new = [i for i, x in enumerate(b.args) if x not in a.args]
+    new, logtab = _product_step(a.args, b.args, (a.logtab, b.logtab), plan)
     args = a.args + tuple(b.args[i] for i in new)
-    logtab = plan.tab(_added, (a.logtab, b.logtab), a.args, b.args, args)
     return _Lifted(args, logtab, join, a.groups + tuple(b.groups[i] for i in new))
 
 
@@ -406,18 +472,20 @@ def _ground_factors(
 ) -> list[_Ground]:
     """One ground factor per grounding; a grounding that repeats an atom is refused."""
     ranges = tuple(a.range for a in args)
+    # atoms of different names never alias, so only shared names are checked
+    shared = len({a.name for a in args}) < len(args)
     out = []
     for atoms in _groundings(args, c):
-        if len(set(atoms)) != len(atoms):
+        if shared and len(set(atoms)) != len(atoms):
             raise InferenceError(f"aliased arguments in one grounding: {atoms}")
         out.append(_Ground(atoms, ranges, logtab))
     return out
 
 
 def _ground_multiply(a: _Ground, b: _Ground, plan: _Now | _Plan = _NOW) -> _Ground:
-    atoms = a.atoms + tuple(x for x in b.atoms if x not in a.atoms)
-    ranges = a.ranges + tuple(r for x, r in zip(b.atoms, b.ranges) if x not in a.atoms)
-    return _Ground(atoms, ranges, plan.tab(_added, (a.logtab, b.logtab), a.atoms, b.atoms, atoms))
+    new, logtab = _product_step(a.atoms, b.atoms, (a.logtab, b.logtab), plan)
+    atoms = a.atoms + tuple(b.atoms[i] for i in new)
+    return _Ground(atoms, a.ranges + tuple(b.ranges[i] for i in new), logtab)
 
 
 def _ground_sum_out(f: _Ground, atom: GroundAtom, plan: _Now | _Plan = _NOW) -> _Ground:
@@ -444,39 +512,60 @@ def _eliminate(
 ) -> list[_Ground]:
     """Propositional elimination of every non-target atom, fewest factors first.
 
-    ``holders`` maps each non-target atom to the live factors that mention
-    it, and ``heap`` orders atoms by (factor count, atom); an entry whose
-    count is no longer the atom's is stale and skipped. A step multiplies the
-    factors of the first atom into the first of them, sums the atom out and
-    points the product's atoms at it, so no step rescans the factor list.
-    The order depends on the atoms alone.
+    Atoms are ranked once: the non-target atoms, sorted as atoms compare (by
+    name, then arguments), take ranks 0 to k-1 and the targets the ranks
+    after, and the factors name their atoms by rank until the end. So
+    ``holders`` maps each non-target rank to the live factors that mention
+    it, and ``heap`` orders ranks by (factor count, rank), ints only; an
+    entry whose count is no longer the rank's is stale and skipped. A step
+    multiplies the factors of the first atom into the first of them, sums
+    the atom out and points the product's atoms at it, so no step rescans
+    the factor list. The order depends on the atoms alone.
     """
-    live = dict(enumerate(factors))
-    protected = set(targets)
-    holders: dict[GroundAtom, set[int]] = {}
+    # number the atoms as first seen, targets first, hashing each atom of a
+    # factor once; then rank the others by their (name, args) keys
+    seen = {t: i for i, t in enumerate(targets)}
+    numbered = [[seen.setdefault(a, len(seen)) for a in f.atoms] for f in factors]
+    atoms = list(seen)
+    keys = list(map(attrgetter("name", "args"), atoms))
+    order = sorted(range(len(targets), len(atoms)), key=keys.__getitem__)
+    if not order:
+        return list(factors)
+    k = len(order)
+    order += range(len(targets))
+    rank = [0] * len(atoms)
+    for r, i in enumerate(order):
+        rank[i] = r
+    names = [atoms[i] for i in order]
+    live = {
+        i: _Ground(tuple(map(rank.__getitem__, nums)), f.ranges, f.logtab)
+        for i, (nums, f) in enumerate(zip(numbered, factors))
+    }
+    holders: dict[int, set[int]] = {}
     for i, f in live.items():
-        for atom in f.atoms:
-            if atom not in protected:
-                holders.setdefault(atom, set()).add(i)
-    heap = [(len(ids), atom) for atom, ids in holders.items()]
+        for r in f.atoms:
+            if r < k:
+                holders.setdefault(r, set()).add(i)
+    heap = [(len(held), r) for r, held in holders.items()]
     heapq.heapify(heap)
     while heap:
-        count, atom = heapq.heappop(heap)
-        if len(holders.get(atom, ())) != count:
+        count, r = heapq.heappop(heap)
+        if len(holders.get(r, ())) != count:
             continue
-        first, *rest = sorted(holders.pop(atom))
+        first, *rest = sorted(holders.pop(r))
+        if log is not None:
+            detail = f"ground {names[r]}"
+            log += [OpRecord("multiply", detail)] * len(rest) + [OpRecord("sum_out", detail, 1)]
         prod = live.pop(first)
         for i in rest:
             prod = _ground_multiply(prod, live.pop(i), plan)
-            _note(log, "multiply", f"ground {atom}")
-        _note(log, "sum_out", f"ground {atom}", exponent=1)
-        live[first] = _ground_sum_out(prod, atom, plan)
+        live[first] = _ground_sum_out(prod, r, plan)
         for other in live[first].atoms:
             if other in holders:
                 holders[other].difference_update(rest)
                 holders[other].add(first)
                 heapq.heappush(heap, (len(holders[other]), other))
-    return list(live.values())
+    return [_Ground(tuple(map(names.__getitem__, f.atoms)), f.ranges, f.logtab) for f in live.values()]
 
 
 def _assemble(factors: list[_Ground], targets: tuple[GroundAtom, ...], plan: _Now | _Plan = _NOW):
@@ -486,7 +575,7 @@ def _assemble(factors: list[_Ground], targets: tuple[GroundAtom, ...], plan: _No
         prod = _ground_multiply(prod, other, plan)
     if set(prod.atoms) != set(targets):
         raise InferenceError("elimination left unexpected atoms behind")
-    return plan.tab(_aligned, (prod.logtab,), prod.atoms, targets)
+    return plan.tab(_aligned, (prod.logtab,), tuple(map(targets.index, prod.atoms)), len(targets))
 
 
 def _normalized(
@@ -550,11 +639,11 @@ def _shatter(
 ) -> list[_Lifted]:
     """Give every constant named by the query or evidence its own groups."""
     out = []
-    for p in parfactors:
+    for i, p in enumerate(parfactors):
         parts = _peel(p.constraint, mentioned)
         if len(parts) > 1:
             _note(log, "split", f"{len(parts)} groups")
-        logtab = plan.tab(np.asarray, (), _log(p.table.as_array())[None])
+        logtab = plan.tab(np.asarray, (), _log(p.table.as_array())[None], key=i)
         out.extend(_lifted(p.table.args, logtab, parts[s]) for s in sorted(parts))
     return out
 
@@ -648,9 +737,10 @@ def _plan(m: ParameterisedModel, q: QuerySpec, op_log: list | None = None) -> _P
         best = min(costs.values())
         tied = [u for u, c in costs.items() if c == best]
         unit = tied[0] if len(tied) == 1 else min(tied, key=lambda u: (_least(u[1]), _count(u[1])))
+        chosen = held(unit)
         for u in costs:
             if u != unit:
-                plan.check("pair", held(u), held(unit))
+                plan.check("pair", held(u), chosen)
         name, instances = unit
         ids = list(holders[unit])
         mark = len(plan.steps)
@@ -664,7 +754,7 @@ def _plan(m: ParameterisedModel, q: QuerySpec, op_log: list | None = None) -> _P
                 raise ConstraintsMisaligned(f"group {name} is ambiguous after multiply")
             result, n = _sum_out(prod, hits[0], plan)
         except (ConstraintsMisaligned, NotCountNormalized) as exc:
-            del plan.steps[mark:]
+            plan.drop(mark)
             _note(op_log, "ground", f"{name}: {exc}")
             skip.add(unit)
             continue
@@ -682,16 +772,19 @@ def _plan(m: ParameterisedModel, q: QuerySpec, op_log: list | None = None) -> _P
     # phase 2: ground what is left and eliminate it propositionally
     plan.batchable = all(_inside(lf.constraint, mentioned) for lf in live.values())
     grounds = [g for lf in live.values() for g in _ground_factors(lf.args, lf.logtab, lf.constraint)]
-    plan.result = _assemble(_eliminate(grounds, q.targets, op_log, plan), q.targets, plan)
+    plan.finish(_assemble(_eliminate(grounds, q.targets, op_log, plan), q.targets, plan))
     return plan
 
 
 def _run(plan: _Plan, exponents) -> list[MarginalDistribution]:
     """The plan's table steps for many worlds at once: one row of ``exponents`` per world."""
     exponents = np.asarray(exponents, dtype=np.int64)
-    tabs: list[np.ndarray] = []
-    for fn, refs, params in plan.steps:
-        tabs.append(exponents[:, params[0]] if fn is None else fn(*map(tabs.__getitem__, refs), *params))
+    tabs: list[np.ndarray | None] = [None] * len(plan.steps)
+    for i, (fn, refs, params) in enumerate(plan.steps):
+        tabs[i] = exponents[:, params[0]] if fn is None else fn(*map(tabs.__getitem__, refs), *params)
+        for r in refs:
+            if plan.last[r] == i:
+                tabs[r] = None
     final = tabs[plan.result]
     final = np.broadcast_to(final, (len(exponents),) + final.shape[1:])
     return _normalized(final, plan.targets, plan.ranges)

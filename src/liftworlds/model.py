@@ -533,9 +533,9 @@ def _groundings(args: Sequence[PRV], c: Constraint) -> Iterator[tuple[GroundAtom
 
     The one routine that turns constraint tuples into ground atoms.
     """
-    pos = {lv: i for i, lv in enumerate(c.logvars)}
+    picks = [(a.name, [c.position(lv) for lv in a.params]) for a in args]
     for t in _listed(c.blocks):
-        yield tuple(GroundAtom(a.name, tuple(t[pos[lv]] for lv in a.params)) for a in args)
+        yield tuple([GroundAtom(name, tuple([t[i] for i in pick])) for name, pick in picks])
 
 
 # ---------------------------------------------------------------------------

@@ -379,9 +379,11 @@ def test_pinned_outputs_hold_under_other_string_hashes(seed):
     # names, so their iteration order follows string hashes, which differ
     # between processes; the pinned op logs and CSV bytes, and query_all's
     # batched answers against per-model runs, are checked again in a process
-    # that hashes strings another way
+    # that hashes strings another way; so are ground_ve's answer bytes, whose
+    # elimination order phase 2 shares
     pinned = [
         "tests/test_engine.py::test_op_logs_and_answers_are_pinned",
+        "tests/test_engine.py::test_ground_ve_answers_are_pinned",
         "tests/test_cli.py::TestPinnedBytes",
         "tests/test_queries.py::test_query_all_matches_lifted_query",
     ]
@@ -394,4 +396,4 @@ def test_pinned_outputs_hold_under_other_string_hashes(seed):
         timeout=120,
     )
     assert result.returncode == 0, result.stdout[-3000:]
-    assert "8 passed" in result.stdout, result.stdout[-3000:]
+    assert "9 passed" in result.stdout, result.stdout[-3000:]

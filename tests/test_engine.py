@@ -26,7 +26,7 @@ from liftworlds import (
     lifted_query,
 )
 from liftworlds import io
-from liftworlds.engine import _Plan, _absorb, _at_sizes, _lifted, _multiply, _sum_out
+from liftworlds.engine import _Plan, _absorb, _at_sizes, _lifted, _multiply, _plan, _run, _sum_out
 from liftworlds.model import _groundings, _split, conditional_count, project
 from support import (
     EPID,
@@ -350,7 +350,7 @@ def test_each_recorded_check_tells_the_sizes_that_change_it():
         return [list(r) for r in signs], [list(r) for r in exponents]
 
     persons, one, two = ConstantSet(xs(3)), ConstantSet(["t1"]), ConstantSet(["t2", "t3"])
-    logtab = np.zeros((2, 2))
+    logtab = 0  # in a plan a factor's table is a step; these plans are never run
     # the join pairs Sick's persons with Treat's one to one only while each has one treatment
     plan = _Plan((), ())
     _multiply(
@@ -373,6 +373,66 @@ def test_each_recorded_check_tells_the_sizes_that_change_it():
     _sum_out(_lifted((SICK, TREAT), logtab, ragged), TREAT, plan)
     signs, exponents = at(plan, [x1, x2, other, two], [(1, 1, 2, 2), (1, 1, 3, 3), (1, 1, 2, 3)])
     assert signs[0] == signs[1] != signs[2] and exponents[:2] == [[2], [3]]
+
+
+def _assert_memo_is_exact(plan):
+    # every step reads only earlier steps, and every memo entry names a
+    # recorded step equal to its key (a table constant is keyed by index)
+    for i, (fn, refs, params) in enumerate(plan.steps):
+        assert all(r < i for r in refs)
+    for key, i in plan.memo.items():
+        assert i < len(plan.steps)
+        fn, refs, params = plan.steps[i]
+        assert (fn, refs) == key[:2] and (fn is np.asarray or params == key[2])
+
+
+def test_plan_records_each_distinct_step_once():
+    # phase 2 grounds each person of a ragged Treat group, and another
+    # person's factors over the same tables are the same steps: only the
+    # chain of products into Epid's factor grows with the persons
+    q = QuerySpec((atom("Sick", "x1"),), Evidence(((atom("Travel", "x2"), "true"),)))
+    rng = np.random.default_rng(4)
+    t1, t2, t3 = ts(3)
+    alternating = [[t1, t2] if i % 2 else [t1] for i in range(60)]
+    drawn = [[t for b, t in enumerate((t1, t2, t3)) if s >> b & 1] for s in rng.integers(1, 8, 60)]
+    for treatments in (alternating, drawn):
+        steps = []
+        for n in (20, 60):
+            m = ragged_model([(x, t) for x, held in zip(xs(n), treatments) for t in held], rng)
+            log = []
+            plan = _plan(m, q, log)
+            assert any(r.kind == "ground" for r in log)
+            _assert_memo_is_exact(plan)
+            steps.append(len(plan.steps))
+            got = _run(plan, [plan.exponents])[0].probs
+            assert np.max(np.abs(got - ground_ve(m, q).probs)) < 1e-9
+        assert steps[1] - steps[0] <= 1.1 * (60 - 20)
+
+
+def test_a_stuck_group_leaves_no_memo_entry_behind(monkeypatch):
+    # Dose is summed out first, then Treat's two factors are multiplied (a
+    # recorded step) before its ragged sum-out fails: the group's steps are
+    # dropped, and so must be their memo entries, or a later equal step
+    # would read another step's table
+    q = QuerySpec((atom("Sick", "x1"),), Evidence(((atom("Travel", "x2"), "true"),)))
+    rng = np.random.default_rng(5)
+    t1, t2 = ts(2)
+    dropped = []
+    drop = _Plan.drop
+    monkeypatch.setattr(
+        _Plan, "drop", lambda plan, mark: dropped.append(len(plan.steps) - mark) or drop(plan, mark)
+    )
+    for n in (4, 8, 13):
+        pairs = [(x, t) for i, x in enumerate(xs(n)) for t in ((t1, t2) if i % 2 else (t1,))]
+        g0, g1, g2 = ragged_model(pairs, rng).parfactors
+        dose = PotentialTable((TREAT, PRV("Dose", (X, T))), rng.uniform(0.5, 2, 4))
+        m = ParameterisedModel((g0, g1, g2, Parfactor(dose, g2.constraint)))
+        dropped.clear()
+        plan = _plan(m, q)
+        assert max(dropped) > 0
+        _assert_memo_is_exact(plan)
+        got = _run(plan, [plan.exponents])[0].probs
+        assert np.max(np.abs(got - ground_ve(m, q).probs)) < 1e-9
 
 
 def test_operators_carry_the_groups_they_keep():
@@ -640,9 +700,8 @@ def _op_log_digest(cases) -> str:
     return h.hexdigest()
 
 
-def test_op_logs_and_answers_are_pinned(data_dir):
-    # recorded before constraints took their block form inside lifted_query:
-    # the form changes how the engine reads a constraint, not what it does
+def _pinned_cases(data_dir):
+    """The 60 bundled worlds for ``P(Sick(x1))`` and 42 seeded ragged shapes with ``Travel(x2)=true``."""
     u = UniverseModel(
         io.load_model(data_dir / "model.json"),
         io.load_program(data_dir / "constraints.program"),
@@ -665,7 +724,15 @@ def test_op_logs_and_answers_are_pinned(data_dir):
             pairs.extend((x, t) for b, t in enumerate(treatments) if subset >> b & 1)
         shapes.append(pairs)
     travel = QuerySpec((atom("Sick", "x1"),), Evidence(((atom("Travel", "x2"), "true"),)))
-    ragged = [(ragged_model(pairs, rng), travel) for pairs in shapes]
+    return bundled, [(ragged_model(pairs, rng), travel) for pairs in shapes]
+
+
+def test_op_logs_and_answers_are_pinned(data_dir):
+    # recorded before constraints took their block form inside lifted_query:
+    # the form changes how the engine reads a constraint, not what it does
+    bundled, ragged = _pinned_cases(data_dir)
+    t1, t2, t3 = ts(3)
+    travel = ragged[0][1]
     # Sick and Travel over more persons than Treat: same-name groups overlap
     # without being equal, so _refine splits
     rng = np.random.default_rng(9)
@@ -680,3 +747,13 @@ def test_op_logs_and_answers_are_pinned(data_dir):
     assert _op_log_digest(bundled) == "fa75b1f98910503bd4ddd120477cd8d751a99cbf7a277c9121a767e51cde5104"
     assert _op_log_digest(ragged) == "2643768c5da58f075eb89360a8d19854e65bd57383cd8bf7c2d514d57be9e739"
     assert _op_log_digest(refined) == "2ee4d94cbeb875f8f975c2ef8db637ceb428cf80bd155032623741ff9a79fbd0"
+
+
+def test_ground_ve_answers_are_pinned(data_dir):
+    # the oracle shares _eliminate with the lifted route's phase 2, so its
+    # answer bytes on the pinned cases are pinned too
+    bundled, ragged = _pinned_cases(data_dir)
+    h = hashlib.sha256()
+    for m, q in bundled + ragged:
+        h.update(repr([float(p).hex() for p in ground_ve(m, q).probs]).encode())
+    assert h.hexdigest() == "f0ba4a6f6d7d1784eedac155bdb25d1da283e94ab53c1808788cf8cd80d22fc2"

@@ -58,9 +58,14 @@ Darwiche, IJCAI 2005): another person's ground factors over the same
 tables, multiplied and summed out in the same layout, are steps already
 recorded. So a run computes them once, and a plan grows by about one step
 per grounded person (the product into the factor they all share). A run
-drops each table after the last step that reads it. :func:`_eliminate`
-ranks the atoms once, in the order atoms compare, and orders its heap by
-``(factor count, rank)``, so its loop compares and hashes ints only.
+drops each table after the last step that reads it. Phase 2 works on ints
+from the moment a tuple is grounded: ``model._groundings`` gives each atom
+as its ``(name, args)`` key, :func:`_ground_factors` interns the keys into
+ids (the targets' first), and a ground factor is a plain ``(atoms, ranges,
+logtab)`` tuple. :func:`_eliminate` ranks the other keys by one sort, in the
+order atoms compare, and orders its heap by ``(factor count, rank)``, so its
+loop compares and hashes ints only. Atom objects are made for the query,
+op-log text and error messages only.
 """
 
 from __future__ import annotations
@@ -69,7 +74,6 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -210,14 +214,17 @@ def _note(log: list | None, kind: str, detail: str = "", exponent: int | None = 
 
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     m = a.max(axis=axis, keepdims=True)
-    m = np.where(np.isfinite(m), m, 0.0)
-    with np.errstate(divide="ignore"):
-        out = np.log(np.exp(a - m).sum(axis=axis))
-    return out + m.squeeze(axis=axis)
+    finite = np.isfinite(m)
+    if finite.all():
+        # each slice's sum holds exp(0) = 1, so no zero reaches the log
+        return np.log(np.exp(a - m).sum(axis=axis)) + m.squeeze(axis=axis)
+    m = np.where(finite, m, 0.0)
+    with np.errstate(divide="ignore"):  # an all-zero slice's log is -inf
+        return np.log(np.exp(a - m).sum(axis=axis)) + m.squeeze(axis=axis)
 
 
 def _log(values: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore"):  # a zero potential's log is -inf
         return np.log(values)
 
 
@@ -460,122 +467,109 @@ def _absorb(lf: _Lifted, evidence: Mapping[GroundAtom, str], plan: _Now | _Plan 
 # propositional factors (ground route and the lifted route's second phase)
 
 
-@dataclass
-class _Ground:
-    atoms: tuple[GroundAtom, ...]
-    ranges: tuple[Range, ...]
-    logtab: np.ndarray | int
-
-
 def _ground_factors(
-    args: tuple[PRV, ...], logtab: np.ndarray | int, c: Constraint
-) -> list[_Ground]:
-    """One ground factor per grounding; a grounding that repeats an atom is refused."""
+    args: tuple[PRV, ...], logtab: np.ndarray | int, c: Constraint, ids: dict[tuple, int]
+) -> list[tuple]:
+    """One ground factor per grounding; a grounding that repeats an atom is refused.
+
+    A ground factor is a plain tuple ``(atoms, ranges, logtab)`` whose atoms
+    are ids: ``ids`` maps each atom's ``(name, args)`` key to its id, and
+    gives a key it lacks the next id.
+    """
     ranges = tuple(a.range for a in args)
     # atoms of different names never alias, so only shared names are checked
     shared = len({a.name for a in args}) < len(args)
     out = []
-    for atoms in _groundings(args, c):
+    for keys in _groundings(args, c):
+        atoms = tuple([ids.setdefault(key, len(ids)) for key in keys])
         if shared and len(set(atoms)) != len(atoms):
-            raise InferenceError(f"aliased arguments in one grounding: {atoms}")
-        out.append(_Ground(atoms, ranges, logtab))
+            aliased = tuple(GroundAtom(*key) for key in keys)
+            raise InferenceError(f"aliased arguments in one grounding: {aliased}")
+        out.append((atoms, ranges, logtab))
     return out
 
 
-def _ground_multiply(a: _Ground, b: _Ground, plan: _Now | _Plan = _NOW) -> _Ground:
-    new, logtab = _product_step(a.atoms, b.atoms, (a.logtab, b.logtab), plan)
-    atoms = a.atoms + tuple(b.atoms[i] for i in new)
-    return _Ground(atoms, a.ranges + tuple(b.ranges[i] for i in new), logtab)
+def _ground_multiply(a: tuple, b: tuple, plan: _Now | _Plan = _NOW) -> tuple:
+    new, logtab = _product_step(a[0], b[0], (a[2], b[2]), plan)
+    return a[0] + tuple([b[0][i] for i in new]), a[1] + tuple([b[1][i] for i in new]), logtab
 
 
-def _ground_sum_out(f: _Ground, atom: GroundAtom, plan: _Now | _Plan = _NOW) -> _Ground:
-    axis = f.atoms.index(atom)
-    return _Ground(
-        f.atoms[:axis] + f.atoms[axis + 1 :],
-        f.ranges[:axis] + f.ranges[axis + 1 :],
-        plan.tab(_logsumexp, (f.logtab,), axis - len(f.atoms)),
-    )
-
-
-def _ground_slice(f: _Ground, atom: GroundAtom, value: str) -> _Ground:
-    axis = f.atoms.index(atom)
-    vi = f.ranges[axis].index(value)
-    return _Ground(
-        f.atoms[:axis] + f.atoms[axis + 1 :],
-        f.ranges[:axis] + f.ranges[axis + 1 :],
-        np.take(f.logtab, vi, axis=axis),
+def _ground_drop(f: tuple, atom: int, plan: _Now | _Plan, fn, *params) -> tuple:
+    """``f`` without ``atom``'s axis: ``fn(logtab, *params, axis)`` sums it out or slices it."""
+    atoms, ranges, logtab = f
+    axis = atoms.index(atom)
+    return (
+        atoms[:axis] + atoms[axis + 1 :],
+        ranges[:axis] + ranges[axis + 1 :],
+        plan.tab(fn, (logtab,), *params, axis - len(atoms)),
     )
 
 
 def _eliminate(
-    factors: list[_Ground], targets: Sequence[GroundAtom], log: list | None, plan: _Now | _Plan = _NOW
-) -> list[_Ground]:
+    factors: list[tuple], ids: dict[tuple, int], n_targets: int, log: list | None, plan: _Now | _Plan = _NOW
+) -> list[tuple]:
     """Propositional elimination of every non-target atom, fewest factors first.
 
-    Atoms are ranked once: the non-target atoms, sorted as atoms compare (by
-    name, then arguments), take ranks 0 to k-1 and the targets the ranks
-    after, and the factors name their atoms by rank until the end. So
-    ``holders`` maps each non-target rank to the live factors that mention
-    it, and ``heap`` orders ranks by (factor count, rank), ints only; an
-    entry whose count is no longer the rank's is stale and skipped. A step
-    multiplies the factors of the first atom into the first of them, sums
-    the atom out and points the product's atoms at it, so no step rescans
-    the factor list. The order depends on the atoms alone.
+    The factors name their atoms by the ids of ``ids``, whose first
+    ``n_targets`` atoms are the targets. The other atoms are ranked once by
+    their keys, in the order atoms compare (by name, then arguments), so
+    ``holders`` maps each non-target id to the live factors that mention it,
+    and ``heap`` orders atoms by (factor count, rank), ints only; an entry
+    whose count is no longer the atom's is stale and skipped, and an atom is
+    pushed again only when its count changes. A step multiplies the factors
+    of the first atom into the first of them, sums the atom out and points
+    the product's atoms at it, so no step rescans the factor list. The order
+    depends on the atoms alone.
     """
-    # number the atoms as first seen, targets first, hashing each atom of a
-    # factor once; then rank the others by their (name, args) keys
-    seen = {t: i for i, t in enumerate(targets)}
-    numbered = [[seen.setdefault(a, len(seen)) for a in f.atoms] for f in factors]
-    atoms = list(seen)
-    keys = list(map(attrgetter("name", "args"), atoms))
-    order = sorted(range(len(targets), len(atoms)), key=keys.__getitem__)
+    keys = list(ids)
+    order = sorted(range(n_targets, len(keys)), key=keys.__getitem__)
     if not order:
         return list(factors)
-    k = len(order)
-    order += range(len(targets))
-    rank = [0] * len(atoms)
+    rank = [0] * len(keys)
     for r, i in enumerate(order):
         rank[i] = r
-    names = [atoms[i] for i in order]
-    live = {
-        i: _Ground(tuple(map(rank.__getitem__, nums)), f.ranges, f.logtab)
-        for i, (nums, f) in enumerate(zip(numbered, factors))
-    }
+    live = dict(enumerate(factors))
     holders: dict[int, set[int]] = {}
-    for i, f in live.items():
-        for r in f.atoms:
-            if r < k:
-                holders.setdefault(r, set()).add(i)
-    heap = [(len(held), r) for r, held in holders.items()]
+    for j, f in live.items():
+        for i in f[0]:
+            if i >= n_targets:
+                holders.setdefault(i, set()).add(j)
+    heap = [(len(held), rank[i]) for i, held in holders.items()]
     heapq.heapify(heap)
     while heap:
         count, r = heapq.heappop(heap)
-        if len(holders.get(r, ())) != count:
+        i = order[r]
+        if len(holders.get(i, ())) != count:
             continue
-        first, *rest = sorted(holders.pop(r))
+        first, *rest = sorted(holders.pop(i))
         if log is not None:
-            detail = f"ground {names[r]}"
+            detail = f"ground {GroundAtom(*keys[i])}"
             log += [OpRecord("multiply", detail)] * len(rest) + [OpRecord("sum_out", detail, 1)]
         prod = live.pop(first)
-        for i in rest:
-            prod = _ground_multiply(prod, live.pop(i), plan)
-        live[first] = _ground_sum_out(prod, r, plan)
-        for other in live[first].atoms:
-            if other in holders:
-                holders[other].difference_update(rest)
-                holders[other].add(first)
-                heapq.heappush(heap, (len(holders[other]), other))
-    return [_Ground(tuple(map(names.__getitem__, f.atoms)), f.ranges, f.logtab) for f in live.values()]
+        for j in rest:
+            prod = _ground_multiply(prod, live.pop(j), plan)
+        live[first] = prod = _ground_drop(prod, i, plan, _logsumexp)
+        if not rest:
+            continue  # no count changed, so every heap entry is as valid as before
+        for other in prod[0]:
+            held = holders.get(other)
+            if held is not None:
+                n = len(held)
+                held.difference_update(rest)
+                held.add(first)
+                if len(held) != n:  # an unchanged count keeps its valid entry
+                    heapq.heappush(heap, (len(held), rank[other]))
+    return list(live.values())
 
 
-def _assemble(factors: list[_Ground], targets: tuple[GroundAtom, ...], plan: _Now | _Plan = _NOW):
+def _assemble(factors: list[tuple], n_targets: int, plan: _Now | _Plan = _NOW):
     """The product of the factors elimination left, its axes in target order."""
     prod = factors[0]
     for other in factors[1:]:
         prod = _ground_multiply(prod, other, plan)
-    if set(prod.atoms) != set(targets):
+    if set(prod[0]) != set(range(n_targets)):
         raise InferenceError("elimination left unexpected atoms behind")
-    return plan.tab(_aligned, (prod.logtab,), tuple(map(targets.index, prod.atoms)), len(targets))
+    return plan.tab(_aligned, (prod[2],), prod[0], n_targets)
 
 
 def _normalized(
@@ -618,15 +612,16 @@ def ground_ve(m: ParameterisedModel, q: QuerySpec) -> MarginalDistribution:
     atom), multiplies what is left and normalizes.
     """
     _validate_query(m, q)
-    observed = dict(q.evidence.assignments)
-    factors: list[_Ground] = []
+    ids = {(t.name, t.args): i for i, t in enumerate(q.targets)}
+    observed = {ids.setdefault((a.name, a.args), len(ids)): v for a, v in q.evidence.assignments}
+    factors = []
     for p in m.parfactors:
-        for f in _ground_factors(p.table.args, _log(p.table.as_array()), p.constraint):
-            for atom in f.atoms:
-                if atom in observed:
-                    f = _ground_slice(f, atom, observed[atom])
+        for f in _ground_factors(p.table.args, _log(p.table.as_array()), p.constraint, ids):
+            for i, r in zip(f[0], f[1]):
+                if i in observed:
+                    f = _ground_drop(f, i, _NOW, np.take, r.index(observed[i]))
             factors.append(f)
-    logtab = _assemble(_eliminate(factors, q.targets, None), q.targets)
+    logtab = _assemble(_eliminate(factors, ids, len(q.targets), None), len(q.targets))
     return _normalized(logtab[None], q.targets, _ranges(m, q))[0]
 
 
@@ -771,8 +766,10 @@ def _plan(m: ParameterisedModel, q: QuerySpec, op_log: list | None = None) -> _P
 
     # phase 2: ground what is left and eliminate it propositionally
     plan.batchable = all(_inside(lf.constraint, mentioned) for lf in live.values())
-    grounds = [g for lf in live.values() for g in _ground_factors(lf.args, lf.logtab, lf.constraint)]
-    plan.finish(_assemble(_eliminate(grounds, q.targets, op_log, plan), q.targets, plan))
+    ids = {key: i for i, key in enumerate(targets)}
+    grounds = [g for lf in live.values() for g in _ground_factors(lf.args, lf.logtab, lf.constraint, ids)]
+    n = len(q.targets)
+    plan.finish(_assemble(_eliminate(grounds, ids, n, op_log, plan), n, plan))
     return plan
 
 

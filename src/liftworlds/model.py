@@ -506,9 +506,9 @@ class ParameterisedModel:
 
     def ground(self) -> tuple[GroundFactor, ...]:
         return tuple(
-            GroundFactor(atoms, p.table)
+            GroundFactor(tuple([GroundAtom(*key) for key in keys]), p.table)
             for p in self.parfactors
-            for atoms in _groundings(p.table.args, p.constraint)
+            for keys in _groundings(p.table.args, p.constraint)
         )
 
     def ground_size(self) -> int:
@@ -528,14 +528,23 @@ class ParameterisedModel:
         return False
 
 
-def _groundings(args: Sequence[PRV], c: Constraint) -> Iterator[tuple[GroundAtom, ...]]:
+def _groundings(args: Sequence[PRV], c: Constraint) -> Iterator[tuple[tuple, ...]]:
     """The ground atoms of ``args`` under each tuple of ``c``, in sorted tuple order.
 
-    The one routine that turns constraint tuples into ground atoms.
+    The one routine that turns constraint tuples into ground atoms. Each
+    atom is its plain ``(name, args)`` key, which compares and orders as
+    ``GroundAtom(*key)`` does, so grounding makes no object per atom.
     """
-    picks = [(a.name, [c.position(lv) for lv in a.params]) for a in args]
-    for t in _listed(c.blocks):
-        yield tuple([GroundAtom(name, tuple([t[i] for i in pick])) for name, pick in picks])
+    rows = _listed(c.blocks)
+    columns = list(zip(*rows)) or [()] * len(c.logvars)
+    # a column at a time: each argument's keys, then one tuple of keys per row
+    keys = []
+    for a in args:
+        picked = [columns[c.position(lv)] for lv in a.params]
+        values = zip(*picked) if picked else itertools.repeat((), len(rows))
+        keys.append(zip(itertools.repeat(a.name), values))
+    # a factor with no arguments still has one grounding per row
+    return zip(*keys) if keys else itertools.repeat((), len(rows))
 
 
 # ---------------------------------------------------------------------------

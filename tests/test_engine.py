@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -26,7 +27,19 @@ from liftworlds import (
     lifted_query,
 )
 from liftworlds import io
-from liftworlds.engine import _Plan, _absorb, _at_sizes, _lifted, _multiply, _plan, _run, _sum_out
+from liftworlds.engine import (
+    _Plan,
+    _absorb,
+    _at_sizes,
+    _ground_factors,
+    _lifted,
+    _log,
+    _logsumexp,
+    _multiply,
+    _plan,
+    _run,
+    _sum_out,
+)
 from liftworlds.model import _groundings, _split, conditional_count, project
 from support import (
     EPID,
@@ -757,3 +770,118 @@ def test_ground_ve_answers_are_pinned(data_dir):
     for m, q in bundled + ragged:
         h.update(repr([float(p).hex() for p in ground_ve(m, q).probs]).encode())
     assert h.hexdigest() == "f0ba4a6f6d7d1784eedac155bdb25d1da283e94ab53c1808788cf8cd80d22fc2"
+
+
+def test_phase_two_makes_no_atom_per_grounding(monkeypatch):
+    # phase 2 names atoms by (name, args) keys and ids, so atom objects are
+    # made for the query's atoms only: as many for 3n persons as for n
+    t1, t2 = ts(2)
+    q = QuerySpec((atom("Sick", "x1"),), Evidence(((atom("Travel", "x2"), "true"),)))
+    made = []
+    post_init = GroundAtom.__post_init__
+
+    def counted(self):
+        made.append(self)
+        post_init(self)
+
+    counts = []
+    for n in (20, 60):
+        m = ragged_model([(x, t) for i, x in enumerate(xs(n)) for t in ((t1, t2) if i % 2 else (t1,))])
+        made.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(GroundAtom, "__post_init__", counted)
+            plan = _plan(m, q)
+        assert not plan.batchable  # phase 2 grounded every person
+        counts.append(len(made))
+    assert counts[0] == counts[1]
+
+
+def test_one_id_per_atom_across_positions_and_parfactors(rng):
+    # Knows(a,b) is reached at both positions of (Knows(X,Y), Knows(Y,X)) and
+    # from (Smokes(X), Knows(X,Y)); ragged constraints leave groups stuck, so
+    # phase 2 grounds them and interns each atom's key once, whatever
+    # parfactor or position reaches it
+    y = Logvar("Y")
+    knows, knows_back, smokes = PRV("Knows", (X, y)), PRV("Knows", (y, X)), PRV("Smokes", (X,))
+    grounded = shared = 0
+    for _ in range(60):
+        persons = xs(int(rng.integers(2, 5)))
+        pairs = [(a, b) for a in persons for b in persons if a != b]
+
+        def some():
+            keep = rng.random(len(pairs)) < 0.6
+            keep[rng.integers(len(pairs))] = True
+            return [p for p, k in zip(pairs, keep) if k]
+
+        def factor(args, logvars, tuples):
+            table = PotentialTable(args, rng.uniform(0.1, 2, 2 ** len(args)))
+            return Parfactor(table, Constraint.extensional(logvars, tuples))
+
+        m = ParameterisedModel(
+            (
+                factor((knows, knows_back), (X, y), some()),
+                factor((smokes, knows), (X, y), some()),
+                factor((smokes,), (X,), [(p,) for p in persons]),
+            )
+        )
+        ids: dict = {}
+        factors = []
+        reached: dict[int, set] = {}  # each id's (parfactor, position) pairs
+        for j, p in enumerate(m.parfactors):
+            for f in _ground_factors(p.table.args, 0, p.constraint, ids):
+                factors.append(f)
+                for k, i in enumerate(f[0]):
+                    reached.setdefault(i, set()).add((j, k))
+        keys = list(ids)
+        ground = m.ground()
+        assert [tuple(GroundAtom(*keys[i]) for i in f[0]) for f in factors] == [g.atoms for g in ground]
+        assert len(ids) == len({a for g in ground for a in g.atoms})
+        shared += any({(0, 0), (0, 1), (1, 1)} <= r for r in reached.values())
+
+        atoms = all_atoms(m)
+        drawn = rng.choice(len(atoms), int(rng.integers(1, 4)), replace=False)
+        picked = [atoms[i] for i in drawn]
+        evidence = Evidence(tuple((a, str(rng.choice(["false", "true"]))) for a in picked[1:]))
+        q = QuerySpec((picked[0],), evidence)
+        log = []
+        got = lifted_query(m, q, op_log=log)
+        assert np.max(np.abs(got.probs - ground_ve(m, q).probs)) < 1e-9
+        grounded += any(r.kind == "ground" and r.detail.startswith("Knows") for r in log)
+    assert grounded > 30 and shared > 30
+
+
+def test_zero_potentials_take_logs_without_a_warning():
+    # _logsumexp leaves numpy's divide warning on unless a zero can reach
+    # np.log; a zero entry and an all-zero slice still give -inf, silently
+    table = np.array([[0.0, 2.0], [0.0, 0.0]])
+    with np.errstate(divide="ignore"):
+        want = np.log(table)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        logs = _log(table)
+        assert np.array_equal(logs, want)
+        assert np.array_equal(_logsumexp(logs, -1), [np.log(2.0), -np.inf])
+        assert np.array_equal(_logsumexp(logs, 0), [-np.inf, np.log(2.0)])
+        assert np.allclose(_logsumexp(np.log(table + 1), -1), np.log([4.0, 2.0]), rtol=0, atol=1e-15)
+        g0 = Parfactor(PotentialTable((EPID,), [0.0, 1.0]), Constraint.extensional((), [()]))
+        g1 = Parfactor(PotentialTable((EPID, SICK), [0.0, 0.0, 1.0, 3.0]), c_x(3))
+        m = ParameterisedModel((g0, g1))
+        for answer in (ground_ve, lifted_query):
+            assert answer(m, QuerySpec((atom("Epid"),))).probs.tolist() == [0.0, 1.0]
+
+
+def test_a_factor_with_no_arguments_is_grounded_once_per_tuple():
+    # evidence on every argument of Smokes(X) leaves x1's factor with no
+    # arguments and a zero potential; it shares no atom with the target, yet
+    # both routes must still see it and refuse the evidence
+    g0 = Parfactor(PotentialTable((EPID,), [1.0, 2.0]), Constraint.extensional((), [()]))
+    g1 = Parfactor(PotentialTable((PRV("Smokes", (X,)),), [1.0, 0.0]), c_x(2))
+    q = QuerySpec((atom("Epid"),), Evidence(((atom("Smokes", "x1"), "true"),)))
+    for answer in (ground_ve, lifted_query):
+        with pytest.raises(InferenceError, match="inconsistent evidence"):
+            answer(ParameterisedModel((g0, g1)), q)
+    # a parfactor with no arguments grounds to one factor per tuple too
+    constant = Parfactor(PotentialTable((), [3.0]), Constraint.extensional((), [()]))
+    m = ParameterisedModel((constant, g1))
+    assert len(m.ground()) == m.ground_size() == 3
+    assert [g.atoms for g in m.ground()] == [(), (atom("Smokes", "x1"),), (atom("Smokes", "x2"),)]

@@ -300,11 +300,10 @@ class _Plan:
     Equal steps are recorded once (hash-consing): ``memo`` maps each step to
     its index, and :meth:`tab` returns the earlier index for a step equal to
     one already recorded, as another person's ground factors multiplied and
-    summed the same way in phase 2 are. Steps name axes by position, so
-    every param hashes cheaply; a parfactor's table, an array, is keyed by
-    the parfactor's index. :meth:`drop` forgets a stuck group's steps and
-    their memo entries. ``last`` names, per step, the last step that reads
-    its table, so that a run drops each table after its last reader.
+    summed the same way in phase 2 are. Steps name axes by position and
+    tables by their :class:`PotentialTable`, so every param hashes cheaply.
+    :meth:`drop` forgets a stuck group's steps and their memo entries.
+    ``last`` names each step's last reader, where a run drops its table.
 
     ``exponents`` are the planned world's exponents, and ``powers`` name
     where each comes from: the uniform count of a constraint cut down to
@@ -326,15 +325,11 @@ class _Plan:
         self.result = -1
         self.batchable = False
 
-    def tab(self, fn, tabs: tuple, *params, key=None) -> int:
-        """The step ``fn(*tabs, *params)``: an equal earlier one, or a new one.
-
-        ``key`` stands for params that do not hash, in the memo only.
-        """
+    def tab(self, fn, tabs: tuple, *params) -> int:
+        """The step ``fn(*tabs, *params)``: an equal earlier one, or a new one."""
         step = (fn, tabs, params)
-        n = len(self.steps)
-        i = self.memo.setdefault(step if key is None else (fn, tabs, key), n)
-        if i == n:
+        i = self.memo.setdefault(step, len(self.steps))
+        if i == len(self.steps):
             self.steps.append(step)
         return i
 
@@ -629,16 +624,21 @@ def ground_ve(m: ParameterisedModel, q: QuerySpec) -> MarginalDistribution:
 # lifted query answering: a plan and a run
 
 
+def _logtable(t) -> np.ndarray:
+    """A :class:`PotentialTable`'s log table with a world axis; ``t`` keys a memo by identity (``eq=False``)."""
+    return _log(t.as_array())[None]
+
+
 def _shatter(
     parfactors: Sequence[Parfactor], mentioned: set[Constant], log: list | None, plan: _Plan
 ) -> list[_Lifted]:
     """Give every constant named by the query or evidence its own groups."""
     out = []
-    for i, p in enumerate(parfactors):
+    for p in parfactors:
         parts = _peel(p.constraint, mentioned)
         if len(parts) > 1:
             _note(log, "split", f"{len(parts)} groups")
-        logtab = plan.tab(np.asarray, (), _log(p.table.as_array())[None], key=i)
+        logtab = plan.tab(_logtable, (), p.table)
         out.extend(_lifted(p.table.args, logtab, parts[s]) for s in sorted(parts))
     return out
 
@@ -694,36 +694,24 @@ def _plan(m: ParameterisedModel, q: QuerySpec, op_log: list | None = None) -> _P
 
     # phase 1: lifted elimination. After _refine same-name groups are equal or
     # disjoint, and multiply, sum-out and absorb only carry or drop groups, so
-    # a unit's holders are exactly the factors with that group. Factors carry
-    # ids in creation order, so a unit's ids, ascending, are its factors in
-    # list order; each step drops its factors' ids and adds its result's.
-    live = dict(enumerate(lifted))
-    holders: dict[tuple[str, frozenset], list[int]] = {}
-    skip: set[tuple[str, frozenset]] = set()  # the targets' units and the stuck ones
-
-    def hold(i: int, lf: _Lifted) -> None:
-        for a, g in zip(lf.args, lf.groups):
-            unit = (a.name, g)
-            if unit not in holders:
-                holders[unit] = []
-                if any(n == a.name and _holds(g, t) for n, t in targets):
-                    skip.add(unit)
-            ids = holders[unit]
-            if not ids or ids[-1] != i:
-                ids.append(i)
-
-    def held(unit: tuple[str, frozenset]) -> list[Constraint]:
-        return [live[i].constraint for i in holders[unit]]
-
-    for i, lf in live.items():
-        hold(i, lf)
-    next_id = len(lifted)
+    # a unit (a name and a group) is held by exactly the factors with that
+    # group. Each step reads the units off the live factors in list order,
+    # which is creation order: a finished step removes its factors and appends
+    # its result. ``skip`` marks target units, tested once, and stuck ones.
+    skip: dict[tuple[str, frozenset], bool] = {}
     while True:
-        costs = {
-            u: (sum(live[i].constraint.size for i in ids), u[0])
-            for u, ids in holders.items()
-            if u not in skip
-        }
+        holders: dict[tuple[str, frozenset], list[_Lifted]] = {}
+        for lf in lifted:
+            for a, g in zip(lf.args, lf.groups):
+                held = holders.setdefault((a.name, g), [])
+                if not held or held[-1] is not lf:
+                    held.append(lf)
+        costs = {}
+        for u, held in holders.items():
+            if u not in skip:
+                skip[u] = any(n == u[0] and _holds(u[1], t) for n, t in targets)
+            if not skip[u]:
+                costs[u] = (sum(lf.constraint.size for lf in held), u[0])
         if not costs:
             break
         # fewest groundings, then name, then least instance; same-name
@@ -732,17 +720,17 @@ def _plan(m: ParameterisedModel, q: QuerySpec, op_log: list | None = None) -> _P
         best = min(costs.values())
         tied = [u for u, c in costs.items() if c == best]
         unit = tied[0] if len(tied) == 1 else min(tied, key=lambda u: (_least(u[1]), _count(u[1])))
-        chosen = held(unit)
+        factors = holders[unit]
+        chosen = [lf.constraint for lf in factors]
         for u in costs:
             if u != unit:
-                plan.check("pair", held(u), chosen)
+                plan.check("pair", [lf.constraint for lf in holders[u]], chosen)
         name, instances = unit
-        ids = list(holders[unit])
         mark = len(plan.steps)
         try:
-            prod = live[ids[0]]
-            for i in ids[1:]:
-                prod = _multiply(prod, live[i], plan)
+            prod = factors[0]
+            for lf in factors[1:]:
+                prod = _multiply(prod, lf, plan)
                 _note(op_log, "multiply", name)
             hits = [a for a, g in zip(prod.args, prod.groups) if a.name == name and g == instances]
             if len(hits) != 1:
@@ -751,23 +739,15 @@ def _plan(m: ParameterisedModel, q: QuerySpec, op_log: list | None = None) -> _P
         except (ConstraintsMisaligned, NotCountNormalized) as exc:
             plan.drop(mark)
             _note(op_log, "ground", f"{name}: {exc}")
-            skip.add(unit)
+            skip[unit] = True
             continue
         _note(op_log, "sum_out", name, exponent=n)
-        for i in ids:
-            lf = live.pop(i)
-            for u in {(a.name, g) for a, g in zip(lf.args, lf.groups)}:
-                holders[u].remove(i)
-                if not holders[u]:
-                    del holders[u]
-        live[next_id] = result
-        hold(next_id, result)
-        next_id += 1
+        lifted = [lf for lf in lifted if all(lf is not f for f in factors)] + [result]
 
     # phase 2: ground what is left and eliminate it propositionally
-    plan.batchable = all(_inside(lf.constraint, mentioned) for lf in live.values())
+    plan.batchable = all(_inside(lf.constraint, mentioned) for lf in lifted)
     ids = {key: i for i, key in enumerate(targets)}
-    grounds = [g for lf in live.values() for g in _ground_factors(lf.args, lf.logtab, lf.constraint, ids)]
+    grounds = [g for lf in lifted for g in _ground_factors(lf.args, lf.logtab, lf.constraint, ids)]
     n = len(q.targets)
     plan.finish(_assemble(_eliminate(grounds, ids, n, op_log, plan), n, plan))
     return plan

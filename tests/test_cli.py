@@ -380,13 +380,15 @@ def test_pinned_outputs_hold_under_other_string_hashes(seed):
     # between processes; the pinned op logs and CSV bytes, and query_all's
     # batched answers against per-model runs, are checked again in a process
     # that hashes strings another way; so are ground_ve's answer bytes, whose
-    # elimination order phase 2 shares; and phase 2's atom keys, tuples of
-    # strings, whose hashes must never leak into ids or ranks
+    # elimination order phase 2 shares; phase 2's atom keys, tuples of
+    # strings, whose hashes must never leak into ids or ranks; and phase 1's
+    # units, keyed by groups, each tried at most once
     pinned = [
         "tests/test_engine.py::test_op_logs_and_answers_are_pinned",
         "tests/test_engine.py::test_ground_ve_answers_are_pinned",
         "tests/test_engine.py::test_phase_two_makes_no_atom_per_grounding",
         "tests/test_engine.py::test_one_id_per_atom_across_positions_and_parfactors",
+        "tests/test_engine.py::test_phase_one_tries_each_unit_once_and_never_a_target",
         "tests/test_cli.py::TestPinnedBytes",
         "tests/test_queries.py::test_query_all_matches_lifted_query",
     ]
@@ -399,4 +401,4 @@ def test_pinned_outputs_hold_under_other_string_hashes(seed):
         timeout=120,
     )
     assert result.returncode == 0, result.stdout[-3000:]
-    assert "11 passed" in result.stdout, result.stdout[-3000:]
+    assert "12 passed" in result.stdout, result.stdout[-3000:]

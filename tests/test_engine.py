@@ -26,7 +26,7 @@ from liftworlds import (
     ground_ve,
     lifted_query,
 )
-from liftworlds import io
+from liftworlds import engine, io
 from liftworlds.engine import (
     _Plan,
     _absorb,
@@ -40,7 +40,7 @@ from liftworlds.engine import (
     _run,
     _sum_out,
 )
-from liftworlds.model import _groundings, _split, conditional_count, project
+from liftworlds.model import _groundings, _holds, _split, conditional_count, project
 from support import (
     EPID,
     SICK,
@@ -390,13 +390,11 @@ def test_each_recorded_check_tells_the_sizes_that_change_it():
 
 def _assert_memo_is_exact(plan):
     # every step reads only earlier steps, and every memo entry names a
-    # recorded step equal to its key (a table constant is keyed by index)
+    # recorded step equal to its key
     for i, (fn, refs, params) in enumerate(plan.steps):
         assert all(r < i for r in refs)
     for key, i in plan.memo.items():
-        assert i < len(plan.steps)
-        fn, refs, params = plan.steps[i]
-        assert (fn, refs) == key[:2] and (fn is np.asarray or params == key[2])
+        assert i < len(plan.steps) and plan.steps[i] == key
 
 
 def test_plan_records_each_distinct_step_once():
@@ -446,6 +444,80 @@ def test_a_stuck_group_leaves_no_memo_entry_behind(monkeypatch):
         _assert_memo_is_exact(plan)
         got = _run(plan, [plan.exponents])[0].probs
         assert np.max(np.abs(got - ground_ve(m, q).probs)) < 1e-9
+
+
+def test_phase_one_tries_each_unit_once_and_never_a_target(monkeypatch):
+    # phase 1 tries a unit (a name and a group) by multiplying its factors
+    # into one product and summing the unit out; a unit whose multiply or
+    # sum-out fails is stuck and recorded once as a ground op, never tried
+    # again. A try starts at a multiply or sum-out whose first input is not
+    # the product so far; its unit is held by all its factors, and is the
+    # summed-out one, or, when a multiply fails, the one its ground op names.
+    # No unit may be tried twice, nor any that holds a target instance
+    tries: list[set] = []
+    product = None
+
+    def units(lf):
+        return {(a.name, g) for a, g in zip(lf.args, lf.groups)}
+
+    def start(lf):
+        if lf is not product:
+            tries.append(units(lf))
+
+    def multiply(a, b, plan):
+        nonlocal product
+        start(a)
+        tries[-1] &= units(b)
+        product = None
+        product = _multiply(a, b, plan)
+        return product
+
+    def sum_out(lf, prv, plan):
+        nonlocal product
+        start(lf)
+        tries[-1] = {(prv.name, lf.groups[lf.args.index(prv)])}
+        product = None
+        return _sum_out(lf, prv, plan)
+
+    monkeypatch.setattr(engine, "_multiply", multiply)
+    monkeypatch.setattr(engine, "_sum_out", sum_out)
+    rng = np.random.default_rng(9)
+    t1, t2, t3 = ts(3)
+    shapes = []
+    for n in (4, 7, 12):
+        drawn = [[t for b, t in enumerate((t1, t2, t3)) if s >> b & 1] for s in rng.integers(1, 8, n)]
+        pairs = [(x, t) for x, held in zip(xs(n), [[t1], [t1, t2]] + drawn[2:]) for t in held]
+        g0, g1, g2 = ragged_model(pairs, rng).parfactors
+        dose = PotentialTable((TREAT, PRV("Dose", (X, T))), rng.uniform(0.5, 2, 4))
+        shapes.append(ParameterisedModel((g0, g1, g2, Parfactor(dose, g2.constraint))))
+        shapes.append(epidemic_model(n, 2, rng))
+    queries = [
+        QuerySpec((atom("Sick", "x1"),), Evidence(((atom("Travel", "x2"), "true"),))),
+        QuerySpec((atom("Epid"), atom("Treat", "x2", "t1")), Evidence(((atom("Sick", "x1"), "false"),))),
+        QuerySpec((atom("Travel", "x1"),), Evidence(((atom("Sick", "x2"), "true"), (atom("Travel", "x3"), "false")))),
+    ]
+    stuck = 0
+    for m, q in itertools.product(shapes, queries):
+        tries.clear()
+        log = []
+        _plan(m, q, log)
+        # phase 1 ends each try with a sum_out record named by the unit's name
+        # or a ground record; phase 2's records name an atom after "ground "
+        ends = [
+            r.detail.split(":")[0]
+            for r in log
+            if r.kind == "ground" or (r.kind == "sum_out" and not r.detail.startswith("ground "))
+        ]
+        assert len(ends) == len(tries)
+        tried = []
+        for held, name in zip(tries, ends):
+            (unit,) = [u for u in held if u[0] == name]
+            tried.append(unit)
+        assert len(set(tried)) == len(tried)
+        for name, group in tried:
+            assert not any(t.name == name and _holds(group, t.args) for t in q.targets)
+        stuck += sum(r.kind == "ground" for r in log)
+    assert stuck > 0
 
 
 def test_operators_carry_the_groups_they_keep():

@@ -134,12 +134,22 @@ class ConstraintWorld:
     ``choice`` records which fact was picked from each choice group, in
     declaration order; ``degenerate`` flags worlds where some binding query
     had no answers and the constraint came out empty.
+
+    ``form`` is ``(tag, pools)``: one ``tag`` object per rule run of an
+    :class:`EvaluationMemo` (a world shape and a choice combination), and
+    the world's anonymous constants of each type, in sorted type order.
+    Worlds of one tag have one structure, and each of their sets is a union
+    of the same pools and named constants. It is None when a pattern of two
+    representatives of one type is listed, or a ``top`` binding covers a
+    logvar no ``populate`` fills: the blocks then depend on more than the
+    pools.
     """
 
     constraints: tuple[Constraint, ...]
     prob: float | None
     choice: tuple[int, ...] = ()
     degenerate: bool = False
+    form: tuple | None = field(default=None, compare=False, repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -356,12 +366,15 @@ def _derive(base: dict[str, set[tuple[str, ...]]], rules: Sequence[Rule]) -> dic
 class EvaluationMemo:
     """What ``evaluate`` shares between the domain worlds of one program and template.
 
-    ``shapes`` maps a world shape to its choice worlds, each binding's answers
-    kept as patterns. ``constants`` maps each named constant to its singleton
-    set, which the blocks of every world share. A memo grows with the worlds
-    it serves: make one per expansion and let it go with it.
+    ``program`` holds what the program and template give on their own
+    (:func:`_checked`). ``shapes`` maps a world shape to its choice worlds,
+    each binding's answers kept as patterns, and their form tags.
+    ``constants`` maps each named constant to its singleton set, which the
+    blocks of every world share. A memo grows with the worlds it serves:
+    make one per expansion and let it go with it.
     """
 
+    program: tuple | None = None
     shapes: dict = field(default_factory=dict)
     constants: dict = field(default_factory=dict)
 
@@ -395,14 +408,47 @@ def _pattern(answer: tuple, constants: dict) -> tuple:
     return tuple(out)
 
 
+def _checked(prog: Program, tmpl: TemplateModel) -> tuple:
+    """What :func:`evaluate` needs of the program and template alone, checked.
+
+    The logvar each ``populate`` directive fills (None for a name the
+    template lacks), each parfactor's binding atom (None for ``top``), the
+    number ``k`` of representatives per type, the named constants and their
+    set, and whether the worlds can have a form: no ``top`` binding covers a
+    logvar no ``populate`` fills.
+    """
+    bound = {b.parfactor for b in prog.bindings}
+    missing = [n for n in tmpl.names if n not in bound]
+    if missing:
+        raise ValidationError(f"no binding for parfactor {missing[0]!r}")
+    unknown = bound - set(tmpl.names)
+    if unknown:
+        raise ValidationError(f"binding for unknown parfactor {sorted(unknown)[0]!r}")
+    atoms = tuple(prog.binding_for(name).atom for name in tmpl.names)
+    k = 0  # representatives per type: enough for every equality pattern of an answer
+    for name, pf, atom in zip(tmpl.names, tmpl.parfactors, atoms):
+        if atom is not None and len(atom.terms) != len(pf.constraint.logvars):
+            raise ValidationError(
+                f"binding for {name!r} has arity {len(atom.terms)}, "
+                f"parfactor has {len(pf.constraint.logvars)} logvars"
+            )
+        k = max(k, 0 if atom is None else len(atom.terms))
+    by_name = {lv.name: lv for lv in tmpl.logvars}
+    populated = tuple(by_name.get(lv_name) for lv_name, _ in prog.populate)
+    top = {lv for pf, atom in zip(tmpl.parfactors, atoms) if atom is None for lv in pf.constraint.logvars}
+    named = _named(prog)
+    return populated, atoms, k, named, ConstantSet(named), top <= set(populated)
+
+
 def _choice_worlds(
-    prog: Program, tmpl: TemplateModel, held, types, k: int, constants: dict
+    prog: Program, atoms: tuple, held, types, k: int, constants: dict, formed: bool
 ) -> list:
-    """``(choice, prob, answers)`` per choice combination of one world shape.
+    """``(choice, prob, answers, tag)`` per choice combination of one world shape.
 
     The rules run over the named facts plus ``k`` representatives of each
     anonymous type; ``answers`` holds each parfactor's binding answers as a
-    tuple of patterns, or None for a ``top`` binding.
+    tuple of patterns, or None for a ``top`` binding. ``tag`` is the form
+    tag of the combination's worlds, or None when they get no form.
     """
     base: dict[str, set[tuple]] = {}
     for atom in prog.facts:
@@ -413,7 +459,6 @@ def _choice_worlds(
     for typ in types:
         for lv_name in typ:
             base.setdefault(pred_of[lv_name], set()).update(((typ, i),) for i in range(k))
-    atoms = [prog.binding_for(name).atom for name in tmpl.names]
     rules = _rule_order(prog.rules)
 
     worlds = []
@@ -430,9 +475,16 @@ def _choice_worlds(
             else tuple({_pattern(t, constants) for t in rel.get(atom.predicate, ())})
             for atom in atoms
         )
-        worlds.append((combo, prob, answers))
+        formless = not formed or not all(_apart(p) for ps in answers if ps is not None for p in ps)
+        worlds.append((combo, prob, answers, None if formless else object()))
     worlds.sort(key=lambda w: (-w[1], w[0]))
     return worlds
+
+
+def _apart(pattern: tuple) -> bool:
+    """Whether the pattern's representatives are all of distinct types."""
+    types = [t[0] for t in pattern if isinstance(t, tuple)]
+    return len(set(types)) == len(types)
 
 
 def _blocks(pattern: tuple, pools: dict) -> tuple:
@@ -442,8 +494,7 @@ def _blocks(pattern: tuple, pools: dict) -> tuple:
     so a pattern whose representatives sit at positions of distinct types is
     one block; any other pattern is listed and decomposed.
     """
-    types = [t[0] for t in pattern if isinstance(t, tuple)]
-    if len(set(types)) == len(types):
+    if _apart(pattern):
         return (tuple(pools[t[0]] if isinstance(t, tuple) else t for t in pattern),)
     return _decompose(_list(pattern, pools))
 
@@ -483,35 +534,18 @@ def evaluate(
     The rules run once per choice combination and world shape, not per
     world: pass one ``memo`` to the calls on the worlds of one expansion and
     worlds of equal shape share the run, and a named constant's singleton
-    set is made once.
+    set is made once. The program is checked against the template on the
+    first call only, so a memo serves one program and template.
     """
-    by_name = {lv.name: lv for lv in tmpl.logvars}
-    bound = {b.parfactor for b in prog.bindings}
-    missing = [n for n in tmpl.names if n not in bound]
-    if missing:
-        raise ValidationError(f"no binding for parfactor {missing[0]!r}")
-    unknown = bound - set(tmpl.names)
-    if unknown:
-        raise ValidationError(f"binding for unknown parfactor {sorted(unknown)[0]!r}")
-    k = 0  # representatives per type: enough for every equality pattern of an answer
-    for name, pf in zip(tmpl.names, tmpl.parfactors):
-        atom = prog.binding_for(name).atom
-        if atom is not None and len(atom.terms) != len(pf.constraint.logvars):
-            raise ValidationError(
-                f"binding for {name!r} has arity {len(atom.terms)}, "
-                f"parfactor has {len(pf.constraint.logvars)} logvars"
-            )
-        k = max(k, 0 if atom is None else len(atom.terms))
-
     if memo is None:
         memo = EvaluationMemo()
+    if memo.program is None:
+        memo.program = _checked(prog, tmpl)
+    populated, atoms, k, named, named_set, formed = memo.program
     domains = dw.domains
-    named = _named(prog)
-    named_set = ConstantSet(named)
     held = []  # per populate directive, the named constants its domain holds
     anonymous = []
-    for lv_name, _ in prog.populate:
-        lv = by_name.get(lv_name)
+    for (lv_name, _), lv in zip(prog.populate, populated):
         if lv is None or lv not in domains:
             raise ValidationError(f"missing domain for logvar {lv_name!r}")
         held.append(tuple(sorted(c for c in named if c in domains[lv])))
@@ -527,11 +561,12 @@ def evaluate(
     choice_worlds = memo.shapes.get(shape)
     if choice_worlds is None:
         choice_worlds = memo.shapes[shape] = _choice_worlds(
-            prog, tmpl, held, shape[1], k, memo.constants
+            prog, atoms, held, shape[1], k, memo.constants, formed
         )
 
+    pooled = tuple(map(pools.__getitem__, shape[1]))
     worlds = []
-    for combo, prob, answers in choice_worlds:
+    for combo, prob, answers, tag in choice_worlds:
         constraints: list[Constraint] = []
         degenerate = False
         for pf, patterns in zip(tmpl.parfactors, answers):
@@ -545,7 +580,8 @@ def evaluate(
             else:
                 constraints.append(Constraint.empty(logvars))
                 degenerate = True
-        worlds.append(ConstraintWorld(tuple(constraints), prob, combo, degenerate))
+        form = None if tag is None else (tag, pooled)
+        worlds.append(ConstraintWorld(tuple(constraints), prob, combo, degenerate, form))
     return tuple(worlds)
 
 

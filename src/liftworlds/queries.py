@@ -14,6 +14,10 @@ mention have the same answer (Niepert & Van den Broeck, AAAI 2014), so
 one call. Those worlds then tie exactly in every selection. Worlds of one
 structure that differ in their region sizes share one lifted plan and one
 batched numeric run, as far as their sizes make the plan's decisions.
+The worlds that ``expand`` built from one rule run share a *form* and one
+structure, so ``query_all`` runs ``_shape`` on the first world of a form
+and sizes the others' regions by their type pools (counts as functions of
+set sizes, Kisynski & Poole, UAI 2009).
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import numpy as np
 
 from .engine import MarginalDistribution, QuerySpec, _at_sizes, _plan, _run, lifted_query
 from .errors import InferenceError, ValidationError
-from .model import ConstantSet, GroundAtom, ParameterisedModel, _shape
+from .model import ConstantSet, GroundAtom, ParameterisedModel, _member, _shape
 from .universe import Provenance, WeightedModel
 
 
@@ -88,30 +92,50 @@ def query_all(models: Sequence[WeightedModel], q: QuerySpec) -> AnswerSet:
     Models are keyed by ``model._shape`` with the query's constants fixed:
     a structure, and the sizes of its regions. Models with equal keys map
     onto each other by a renaming of the other constants, so they share one
-    answer object. The models of one structure share one plan
+    answer object. A model that ``expand`` gave a form is first keyed by its
+    form tag and :func:`_placement`. Only the first model of each form key
+    runs ``_shape``; the others take its structure, and region sizes that
+    :func:`_sizing` works out from their pools, so every model gets the key
+    ``_shape`` would give it. The models of one structure share one plan
     (``engine._plan``) and one batched run, as far as their sizes make the
-    plan's decisions (:func:`_answers`). A shared
-    answer equals a model's own :func:`lifted_query` up to rounding: the
-    engine breaks cost ties by the least unmentioned name, which a model of
-    the same structure may have elsewhere. Errors surface as in
-    :func:`lifted_query`.
+    plan's decisions (:func:`_answers`). A shared answer equals a model's
+    own :func:`lifted_query` up to rounding: the engine breaks cost ties by
+    the least unmentioned name, which a model of the same structure may have
+    elsewhere. Errors surface as in :func:`lifted_query`.
     """
     skipped: list[SkippedModel] = []
     atoms = tuple(q.targets) + q.evidence.atoms()
-    fixed = [ConstantSet((c,)) for c in sorted({c for a in atoms for c in a.args})]
+    names = sorted({c for a in atoms for c in a.args})
+    fixed, taken = [ConstantSet((c,)) for c in names], ConstantSet(names)
     # structure -> the atoms it lacks (the query's constants are regions of
-    # their own, so the structure says), the first model and regions of each
-    # region-size vector, and the answers by region sizes
+    # their own, so the structure says), the first model and regions (None
+    # when sized from its form) of each region-size vector, and the answers
+    # by region sizes
     structures: dict[tuple, tuple[list, dict, dict]] = {}
+    forms: dict[tuple, tuple[tuple, list]] = {}  # form key -> its group and sizing
+    placements: dict[tuple, tuple] = {}  # pools -> where the query's constants fall
     keyed: list[tuple[WeightedModel, dict, tuple]] = []
     for wm in models:
         if wm.degenerate or wm.model is None:
             skipped.append(SkippedModel(wm.provenance, "degenerate world"))
             continue
-        sizes, structure, regions = _shape(wm.model, fixed)
-        group = structures.get(structure)
-        if group is None:
-            group = structures[structure] = ([a for a in atoms if not wm.model.contains_atom(a)], {}, {})
+        key = None
+        if wm.model.form is not None:  # the choice worlds of a domain world share its pools
+            tag, pools = wm.model.form
+            if pools not in placements:
+                placements[pools] = _placement(pools, names)
+            key = tag, placements[pools]
+        if key in forms:
+            group, sizing = forms[key]
+            lengths = [len(p) for p in pools]
+            sizes, regions = tuple([n + sum(map(lengths.__getitem__, held)) for n, held in sizing]), None
+        else:
+            sizes, structure, regions = _shape(wm.model, fixed)
+            group = structures.get(structure)
+            if group is None:
+                group = structures[structure] = ([a for a in atoms if not wm.model.contains_atom(a)], {}, {})
+            if key is not None:
+                forms[key] = group, _sizing(pools, taken, sizes, regions)
         missing, worlds, answers = group
         if missing:
             skipped.append(SkippedModel(wm.provenance, f"atom {missing[0]} not in model"))
@@ -120,14 +144,51 @@ def query_all(models: Sequence[WeightedModel], q: QuerySpec) -> AnswerSet:
         keyed.append((wm, answers, sizes))
     if models and not keyed:
         raise InferenceError("no model can answer the query: " + skipped[0].reason)
-    for _, worlds, answers in structures.values():
-        answers.update(_answers(worlds, q))
+    for structure, (_, worlds, answers) in structures.items():
+        answers.update(_answers(worlds, q, fixed, structure))
     entries = tuple(AnswerEntry(wm.provenance, wm.prob, answers[sizes]) for wm, answers, sizes in keyed)
     return AnswerSet(q, entries, tuple(skipped))
 
 
+def _placement(pools: Sequence[ConstantSet], names: Sequence[str]) -> tuple:
+    """Where the query's constants ``names`` fall among a formed model's pools.
+
+    The index of the pool that holds each constant (-1 for none), and
+    whether that pool holds a constant besides the query's. The models of
+    one form tag and placement have one ``_shape`` structure: a query
+    constant cuts its pool's region, and a pool it empties leaves none.
+    """
+    placed = tuple(next((i for i, p in enumerate(pools) if c in p), -1) for c in names)
+    return placed, tuple(i < 0 or len(pools[i]) > placed.count(i) for i in placed)
+
+
+def _sizing(
+    pools: Sequence[ConstantSet], taken: ConstantSet, sizes: Sequence[int], regions: Sequence[ConstantSet]
+) -> list[tuple[int, tuple[int, ...]]]:
+    """Per region of a formed model's ``_shape``, its size besides its pools' and those pools.
+
+    Every set of the model is a union of pools and named constants, so each
+    region holds all of a pool but the query's constants ``taken``, or none
+    of it, and one probe per pool finds its region. A model of the same
+    form key has the same regions, and each one's size is the same constant
+    plus its own sizes of the same pools.
+    """
+    held: list[list[int]] = [[] for _ in regions]
+    for i, pool in enumerate(pools):
+        rest = pool - taken
+        if rest:
+            probe = _member(rest)
+            r = next((r for r, region in enumerate(regions) if probe in region), None)
+            if r is not None:  # a pool no block uses is in no region
+                held[r].append(i)
+    return [(n - sum(len(pools[i]) for i in h), tuple(h)) for n, h in zip(sizes, held)]
+
+
 def _answers(
-    worlds: dict[tuple[int, ...], tuple[ParameterisedModel, list]], q: QuerySpec
+    worlds: dict[tuple[int, ...], tuple[ParameterisedModel, list | None]],
+    q: QuerySpec,
+    fixed: Sequence[ConstantSet],
+    structure: tuple,
 ) -> dict[tuple[int, ...], MarginalDistribution]:
     """One answer per region-size vector of one structure, with as few plans as agree.
 
@@ -138,12 +199,18 @@ def _answers(
     a region of one constant, which other sizes do not share. A plan whose
     phase 2 grounds more than the query's constants is not batched: its
     world runs it, and the others run alone. A last world left alone runs
-    :func:`lifted_query`.
+    :func:`lifted_query`. A planned world sized from its form runs
+    ``_shape`` (with ``fixed``, the query's constants) for its regions, and
+    raises unless its sizes and ``structure`` are the ones it was keyed by.
     """
     answers: dict[tuple[int, ...], MarginalDistribution] = {}
     pending = list(worlds)
     while len(pending) > 1:
         model, regions = worlds[pending[-1]]
+        if regions is None:
+            sizes, shape, regions = _shape(model, fixed)
+            if sizes != pending[-1] or shape != structure:
+                raise InferenceError("a world's form gave other region sizes than its shape")
         plan = _plan(model, q)
         if not plan.batchable:
             answers[pending[-1]] = _run(plan, [plan.exponents])[0]

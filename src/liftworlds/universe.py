@@ -95,7 +95,8 @@ def expand(u: UniverseModel) -> tuple[WeightedModel, ...]:
     Order is by domain world (ascending sizes), then by the program's
     constraint world order. Degenerate worlds are kept but flagged, with
     ``model`` left as None, so downstream code can report rather than hide
-    them.
+    them. Each model carries its constraint world's ``form``, which holds for
+    the template of this call only.
     """
     dws = list(enumerate_worlds(u.domain_spec, u.template))
     if dws and all(w.prob is None for w in dws):
@@ -118,6 +119,8 @@ def expand(u: UniverseModel) -> tuple[WeightedModel, ...]:
             if u.filter is not None and u.filter.cascade and weight <= u.filter.threshold:
                 continue
             model = None if cw.degenerate else instantiate(u.template, cw)
+            if model is not None:  # no argument, so a replaced or hand-built model has none
+                object.__setattr__(model, "form", cw.form)
             out.append(
                 WeightedModel(
                     model,

@@ -6,7 +6,8 @@ rule over every constant combination, the program oracle runs the rules
 tuple at a time over each domain world's whole populated database, and the
 skyline oracle is the quadratic dominance check. ``decompose`` works out
 the canonical blocks of a constraint from its tuples, where the library
-works them out from blocks.
+works them out from blocks. ``shape_keyed_query_all`` keys every world by
+``model._shape``, where ``query_all`` keys a formed world by its form.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from liftworlds import (
     ConstantSet,
     Constraint,
     GroundAtom,
+    InferenceError,
     Logvar,
     Parfactor,
     ParameterisedModel,
@@ -29,8 +31,10 @@ from liftworlds import (
     PRV,
     TemplateModel,
 )
-from liftworlds.model import _Identifier, _listed
+from liftworlds import queries
+from liftworlds.model import _Identifier, _listed, _shape
 from liftworlds.program import ConstraintWorld
+from liftworlds.queries import AnswerEntry, AnswerSet, SkippedModel
 
 X = Logvar("X")
 T = Logvar("T")
@@ -328,3 +332,36 @@ def brute_force_skyline(points: np.ndarray) -> list[int]:
         if not dominated:
             keep.append(i)
     return keep
+
+
+def shape_keyed_query_all(models, q) -> AnswerSet:
+    """``query_all`` with every world keyed by its own ``model._shape``, forms ignored.
+
+    It groups the worlds, skips them and hands them to ``queries._answers``
+    in the order ``query_all`` did before worlds carried forms, so both make
+    the same plans and ``lifted_query`` calls when their keys agree.
+    """
+    skipped = []
+    atoms = tuple(q.targets) + q.evidence.atoms()
+    fixed = [ConstantSet((c,)) for c in sorted({c for a in atoms for c in a.args})]
+    structures: dict = {}
+    keyed = []
+    for wm in models:
+        if wm.degenerate or wm.model is None:
+            skipped.append(SkippedModel(wm.provenance, "degenerate world"))
+            continue
+        sizes, structure, regions = _shape(wm.model, fixed)
+        if structure not in structures:
+            structures[structure] = ([a for a in atoms if not wm.model.contains_atom(a)], {}, {})
+        missing, worlds, answers = structures[structure]
+        if missing:
+            skipped.append(SkippedModel(wm.provenance, f"atom {missing[0]} not in model"))
+            continue
+        worlds.setdefault(sizes, (wm.model, regions))
+        keyed.append((wm, answers, sizes))
+    if models and not keyed:
+        raise InferenceError("no model can answer the query: " + skipped[0].reason)
+    for structure, (_, worlds, answers) in structures.items():
+        answers.update(queries._answers(worlds, q, fixed, structure))
+    entries = tuple(AnswerEntry(wm.provenance, wm.prob, answers[sizes]) for wm, answers, sizes in keyed)
+    return AnswerSet(q, entries, tuple(skipped))

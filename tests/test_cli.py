@@ -381,8 +381,9 @@ def test_pinned_outputs_hold_under_other_string_hashes(seed):
     # batched answers against per-model runs, are checked again in a process
     # that hashes strings another way; so are ground_ve's answer bytes, whose
     # elimination order phase 2 shares; phase 2's atom keys, tuples of
-    # strings, whose hashes must never leak into ids or ranks; and phase 1's
-    # units, keyed by groups, each tried at most once
+    # strings, whose hashes must never leak into ids or ranks; phase 1's
+    # units, keyed by groups, each tried at most once; and query_all's form
+    # keys, whose tags hash by identity, against keys by _shape
     pinned = [
         "tests/test_engine.py::test_op_logs_and_answers_are_pinned",
         "tests/test_engine.py::test_ground_ve_answers_are_pinned",
@@ -391,6 +392,7 @@ def test_pinned_outputs_hold_under_other_string_hashes(seed):
         "tests/test_engine.py::test_phase_one_tries_each_unit_once_and_never_a_target",
         "tests/test_cli.py::TestPinnedBytes",
         "tests/test_queries.py::test_query_all_matches_lifted_query",
+        "tests/test_queries.py::test_form_keys_group_worlds_as_shape_keys",
     ]
     result = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *pinned],
@@ -401,4 +403,4 @@ def test_pinned_outputs_hold_under_other_string_hashes(seed):
         timeout=120,
     )
     assert result.returncode == 0, result.stdout[-3000:]
-    assert "12 passed" in result.stdout, result.stdout[-3000:]
+    assert "13 passed" in result.stdout, result.stdout[-3000:]

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from collections import Counter
 
@@ -15,6 +16,7 @@ from liftworlds import (
     FixedDomain,
     GroundAtom,
     InferenceError,
+    LiftworldsError,
     MarginalDistribution,
     PRV,
     Parfactor,
@@ -54,9 +56,11 @@ from support import (
     example_tables,
     members,
     ragged_model,
+    shape_keyed_query_all,
     ts,
     xs,
 )
+from test_program import _case_program, random_case, xy_template
 
 TOP_PROGRAM = "constraint g0 <- top.\nconstraint g1 <- top.\nconstraint g2 <- top."
 
@@ -142,13 +146,14 @@ def counted_plans(monkeypatch) -> list:
     return plans
 
 
-def bundled_models(data_dir, **domains):
-    """The bundled triple expanded, its ``X`` domain settings replaced by ``domains``."""
+def bundled_models(data_dir, program=None, **domains):
+    """The bundled triple expanded, its ``X`` domain settings replaced by ``domains``
+    and its program by the text ``program``, if given."""
     doc = json.loads((data_dir / "domains.json").read_text())
     doc["X"].update(domains)
     return expand(UniverseModel(
         io.load_model(data_dir / "model.json"),
-        io.load_program(data_dir / "constraints.program"),
+        io.load_program(data_dir / "constraints.program") if program is None else parse_program(program),
         io.parse_domain_spec(doc),
     ))
 
@@ -422,6 +427,175 @@ def test_query_all_matches_lifted_query(data_dir):
             ragged.append(ragged_model(pairs, np.random.default_rng(int(rng.integers(2)))))
     assert len(ragged) > 10
     assert max(check(weighted(*ragged), travel)) < 1e-12
+
+
+FORM_QUERIES = ("P(Sick(x1))", "P(Sick(x1) | Travel(x2)=true)", "P(Epid | Treat(x3,t1)=true)")
+
+# x1 is named: every world holds it, and Treat(x1,t2) is its own block
+NAMED_PERSON = """
+special(x1).
+treated(X,t1) :- instance_of_X(X).
+treated(X,t2) :- instance_of_X(X) & special(X).
+populate instance_of_X/1 from X.
+constraint g0 <- top.
+constraint g1 <- instance_of_X(X).
+constraint g2 <- treated(X,T).
+"""
+
+# T has no populate directive, so g2's top block is T's whole domain
+TOP_OVER_T = """
+populate instance_of_X/1 from X.
+constraint g0 <- top.
+constraint g1 <- instance_of_X(X).
+constraint g2 <- top.
+"""
+
+
+def counted_shapes(monkeypatch) -> list:
+    """Every model ``query_all`` runs ``_shape`` on from now on."""
+    shapes = []
+    monkeypatch.setattr(queries, "_shape", lambda m, fixed: shapes.append(m) or _shape(m, fixed))
+    return shapes
+
+
+def sharing(aset) -> list[int]:
+    """Each entry's index of the first entry that holds the same answer object."""
+    first: dict[int, int] = {}
+    return [first.setdefault(id(e.answer), i) for i, e in enumerate(aset.entries)]
+
+
+def agrees_with_shape_keys(monkeypatch, models, q):
+    """``query_all`` and ``support.shape_keyed_query_all`` plan the same models,
+    call ``lifted_query`` on the same models, skip the same worlds, share
+    answers across the same worlds and answer byte for byte alike, or raise
+    the same error. Returns ``query_all``'s answers, or None on an error."""
+    runs = []
+    for answer in (query_all, shape_keyed_query_all):
+        plans, calls = counted_plans(monkeypatch), counted_calls(monkeypatch)
+        try:
+            out = answer(models, q)
+        except LiftworldsError as exc:
+            out = repr(exc)
+        monkeypatch.undo()
+        runs.append((out, [id(m) for m in plans], [id(m) for m in calls]))
+    (got, *made), (want, *reference) = runs
+    assert made == reference, q
+    if isinstance(want, str):
+        assert got == want, q
+        return None
+    assert got.skipped == want.skipped, q
+    assert [(e.provenance, e.model_prob) for e in got.entries] == [(e.provenance, e.model_prob) for e in want.entries]
+    assert sharing(got) == sharing(want), q
+    for e, w in zip(got.entries, want.entries):
+        assert (e.answer.targets, e.answer.probs.tobytes()) == (w.answer.targets, w.answer.probs.tobytes()), q
+    return got
+
+
+def test_form_keys_group_worlds_as_shape_keys(data_dir, monkeypatch):
+    # a world that expand gave a form is keyed by it, and must be grouped,
+    # planned and answered exactly as when every world is keyed by _shape
+    small = bundled_models(data_dir, bins=8, step=1)
+    for models in (bundled_models(data_dir), bundled_models(data_dir, bins=2000, step=1), small):
+        for text in FORM_QUERIES:
+            assert agrees_with_shape_keys(monkeypatch, models, parse_query(text))
+    # x1 alone in its pool at N = 1, x5 missing from the worlds of N < 5,
+    # and two or three constants of one pool, which empty it at N = 2 or 3
+    assert len(agrees_with_shape_keys(monkeypatch, small, parse_query("P(Sick(x5))")).skipped) == 3 * 4
+    for text in ("P(Sick(x1) | Travel(x2)=true, Travel(x3)=true)", "P(Treat(x2,t3) | Sick(x1)=false)"):
+        assert agrees_with_shape_keys(monkeypatch, small, parse_query(text))
+    # a query constant the program names, in every world and in no pool
+    named = bundled_models(data_dir, NAMED_PERSON, bins=6, step=1)
+    assert all(wm.model.form is not None for wm in named)
+    for text in ("P(Sick(x1) | Treat(x2,t1)=true)", "P(Epid | Treat(x1,t2)=true)", "P(Sick(x2))"):
+        assert agrees_with_shape_keys(monkeypatch, named, parse_query(text))
+    # top bindings over T or X, which no populate fills: no form
+    top = bundled_models(data_dir, TOP_OVER_T, bins=6, step=1)
+    every = expand(sized_universe((1, 2, 3, 5), (0.1, 0.2, 0.3, 0.4)))
+    assert all(wm.model.form is None for wm in top + every)
+    assert agrees_with_shape_keys(monkeypatch, top, parse_query("P(Sick(x1) | Treat(x2,t1)=true)"))
+    assert agrees_with_shape_keys(monkeypatch, every, parse_query("P(Sick(x1) | Travel(x2)=true)"))
+    # seeded programs of the randomized program differential that leave some
+    # world not degenerate, queried on constants of their last such world
+    # and on constants their worlds may lack; pairs of one type are listed
+    # and get no form
+    rng = np.random.default_rng(31)
+    constants = ["a", "x1", "x2", "x3", "y", "c0"]
+    programs = formed = formless = answered = 0
+    while programs < 40:
+        text, spec = random_case(rng)
+        models = expand(UniverseModel(xy_template(), parse_program(_case_program(text)), DomainSpec(spec)))
+        live = [wm.model for wm in models if wm.model is not None]
+        if not live:
+            continue
+        programs += 1
+        formed += any(m.form is not None for m in live)
+        formless += any(m.form is None for m in live)
+
+        def pick(i):  # arguments of B (i = 1), C (2) or D (3), mostly ones the world holds
+            held = live[-1].parfactors[i].constraint.tuples
+            return ",".join(held[rng.integers(len(held))] if rng.random() < 0.8 else rng.choice(constants, len(held[0])))
+
+        x, c, y, u = pick(1), pick(2), pick(3), pick(1)
+        for q in (f"P(B({x}))", f"P(B({x}) | D({y})=true, C({c})=false)", f"P(A | D({y})=true, B({u})=false)"):
+            answered += agrees_with_shape_keys(monkeypatch, models, parse_query(q)) is not None
+    assert formed > 20 and formless > 5 and answered > 60, (formed, formless, answered)
+
+
+class TestForms:
+    """``query_all`` runs ``_shape`` once per form key and planned world, not once per world."""
+
+    def test_bundled_triple_runs_shape_three_times_and_once_for_its_plan(self, data_dir, monkeypatch):
+        models = bundled_models(data_dir)
+        tags = [wm.model.form[0] for wm in models]
+        assert [sum(t is u for u in tags) for t in tags[:3]] == [20, 20, 20]
+        shapes, plans = counted_shapes(monkeypatch), counted_plans(monkeypatch)
+        query_all(models, parse_query("P(Sick(x1))"))
+        assert len(plans) == 1 and len(shapes) == 4
+        assert shapes[-1] is plans[0]
+
+    def test_shape_calls_follow_forms_and_plans_not_worlds(self, data_dir, monkeypatch):
+        counts = []
+        for bins in (200, 2000):
+            models = bundled_models(data_dir, bins=bins, step=1)
+            assert len(models) == 3 * bins
+            for text in FORM_QUERIES:
+                q = parse_query(text)
+                names = sorted({c for a in q.targets + q.evidence.atoms() for c in a.args})
+                keys = {(wm.model.form[0], queries._placement(wm.model.form[1], names)) for wm in models}
+                shapes, plans = counted_shapes(monkeypatch), counted_plans(monkeypatch)
+                query_all(models, q)
+                monkeypatch.undo()
+                assert len(shapes) <= len(keys) + len(plans), text
+                counts.append(len(shapes))
+        assert max(counts) < 20 and counts[:3] == counts[3:], counts
+
+    def test_replaced_and_hand_built_models_have_no_form(self, data_dir, monkeypatch):
+        models = bundled_models(data_dir)
+        plain = [dataclasses.replace(wm, model=dataclasses.replace(wm.model)) for wm in models]
+        assert all(wm.model.form is not None for wm in models)
+        assert all(wm.model.form is None for wm in plain)
+        assert epidemic_model(3, 2).form is None
+        q = parse_query("P(Sick(x1))")
+        shapes = counted_shapes(monkeypatch)
+        aset = query_all(plain, q)
+        assert [id(m) for m in shapes] == [id(wm.model) for wm in plain]
+        monkeypatch.undo()
+        assert sharing(aset) == sharing(query_all(models, q))
+        assert agrees_with_shape_keys(monkeypatch, plain, q)
+        hand = weighted(epidemic_model(3, 2), epidemic_model(5, 2), epidemic_model(5, 2))
+        shapes = counted_shapes(monkeypatch)
+        query_all(hand, q)
+        assert len(shapes) == 3
+
+
+    def test_a_planned_world_whose_form_disagrees_with_its_shape_raises(self, data_dir):
+        # the last world claims a pool of 5000 persons: its derived sizes are
+        # new and the largest, so it is planned, and its own shape disagrees
+        models = bundled_models(data_dir)
+        tag, _ = models[-1].model.form
+        object.__setattr__(models[-1].model, "form", (tag, (ConstantSet(runs=((1, 5000),)),)))
+        with pytest.raises(InferenceError, match="form"):
+            query_all(models, parse_query("P(Sick(x1))"))
 
 
 class TestTopK:

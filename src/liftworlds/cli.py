@@ -18,7 +18,7 @@ import sys
 import click
 
 from .domains import WorldFilter
-from .errors import InferenceError, LiftworldsError, ParseError, ValidationError
+from .errors import InferenceError, LiftworldsError, ValidationError
 from .io import load_domain_spec, load_model, load_program, parse_event, parse_query
 from .model import TemplateModel
 from .queries import (
@@ -33,34 +33,42 @@ from .queries import (
 from .universe import UniverseModel, expand, manifest_rows
 
 
-def _guarded(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except (ParseError, ValidationError) as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(2)
-        except InferenceError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(3)
-        except LiftworldsError as exc:  # pragma: no cover - safety net
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(2)
-
-    return wrapper
+_TRIPLE_OPTIONS = (
+    click.option("--model", "model_path", required=True, type=click.Path(exists=True)),
+    click.option("--program", "program_path", required=True, type=click.Path(exists=True)),
+    click.option("--domains", "domains_path", required=True, type=click.Path(exists=True)),
+    click.option("--threshold", type=float, default=None, help="drop worlds with prob <= t"),
+    click.option("--cascade", is_flag=True, help="apply the threshold to combined weights too"),
+    click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv"),
+    click.option("--out", default="-", help="output path, '-' for stdout"),
+    click.option("--seed", type=int, default=None, help="seed for 'random' table values"),
+)
 
 
-def _triple_options(fn):
-    fn = click.option("--model", "model_path", required=True, type=click.Path(exists=True))(fn)
-    fn = click.option("--program", "program_path", required=True, type=click.Path(exists=True))(fn)
-    fn = click.option("--domains", "domains_path", required=True, type=click.Path(exists=True))(fn)
-    fn = click.option("--threshold", type=float, default=None, help="drop worlds with prob <= t")(fn)
-    fn = click.option("--cascade", is_flag=True, help="apply the threshold to combined weights too")(fn)
-    fn = click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")(fn)
-    fn = click.option("--out", default="-", help="output path, '-' for stdout")(fn)
-    fn = click.option("--seed", type=int, default=None, help="seed for 'random' table values")(fn)
-    return fn
+def _command(name):
+    """Register ``fn(universe, **options)`` as the subcommand ``name`` on the triple.
+
+    The subcommand takes the triple options besides its own. The universe
+    they load is passed to ``fn``, and the rows ``fn`` returns are written in
+    ``--format`` to ``--out``. An inference error exits with 3, and any
+    other library error with 2.
+    """
+
+    def register(fn):
+        @functools.wraps(fn)  # which also carries over fn's own options, its __click_params__
+        def run(model_path, program_path, domains_path, threshold, cascade, fmt, out, seed, **options):
+            try:
+                universe = _load_universe(model_path, program_path, domains_path, threshold, cascade, seed)
+                _write_rows(fn(universe, **options), fmt, out)
+            except LiftworldsError as exc:
+                click.echo(f"error: {exc}", err=True)
+                sys.exit(3 if isinstance(exc, InferenceError) else 2)
+
+        for option in _TRIPLE_OPTIONS:
+            run = option(run)
+        return main.command(name)(run)
+
+    return register
 
 
 def _load_universe(model_path, program_path, domains_path, threshold, cascade, seed):
@@ -128,11 +136,12 @@ def _run_query(universe, query_text) -> AnswerSet:
     return query_all(models, parse_query(query_text))
 
 
-def _probe(event_text, query_text):
+def _probe(universe, event_text, query_text) -> tuple[EventProbe, AnswerSet]:
+    """The probe of ``--event``, and the answers to ``--query`` (by default, P(the probe's atom))."""
     atom, value = parse_event(event_text)
     if query_text is None:
         query_text = f"P({atom})"
-    return EventProbe(atom, value), query_text
+    return EventProbe(atom, value), _run_query(universe, query_text)
 
 
 @click.group()
@@ -141,44 +150,33 @@ def main():
     """Expand models with unknown universes and answer lifted queries on them."""
 
 
-@main.command("expand")
-@_triple_options
-@_guarded
-def cmd_expand(model_path, program_path, domains_path, threshold, cascade, fmt, out, seed):
+@_command("expand")
+def cmd_expand(universe):
     """Write the world manifest: one row per weighted model."""
-    universe = _load_universe(model_path, program_path, domains_path, threshold, cascade, seed)
     models = expand(universe)
-    rows = manifest_rows(models, universe.template)
     mass = sum(m.prob for m in models)
     click.echo(f"{len(models)} worlds, retained mass {_fmt(mass)}", err=True)
-    _write_rows(rows, fmt, out)
+    return manifest_rows(models, universe.template)
 
 
-@main.command("query")
-@_triple_options
+@_command("query")
 @click.option("--query", "query_text", required=True, help="e.g. 'P(Sick(x1) | Epid=true)'")
-@_guarded
-def cmd_query(model_path, program_path, domains_path, threshold, cascade, fmt, out, seed, query_text):
+def cmd_query(universe, query_text):
     """Answer one query on every expanded model."""
-    universe = _load_universe(model_path, program_path, domains_path, threshold, cascade, seed)
     aset = _run_query(universe, query_text)
     if aset.skipped:
         click.echo(f"skipped {len(aset.skipped)} of {len(aset.skipped) + len(aset.entries)} models", err=True)
-    _write_rows(_answer_rows(aset), fmt, out)
+    return _answer_rows(aset)
 
 
-@main.command("topk")
-@_triple_options
+@_command("topk")
 @click.option("--query", "query_text", default=None)
 @click.option("--event", "event_text", default=None, help="rank by P(event), e.g. 'Sick(x1)=true'")
 @click.option("--k", type=int, required=True)
-@_guarded
-def cmd_topk(model_path, program_path, domains_path, threshold, cascade, fmt, out, seed, query_text, event_text, k):
+def cmd_topk(universe, query_text, event_text, k):
     """Top-k answers by event probability (--event) or by model probability."""
-    universe = _load_universe(model_path, program_path, domains_path, threshold, cascade, seed)
     if event_text is not None:
-        probe, query_text = _probe(event_text, query_text)
-        aset = _run_query(universe, query_text)
+        probe, aset = _probe(universe, event_text, query_text)
         selection = top_k_query_prob(aset, probe, k)
     else:
         if query_text is None:
@@ -190,45 +188,36 @@ def cmd_topk(model_path, program_path, domains_path, threshold, cascade, fmt, ou
     rows = _answer_rows(AnswerSet(aset.query, selection.entries))
     for rank, row in enumerate(rows, start=1):
         row["reason"] = str(rank)
-    _write_rows(rows, fmt, out)
+    return rows
 
 
-@main.command("skyline")
-@_triple_options
+@_command("skyline")
 @click.option("--query", "query_text", default=None)
 @click.option("--event", "event_text", required=True)
-@_guarded
-def cmd_skyline(model_path, program_path, domains_path, threshold, cascade, fmt, out, seed, query_text, event_text):
+def cmd_skyline(universe, query_text, event_text):
     """Pareto frontier over (model probability, event probability)."""
-    universe = _load_universe(model_path, program_path, domains_path, threshold, cascade, seed)
-    probe, query_text = _probe(event_text, query_text)
-    aset = _run_query(universe, query_text)
+    probe, aset = _probe(universe, event_text, query_text)
     frontier = skyline(aset, probe)
     rows = _answer_rows(AnswerSet(aset.query, frontier))
     for row in rows:
         row["reason"] = "skyline"
-    _write_rows(rows, fmt, out)
+    return rows
 
 
-@main.command("trend")
-@_triple_options
+@_command("trend")
 @click.option("--query", "query_text", default=None)
 @click.option("--event", "event_text", required=True)
-@_guarded
-def cmd_trend(model_path, program_path, domains_path, threshold, cascade, fmt, out, seed, query_text, event_text):
+def cmd_trend(universe, query_text, event_text):
     """Classify how P(event) moves as the domain size grows."""
-    universe = _load_universe(model_path, program_path, domains_path, threshold, cascade, seed)
-    probe, query_text = _probe(event_text, query_text)
-    aset = _run_query(universe, query_text)
+    probe, aset = _probe(universe, event_text, query_text)
     report = trend_report(aset, probe)
-    rows = [
+    return [
         {
             "direction": report.direction,
             "max_adjacent_delta": report.max_adjacent_delta,
             "entries": report.entries,
         }
     ]
-    _write_rows(rows, fmt, out)
 
 
 if __name__ == "__main__":

@@ -335,10 +335,6 @@ class Constraint:
             if len(t) != len(logvars):
                 names = tuple(map(str, logvars))
                 raise ValidationError(f"tuple {tuple(map(str, t))} does not match logvars {names}")
-        # most explicit constraints are a product: one block, no decomposition
-        columns = [set(col) for col in zip(*distinct)]
-        if math.prod(map(len, columns)) == len(distinct):
-            return cls(logvars, (tuple(map(ConstantSet, columns)),))
         return cls(logvars, _decompose(distinct))
 
     @classmethod
@@ -492,7 +488,7 @@ class ParameterisedModel:
 
     ``form`` is the ``program.ConstraintWorld.form`` that ``expand`` built
     the model from. It is no argument, so ``dataclasses.replace`` and
-    hand-built models get None.
+    hand-built models get None, and ``query_all`` keys each as a form of its own.
     """
 
     parfactors: tuple[Parfactor, ...]

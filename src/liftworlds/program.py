@@ -142,7 +142,7 @@ class ConstraintWorld:
     of the same pools and named constants. It is None when a pattern of two
     representatives of one type is listed, or a ``top`` binding covers a
     logvar no ``populate`` fills: the blocks then depend on more than the
-    pools.
+    pools, and ``query_all`` keys each such world as a form of its own.
     """
 
     constraints: tuple[Constraint, ...]
@@ -366,7 +366,8 @@ def _derive(base: dict[str, set[tuple[str, ...]]], rules: Sequence[Rule]) -> dic
 class EvaluationMemo:
     """What ``evaluate`` shares between the domain worlds of one program and template.
 
-    ``program`` holds what the program and template give on their own
+    ``served`` is the program and template of the first call, and a call
+    with other objects raises. ``program`` holds what they give on their own
     (:func:`_checked`). ``shapes`` maps a world shape to its choice worlds,
     each binding's answers kept as patterns, and their form tags.
     ``constants`` maps each named constant to its singleton set, which the
@@ -374,6 +375,7 @@ class EvaluationMemo:
     make one per expansion and let it go with it.
     """
 
+    served: tuple = field(default=(), init=False)
     program: tuple | None = None
     shapes: dict = field(default_factory=dict)
     constants: dict = field(default_factory=dict)
@@ -535,12 +537,15 @@ def evaluate(
     world: pass one ``memo`` to the calls on the worlds of one expansion and
     worlds of equal shape share the run, and a named constant's singleton
     set is made once. The program is checked against the template on the
-    first call only, so a memo serves one program and template.
+    first call only, so a memo serves one program and template, and raises
+    when it is given others.
     """
     if memo is None:
         memo = EvaluationMemo()
     if memo.program is None:
-        memo.program = _checked(prog, tmpl)
+        memo.program, memo.served = _checked(prog, tmpl), (prog, tmpl)
+    elif memo.served[0] is not prog or memo.served[1] is not tmpl:
+        raise ValidationError("an evaluation memo serves the program and template of its first call")
     populated, atoms, k, named, named_set, formed = memo.program
     domains = dw.domains
     held = []  # per populate directive, the named constants its domain holds

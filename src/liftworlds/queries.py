@@ -92,8 +92,9 @@ def query_all(models: Sequence[WeightedModel], q: QuerySpec) -> AnswerSet:
     Models are keyed by ``model._shape`` with the query's constants fixed:
     a structure, and the sizes of its regions. Models with equal keys map
     onto each other by a renaming of the other constants, so they share one
-    answer object. A model that ``expand`` gave a form is first keyed by its
-    form tag and :func:`_placement`. Only the first model of each form key
+    answer object. Each model is first keyed by the tag of its form
+    (``ParameterisedModel.form``) and :func:`_placement`, and a model with
+    no form is a form of its own. Only the first model of each form key
     runs ``_shape``; the others take its structure, and region sizes that
     :func:`_sizing` works out from their pools, so every model gets the key
     ``_shape`` would give it. The models of one structure share one plan
@@ -119,12 +120,10 @@ def query_all(models: Sequence[WeightedModel], q: QuerySpec) -> AnswerSet:
         if wm.degenerate or wm.model is None:
             skipped.append(SkippedModel(wm.provenance, "degenerate world"))
             continue
-        key = None
-        if wm.model.form is not None:  # the choice worlds of a domain world share its pools
-            tag, pools = wm.model.form
-            if pools not in placements:
-                placements[pools] = _placement(pools, names)
-            key = tag, placements[pools]
+        tag, pools = wm.model.form or (object(), ())
+        if pools not in placements:  # the choice worlds of a domain world share its pools
+            placements[pools] = _placement(pools, names)
+        key = tag, placements[pools]
         if key in forms:
             group, sizing = forms[key]
             lengths = [len(p) for p in pools]
@@ -134,8 +133,7 @@ def query_all(models: Sequence[WeightedModel], q: QuerySpec) -> AnswerSet:
             group = structures.get(structure)
             if group is None:
                 group = structures[structure] = ([a for a in atoms if not wm.model.contains_atom(a)], {}, {})
-            if key is not None:
-                forms[key] = group, _sizing(pools, taken, sizes, regions)
+            forms[key] = group, _sizing(pools, taken, sizes, regions)
         missing, worlds, answers = group
         if missing:
             skipped.append(SkippedModel(wm.provenance, f"atom {missing[0]} not in model"))

@@ -348,6 +348,15 @@ class TestDeterminism:
         different = run("query", "--model", str(model), *small_universe[2:], "--seed", "12", *q)
         assert different.stdout != first_q.stdout
 
+    @pytest.mark.parametrize("command", [("expand",), ("query", "--query", "P(Sick(x1))", "--format", "json")])
+    def test_out_file_holds_the_bytes_stdout_gets(self, tmp_path, small_universe, command):
+        path = tmp_path / "rows.out"
+        to_stdout = run(command[0], *small_universe, *command[1:])
+        to_file = run(command[0], *small_universe, *command[1:], "--out", str(path))
+        assert to_stdout.exit_code == to_file.exit_code == 0
+        assert to_file.stdout == "" and to_file.stderr == to_stdout.stderr
+        assert path.read_bytes() == to_stdout.stdout.encode()
+
 
 class TestPinnedBytes:
     """SHA-256 of the CSV each subcommand writes for the bundled triple.

@@ -260,6 +260,19 @@ class TestEvaluate:
         b = evaluate_program(prog, tmpl, people_world(*PEOPLE))
         assert a == b
 
+    def test_a_memo_serves_only_the_program_and_template_of_its_first_call(self, data_dir):
+        tmpl, dw = io.load_model(data_dir / "model.json"), people_world(*PEOPLE)
+        three = io.load_program(data_dir / "constraints.program")
+        one = parse_program("constraint g0 <- top.\nconstraint g1 <- top.\nconstraint g2 <- top.")
+        memo = program.EvaluationMemo()
+        assert len(evaluate_program(three, tmpl, dw, memo)) == 3
+        with pytest.raises(ValidationError, match="memo"):
+            evaluate_program(one, tmpl, dw, memo)
+        with pytest.raises(ValidationError, match="memo"):
+            evaluate_program(three, io.load_model(data_dir / "model.json"), dw, memo)
+        assert len(evaluate_program(three, tmpl, dw, memo)) == 3
+        assert len(evaluate_program(one, tmpl, dw, program.EvaluationMemo())) == 1
+
     def test_constraint_list_length_matches_template(self):
         tmpl = epidemic_template()
         worlds = evaluate_program(parse_program(EXAMPLE_PROGRAM), tmpl, people_world(*PEOPLE))

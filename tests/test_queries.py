@@ -23,6 +23,7 @@ from liftworlds import (
     ParameterisedModel,
     PotentialTable,
     QuerySpec,
+    Range,
     UniverseModel,
     ValidationError,
     EventProbe,
@@ -112,6 +113,12 @@ class TestQueryAll:
         assert "x5" in aset.skipped[0].reason
         assert len(aset.entries) + len(aset.skipped) == len(models)
 
+    def test_retained_mass_leaves_out_skipped_worlds(self):
+        models = expand(sized_universe((2, 5, 6), (0.2, 0.3, 0.5)))
+        aset = query_all(models, QuerySpec((GroundAtom("Sick", (Constant("x5"),)),)))
+        assert len(aset.skipped) == 1
+        assert aset.retained_mass == pytest.approx(0.8, rel=1e-12)
+
     def test_atom_absent_everywhere_is_an_error(self):
         models = expand(sized_universe((2, 3), (0.5, 0.5)))
         with pytest.raises(InferenceError):
@@ -122,6 +129,19 @@ class TestQueryAll:
         aset = query_all(models, QuerySpec((SICK_X1,)))
         p = event_probability(aset.entries[0].answer, PROBE)
         assert p == pytest.approx(float(aset.entries[0].answer.probs[1]), rel=1e-12)
+
+    def test_event_probability_on_a_joint_sums_out_the_other_target(self):
+        # an uneven joint over a 2-valued and a 3-valued target, so a wrong
+        # axis or value index reads another sum
+        grade = GroundAtom("Grade", (Constant("x1"),))
+        joint = MarginalDistribution((SICK_X1, grade), (BOOLEAN, Range(("a", "b", "c"))),
+                                     np.array([0.05, 0.1, 0.15, 0.2, 0.22, 0.28]))
+        table = joint.as_array()
+        for value, i in (("false", 0), ("true", 1)):
+            assert joint.event_prob(SICK_X1, value) == pytest.approx(table[i, :].sum(), rel=1e-12)
+        for value, j in (("a", 0), ("b", 1), ("c", 2)):
+            assert joint.event_prob(grade, value) == pytest.approx(table[:, j].sum(), rel=1e-12)
+        assert joint.event_prob(grade, "c") == pytest.approx(0.43, rel=1e-12)
 
 
 def counted_calls(monkeypatch) -> list:
@@ -586,6 +606,20 @@ class TestForms:
         shapes = counted_shapes(monkeypatch)
         query_all(hand, q)
         assert len(shapes) == 3
+        monkeypatch.undo()
+        # hand-built worlds among formed ones, each a form of its own: one has
+        # the sizes of the bundled N = 100 worlds and shares their answer, and
+        # the largest is the one planned, for every world of the structure
+        extra = weighted(epidemic_model(100, 2), epidemic_model(150, 2), epidemic_model(2100, 2))
+        mixed = [*models[:30], *extra[:2], *models[30:], extra[2]]
+        shapes, plans, calls = counted_shapes(monkeypatch), counted_plans(monkeypatch), counted_calls(monkeypatch)
+        aset = query_all(mixed, q)
+        assert (len(shapes), len(plans), calls) == (3 + 3, 1, [])
+        assert plans[0] is extra[2].model and [id(m) for m in shapes[3:]] == [id(wm.model) for wm in extra]
+        assert aset.entries[30].answer is aset.entries[0].answer
+        assert len({id(e.answer) for e in aset.entries}) == 20 + 2
+        monkeypatch.undo()
+        assert agrees_with_shape_keys(monkeypatch, mixed, q)
 
 
     def test_a_planned_world_whose_form_disagrees_with_its_shape_raises(self, data_dir):
@@ -696,6 +730,12 @@ class TestTrend:
     def test_non_monotone_series(self):
         aset = synthetic_answers([(0.2, 0.3), (0.3, 0.6), (0.5, 0.1)])
         assert trend_report(aset, PROBE).direction == "non-monotone"
+
+    def test_increasing_series(self):
+        aset = synthetic_answers([(0.2, 0.3), (0.3, 0.3), (0.5, 0.6)])
+        report = trend_report(aset, PROBE)
+        assert report.direction == "increasing"
+        assert report.max_adjacent_delta == pytest.approx(0.3, rel=1e-9)
 
     def test_insufficient_entries(self):
         aset = synthetic_answers([(0.2, 0.3)])

@@ -51,7 +51,7 @@ def _command(name):
     The subcommand takes the triple options besides its own. The universe
     they load is passed to ``fn``, and the rows ``fn`` returns are written in
     ``--format`` to ``--out``. An inference error exits with 3, and any
-    other library error with 2.
+    other library error, or a file that cannot be read or written, with 2.
     """
 
     def register(fn):
@@ -60,7 +60,7 @@ def _command(name):
             try:
                 universe = _load_universe(model_path, program_path, domains_path, threshold, cascade, seed)
                 _write_rows(fn(universe, **options), fmt, out)
-            except LiftworldsError as exc:
+            except (LiftworldsError, OSError) as exc:
                 click.echo(f"error: {exc}", err=True)
                 sys.exit(3 if isinstance(exc, InferenceError) else 2)
 

@@ -24,17 +24,18 @@ which terminates because recursion is rejected up front.
 
 The rules never run over a whole domain world. Constants the program text
 names stay themselves; the others are interchangeable within their type,
-the set of populated logvars whose domains hold them. So the rules run once
-per choice combination and world *shape* (the named constants each
-populated domain holds, and which types are non-empty), over the named facts
-plus k representatives per type, k the largest bound arity. Each answer
-becomes a pattern of named constants and numbered representatives, and a
-world maps a pattern's representatives one-to-one onto its own constants of
-their types; a pattern whose representatives are of distinct types is thus
-one block, and no tuple of it is listed. Positive rules commute with
-renaming unnamed constants, and survive merging two of one type, so this
-gives exactly the answers of the whole world; the README's design note has
-the argument.
+the set of *typed* logvars whose domains hold them, a logvar being typed
+when a ``populate`` directive fills it or a ``top`` binding covers it. So
+the rules run once per choice combination and world *shape* (the named
+constants each typed domain holds, and which types are non-empty), over the
+named facts plus k representatives per type, k the largest bound arity.
+Each answer becomes a pattern of named constants and numbered
+representatives, and a world maps a pattern's representatives one-to-one
+onto its own constants of their types; a pattern whose representatives are
+of distinct types is thus one block, and no tuple of it is listed. Positive
+rules commute with renaming unnamed constants, and survive merging two of
+one type, so this gives exactly the answers of the whole world; the
+README's design note has the argument.
 
 A world's domains are constant sets, most of them one run of synthetic
 names, and so are its types: the shape and the type pools come from set
@@ -138,11 +139,11 @@ class ConstraintWorld:
     ``form`` is ``(tag, pools)``: one ``tag`` object per rule run of an
     :class:`EvaluationMemo` (a world shape and a choice combination), and
     the world's anonymous constants of each type, in sorted type order.
-    Worlds of one tag have one structure, and each of their sets is a union
-    of the same pools and named constants. It is None when a pattern of two
-    representatives of one type is listed, or a ``top`` binding covers a
-    logvar no ``populate`` fills: the blocks then depend on more than the
-    pools, and ``query_all`` keys each such world as a form of its own.
+    Worlds of one tag have one structure, and each of their sets, a ``top``
+    block's domains included, is a union of the same pools and named
+    constants. It is None when a pattern of two representatives of one type
+    is listed: its blocks then depend on more than the pools, and
+    ``query_all`` keys each such world as a form of its own.
     """
 
     constraints: tuple[Constraint, ...]
@@ -366,19 +367,18 @@ def _derive(base: dict[str, set[tuple[str, ...]]], rules: Sequence[Rule]) -> dic
 class EvaluationMemo:
     """What ``evaluate`` shares between the domain worlds of one program and template.
 
-    ``served`` is the program and template of the first call, and a call
-    with other objects raises. ``program`` holds what they give on their own
-    (:func:`_checked`). ``shapes`` maps a world shape to its choice worlds,
-    each binding's answers kept as patterns, and their form tags.
-    ``constants`` maps each named constant to its singleton set, which the
-    blocks of every world share. A memo grows with the worlds it serves:
-    make one per expansion and let it go with it.
+    ``served`` is ``(program, template, checked)``: the program and
+    template of the first call, and what they give on their own
+    (:func:`_checked`), so that is worked out once per memo. A call with
+    other objects raises. A caller that has checked them already may pass
+    ``served`` itself. ``shapes`` maps a world shape to its choice worlds,
+    each binding's answers kept as patterns, and their form tags. A memo
+    grows with the worlds it serves: make one per expansion and let it go
+    with it.
     """
 
-    served: tuple = field(default=(), init=False)
-    program: tuple | None = None
+    served: tuple = ()
     shapes: dict = field(default_factory=dict)
-    constants: dict = field(default_factory=dict)
 
 
 def _named(prog: Program) -> frozenset[str]:
@@ -391,33 +391,29 @@ def _named(prog: Program) -> frozenset[str]:
     return frozenset(t for a in atoms for t in a.terms if not _is_variable(t))
 
 
-def _pattern(answer: tuple, constants: dict) -> tuple:
+def _pattern(answer: tuple, singletons: dict) -> tuple:
     """An answer over representatives, each renumbered by its first appearance.
 
-    A named constant becomes its singleton set in ``constants``; a
-    representative becomes ``(type, number)``, so answers that differ only
-    by which representatives they use coincide.
+    A named constant becomes its set in ``singletons``; a representative
+    becomes ``(type, number)``, so answers that differ only by which
+    representatives they use coincide.
     """
     first: dict = {}
-    out = []
-    for t in answer:
-        if not isinstance(t, str):
-            out.append((t[0], first.setdefault(t, len(first))))
-            continue
-        if t not in constants:
-            constants[t] = ConstantSet((t,))
-        out.append(constants[t])
-    return tuple(out)
+    return tuple(
+        singletons[t] if isinstance(t, str) else (t[0], first.setdefault(t, len(first))) for t in answer
+    )
 
 
 def _checked(prog: Program, tmpl: TemplateModel) -> tuple:
     """What :func:`evaluate` needs of the program and template alone, checked.
 
-    The logvar each ``populate`` directive fills (None for a name the
-    template lacks), each parfactor's binding atom (None for ``top``), the
-    number ``k`` of representatives per type, the named constants and their
-    set, and whether the worlds can have a form: no ``top`` binding covers a
-    logvar no ``populate`` fills.
+    The names of the typed logvars: each one a ``populate`` directive
+    fills, then each other one a ``top`` binding covers. Each parfactor's
+    binding atom (None for ``top``), the number ``k`` of representatives per
+    type, the rules in dependency order, and each named constant's singleton
+    set, which the blocks of every world share. Raises on a parfactor
+    without a binding, a binding of no parfactor or of another arity, a
+    ``populate`` of a logvar the template lacks, and recursion.
     """
     bound = {b.parfactor for b in prog.bindings}
     missing = [n for n in tmpl.names if n not in bound]
@@ -435,33 +431,35 @@ def _checked(prog: Program, tmpl: TemplateModel) -> tuple:
                 f"parfactor has {len(pf.constraint.logvars)} logvars"
             )
         k = max(k, 0 if atom is None else len(atom.terms))
-    by_name = {lv.name: lv for lv in tmpl.logvars}
-    populated = tuple(by_name.get(lv_name) for lv_name, _ in prog.populate)
-    top = {lv for pf, atom in zip(tmpl.parfactors, atoms) if atom is None for lv in pf.constraint.logvars}
-    named = _named(prog)
-    return populated, atoms, k, named, ConstantSet(named), top <= set(populated)
+    names = {lv.name for lv in tmpl.logvars}
+    populated = [lv_name for lv_name, _ in prog.populate]
+    for lv_name in populated:
+        if lv_name not in names:
+            raise ValidationError(f"populate directive for unknown logvar {lv_name!r}")
+    top = (lv.name for pf, atom in zip(tmpl.parfactors, atoms) if atom is None for lv in pf.constraint.logvars)
+    singletons = {c: ConstantSet((c,)) for c in _named(prog)}
+    return tuple(dict.fromkeys([*populated, *top])), atoms, k, _rule_order(prog.rules), singletons
 
 
-def _choice_worlds(
-    prog: Program, atoms: tuple, held, types, k: int, constants: dict, formed: bool
-) -> list:
+def _choice_worlds(prog: Program, checked: tuple, held: dict, types) -> list:
     """``(choice, prob, answers, tag)`` per choice combination of one world shape.
 
     The rules run over the named facts plus ``k`` representatives of each
-    anonymous type; ``answers`` holds each parfactor's binding answers as a
-    tuple of patterns, or None for a ``top`` binding. ``tag`` is the form
-    tag of the combination's worlds, or None when they get no form.
+    anonymous type, which get facts through the ``populate`` directives of
+    the type's logvars only; ``answers`` holds each parfactor's binding
+    answers as a tuple of patterns, or None for a ``top`` binding. ``tag``
+    is the form tag of the combination's worlds, or None when they get no
+    form. ``checked`` is :func:`_checked`'s, and ``held`` maps each typed
+    logvar to the named constants its domain holds.
     """
+    _, atoms, k, rules, singletons = checked
     base: dict[str, set[tuple]] = {}
     for atom in prog.facts:
         base.setdefault(atom.predicate, set()).add(atom.terms)
-    for (_, pred), cs in zip(prog.populate, held):
-        base.setdefault(pred, set()).update((c,) for c in cs)
-    pred_of = dict(prog.populate)
-    for typ in types:
-        for lv_name in typ:
-            base.setdefault(pred_of[lv_name], set()).update(((typ, i),) for i in range(k))
-    rules = _rule_order(prog.rules)
+    for lv_name, pred in prog.populate:
+        facts = base.setdefault(pred, set())
+        facts.update((c,) for c in held[lv_name])
+        facts.update(((typ, i),) for typ in types if lv_name in typ for i in range(k))
 
     worlds = []
     sizes = [range(len(g.facts)) for g in prog.choice_groups]
@@ -474,11 +472,11 @@ def _choice_worlds(
         rel = _derive(chosen, rules)
         answers = tuple(
             None if atom is None
-            else tuple({_pattern(t, constants) for t in rel.get(atom.predicate, ())})
+            else tuple({_pattern(t, singletons) for t in rel.get(atom.predicate, ())})
             for atom in atoms
         )
-        formless = not formed or not all(_apart(p) for ps in answers if ps is not None for p in ps)
-        worlds.append((combo, prob, answers, None if formless else object()))
+        formed = all(_apart(p) for ps in answers if ps is not None for p in ps)
+        worlds.append((combo, prob, answers, object() if formed else None))
     worlds.sort(key=lambda w: (-w[1], w[0]))
     return worlds
 
@@ -535,39 +533,36 @@ def evaluate(
 
     The rules run once per choice combination and world shape, not per
     world: pass one ``memo`` to the calls on the worlds of one expansion and
-    worlds of equal shape share the run, and a named constant's singleton
-    set is made once. The program is checked against the template on the
-    first call only, so a memo serves one program and template, and raises
-    when it is given others.
+    worlds of equal shape share the run. The program is checked against the
+    template, its rules ordered and its named constants' singleton sets made
+    on the first call only, so a memo serves one program and template, and
+    raises when it is given others. Every world gets a form but one with a
+    listed pattern (:class:`ConstraintWorld`).
     """
     if memo is None:
         memo = EvaluationMemo()
-    if memo.program is None:
-        memo.program, memo.served = _checked(prog, tmpl), (prog, tmpl)
+    if not memo.served:
+        memo.served = (prog, tmpl, _checked(prog, tmpl))
     elif memo.served[0] is not prog or memo.served[1] is not tmpl:
         raise ValidationError("an evaluation memo serves the program and template of its first call")
-    populated, atoms, k, named, named_set, formed = memo.program
+    checked = memo.served[2]
+    typed, *_, singletons = checked
     domains = dw.domains
-    held = []  # per populate directive, the named constants its domain holds
+    held = {}  # per typed logvar, the named constants its domain holds
     anonymous = []
-    for (lv_name, _), lv in zip(prog.populate, populated):
-        if lv is None or lv not in domains:
+    for lv_name in typed:
+        if lv_name not in domains:
             raise ValidationError(f"missing domain for logvar {lv_name!r}")
-        held.append(tuple(sorted(c for c in named if c in domains[lv])))
-        anonymous.append(domains[lv] - named_set)
-    # type (the populated logvars whose domains hold a constant) -> its
-    # anonymous constants: the regions the anonymous parts of the domains cut
-    pools = {
-        tuple(prog.populate[j][0] for j in within): region
-        for region, within in _regions(anonymous)
-    }
+        held[lv_name] = tuple(sorted(c for c in singletons if c in domains[lv_name]))
+        anonymous.append(domains[lv_name] - ConstantSet(held[lv_name]))
+    # type (the typed logvars whose domains hold a constant) -> its anonymous
+    # constants: the regions the anonymous parts of the domains cut
+    pools = {tuple(typed[j] for j in within): region for region, within in _regions(anonymous)}
 
-    shape = (tuple(held), tuple(sorted(pools)))
+    shape = (tuple(held.values()), tuple(sorted(pools)))
     choice_worlds = memo.shapes.get(shape)
     if choice_worlds is None:
-        choice_worlds = memo.shapes[shape] = _choice_worlds(
-            prog, atoms, held, shape[1], k, memo.constants, formed
-        )
+        choice_worlds = memo.shapes[shape] = _choice_worlds(prog, checked, held, shape[1])
 
     pooled = tuple(map(pools.__getitem__, shape[1]))
     worlds = []

@@ -14,12 +14,12 @@ of the surviving models simply sum to the retained mass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .domains import DomainSpec, WorldFilter, enumerate_worlds, filter_worlds
 from .errors import ValidationError
 from .model import Parfactor, ParameterisedModel, TemplateModel
-from .program import ConstraintWorld, EvaluationMemo, Program, evaluate, uniformize
+from .program import ConstraintWorld, EvaluationMemo, Program, _checked, evaluate, uniformize
 
 
 @dataclass(frozen=True)
@@ -55,18 +55,20 @@ class WeightedModel:
 
 @dataclass(frozen=True)
 class UniverseModel:
-    """The full specification of a model with an unknown universe."""
+    """The full specification of a model with an unknown universe.
+
+    The program is checked against the template when the triple is made,
+    and ``expand`` reuses what the check gives (``program._checked``).
+    """
 
     template: TemplateModel
     program: Program
     domain_spec: DomainSpec
     filter: WorldFilter | None = None
+    _check: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        bound = {b.parfactor for b in self.program.bindings}
-        for name in self.template.names:
-            if name not in bound:
-                raise ValidationError(f"program has no binding for parfactor {name!r}")
+        object.__setattr__(self, "_check", _checked(self.program, self.template))
         for lv in self.template.logvars:
             if lv.name not in self.domain_spec.entries:
                 raise ValidationError(f"missing domain spec for logvar {lv.name!r}")
@@ -107,11 +109,12 @@ def expand(u: UniverseModel) -> tuple[WeightedModel, ...]:
             id(w) for w in filter_worlds([w for _, w in indexed], u.filter).kept
         )
         indexed = [(k, w) for k, w in indexed if id(w) in kept]
-    varying = u.domain_spec.varying()
+    names = {lv.name for lv in u.template.logvars}
+    varying = tuple(n for n in u.domain_spec.varying() if n in names)
 
     # one memo per call, so no process-wide cache keeps tuples alive after
     # the models that hold them are gone
-    memo = EvaluationMemo()
+    memo = EvaluationMemo((u.program, u.template, u._check))
     out: list[WeightedModel] = []
     for k, dw in indexed:
         for j, cw in enumerate(evaluate(u.program, u.template, dw, memo)):

@@ -112,6 +112,12 @@ class TestExpand:
         assert result.exit_code == 2
         assert "missing domain" in result.stderr
 
+    def test_out_into_a_missing_directory_is_input_error(self, small_universe, tmp_path):
+        result = run("expand", *small_universe, "--out", str(tmp_path / "missing" / "x.csv"))
+        assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+        last = result.stderr.splitlines()[-1]
+        assert last.startswith("error: ") and "x.csv" in last
+
     def test_domain_file_that_is_a_list_is_input_error(self, small_universe, tmp_path):
         domains = tmp_path / "list.json"
         domains.write_text(json.dumps([{"X": {"constants": ["a"]}}]))
@@ -189,6 +195,17 @@ class TestQuery:
         for wm, row in zip(expand(universe), rows):
             want = ground_ve(wm.model, q)
             assert float(row["p_Epid=true"]) == pytest.approx(want.probs[1], abs=1e-9)
+
+    def test_varying_spec_entry_of_no_template_logvar_changes_no_byte(self, data_dir, tmp_path):
+        # the domain size sums the varying logvars of the template only
+        doc = json.loads((data_dir / "domains.json").read_text())
+        doc["Z"] = {"worlds": [{"constants": ["z1"], "prob": 0.5}, {"constants": ["z1", "z2"], "prob": 0.5}]}
+        domains = tmp_path / "domains.json"
+        domains.write_text(json.dumps(doc))
+        bundled = run("query", *paper_args(data_dir), "--query", "P(Sick(x1))")
+        extra = run("query", *paper_args(data_dir)[:4], "--domains", str(domains), "--query", "P(Sick(x1))")
+        assert extra.exit_code == bundled.exit_code == 0
+        assert extra.stdout == bundled.stdout
 
     def test_empty_target_is_input_error(self, small_universe):
         result = run("query", *small_universe, "--query", "P()")

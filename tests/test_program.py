@@ -38,6 +38,7 @@ from support import (
     full_evaluate,
     naive_datalog,
     ts,
+    xs,
 )
 
 
@@ -508,8 +509,8 @@ class TestWorldShapes:
         assert len(calls) == 3
 
     def test_bundled_triple_orders_its_rules_once_per_world_shape(self, data_dir, monkeypatch):
-        # once when the program is parsed, and once for the one shape its
-        # 60 worlds share, not once per choice combination
+        # once when the program is parsed, and once when it is checked
+        # against the template, not once per shape or choice combination
         calls = []
         real = program._rule_order
         monkeypatch.setattr(program, "_rule_order", lambda rules: calls.append(1) or real(rules))
@@ -520,6 +521,28 @@ class TestWorldShapes:
         )
         assert len(expand(u)) == 60
         assert len(calls) == 2
+
+    def test_rules_are_ordered_once_per_expansion_of_many_world_shapes(self, monkeypatch):
+        # second(x3) splits the worlds into two shapes: X holds x3 or not
+        prog = parse_program("""
+            treated(X,t1) :- instance_of_X(X).
+            treated(X,t2) :- instance_of_X(X) & second(X).
+            second(x3).
+            populate instance_of_X/1 from X.
+            constraint g0 <- top.
+            constraint g1 <- instance_of_X(X).
+            constraint g2 <- treated(X,T).
+        """)
+        spec = DomainSpec({
+            "X": EnumeratedDomain(tuple((tuple(xs(n)), p) for n, p in ((2, 0.2), (3, 0.3), (5, 0.5)))),
+            "T": FixedDomain(tuple(ts(2))),
+        })
+        orders, runs = [], []
+        real_order, real_derive = program._rule_order, program._derive
+        monkeypatch.setattr(program, "_rule_order", lambda rules: orders.append(1) or real_order(rules))
+        monkeypatch.setattr(program, "_derive", lambda *a: runs.append(1) or real_derive(*a))
+        assert len(expand(UniverseModel(epidemic_template(), prog, spec))) == 3
+        assert (len(orders), len(runs)) == (1, 2)
 
     def test_named_persons_that_differ_per_world_run_once_per_world(self, monkeypatch):
         calls = []

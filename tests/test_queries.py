@@ -528,12 +528,26 @@ def test_form_keys_group_worlds_as_shape_keys(data_dir, monkeypatch):
     assert all(wm.model.form is not None for wm in named)
     for text in ("P(Sick(x1) | Treat(x2,t1)=true)", "P(Epid | Treat(x1,t2)=true)", "P(Sick(x2))"):
         assert agrees_with_shape_keys(monkeypatch, named, parse_query(text))
-    # top bindings over T or X, which no populate fills: no form
+    # top bindings over T or X, which no populate fills: their logvars are
+    # typed, so a top block is a union of pools too
     top = bundled_models(data_dir, TOP_OVER_T, bins=6, step=1)
     every = expand(sized_universe((1, 2, 3, 5), (0.1, 0.2, 0.3, 0.4)))
-    assert all(wm.model.form is None for wm in top + every)
+    assert all(wm.model.form is not None for wm in top + every)
     assert agrees_with_shape_keys(monkeypatch, top, parse_query("P(Sick(x1) | Treat(x2,t1)=true)"))
     assert agrees_with_shape_keys(monkeypatch, every, parse_query("P(Sick(x1) | Travel(x2)=true)"))
+    # a top-only T whose anonymous constants vary between worlds of one form,
+    # and whose x2 is X's too from N = 2 on
+    doc = json.loads((data_dir / "domains.json").read_text())
+    doc["X"].update(bins=4, step=1)
+    options = ((["t1", "t2"], 0.4), (["t3", "t4", "t5"], 0.3), (["t1", "x2"], 0.3))
+    doc["T"] = {"worlds": [{"constants": cs, "prob": p} for cs, p in options]}
+    varied = expand(UniverseModel(
+        io.load_model(data_dir / "model.json"), parse_program(TOP_OVER_T), io.parse_domain_spec(doc)
+    ))
+    assert len(varied) == 12 and all(wm.model.form is not None for wm in varied)
+    assert len({wm.model.form[0] for wm in varied}) < len(varied)
+    for text in ("P(Sick(x1) | Treat(x2,t1)=true)", "P(Sick(x2) | Treat(x1,x2)=true)", "P(Epid | Treat(x3,t4)=false)"):
+        assert agrees_with_shape_keys(monkeypatch, varied, parse_query(text))
     # seeded programs of the randomized program differential that leave some
     # world not degenerate, queried on constants of their last such world
     # and on constants their worlds may lack; pairs of one type are listed
@@ -588,6 +602,18 @@ class TestForms:
                 assert len(shapes) <= len(keys) + len(plans), text
                 counts.append(len(shapes))
         assert max(counts) < 20 and counts[:3] == counts[3:], counts
+
+    def test_top_over_unpopulated_logvar_runs_shape_per_form_key_and_plan(self, data_dir, monkeypatch):
+        models = bundled_models(data_dir, TOP_OVER_T)
+        assert len(models) == 20
+        for text in FORM_QUERIES:
+            q = parse_query(text)
+            names = sorted({c for a in q.targets + q.evidence.atoms() for c in a.args})
+            keys = {(wm.model.form[0], queries._placement(wm.model.form[1], names)) for wm in models}
+            shapes, plans = counted_shapes(monkeypatch), counted_plans(monkeypatch)
+            query_all(models, q)
+            monkeypatch.undo()
+            assert len(shapes) <= len(keys) + len(plans) < 20, text
 
     def test_replaced_and_hand_built_models_have_no_form(self, data_dir, monkeypatch):
         models = bundled_models(data_dir)

@@ -202,6 +202,16 @@ class TestExpand:
                 epidemic_template(), parse_program("constraint g0 <- top."), spec
             )
 
+    def test_binding_arity_and_unknown_populate_rejected_when_made(self):
+        spec = DomainSpec({"X": FixedDomain(PEOPLE), "T": FixedDomain(tuple(ts(3)))})
+        bindings = "constraint g0 <- top.\nconstraint g1 <- instance_of_X(X).\n"
+        wrong_arity = parse_program(bindings + "constraint g2 <- instance_of_X(X).\npopulate instance_of_X/1 from X.")
+        with pytest.raises(ValidationError, match="binding for 'g2' has arity 1, parfactor has 2 logvars"):
+            UniverseModel(epidemic_template(), wrong_arity, spec)
+        unknown = parse_program(bindings + "constraint g2 <- top.\npopulate instance_of_X/1 from Z.")
+        with pytest.raises(ValidationError, match="populate directive for unknown logvar 'Z'"):
+            UniverseModel(epidemic_template(), unknown, spec)
+
 
 class TestGolden:
     # digests of the tuple-at-a-time, per-world evaluation over the whole

@@ -211,24 +211,23 @@ def enumerate_worlds(spec: DomainSpec, tmpl: TemplateModel) -> tuple[DomainWorld
     Worlds combine the per-logvar options independently; a world's
     probability is the product of its options' probabilities. Options from
     unweighted enumerations make the whole world unweighted, which is only
-    allowed when no other logvar carries a distribution.
+    allowed when no other logvar of the template carries a distribution.
+    Entries for logvars the template lacks enter no world and are not read.
     """
-    logvars = tmpl.logvars
-    for lv in logvars:
+    for lv in tmpl.logvars:
         if lv.name not in spec.entries:
             raise ValidationError(f"missing domain spec for logvar {lv.name!r}")
+    ordered = sorted(tmpl.logvars)
+    entries = [spec.entries[lv.name] for lv in ordered]
     weighted_kinds = any(
         isinstance(e, BetaBinomialDomain) or (isinstance(e, EnumeratedDomain) and e.weighted)
-        for e in spec.entries.values()
+        for e in entries
     )
-    unweighted_kinds = any(
-        isinstance(e, EnumeratedDomain) and not e.weighted for e in spec.entries.values()
-    )
+    unweighted_kinds = any(isinstance(e, EnumeratedDomain) and not e.weighted for e in entries)
     if weighted_kinds and unweighted_kinds:
         raise ValidationError("cannot mix weighted and unweighted domain distributions")
 
-    ordered = sorted(logvars)
-    option_lists = [_options(spec.entries[lv.name]) for lv in ordered]
+    option_lists = [_options(e) for e in entries]
     worlds = []
     for combo in itertools.product(*option_lists):
         domains = {lv: constants for lv, (_, constants, _) in zip(ordered, combo)}

@@ -39,14 +39,16 @@ the rest is eliminated propositionally by the routine ``ground_ve`` uses, so
 answers stay exact while liftedness degrades. Potentials travel in log
 space (an exponent of a few hundred overflows linear doubles).
 
-The lifted route is a plan and a run (compile once, evaluate many times:
-Van den Broeck et al., IJCAI 2011). ``_plan`` does all the structural work
-on one world and records the table work as steps; ``_run`` takes the steps
+Both routes are a plan and a run (compile once, evaluate many times: Van
+den Broeck et al., IJCAI 2011). The structural work records the table work
+as steps; ``_tables``, the one place tables are computed, takes the steps
 over tables with a leading world axis, one row of exponents per world, and
-touches nothing else. ``lifted_query`` runs a world's own plan, a batch of
-one. The plan also records every count comparison a size decided: the join
-and count checks, the equal-weights test behind each exponent and the cost
-order. Each count is a sum of products of sums of the world's region sizes
+``_run`` normalizes what it returns. ``ground_ve`` runs its plan with no
+exponents. ``_plan`` does the lifted route's structural work on one world,
+and ``lifted_query`` runs a world's own plan, a batch of one. A lifted plan
+also records every count comparison a size decided: the join and count
+checks, the equal-weights test behind each exponent and the cost order.
+Each count is a sum of products of sums of the world's region sizes
 (``model._shape``; counts as functions of set sizes, Kisynski & Poole, UAI
 2009), so ``_at_sizes`` gives every decision and exponent at another
 world's sizes, and ``queries.query_all`` runs one plan for every world of
@@ -57,15 +59,16 @@ distinct step once, as compiled circuits share equal subcircuits (Chavira &
 Darwiche, IJCAI 2005): another person's ground factors over the same
 tables, multiplied and summed out in the same layout, are steps already
 recorded. So a run computes them once, and a plan grows by about one step
-per grounded person (the product into the factor they all share). A run
-drops each table after the last step that reads it. Phase 2 works on ints
-from the moment a tuple is grounded: ``model._groundings`` gives each atom
-as its ``(name, args)`` key, :func:`_ground_factors` interns the keys into
-ids (the targets' first), and a ground factor is a plain ``(atoms, ranges,
-logtab)`` tuple. :func:`_eliminate` ranks the other keys by one sort, in the
-order atoms compare, and orders its heap by ``(factor count, rank)``, so its
-loop compares and hashes ints only. Atom objects are made for the query,
-op-log text and error messages only.
+per grounded person (the product into the factor they all share); the
+oracle's ground steps are shared the same way. A run drops each table after
+the last step that reads it. Phase 2 works on ints from the moment a tuple
+is grounded: ``model._groundings`` gives each atom as its ``(name, args)``
+key, :func:`_ground_factors` interns the keys into ids (the targets'
+first), and a ground factor is a plain ``(atoms, ranges, logtab)`` tuple.
+:func:`_eliminate` ranks the other keys by one sort, in the order atoms
+compare, and orders its heap by ``(factor count, rank)``, so its loop
+compares and hashes ints only. Atom objects are made for the query, op-log
+text and error messages only.
 """
 
 from __future__ import annotations
@@ -207,9 +210,9 @@ def _note(log: list | None, kind: str, detail: str = "", exponent: int | None = 
 # ---------------------------------------------------------------------------
 # table steps
 #
-# A table's last axes are its arguments' ranges. In a run (``_run``) every
-# table also has a leading world axis, of length 1 until an exponent spreads
-# it over the worlds, so the steps below count argument axes from the end.
+# ``_tables`` runs these steps. A table's last axes are its arguments'
+# ranges, after a world axis of length 1 until an exponent spreads it over
+# the worlds, so the steps below count argument axes from the end.
 
 
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
@@ -228,6 +231,11 @@ def _log(values: np.ndarray) -> np.ndarray:
         return np.log(values)
 
 
+def _logtable(t) -> np.ndarray:
+    """A :class:`PotentialTable`'s log table with a world axis; ``t`` keys a memo by identity (``eq=False``)."""
+    return _log(t.as_array())[None]
+
+
 def _aligned(tab: np.ndarray, src: tuple[int, ...], n: int) -> np.ndarray:
     """View of ``tab`` broadcastable over ``n`` axes: its last axis k goes to axis ``src[k]``."""
     lead = tab.ndim - len(src)
@@ -241,13 +249,11 @@ def _added(a: np.ndarray, b: np.ndarray, src_a: tuple[int, ...], src_b: tuple[in
     return _aligned(a, src_a, n) + _aligned(b, src_b, n)
 
 
-def _product_step(
-    a: tuple, b: tuple, logtabs: tuple, plan: _Now | _Plan
-) -> tuple[list[int], np.ndarray | int]:
+def _product_step(a: tuple, b: tuple, logtabs: tuple, plan: _Plan) -> tuple[list[int], int]:
     """The product of two factors whose axes are ``a`` and ``b``.
 
     Returns the indices into ``b`` of the axes ``a`` lacks (the product's
-    axes are a's, then those) and the product's table. The step names axes
+    axes are a's, then those) and the product's step. The step names axes
     by position, so products over other atoms or PRVs laid out the same way
     are one step.
     """
@@ -262,35 +268,17 @@ def _product_step(
     return new, plan.tab(_added, logtabs, tuple(range(len(a))), tuple(src_b), len(a) + len(new))
 
 
-def _scaled(tab: np.ndarray, n) -> np.ndarray:
-    """``tab`` times ``n``: one int, or in a run one int per world."""
-    if np.ndim(n):
-        n = np.reshape(n, (-1,) + (1,) * (tab.ndim - 1))
-    return tab * n
+def _scaled(tab: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """``tab`` times ``n``, one int per world."""
+    return tab * np.reshape(n, (-1,) + (1,) * (tab.ndim - 1))
 
 
-def _summed(tab: np.ndarray, n, axis: int) -> np.ndarray:
+def _summed(tab: np.ndarray, n: np.ndarray, axis: int) -> np.ndarray:
     return _scaled(_logsumexp(tab, axis), n)
 
 
-class _Now:
-    """Table work done at once, with nothing recorded: the oracle route and direct operator calls."""
-
-    def tab(self, fn, tabs: tuple, *params):
-        return fn(*tabs, *params)
-
-    def check(self, *record) -> None:
-        pass
-
-    def power(self, n: int, c: Constraint, pos: list[int]):
-        return n
-
-
-_NOW = _Now()
-
-
 class _Plan:
-    """One world's lifted run as table steps, plus what makes it hold at other sizes.
+    """A query's table work as steps, plus what makes a lifted plan hold at other sizes.
 
     A step ``(fn, refs, params)`` applies ``fn`` to the tables of the earlier
     steps ``refs`` and to ``params``; ``result`` is the step that holds the
@@ -305,7 +293,7 @@ class _Plan:
     :meth:`drop` forgets a stuck group's steps and their memo entries.
     ``last`` names each step's last reader, where a run drops its table.
 
-    ``exponents`` are the planned world's exponents, and ``powers`` name
+    ``exponents`` are a lifted plan's exponents, and ``powers`` name
     where each comes from: the uniform count of a constraint cut down to
     some positions. ``checks`` are the count comparisons whose outcome a
     size could change (:func:`_at_sizes` reads them). ``batchable`` says
@@ -363,12 +351,12 @@ class _Plan:
 @dataclass
 class _Lifted:
     args: tuple[PRV, ...]
-    logtab: np.ndarray | int  # one axis per argument range; in a plan, a step
+    logtab: int  # the step of its table, one axis per argument range
     constraint: Constraint
     groups: tuple[frozenset, ...]  # each argument's instances, as blocks
 
 
-def _lifted(args: tuple[PRV, ...], logtab: np.ndarray | int, c: Constraint) -> _Lifted:
+def _lifted(args: tuple[PRV, ...], logtab: int, c: Constraint) -> _Lifted:
     """A factor over a new constraint: the one place groups are computed.
 
     Operators that keep a constraint's instance sets (a one-to-one join, a
@@ -377,7 +365,7 @@ def _lifted(args: tuple[PRV, ...], logtab: np.ndarray | int, c: Constraint) -> _
     return _Lifted(args, logtab, c, tuple(_group(c, a.params) for a in args))
 
 
-def _uniform(c: Constraint, keep: Sequence[Logvar], plan: _Now | _Plan) -> tuple[int, int, Constraint]:
+def _uniform(c: Constraint, keep: Sequence[Logvar], plan: _Plan) -> tuple[int, int, Constraint]:
     """:func:`_uniform_count`, with its equal-weights test and its count recorded in a plan.
 
     Returns the count, the count as a table step, and the projection.
@@ -388,7 +376,7 @@ def _uniform(c: Constraint, keep: Sequence[Logvar], plan: _Now | _Plan) -> tuple
     return n, plan.power(n, c, pos), projected
 
 
-def _multiply(a: _Lifted, b: _Lifted, plan: _Now | _Plan = _NOW) -> _Lifted:
+def _multiply(a: _Lifted, b: _Lifted, plan: _Plan) -> _Lifted:
     shared = [lv for lv in b.constraint.logvars if lv in a.constraint.logvars]
     for c in (a.constraint, b.constraint):
         plan.check("one", c, [c.position(lv) for lv in shared])
@@ -398,7 +386,7 @@ def _multiply(a: _Lifted, b: _Lifted, plan: _Now | _Plan = _NOW) -> _Lifted:
     return _Lifted(args, logtab, join, a.groups + tuple(b.groups[i] for i in new))
 
 
-def _sum_out(lf: _Lifted, prv: PRV, plan: _Now | _Plan = _NOW) -> tuple[_Lifted, int]:
+def _sum_out(lf: _Lifted, prv: PRV, plan: _Plan) -> tuple[_Lifted, int]:
     hits = [i for i, a in enumerate(lf.args) if a == prv]
     if len(hits) != 1:
         raise ValidationError(f"{prv} must occur exactly once among the arguments")
@@ -417,7 +405,7 @@ def _sum_out(lf: _Lifted, prv: PRV, plan: _Now | _Plan = _NOW) -> tuple[_Lifted,
     return _Lifted(rest, logtab, projected, lf.groups[:axis] + lf.groups[axis + 1 :]), n
 
 
-def _absorb(lf: _Lifted, evidence: Mapping[GroundAtom, str], plan: _Now | _Plan = _NOW) -> _Lifted:
+def _absorb(lf: _Lifted, evidence: Mapping[GroundAtom, str], plan: _Plan) -> _Lifted:
     """Condition on evidence covering whole argument groups.
 
     Every argument whose instances are all observed with one shared value is
@@ -463,7 +451,7 @@ def _absorb(lf: _Lifted, evidence: Mapping[GroundAtom, str], plan: _Now | _Plan 
 
 
 def _ground_factors(
-    args: tuple[PRV, ...], logtab: np.ndarray | int, c: Constraint, ids: dict[tuple, int]
+    args: tuple[PRV, ...], logtab: int, c: Constraint, ids: dict[tuple, int]
 ) -> list[tuple]:
     """One ground factor per grounding; a grounding that repeats an atom is refused.
 
@@ -484,12 +472,12 @@ def _ground_factors(
     return out
 
 
-def _ground_multiply(a: tuple, b: tuple, plan: _Now | _Plan = _NOW) -> tuple:
+def _ground_multiply(a: tuple, b: tuple, plan: _Plan) -> tuple:
     new, logtab = _product_step(a[0], b[0], (a[2], b[2]), plan)
     return a[0] + tuple([b[0][i] for i in new]), a[1] + tuple([b[1][i] for i in new]), logtab
 
 
-def _ground_drop(f: tuple, atom: int, plan: _Now | _Plan, fn, *params) -> tuple:
+def _ground_drop(f: tuple, atom: int, plan: _Plan, fn, *params) -> tuple:
     """``f`` without ``atom``'s axis: ``fn(logtab, *params, axis)`` sums it out or slices it."""
     atoms, ranges, logtab = f
     axis = atoms.index(atom)
@@ -501,7 +489,7 @@ def _ground_drop(f: tuple, atom: int, plan: _Now | _Plan, fn, *params) -> tuple:
 
 
 def _eliminate(
-    factors: list[tuple], ids: dict[tuple, int], n_targets: int, log: list | None, plan: _Now | _Plan = _NOW
+    factors: list[tuple], ids: dict[tuple, int], n_targets: int, log: list | None, plan: _Plan
 ) -> list[tuple]:
     """Propositional elimination of every non-target atom, fewest factors first.
 
@@ -557,7 +545,7 @@ def _eliminate(
     return list(live.values())
 
 
-def _assemble(factors: list[tuple], n_targets: int, plan: _Now | _Plan = _NOW):
+def _assemble(factors: list[tuple], n_targets: int, plan: _Plan) -> int:
     """The product of the factors elimination left, its axes in target order."""
     prod = factors[0]
     for other in factors[1:]:
@@ -581,14 +569,11 @@ def _normalized(
 
 
 def _validate_query(m: ParameterisedModel, q: QuerySpec) -> None:
-    sigs = m.signatures
     for atom in tuple(q.targets) + q.evidence.atoms():
-        if atom.name not in sigs or len(atom.args) != sigs[atom.name][0]:
-            raise InferenceError(f"atom {atom} not in model")
         if not m.contains_atom(atom):
             raise InferenceError(f"atom {atom} not in model")
     for atom, value in q.evidence.assignments:
-        sigs[atom.name][1].index(value)
+        m.signatures[atom.name][1].index(value)
 
 
 def _ranges(m: ParameterisedModel, q: QuerySpec) -> tuple[Range, ...]:
@@ -604,29 +589,28 @@ def ground_ve(m: ParameterisedModel, q: QuerySpec) -> MarginalDistribution:
 
     Grounds every parfactor, slices in the evidence, eliminates all
     non-target atoms greedily (the atom in the fewest factors first, ties by
-    atom), multiplies what is left and normalizes.
+    atom), multiplies what is left and normalizes. Its table work is a plan
+    run with no exponents; no step is lifted.
     """
     _validate_query(m, q)
+    plan = _Plan(q.targets, _ranges(m, q))
     ids = {(t.name, t.args): i for i, t in enumerate(q.targets)}
     observed = {ids.setdefault((a.name, a.args), len(ids)): v for a, v in q.evidence.assignments}
     factors = []
     for p in m.parfactors:
-        for f in _ground_factors(p.table.args, _log(p.table.as_array()), p.constraint, ids):
+        logtab = plan.tab(_logtable, (), p.table)
+        for f in _ground_factors(p.table.args, logtab, p.constraint, ids):
             for i, r in zip(f[0], f[1]):
                 if i in observed:
-                    f = _ground_drop(f, i, _NOW, np.take, r.index(observed[i]))
+                    f = _ground_drop(f, i, plan, np.take, r.index(observed[i]))
             factors.append(f)
-    logtab = _assemble(_eliminate(factors, ids, len(q.targets), None), len(q.targets))
-    return _normalized(logtab[None], q.targets, _ranges(m, q))[0]
+    n = len(q.targets)
+    plan.finish(_assemble(_eliminate(factors, ids, n, None, plan), n, plan))
+    return _run(plan, [[]])[0]
 
 
 # ---------------------------------------------------------------------------
 # lifted query answering: a plan and a run
-
-
-def _logtable(t) -> np.ndarray:
-    """A :class:`PotentialTable`'s log table with a world axis; ``t`` keys a memo by identity (``eq=False``)."""
-    return _log(t.as_array())[None]
 
 
 def _shatter(
@@ -753,8 +737,8 @@ def _plan(m: ParameterisedModel, q: QuerySpec, op_log: list | None = None) -> _P
     return plan
 
 
-def _run(plan: _Plan, exponents) -> list[MarginalDistribution]:
-    """The plan's table steps for many worlds at once: one row of ``exponents`` per world."""
+def _tables(plan: _Plan, exponents) -> np.ndarray:
+    """The result's table per world: the plan's steps at once over one row of ``exponents`` per world."""
     exponents = np.asarray(exponents, dtype=np.int64)
     tabs: list[np.ndarray | None] = [None] * len(plan.steps)
     for i, (fn, refs, params) in enumerate(plan.steps):
@@ -763,8 +747,12 @@ def _run(plan: _Plan, exponents) -> list[MarginalDistribution]:
             if plan.last[r] == i:
                 tabs[r] = None
     final = tabs[plan.result]
-    final = np.broadcast_to(final, (len(exponents),) + final.shape[1:])
-    return _normalized(final, plan.targets, plan.ranges)
+    return np.broadcast_to(final, (len(exponents),) + final.shape[1:])
+
+
+def _run(plan: _Plan, exponents) -> list[MarginalDistribution]:
+    """One answer per row of ``exponents``: the normalized tables of :func:`_tables`."""
+    return _normalized(_tables(plan, exponents), plan.targets, plan.ranges)
 
 
 def _at_sizes(

@@ -196,14 +196,28 @@ class TestQuery:
             want = ground_ve(wm.model, q)
             assert float(row["p_Epid=true"]) == pytest.approx(want.probs[1], abs=1e-9)
 
-    def test_varying_spec_entry_of_no_template_logvar_changes_no_byte(self, data_dir, tmp_path):
-        # the domain size sums the varying logvars of the template only
+    @staticmethod
+    def query_with_z(data_dir, tmp_path, z):
+        """The bundled query, and the same query with ``z`` as the spec entry of a logvar Z no template has."""
         doc = json.loads((data_dir / "domains.json").read_text())
-        doc["Z"] = {"worlds": [{"constants": ["z1"], "prob": 0.5}, {"constants": ["z1", "z2"], "prob": 0.5}]}
+        doc["Z"] = z
         domains = tmp_path / "domains.json"
         domains.write_text(json.dumps(doc))
         bundled = run("query", *paper_args(data_dir), "--query", "P(Sick(x1))")
         extra = run("query", *paper_args(data_dir)[:4], "--domains", str(domains), "--query", "P(Sick(x1))")
+        return bundled, extra
+
+    def test_varying_spec_entry_of_no_template_logvar_changes_no_byte(self, data_dir, tmp_path):
+        # the domain size sums the varying logvars of the template only
+        z = {"worlds": [{"constants": ["z1"], "prob": 0.5}, {"constants": ["z1", "z2"], "prob": 0.5}]}
+        bundled, extra = self.query_with_z(data_dir, tmp_path, z)
+        assert extra.exit_code == bundled.exit_code == 0
+        assert extra.stdout == bundled.stdout
+
+    def test_unweighted_spec_entry_of_no_template_logvar_changes_no_byte(self, data_dir, tmp_path):
+        # Z enters no world, so its unweighted entry mixes with the weighted X of no world
+        z = {"worlds": [{"constants": ["z1"]}, {"constants": ["z1", "z2"]}]}
+        bundled, extra = self.query_with_z(data_dir, tmp_path, z)
         assert extra.exit_code == bundled.exit_code == 0
         assert extra.stdout == bundled.stdout
 

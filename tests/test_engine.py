@@ -39,6 +39,7 @@ from liftworlds.engine import (
     _plan,
     _run,
     _sum_out,
+    _tables,
 )
 from liftworlds.model import _groundings, _holds, _split, conditional_count, project
 from support import (
@@ -72,9 +73,20 @@ def c_xt(nx, nt):
     return Constraint.extensional((X, T), [(x, t) for x in xs(nx) for t in ts(nt)])
 
 
-def lifted(p):
-    """The engine's log-space factor for a parfactor."""
-    return _lifted(p.table.args, np.log(p.table.as_array()), p.constraint)
+@pytest.fixture
+def plan() -> _Plan:
+    return _Plan((), ())
+
+
+def lifted(p, plan):
+    """The engine's log-space factor for a parfactor, its table recorded in ``plan``."""
+    return _lifted(p.table.args, plan.tab(engine._logtable, (), p.table), p.constraint)
+
+
+def table(plan, lf):
+    """``lf``'s table, computed by running ``plan`` up to it."""
+    plan.finish(lf.logtab)
+    return _tables(plan, [plan.exponents])[0]
 
 
 def ground(p):
@@ -135,9 +147,17 @@ class TestGroundVE:
             assert np.allclose(result.probs, [0.2, 0.8])
 
     def test_matches_joint_enumeration(self, rng):
-        for _ in range(20):
-            dx, dt = int(rng.integers(1, 4)), int(rng.integers(1, 3))
-            m = epidemic_model(dx, dt, rng)
+        # epidemic models, then ragged ones: each of at most 3 persons holds
+        # its own non-empty subset of 2 treatments (at most 13 atoms), so
+        # some persons share the oracle's ground steps and others do not
+        def ragged():
+            persons = xs(int(rng.integers(1, 4)))
+            subsets = rng.integers(1, 4, len(persons))
+            pairs = [(x, t) for x, s in zip(persons, subsets) for b, t in enumerate(ts(2)) if s >> b & 1]
+            return ragged_model(pairs, rng)
+
+        epidemic = (epidemic_model(int(rng.integers(1, 4)), int(rng.integers(1, 3)), rng) for _ in range(20))
+        for m in itertools.chain(epidemic, (ragged() for _ in range(20))):
             atoms = all_atoms(m)
             target = atoms[int(rng.integers(len(atoms)))]
             others = [a for a in atoms if a != target]
@@ -164,22 +184,22 @@ class TestGroundVE:
 
 
 class TestLiftMultiply:
-    def test_identical_constraints_multiply_pointwise(self, rng):
+    def test_identical_constraints_multiply_pointwise(self, rng, plan):
         v1, v2 = rng.uniform(0.1, 2, 4), rng.uniform(0.1, 2, 4)
         g1 = Parfactor(PotentialTable((EPID, SICK), v1), c_x(3))
         g2 = Parfactor(PotentialTable((EPID, SICK), v2), c_x(3))
-        out = _multiply(lifted(g1), lifted(g2))
+        out = _multiply(lifted(g1, plan), lifted(g2, plan), plan)
         assert out.constraint == c_x(3)
-        assert np.allclose(np.exp(out.logtab).ravel(), v1 * v2, rtol=1e-12)
+        assert np.allclose(np.exp(table(plan, out)).ravel(), v1 * v2, rtol=1e-12)
 
-    def test_table_of_ones_is_identity(self, rng):
+    def test_table_of_ones_is_identity(self, rng, plan):
         v = rng.uniform(0.1, 2, 4)
         g1 = Parfactor(PotentialTable((EPID, SICK), v), c_x(2))
         g2 = Parfactor(PotentialTable((EPID, SICK), np.ones(4)), c_x(2))
-        out = _multiply(lifted(g1), lifted(g2))
-        assert np.allclose(np.exp(out.logtab).ravel(), v, rtol=1e-12)
+        out = _multiply(lifted(g1, plan), lifted(g2, plan), plan)
+        assert np.allclose(np.exp(table(plan, out)).ravel(), v, rtol=1e-12)
 
-    def test_disjoint_arguments_outer_product(self, rng):
+    def test_disjoint_arguments_outer_product(self, rng, plan):
         # singleton groups over unrelated logvars; checked against ground_ve
         y = Logvar("Y")
         travel_y = PRV("Travel", (y,))
@@ -189,19 +209,19 @@ class TestLiftMultiply:
             PotentialTable((travel_y,), v2),
             Constraint.extensional((y,), [(Constant("x2"),)]),
         )
-        out = _multiply(lifted(g1), lifted(g2))
-        assert np.allclose(np.exp(out.logtab), np.outer(v1, v2), rtol=1e-12)
+        out = _multiply(lifted(g1, plan), lifted(g2, plan), plan)
+        assert np.allclose(np.exp(table(plan, out)), np.outer(v1, v2), rtol=1e-12)
         m = ParameterisedModel((g1, g2))
         q = QuerySpec((atom("Sick", "x1"), atom("Travel", "x2")))
         got = ground_ve(m, q).probs
         want = (np.outer(v1, v2) / np.outer(v1, v2).sum()).ravel()
         assert np.max(np.abs(got - want)) < 1e-9
 
-    def test_misaligned_constraints_rejected(self):
+    def test_misaligned_constraints_rejected(self, plan):
         g1 = Parfactor(PotentialTable((EPID, SICK), np.arange(1, 5)), c_x(3))
         g2 = Parfactor(PotentialTable((EPID, SICK), np.arange(1, 5)), c_x(2))
         with pytest.raises(ConstraintsMisaligned):
-            _multiply(lifted(g1), lifted(g2))
+            _multiply(lifted(g1, plan), lifted(g2, plan), plan)
 
     def test_pairing_check_matches_brute_force_join(self):
         rng = np.random.default_rng(5)
@@ -209,74 +229,76 @@ class TestLiftMultiply:
         for _ in range(3000):
             g1, g2 = random_factor(rng, "A"), random_factor(rng, "B")
             join, one_to_one = reference_join(g1.constraint, g2.constraint)
+            plan = _Plan((), ())
             if not one_to_one:
                 with pytest.raises(ConstraintsMisaligned):
-                    _multiply(lifted(g1), lifted(g2))
+                    _multiply(lifted(g1, plan), lifted(g2, plan), plan)
                 rejected += 1
                 continue
-            out = _multiply(lifted(g1), lifted(g2))
+            out = _multiply(lifted(g1, plan), lifted(g2, plan), plan)
             assert out.constraint == join
             assert out.args == g1.table.args + g2.table.args
             want = np.multiply.outer(g1.table.as_array(), g2.table.as_array())
-            assert np.allclose(np.exp(out.logtab), want, rtol=1e-12)
+            assert np.allclose(np.exp(table(plan, out)), want, rtol=1e-12)
             accepted += 1
         assert accepted > 500 and rejected > 500
 
-    def test_zero_ary_against_group_rejected(self):
+    def test_zero_ary_against_group_rejected(self, plan):
         g0 = Parfactor(PotentialTable((EPID,), [3, 1]), Constraint.extensional((), [()]))
         g1 = Parfactor(PotentialTable((EPID, SICK), np.arange(1, 5)), c_x(3))
         with pytest.raises(ConstraintsMisaligned):
-            _multiply(lifted(g0), lifted(g1))
+            _multiply(lifted(g0, plan), lifted(g1, plan), plan)
 
 
 class TestLiftSumOut:
-    def test_treatment_exponent_two(self, rng):
+    def test_treatment_exponent_two(self, rng, plan):
         v = rng.uniform(0.1, 2, 8)
         g2 = Parfactor(PotentialTable((EPID, SICK, TREAT), v), c_xt(3, 2))
-        out, n = _sum_out(lifted(g2), TREAT)
+        out, n = _sum_out(lifted(g2, plan), TREAT, plan)
         assert n == 2 and out.constraint == c_x(3)
         want = v.reshape(2, 2, 2).sum(axis=2) ** 2
-        assert np.allclose(np.exp(out.logtab), want, rtol=1e-9)
+        assert np.allclose(np.exp(table(plan, out)), want, rtol=1e-9)
 
-    def test_travel_exponent_one(self, rng):
+    def test_travel_exponent_one(self, rng, plan):
         v = rng.uniform(0.1, 2, 8)
         g1 = Parfactor(PotentialTable((EPID, SICK, TRAVEL), v), c_x(3))
-        out, n = _sum_out(lifted(g1), TRAVEL)
+        out, n = _sum_out(lifted(g1, plan), TRAVEL, plan)
         assert n == 1 and out.constraint == c_x(3)
-        assert np.allclose(np.exp(out.logtab), v.reshape(2, 2, 2).sum(axis=2), rtol=1e-9)
+        assert np.allclose(np.exp(table(plan, out)), v.reshape(2, 2, 2).sum(axis=2), rtol=1e-9)
 
-    def test_person_exponent_three(self):
+    def test_person_exponent_three(self, plan):
         # potentials (epid, sick): tt->2, tf->1, ft->1, ff->3
         g12 = Parfactor(PotentialTable((EPID, SICK), [3, 1, 1, 2]), c_x(3))
-        out, n = _sum_out(lifted(g12), SICK)
+        out, n = _sum_out(lifted(g12, plan), SICK, plan)
         assert n == 3 and out.constraint.tuples == ((),)
-        assert np.allclose(np.exp(out.logtab), [64.0, 27.0], rtol=1e-9)
+        assert np.allclose(np.exp(table(plan, out)), [64.0, 27.0], rtol=1e-9)
 
-    def test_ragged_constraint_rejected(self):
+    def test_ragged_constraint_rejected(self, plan):
         a, b = xs(2)
         t1, t2 = ts(2)
         c = Constraint.extensional((X, T), [(a, t1), (a, t2), (b, t1)])
         g = Parfactor(PotentialTable((EPID, SICK, TREAT), np.arange(1, 9)), c)
         with pytest.raises(NotCountNormalized):
-            _sum_out(lifted(g), TREAT)
+            _sum_out(lifted(g, plan), TREAT, plan)
 
-    def test_absent_argument_rejected(self):
+    def test_absent_argument_rejected(self, plan):
         g = Parfactor(PotentialTable((EPID, SICK), np.arange(1, 5)), c_x(2))
         with pytest.raises(ValidationError):
-            _sum_out(lifted(g), TREAT)
+            _sum_out(lifted(g, plan), TREAT, plan)
 
-    def test_shared_instances_need_grounding(self):
+    def test_shared_instances_need_grounding(self, plan):
         # summing out Sick while Treat keeps X: each Sick(x) sits in two groundings
         g = Parfactor(PotentialTable((SICK, TREAT), np.arange(1, 5)), c_xt(2, 2))
         with pytest.raises(NotCountNormalized):
-            _sum_out(lifted(g), SICK)
+            _sum_out(lifted(g, plan), SICK, plan)
 
     def test_sum_out_commutes_with_grounding(self, rng):
         for d in (1, 2, 3, 4):
             v = rng.uniform(0.1, 2, 8)
             g2 = Parfactor(PotentialTable((EPID, SICK, TREAT), v), c_xt(d, 2))
-            out, _ = _sum_out(lifted(g2), TREAT)
-            summed = Parfactor(PotentialTable(out.args, np.exp(out.logtab).ravel()), out.constraint)
+            plan = _Plan((), ())
+            out, _ = _sum_out(lifted(g2, plan), TREAT, plan)
+            summed = Parfactor(PotentialTable(out.args, np.exp(table(plan, out)).ravel()), out.constraint)
             lifted_then_ground = ground(summed)
             ranges = {}
             for f in ground(g2):
@@ -311,25 +333,25 @@ class TestSplit:
 
 
 class TestAbsorb:
-    def test_slice_at_observed_value(self):
+    def test_slice_at_observed_value(self, plan):
         g1 = Parfactor(
             PotentialTable((EPID, SICK, TRAVEL), np.arange(1.0, 9.0)),
             Constraint.extensional((X,), [(Constant("eve"),)]),
         )
-        out = _absorb(lifted(g1), {atom("Sick", "eve"): "true"})
+        out = _absorb(lifted(g1, plan), {atom("Sick", "eve"): "true"}, plan)
         assert out.args == (EPID, TRAVEL)
-        assert np.allclose(np.exp(out.logtab).ravel(), [3, 4, 7, 8])
+        assert np.allclose(np.exp(table(plan, out)).ravel(), [3, 4, 7, 8])
         assert out.constraint == g1.constraint
 
-    def test_unrelated_evidence_is_ignored(self):
+    def test_unrelated_evidence_is_ignored(self, plan):
         g1 = Parfactor(PotentialTable((EPID, SICK, TRAVEL), np.arange(1, 9)), c_x(2))
-        lf = lifted(g1)
-        assert _absorb(lf, {atom("Cough", "x1"): "true"}) is lf
+        lf = lifted(g1, plan)
+        assert _absorb(lf, {atom("Cough", "x1"): "true"}, plan) is lf
 
-    def test_partial_observation_rejected(self):
+    def test_partial_observation_rejected(self, plan):
         g1 = Parfactor(PotentialTable((EPID, SICK, TRAVEL), np.arange(1, 9)), c_x(2))
         with pytest.raises(InferenceError, match="shatter"):
-            _absorb(lifted(g1), {atom("Sick", "x1"): "true"})
+            _absorb(lifted(g1, plan), {atom("Sick", "x1"): "true"}, plan)
 
     def test_conditional_query_matches_oracle(self, rng):
         m = epidemic_model(3, 2, rng)
@@ -338,17 +360,17 @@ class TestAbsorb:
         want = joint_enumeration(m, (atom("Epid"),), [(atom("Sick", "x3"), "true")])
         assert np.max(np.abs(got.probs - want)) < 1e-9
 
-    def test_whole_group_absorption_raises_slice_to_group_size(self, rng):
+    def test_whole_group_absorption_raises_slice_to_group_size(self, rng, plan):
         # dropping the only argument over X leaves the slice standing in for
         # every grounding at once; checked against the enumeration oracle
         v = rng.uniform(0.1, 2, 4)
         g = Parfactor(PotentialTable((EPID, SICK), v), c_x(2))
         ev = Evidence(((atom("Sick", "x1"), "true"), (atom("Sick", "x2"), "true")))
-        out = _absorb(lifted(g), dict(ev.assignments))
+        out = _absorb(lifted(g, plan), dict(ev.assignments), plan)
         assert out.args == (EPID,)
         assert out.constraint.tuples == ((),)
         want = v.reshape(2, 2)[:, 1] ** 2
-        assert np.allclose(np.exp(out.logtab), want, rtol=1e-12)
+        assert np.allclose(np.exp(table(plan, out)), want, rtol=1e-12)
         m = ParameterisedModel((g,))
         marginal = ground_ve(m, QuerySpec((atom("Epid"),), ev))
         assert np.allclose(marginal.probs, want / want.sum(), atol=1e-12)
@@ -363,7 +385,7 @@ def test_each_recorded_check_tells_the_sizes_that_change_it():
         return [list(r) for r in signs], [list(r) for r in exponents]
 
     persons, one, two = ConstantSet(xs(3)), ConstantSet(["t1"]), ConstantSet(["t2", "t3"])
-    logtab = 0  # in a plan a factor's table is a step; these plans are never run
+    logtab = 0  # a factor's table is a step; these plans are never run
     # the join pairs Sick's persons with Treat's one to one only while each has one treatment
     plan = _Plan((), ())
     _multiply(
@@ -539,24 +561,25 @@ def test_operators_carry_the_groups_they_keep():
         made += 1
 
     for _ in range(1000):
-        a = lifted(random_factor(rng, "A"))
+        plan = _Plan((), ())
+        a = lifted(random_factor(rng, "A"), plan)
         try:
-            b = lifted(random_factor(rng, str(rng.choice(["A", "B"]))))
-            factors = [a, _multiply(a, b)]
+            b = lifted(random_factor(rng, str(rng.choice(["A", "B"]))), plan)
+            factors = [a, _multiply(a, b, plan)]
             check(factors[1])
         except ConstraintsMisaligned:
             factors = [a]
         for lf in factors:
             for prv in lf.args:
                 try:
-                    check(_sum_out(lf, prv)[0])
+                    check(_sum_out(lf, prv, plan)[0])
                 except NotCountNormalized:
                     pass
             prv, group = lf.args[-1], lf.groups[-1]
             value = str(rng.choice(["false", "true"]))
             observed = {GroundAtom(prv.name, i): value for i in group_instances(group)}
             try:
-                check(_absorb(lf, observed))
+                check(_absorb(lf, observed, plan))
             except NotCountNormalized:
                 pass
     assert made > 2000

@@ -43,16 +43,18 @@ Both routes are a plan and a run (compile once, evaluate many times: Van
 den Broeck et al., IJCAI 2011). The structural work records the table work
 as steps; ``_tables``, the one place tables are computed, takes the steps
 over tables with a leading world axis, one row of exponents per world, and
-``_run`` normalizes what it returns. ``ground_ve`` runs its plan with no
-exponents. ``_plan`` does the lifted route's structural work on one world,
-and ``lifted_query`` runs a world's own plan, a batch of one. A lifted plan
-also records every count comparison a size decided: the join and count
-checks, the equal-weights test behind each exponent and the cost order.
-Each count is a sum of products of sums of the world's region sizes
-(``model._shape``; counts as functions of set sizes, Kisynski & Poole, UAI
-2009), so ``_at_sizes`` gives every decision and exponent at another
-world's sizes, and ``queries.query_all`` runs one plan for every world of
-a structure that makes the same decisions.
+``_run`` normalizes what it returns. Exponents are floats, as the log
+tables they scale. ``ground_ve`` runs its plan with no exponents.
+``_plan`` does the lifted route's structural work on one world, and
+``lifted_query`` runs a world's own plan, a batch of one. A lifted plan
+also records every count comparison a size decided, each as the
+constraints or groups it counts: the join and count checks, the
+equal-weights test behind each exponent and the cost order. Each count is
+a sum of products of sums of the world's region sizes (``model._shape``;
+counts as functions of set sizes, Kisynski & Poole, UAI 2009), so
+``model._at_sizes`` gives every decision and exponent at another world's
+sizes, and ``queries.query_all`` runs one plan for every world of a
+structure that makes the same decisions. The engine counts no region.
 
 Phase 2 grounds every person of a stuck group, but the plan records each
 distinct step once, as compiled circuits share equal subcircuits (Chavira &
@@ -84,7 +86,6 @@ import numpy as np
 from .errors import ConstraintsMisaligned, InferenceError, NotCountNormalized, ValidationError
 from .model import (
     Constant,
-    ConstantSet,
     Constraint,
     GroundAtom,
     Logvar,
@@ -92,7 +93,6 @@ from .model import (
     ParameterisedModel,
     PRV,
     Range,
-    _RegionCounts,
     _count,
     _flat_index,
     _group,
@@ -269,7 +269,7 @@ def _product_step(a: tuple, b: tuple, logtabs: tuple, plan: _Plan) -> tuple[list
 
 
 def _scaled(tab: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """``tab`` times ``n``, one int per world."""
+    """``tab`` times ``n``, one exponent per world."""
     return tab * np.reshape(n, (-1,) + (1,) * (tab.ndim - 1))
 
 
@@ -296,7 +296,9 @@ class _Plan:
     ``exponents`` are a lifted plan's exponents, and ``powers`` name
     where each comes from: the uniform count of a constraint cut down to
     some positions. ``checks`` are the count comparisons whose outcome a
-    size could change (:func:`_at_sizes` reads them). ``batchable`` says
+    size could change, each a kind and what it counts: ``("pair", side,
+    side)`` over lists of constraints or groups, or ``("one" | "same", c,
+    pos)`` over a cut. ``model._at_sizes`` reads both. ``batchable`` says
     phase 2 grounds only the query's constants, so that every world of the
     structure grounds the same atoms.
     """
@@ -739,7 +741,7 @@ def _plan(m: ParameterisedModel, q: QuerySpec, op_log: list | None = None) -> _P
 
 def _tables(plan: _Plan, exponents) -> np.ndarray:
     """The result's table per world: the plan's steps at once over one row of ``exponents`` per world."""
-    exponents = np.asarray(exponents, dtype=np.int64)
+    exponents = np.asarray(exponents, dtype=float)
     tabs: list[np.ndarray | None] = [None] * len(plan.steps)
     for i, (fn, refs, params) in enumerate(plan.steps):
         tabs[i] = exponents[:, params[0]] if fn is None else fn(*map(tabs.__getitem__, refs), *params)
@@ -753,36 +755,6 @@ def _tables(plan: _Plan, exponents) -> np.ndarray:
 def _run(plan: _Plan, exponents) -> list[MarginalDistribution]:
     """One answer per row of ``exponents``: the normalized tables of :func:`_tables`."""
     return _normalized(_tables(plan, exponents), plan.targets, plan.ranges)
-
-
-def _at_sizes(
-    plan: _Plan, regions: Sequence[ConstantSet], sizes: Sequence[Sequence[int]]
-) -> tuple[np.ndarray, np.ndarray]:
-    """The sign of every check of ``plan`` and every exponent, per row of region sizes.
-
-    ``regions`` are the planned world's (``model._shape``), and each row of
-    ``sizes`` is a world's region sizes in that order (:class:`_RegionCounts`).
-    A ``"pair"`` check compares two sums of counts; a ``"one"`` or ``"same"``
-    check compares each of a cut's counts with 1 or with its first count. A
-    world makes every decision of the plan when its signs equal the planned
-    world's.
-    """
-    counts = _RegionCounts(regions, sizes)
-    signs = []
-    for kind, *args in plan.checks:
-        if kind == "pair":
-            a, b = (sum(map(counts.size, side)) for side in args)
-            signs.append(np.sign(a - b))
-        else:
-            cut = counts.cut(*args)
-            base = 1 if kind == "one" else cut[0]
-            signs += [np.sign(v - base) for v in cut]
-    exponents = [counts.cut(c, pos)[0] for c, pos in plan.powers]
-    n = len(sizes)
-    return (
-        np.array(signs, dtype=object).reshape(len(signs), n).T,
-        np.array(exponents, dtype=np.int64).reshape(len(exponents), n).T,
-    )
 
 
 def lifted_query(

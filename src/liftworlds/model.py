@@ -25,7 +25,8 @@ x1" is the run ``x2`` .. ``x{N}``, the constraint form of Kisynski & Poole
 (UAI 2009). Every set operation costs O(named constants + runs), never
 O(N). A constraint whose tuples are the product of their column sets is one
 block, and an operation on one block works on its sets: peeling a named
-constant off is one set difference. This module is the only one that reads
+constant off is one split (``_split``, the one routine that cuts a
+constraint on a group). This module is the only one that reads
 a constraint's blocks or tuples: the rest of the package projects, counts,
 splits, joins and grounds constraints through the functions below. Only
 grounding and ``Constraint.tuples`` list tuples, through ``_listed``, in
@@ -40,8 +41,9 @@ disjoint regions (``_regions``), each of the query's constants one of its
 own, and two models with equal keys map onto each other by a renaming that
 fixes the query's constants, so ``query_all`` answers one of them for both.
 Models whose keys differ only in their region sizes have one structure:
-every count on one is a sum of products of sums of region sizes
-(``_RegionCounts``), so one plan can serve them all.
+every count on one is a sum of products of sums of region sizes, so one
+plan can serve them all. ``_at_sizes`` evaluates a plan's checks and
+exponents at many models' sizes at once, which no other module does.
 
 All types are immutable after construction and safe to share between
 threads; the operations below are pure functions.
@@ -750,20 +752,19 @@ def _split(
 def _peel(c: Constraint, named: Collection[Constant]) -> dict[tuple, Constraint]:
     """``c`` split by which ``named`` constant each logvar binds, ``""`` for any other.
 
-    Each set gives up the named constants it holds, each as a set of its
-    own; a part is keyed as keying every tuple that way would key it (no
-    constant has an empty name).
+    Each logvar in turn splits every part (:func:`_split`) on each named
+    constant, and what is left binds none of them; a part is keyed as keying
+    every tuple that way would key it (no constant has an empty name).
     """
-    parts: dict[tuple, list[Block]] = {}
-    for b in c.blocks:
-        choices = []
-        for s in b:
-            hit = [k for k in named if k in s]
-            rest = s - ConstantSet(hit) if hit else s
-            choices.append([(k, ConstantSet((k,))) for k in hit] + ([("", rest)] if rest else []))
-        for combo in itertools.product(*choices):
-            parts.setdefault(tuple(k for k, _ in combo), []).append(tuple(s for _, s in combo))
-    return {k: Constraint(c.logvars, bs) for k, bs in parts.items()}
+    parts = {(): c} if c.blocks else {}
+    for lv in c.logvars:
+        cut = {}
+        for key, rest in parts.items():
+            for k in named:
+                cut[key + (k,)], rest = _split(rest, (lv,), frozenset({(ConstantSet((k,)),)}))
+            cut[key + ("",)] = rest
+        parts = {key: part for key, part in cut.items() if part.blocks}
+    return parts
 
 
 def _join(c1: Constraint, c2: Constraint) -> Constraint:
@@ -898,51 +899,63 @@ def _inside(c: Constraint, named: Collection[Constant]) -> bool:
     return all(len(s) == sum(k in s for k in named) for b in c.blocks for s in b)
 
 
-class _RegionCounts:
-    """Counts of constraints and groups as functions of region sizes, for many models at once.
+def _at_sizes(plan, regions: Sequence[ConstantSet], sizes: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """The sign of every check of ``plan`` (an ``engine._Plan``) and every exponent, per row of region sizes.
 
-    ``regions`` are one model's (:func:`_shape`); each row of ``sizes`` gives
-    the region sizes, in that order, of a model of the same structure. Every
-    set cut from the model's sets and the fixed constants is a union of
-    regions, so every count is a sum of products of sums of region sizes:
-    here a vector of Python ints, one per row.
+    ``regions`` are the planned model's (:func:`_shape`), and each row of
+    ``sizes`` gives a model of the same structure's region sizes in that
+    order. Every set of the plan is a union of regions, so every count is a
+    sum of products of sums of region sizes: a vector of Python ints, one
+    per row. A ``"pair"`` check compares two sums of counts; a ``"one"`` or
+    ``"same"`` check compares each of a cut's counts with 1 or with its
+    first count. A model makes every decision of the plan when its signs
+    equal the planned model's. Exponents are floats, as the tables they
+    scale. The caches live for one call and are keyed by value.
     """
+    rows = np.array(sizes, dtype=object).reshape(len(sizes), len(regions))
+    probes = list(map(_member, regions))
+    one = np.ones(len(rows), dtype=object)
+    sets: dict[ConstantSet, tuple[list[int], np.ndarray]] = {}
+    counts: dict = {}  # by a constraint's blocks or a group
+    cuts: dict = {}  # by a constraint's blocks and the cut positions
 
-    def __init__(self, regions: Sequence[ConstantSet], sizes: Sequence[Sequence[int]]):
-        self.rows = np.array(sizes, dtype=object).reshape(len(sizes), len(regions))
-        self.probes = list(map(_member, regions))
-        self._within: dict[ConstantSet, list[int]] = {}
-        self._sizes: dict[ConstantSet, np.ndarray] = {}
-        self._counts: dict = {}  # by the id of a constraint or group, which the caller keeps
+    def at(s: ConstantSet) -> tuple[list[int], np.ndarray]:
+        if s not in sets:  # the regions s holds, and its size per row
+            held = [i for i, k in enumerate(probes) if k in s]
+            sets[s] = held, rows[:, held].sum(axis=1)
+        return sets[s]
 
-    def _regions(self, s: ConstantSet) -> list[int]:
-        if s not in self._within:
-            self._within[s] = [i for i, k in enumerate(self.probes) if k in s]
-        return self._within[s]
+    def count(blocks: tuple[Block, ...] | frozenset[Block]) -> np.ndarray:
+        if blocks not in counts:
+            counts[blocks] = sum((math.prod((at(s)[1] for s in b), start=one) for b in blocks), start=0 * one)
+        return counts[blocks]
 
-    def _count(self, blocks: Iterable[Block]) -> np.ndarray:
-        one = np.ones(len(self.rows), dtype=object)
-        for s in {s for b in blocks for s in b} - self._sizes.keys():
-            self._sizes[s] = self.rows[:, self._regions(s)].sum(axis=1)
-        return sum((math.prod(map(self._sizes.__getitem__, b), start=one) for b in blocks), start=0 * one)
-
-    def size(self, x: Constraint | frozenset[Block]) -> np.ndarray:
-        """The number of tuples of a constraint, or of instances of a group."""
-        if id(x) not in self._counts:
-            self._counts[id(x)] = self._count(x.blocks if isinstance(x, Constraint) else x)
-        return self._counts[id(x)]
-
-    def cut(self, c: Constraint, pos: Sequence[int]) -> list[np.ndarray]:
-        """How many groundings extend each tuple in each tuple of regions ``c``'s sets at ``pos`` cover."""
-        key = (id(c), tuple(pos))
-        if key not in self._counts:
-            drop = [i for i in range(len(c.logvars)) if i not in pos]
+    def cut(c: Constraint, pos: Sequence[int]) -> list[np.ndarray]:
+        # how many groundings extend each tuple, per tuple of regions c's sets at pos hold
+        key = c.blocks, tuple(pos)
+        if key not in cuts:
             by: dict[tuple, list[Block]] = {}
             for b in c.blocks:
-                for regions in itertools.product(*(self._regions(b[i]) for i in pos)):
-                    by.setdefault(regions, []).append(tuple(b[i] for i in drop))
-            self._counts[key] = [self._count(rests) for rests in by.values()]
-        return self._counts[key]
+                for held in itertools.product(*(at(b[i])[0] for i in pos)):
+                    by.setdefault(held, []).append(tuple(s for i, s in enumerate(b) if i not in pos))
+            cuts[key] = [count(tuple(rests)) for rests in by.values()]
+        return cuts[key]
+
+    signs = []
+    for kind, *args in plan.checks:
+        if kind == "pair":
+            a, b = (sum(count(x.blocks if isinstance(x, Constraint) else x) for x in side) for side in args)
+            signs.append(np.sign(a - b))
+        else:
+            counted = cut(*args)
+            base = 1 if kind == "one" else counted[0]
+            signs += [np.sign(v - base) for v in counted]
+    exponents = [cut(c, pos)[0] for c, pos in plan.powers]
+    n = len(sizes)
+    return (
+        np.array(signs, dtype=object).reshape(len(signs), n).T,
+        np.array(exponents, dtype=float).reshape(len(exponents), n).T,
+    )
 
 
 def _product(logvars: tuple[Logvar, ...], domains: Mapping[Logvar, ConstantSet]) -> Constraint:

@@ -31,11 +31,13 @@ constants each typed domain holds, and which types are non-empty), over the
 named facts plus k representatives per type, k the largest bound arity.
 Each answer becomes a pattern of named constants and numbered
 representatives, and a world maps a pattern's representatives one-to-one
-onto its own constants of their types; a pattern whose representatives are
-of distinct types is thus one block, and no tuple of it is listed. Positive
-rules commute with renaming unnamed constants, and survive merging two of
-one type, so this gives exactly the answers of the whole world; the
-README's design note has the argument.
+onto its own constants of their types. Positive rules commute with renaming
+unnamed constants, and survive merging two of one type (Chandra & Merlin,
+STOC 1977), so this gives exactly the answers of the whole world; the
+README's design note has the argument. So a pattern whose representatives
+are distinct is one block, whatever their types, and it holds every
+pattern that merges them too. Only a pattern that repeats a representative
+without its linear form among the answers, such as a diagonal, is listed.
 
 A world's domains are constant sets, most of them one run of synthetic
 names, and so are its types: the shape and the type pools come from set
@@ -141,8 +143,8 @@ class ConstraintWorld:
     the world's anonymous constants of each type, in sorted type order.
     Worlds of one tag have one structure, and each of their sets, a ``top``
     block's domains included, is a union of the same pools and named
-    constants. It is None when a pattern of two representatives of one type
-    is listed: its blocks then depend on more than the pools, and
+    constants. It is None when a pattern that repeats a representative is
+    listed: its blocks then depend on more than the pools, and
     ``query_all`` keys each such world as a form of its own.
     """
 
@@ -447,9 +449,10 @@ def _choice_worlds(prog: Program, checked: tuple, held: dict, types) -> list:
     The rules run over the named facts plus ``k`` representatives of each
     anonymous type, which get facts through the ``populate`` directives of
     the type's logvars only; ``answers`` holds each parfactor's binding
-    answers as a tuple of patterns, or None for a ``top`` binding. ``tag``
-    is the form tag of the combination's worlds, or None when they get no
-    form. ``checked`` is :func:`_checked`'s, and ``held`` maps each typed
+    answers as a tuple of patterns, but for those whose linear form
+    (:func:`_linear`) is an answer too, or None for a ``top`` binding.
+    ``tag`` is the form tag of the combination's worlds, or None when a
+    pattern is listed. ``checked`` is :func:`_checked`'s, and ``held`` maps each typed
     logvar to the named constants its domain holds.
     """
     _, atoms, k, rules, singletons = checked
@@ -470,31 +473,36 @@ def _choice_worlds(prog: Program, checked: tuple, held: dict, types) -> list:
             prob *= g.probs[fi]
             chosen.setdefault(g.predicate, set()).add(g.facts[fi].terms)
         rel = _derive(chosen, rules)
+        found = [None if a is None else {_pattern(t, singletons) for t in rel.get(a.predicate, ())} for a in atoms]
         answers = tuple(
-            None if atom is None
-            else tuple({_pattern(t, singletons) for t in rel.get(atom.predicate, ())})
-            for atom in atoms
+            ps if ps is None else tuple(p for p in ps if (lin := _linear(p)) == p or lin not in ps) for ps in found
         )
-        formed = all(_apart(p) for ps in answers if ps is not None for p in ps)
+        formed = all(p == _linear(p) for ps in answers if ps is not None for p in ps)
         worlds.append((combo, prob, answers, object() if formed else None))
     worlds.sort(key=lambda w: (-w[1], w[0]))
     return worlds
 
 
-def _apart(pattern: tuple) -> bool:
-    """Whether the pattern's representatives are all of distinct types."""
-    types = [t[0] for t in pattern if isinstance(t, tuple)]
-    return len(set(types)) == len(types)
+def _linear(pattern: tuple) -> tuple:
+    """The pattern with a representative of its own at each representative position, numbered in order.
+
+    It is the pattern itself exactly when the representatives are distinct.
+    """
+    n = itertools.count()
+    return tuple((t[0], next(n)) if isinstance(t, tuple) else t for t in pattern)
 
 
 def _blocks(pattern: tuple, pools: dict) -> tuple:
     """A world's blocks of one pattern.
 
     A named constant is its singleton and a representative its type's pool,
-    so a pattern whose representatives sit at positions of distinct types is
-    one block; any other pattern is listed and decomposed.
+    so a pattern whose representatives are distinct is one block, whatever
+    their types; it holds the tuples of each pattern that merges its
+    representatives too, which :func:`_choice_worlds` drops. Any other
+    pattern is listed and decomposed.
     """
-    if _apart(pattern):
+    reps = [t for t in pattern if isinstance(t, tuple)]
+    if len(set(reps)) == len(reps):
         return (tuple(pools[t[0]] if isinstance(t, tuple) else t for t in pattern),)
     return _decompose(_list(pattern, pools))
 

@@ -27,9 +27,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .engine import MarginalDistribution, QuerySpec, _at_sizes, _plan, _run, lifted_query
+from .engine import MarginalDistribution, QuerySpec, _plan, _run, lifted_query
 from .errors import InferenceError, ValidationError
-from .model import ConstantSet, GroundAtom, ParameterisedModel, _member, _shape
+from .model import ConstantSet, GroundAtom, ParameterisedModel, _at_sizes, _member, _shape
 from .universe import Provenance, WeightedModel
 
 
@@ -190,8 +190,9 @@ def _answers(
 ) -> dict[tuple[int, ...], MarginalDistribution]:
     """One answer per region-size vector of one structure, with as few plans as agree.
 
-    The last pending world is planned, and every pending world whose sizes
-    make all the plan's decisions (``engine._at_sizes``) runs in one batch.
+    The last pending world is planned (``engine._plan``), and every pending
+    world whose sizes make all the plan's decisions (``model._at_sizes``
+    counts the plan's checks at each world's sizes) runs in one batch.
     The others wait for the next plan. Worlds come in ascending size from
     ``expand``, and the largest is the least likely to sit on a cost tie or
     a region of one constant, which other sizes do not share. A plan whose

@@ -19,9 +19,11 @@ import math
 import numpy as np
 
 from liftworlds import (
+    BetaBinomialDomain,
     Constant,
     ConstantSet,
     Constraint,
+    DomainSpec,
     GroundAtom,
     InferenceError,
     Logvar,
@@ -30,6 +32,8 @@ from liftworlds import (
     PotentialTable,
     PRV,
     TemplateModel,
+    UniverseModel,
+    parse_program,
 )
 from liftworlds import queries
 from liftworlds.model import _Identifier, _listed, _shape
@@ -116,6 +120,32 @@ def epidemic_template(rng: np.random.Generator | None = None) -> TemplateModel:
     g1 = Parfactor(PotentialTable((EPID, SICK, TRAVEL), v1), Constraint.empty((X,)))
     g2 = Parfactor(PotentialTable((EPID, SICK, TREAT), v2), Constraint.empty((X, T)))
     return TemplateModel((g0, g1, g2), ("g0", "g1", "g2"))
+
+
+# every pair of persons, X and Y both populated from one predicate: each
+# answer pattern has two representatives of one type wherever X's and Y's
+# domains overlap
+PAIR_PROGRAM = """
+pair(X,Y) :- person(X) & person(Y).
+populate person/1 from X.
+populate person/1 from Y.
+constraint g0 <- top.
+constraint g1 <- person(X).
+constraint g2 <- pair(X,Y).
+"""
+
+
+def pair_universe(bins: int, step: int) -> UniverseModel:
+    """E, S(X) and K(X,Y) over :data:`PAIR_PROGRAM`, with beta-binomial X and Y of ``bins`` bins of ``step``."""
+    y = Logvar("Y")
+    e, s, k = PRV("E"), PRV("S", (X,)), PRV("K", (X, y))
+    template = TemplateModel((
+        Parfactor(PotentialTable((e,), (3.0, 1.0)), Constraint.empty(())),
+        Parfactor(PotentialTable((e, s), (2.0, 1.0, 1.0, 3.0)), Constraint.empty((X,))),
+        Parfactor(PotentialTable((s, k), (1.0, 2.0, 3.0, 1.0)), Constraint.empty((X, y))),
+    ), ("g0", "g1", "g2"))
+    domain = BetaBinomialDomain(2.0, 3.0, bins=bins, step=step)
+    return UniverseModel(template, parse_program(PAIR_PROGRAM), DomainSpec({"X": domain, "Y": domain}))
 
 
 def decompose(tuples) -> tuple:

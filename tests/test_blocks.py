@@ -58,6 +58,7 @@ from support import (
     epidemic_template,
     group_instances,
     members,
+    pair_universe,
     record_constants,
     xs,
 )
@@ -337,6 +338,23 @@ def test_expand_lists_no_tuple_of_a_product(monkeypatch, data_dir):
         models = expand(UniverseModel(template, rules, wide))
         assert len(models) == 60
         assert max(wm.provenance.domain_sizes["X"] for wm in models) == 20 * step
+    assert calls == []
+    assert [c for c in made if re.fullmatch(r"x[1-9][0-9]*", c)] == []
+
+
+def test_expand_lists_no_tuple_of_a_pair_binding(monkeypatch):
+    # pair(X,Y) over one type of persons: the pattern of two representatives
+    # is one product block, which holds the diagonal's pattern too, so one
+    # bin of 100 persons or of 10^5 expands with no tuple listed and no
+    # person named
+    calls = []
+    for owner, name in ((model, "_listed"), (program, "_list")):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    made = record_constants(monkeypatch)
+    for n in (100, 10**5):
+        (wm,) = expand(pair_universe(1, n))
+        assert wm.model.form is not None and wm.model.parfactors[2].constraint.size == n * n
     assert calls == []
     assert [c for c in made if re.fullmatch(r"x[1-9][0-9]*", c)] == []
 

@@ -30,7 +30,6 @@ from liftworlds import engine, io
 from liftworlds.engine import (
     _Plan,
     _absorb,
-    _at_sizes,
     _ground_factors,
     _lifted,
     _log,
@@ -41,7 +40,7 @@ from liftworlds.engine import (
     _sum_out,
     _tables,
 )
-from liftworlds.model import _groundings, _holds, _split, conditional_count, project
+from liftworlds.model import _at_sizes, _groundings, _holds, _split, conditional_count, project
 from support import (
     EPID,
     SICK,
@@ -408,6 +407,25 @@ def test_each_recorded_check_tells_the_sizes_that_change_it():
     _sum_out(_lifted((SICK, TREAT), logtab, ragged), TREAT, plan)
     signs, exponents = at(plan, [x1, x2, other, two], [(1, 1, 2, 2), (1, 1, 3, 3), (1, 1, 2, 3)])
     assert signs[0] == signs[1] != signs[2] and exponents[:2] == [[2], [3]]
+
+
+def test_an_exponent_past_int64_still_answers():
+    # summing S(X,Y,Z) out over three runs of 10^7 persons raises its table
+    # to 10^21, past any int64; exponents only scale log tables, as floats
+    xyz = tuple(Logvar(n) for n in "XYZ")
+    e, s = PRV("E"), PRV("S", xyz)
+
+    def cube(n):
+        persons = ConstantSet(runs=((1, n),))
+        table = PotentialTable((e, s), (2.0, 1.0, 1.0, 1.0))
+        return ParameterisedModel((Parfactor(table, Constraint(xyz, ((persons,) * 3,))),))
+
+    q = QuerySpec((atom("E"),))
+    log = []
+    assert lifted_query(cube(10**7), q, op_log=log).probs.tolist() == [1.0, 0.0]
+    assert [r.exponent for r in log if r.kind == "sum_out"] == [10**21]
+    small = cube(3)
+    assert np.max(np.abs(lifted_query(small, q).probs - ground_ve(small, q).probs)) < 1e-9
 
 
 def _assert_memo_is_exact(plan):

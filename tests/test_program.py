@@ -336,20 +336,21 @@ class TestEvaluate:
 
 
 Y = Logvar("Y")
+Z = Logvar("Z")
 
 
-def xy_template() -> TemplateModel:
-    """g0 over no logvar, g1 over X, g2 over (X, Y), g3 over Y."""
+def xy_template(three: bool = False) -> TemplateModel:
+    """g0 over no logvar, g1 over X, g2 over (X, Y), g3 over Y, and with ``three`` g4 over (X, Y, Z)."""
     a, b, c, d = PRV("A"), PRV("B", (X,)), PRV("C", (X, Y)), PRV("D", (Y,))
-    return TemplateModel(
-        (
-            Parfactor(PotentialTable((a,), (1.0, 2.0)), Constraint.empty(())),
-            Parfactor(PotentialTable((b,), (1.0, 2.0)), Constraint.empty((X,))),
-            Parfactor(PotentialTable((c,), (1.0, 2.0)), Constraint.empty((X, Y))),
-            Parfactor(PotentialTable((d,), (1.0, 2.0)), Constraint.empty((Y,))),
-        ),
-        ("g0", "g1", "g2", "g3"),
-    )
+    parfactors = [
+        Parfactor(PotentialTable((a,), (1.0, 2.0)), Constraint.empty(())),
+        Parfactor(PotentialTable((b,), (1.0, 2.0)), Constraint.empty((X,))),
+        Parfactor(PotentialTable((c,), (1.0, 2.0)), Constraint.empty((X, Y))),
+        Parfactor(PotentialTable((d,), (1.0, 2.0)), Constraint.empty((Y,))),
+    ]
+    if three:
+        parfactors.append(Parfactor(PotentialTable((PRV("E", (X, Y, Z)),), (1.0, 2.0)), Constraint.empty((X, Y, Z))))
+    return TemplateModel(tuple(parfactors), tuple(f"g{i}" for i in range(len(parfactors))))
 
 
 def beta(guaranteed=(), bins=3) -> BetaBinomialDomain:
@@ -367,8 +368,9 @@ def check_against_oracle(text: str, spec: dict, monkeypatch) -> list:
     does, and compare each with the full-database oracle. Also checks that no
     tuple of a world lies in the blocks of two patterns, and that every
     constraint's blocks are, as a set, those ``decompose`` gives for the
-    oracle's tuples. Returns the oracle's worlds."""
-    prog, tmpl = parse_program(text), xy_template()
+    oracle's tuples. A ``spec`` with a Z domain takes the template with g4.
+    Returns the oracle's worlds."""
+    prog, tmpl = parse_program(text), xy_template("Z" in spec)
     made: dict = {}  # pattern -> its blocks in the current world
     real = program._blocks
 
@@ -429,6 +431,11 @@ SHAPE_CASES = {
         "d0(A) :- p(A) & never(A). d1(A,B) :- p(A) & q(B). d3(B) :- q(B) & p(c0).",
         {"X": beta(), "Y": beta()},
     ),
+    "one type at two and at three positions": (
+        "populate p/1 from Z. d0(A) :- p(A). d1(A,B) :- p(A) & p(B). d3(B) :- q(B). "
+        "d4(A,B,C) :- p(A) & p(B) & p(C). d4(A,B,A) :- q(A) & p(B).",
+        {"X": beta(), "Y": beta(), "Z": beta(bins=2)},
+    ),
     "two choice groups": (
         "0.6 f(x1). 0.4 f(c0). 0.5 h(a,x2). 0.5 h(c0,c0). d0(A) :- p(A) & f(A). "
         "d1(A,B) :- h(A,B). d1(A,B) :- p(A) & q(B) & f(B). d3(B) :- q(B).",
@@ -437,8 +444,8 @@ SHAPE_CASES = {
 }
 
 
-def _case_program(rules: str) -> str:
-    heads = {"g1": "d0(X)", "g2": "d1(X,Y)", "g3": "d3(Y)"}
+def _case_program(rules: str, three: bool = False) -> str:
+    heads = {"g1": "d0(X)", "g2": "d1(X,Y)", "g3": "d3(Y)", **({"g4": "d4(X,Y,Z)"} if three else {})}
     return rules + DIRECTIVES + "".join(f"constraint {g} <- {a}.\n" for g, a in heads.items())
 
 
@@ -483,7 +490,7 @@ class TestWorldShapes:
     @pytest.mark.parametrize("name", SHAPE_CASES)
     def test_case_matches_full_database(self, name, monkeypatch):
         rules, spec = SHAPE_CASES[name]
-        worlds = check_against_oracle(_case_program(rules), spec, monkeypatch)
+        worlds = check_against_oracle(_case_program(rules, "Z" in spec), spec, monkeypatch)
         if name == "empty answers":
             assert any(w.degenerate for w in worlds)
 

@@ -41,7 +41,7 @@ from liftworlds import (
     trend_report,
 )
 from liftworlds import engine, queries
-from liftworlds.model import _shape
+from liftworlds.model import _at_sizes, _shape
 from liftworlds.queries import AnswerEntry, AnswerSet
 from liftworlds.universe import Provenance, WeightedModel
 from support import (
@@ -56,6 +56,7 @@ from support import (
     epidemic_template,
     example_tables,
     members,
+    pair_universe,
     ragged_model,
     shape_keyed_query_all,
     ts,
@@ -276,7 +277,7 @@ class TestRenamingClasses:
         fixed = [ConstantSet((c,)) for c in sorted({c for a in q.targets for c in a.args})]
         (sizes1, structure1, regions), (sizes2, structure2, _) = _shape(first, fixed), _shape(second, fixed)
         assert structure1 == structure2 and sizes1 != sizes2
-        signs, _ = engine._at_sizes(engine._plan(first, q), regions, [sizes1, sizes2])
+        signs, _ = _at_sizes(engine._plan(first, q), regions, [sizes1, sizes2])
         assert list(signs[0]) != list(signs[1])
         logs = [], []
         for m, log in zip((first, second), logs):
@@ -316,7 +317,7 @@ class TestRenamingClasses:
             group = [(m, k) for m, k in zip(worlds, keys) if k[1] == keys[0][1]]
             log = []
             plan = engine._plan(worlds[0], q, log)
-            signs, exponents = engine._at_sizes(plan, keys[0][2], [k[0] for _, k in group])
+            signs, exponents = _at_sizes(plan, keys[0][2], [k[0] for _, k in group])
             for (m, _), row, exps in zip(group, signs, exponents):
                 if list(row) != list(signs[0]):
                     disagreed += 1
@@ -548,10 +549,21 @@ def test_form_keys_group_worlds_as_shape_keys(data_dir, monkeypatch):
     assert len({wm.model.form[0] for wm in varied}) < len(varied)
     for text in ("P(Sick(x1) | Treat(x2,t1)=true)", "P(Sick(x2) | Treat(x1,x2)=true)", "P(Epid | Treat(x3,t4)=false)"):
         assert agrees_with_shape_keys(monkeypatch, varied, parse_query(text))
+    # pairs of persons of one type: each pattern's representatives are
+    # distinct, so no pattern is listed and every world has a form
+    pairs = expand(pair_universe(4, 1))
+    assert len(pairs) == 16 and all(wm.model.form is not None for wm in pairs)
+    assert agrees_with_shape_keys(monkeypatch, pairs, parse_query("P(S(x1) | K(x2,x1)=true)"))
+    q = parse_query("P(E | S(x1)=true)")
+    aset = agrees_with_shape_keys(monkeypatch, pairs, q)
+    assert not aset.skipped
+    for wm, entry in zip(pairs, aset.entries):
+        assert np.max(np.abs(entry.answer.probs - ground_ve(wm.model, q).probs)) < 1e-9
     # seeded programs of the randomized program differential that leave some
     # world not degenerate, queried on constants of their last such world
-    # and on constants their worlds may lack; pairs of one type are listed
-    # and get no form
+    # and on constants their worlds may lack; a pattern that repeats a
+    # representative without its linear form among the answers is listed
+    # and gets no form
     rng = np.random.default_rng(31)
     constants = ["a", "x1", "x2", "x3", "y", "c0"]
     programs = formed = formless = answered = 0

@@ -58,7 +58,7 @@ import operator
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Collection, Iterable, Iterator, Mapping, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -746,6 +746,8 @@ def _split(
                     left.append(tuple(head[:i] + [diff] + head[i + 1 :]))
                 head[i] = met[i]
         outside = left
+    if not inside:  # no block meets the group: the rest is all of c
+        return Constraint(c.logvars), c
     return Constraint(c.logvars, inside), Constraint(c.logvars, outside)
 
 
@@ -957,12 +959,3 @@ def _at_sizes(plan, regions: Sequence[ConstantSet], sizes: Sequence[Sequence[int
         np.array(exponents, dtype=float).reshape(len(exponents), n).T,
     )
 
-
-def _product(logvars: tuple[Logvar, ...], domains: Mapping[Logvar, ConstantSet]) -> Constraint:
-    """The constraint binding ``logvars`` to every tuple of their domains: one block."""
-    for lv in logvars:
-        if lv not in domains:
-            raise ValidationError(f"missing domain for logvar {lv.name!r}")
-        if not domains[lv]:
-            raise ValidationError(f"empty domain for logvar {lv.name!r}")
-    return Constraint(logvars, (tuple(domains[lv] for lv in logvars),))

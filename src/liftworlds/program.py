@@ -12,7 +12,7 @@ wire it to a template model::
     constraint g2 <- pred(V1,...,Vk).     binding: answers of the query atom
                                           become parfactor g2's tuples,
                                           positions matching its logvars
-    constraint g0 <- top.                 binding to the full Cartesian product
+    constraint g0 <- top.                 binding to every tuple of the domains
     populate pred/1 from X.               one pred(c) fact per constant of X
 
 All probabilistic facts sharing a predicate form one mutually exclusive,
@@ -38,6 +38,9 @@ README's design note has the argument. So a pattern whose representatives
 are distinct is one block, whatever their types, and it holds every
 pattern that merges them too. Only a pattern that repeats a representative
 without its linear form among the answers, such as a diagonal, is listed.
+A ``top`` binding runs no rule: its patterns take, at each logvar, the
+named constants its domain holds, as one set, or one type that holds the
+logvar, so their blocks partition the product of the domains.
 
 A world's domains are constant sets, most of them one run of synthetic
 names, and so are its types: the shape and the type pools come from set
@@ -55,7 +58,7 @@ from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import ParseError, ValidationError
-from .model import Constant, Constraint, ConstantSet, TemplateModel, _decompose, _listed, _product, _regions, _union
+from .model import Constant, Constraint, ConstantSet, TemplateModel, _decompose, _listed, _regions, _union
 
 _IDENT = r"[a-z][A-Za-z0-9_]*"
 _VAR = r"[A-Z_][A-Za-z0-9_]*"
@@ -141,11 +144,10 @@ class ConstraintWorld:
     ``form`` is ``(tag, pools)``: one ``tag`` object per rule run of an
     :class:`EvaluationMemo` (a world shape and a choice combination), and
     the world's anonymous constants of each type, in sorted type order.
-    Worlds of one tag have one structure, and each of their sets, a ``top``
-    block's domains included, is a union of the same pools and named
-    constants. It is None when a pattern that repeats a representative is
-    listed: its blocks then depend on more than the pools, and
-    ``query_all`` keys each such world as a form of its own.
+    Worlds of one tag have one structure, and each of their sets is a union
+    of the same pools and named constants. It is None when a pattern that
+    repeats a representative is listed: its blocks then depend on more than
+    the pools, and ``query_all`` keys each such world as a form of its own.
     """
 
     constraints: tuple[Constraint, ...]
@@ -396,9 +398,9 @@ def _named(prog: Program) -> frozenset[str]:
 def _pattern(answer: tuple, singletons: dict) -> tuple:
     """An answer over representatives, each renumbered by its first appearance.
 
-    A named constant becomes its set in ``singletons``; a representative
-    becomes ``(type, number)``, so answers that differ only by which
-    representatives they use coincide.
+    A named constant becomes its singleton set of named constants, from
+    ``singletons``; a representative becomes ``(type, number)``, so answers
+    that differ only by which representatives they use coincide.
     """
     first: dict = {}
     return tuple(
@@ -411,11 +413,12 @@ def _checked(prog: Program, tmpl: TemplateModel) -> tuple:
 
     The names of the typed logvars: each one a ``populate`` directive
     fills, then each other one a ``top`` binding covers. Each parfactor's
-    binding atom (None for ``top``), the number ``k`` of representatives per
-    type, the rules in dependency order, and each named constant's singleton
-    set, which the blocks of every world share. Raises on a parfactor
-    without a binding, a binding of no parfactor or of another arity, a
-    ``populate`` of a logvar the template lacks, and recursion.
+    binding atom, or for ``top`` its parfactor's logvar names, the number
+    ``k`` of representatives per type, the rules in dependency order, and
+    each named constant's singleton set, which the blocks of every world
+    share. Raises on a parfactor without a binding, a binding of no
+    parfactor or of another arity, a ``populate`` of a logvar the template
+    lacks, and recursion.
     """
     bound = {b.parfactor for b in prog.bindings}
     missing = [n for n in tmpl.names if n not in bound]
@@ -424,21 +427,22 @@ def _checked(prog: Program, tmpl: TemplateModel) -> tuple:
     unknown = bound - set(tmpl.names)
     if unknown:
         raise ValidationError(f"binding for unknown parfactor {sorted(unknown)[0]!r}")
-    atoms = tuple(prog.binding_for(name).atom for name in tmpl.names)
+    logvars = [tuple(lv.name for lv in pf.constraint.logvars) for pf in tmpl.parfactors]
+    atoms = tuple(prog.binding_for(name).atom or lvs for name, lvs in zip(tmpl.names, logvars))
     k = 0  # representatives per type: enough for every equality pattern of an answer
-    for name, pf, atom in zip(tmpl.names, tmpl.parfactors, atoms):
-        if atom is not None and len(atom.terms) != len(pf.constraint.logvars):
-            raise ValidationError(
-                f"binding for {name!r} has arity {len(atom.terms)}, "
-                f"parfactor has {len(pf.constraint.logvars)} logvars"
-            )
-        k = max(k, 0 if atom is None else len(atom.terms))
+    for name, lvs, atom in zip(tmpl.names, logvars, atoms):
+        if isinstance(atom, Atom):
+            if len(atom.terms) != len(lvs):
+                raise ValidationError(
+                    f"binding for {name!r} has arity {len(atom.terms)}, parfactor has {len(lvs)} logvars"
+                )
+            k = max(k, len(atom.terms))
     names = {lv.name for lv in tmpl.logvars}
     populated = [lv_name for lv_name, _ in prog.populate]
     for lv_name in populated:
         if lv_name not in names:
             raise ValidationError(f"populate directive for unknown logvar {lv_name!r}")
-    top = (lv.name for pf, atom in zip(tmpl.parfactors, atoms) if atom is None for lv in pf.constraint.logvars)
+    top = (lv_name for atom in atoms if not isinstance(atom, Atom) for lv_name in atom)
     singletons = {c: ConstantSet((c,)) for c in _named(prog)}
     return tuple(dict.fromkeys([*populated, *top])), atoms, k, _rule_order(prog.rules), singletons
 
@@ -450,12 +454,20 @@ def _choice_worlds(prog: Program, checked: tuple, held: dict, types) -> list:
     anonymous type, which get facts through the ``populate`` directives of
     the type's logvars only; ``answers`` holds each parfactor's binding
     answers as a tuple of patterns, but for those whose linear form
-    (:func:`_linear`) is an answer too, or None for a ``top`` binding.
-    ``tag`` is the form tag of the combination's worlds, or None when a
-    pattern is listed. ``checked`` is :func:`_checked`'s, and ``held`` maps each typed
-    logvar to the named constants its domain holds.
+    (:func:`_linear`) is an answer too; a ``top`` binding's are made once,
+    before the rules run. ``tag`` is the form tag of the combination's
+    worlds, or None when a pattern is listed. ``checked`` is
+    :func:`_checked`'s, and ``held`` maps each typed logvar to the named
+    constants its domain holds.
     """
     _, atoms, k, rules, singletons = checked
+
+    def options(lv_name: str) -> list:
+        named = [singletons[c] for c in held[lv_name]]
+        holding = [(typ, 0) for typ in types if lv_name in typ]
+        return [named[0].union(*named[1:]), *holding] if named else holding
+
+    top = {a: [_linear(p) for p in itertools.product(*map(options, a))] for a in atoms if not isinstance(a, Atom)}
     base: dict[str, set[tuple]] = {}
     for atom in prog.facts:
         base.setdefault(atom.predicate, set()).add(atom.terms)
@@ -473,11 +485,9 @@ def _choice_worlds(prog: Program, checked: tuple, held: dict, types) -> list:
             prob *= g.probs[fi]
             chosen.setdefault(g.predicate, set()).add(g.facts[fi].terms)
         rel = _derive(chosen, rules)
-        found = [None if a is None else {_pattern(t, singletons) for t in rel.get(a.predicate, ())} for a in atoms]
-        answers = tuple(
-            ps if ps is None else tuple(p for p in ps if (lin := _linear(p)) == p or lin not in ps) for ps in found
-        )
-        formed = all(p == _linear(p) for ps in answers if ps is not None for p in ps)
+        found = [top[a] if a in top else {_pattern(t, singletons) for t in rel.get(a.predicate, ())} for a in atoms]
+        answers = tuple(tuple(p for p in ps if (lin := _linear(p)) == p or lin not in ps) for ps in found)
+        formed = all(p == _linear(p) for ps in answers for p in ps)
         worlds.append((combo, prob, answers, object() if formed else None))
     worlds.sort(key=lambda w: (-w[1], w[0]))
     return worlds
@@ -495,11 +505,11 @@ def _linear(pattern: tuple) -> tuple:
 def _blocks(pattern: tuple, pools: dict) -> tuple:
     """A world's blocks of one pattern.
 
-    A named constant is its singleton and a representative its type's pool,
-    so a pattern whose representatives are distinct is one block, whatever
-    their types; it holds the tuples of each pattern that merges its
-    representatives too, which :func:`_choice_worlds` drops. Any other
-    pattern is listed and decomposed.
+    A named entry is its set of named constants and a representative its
+    type's pool, so a pattern whose representatives are distinct is one
+    block, whatever their types; it holds the tuples of each pattern that
+    merges its representatives too, which :func:`_choice_worlds` drops. Any
+    other pattern is listed and decomposed.
     """
     reps = [t for t in pattern if isinstance(t, tuple)]
     if len(set(reps)) == len(reps):
@@ -536,8 +546,9 @@ def evaluate(
     choice groups, weighted by the product of the chosen facts'
     probabilities, ordered by descending probability (ties by choice index).
     A program without probabilistic facts yields exactly one world with
-    probability 1. Worlds whose binding queries came up empty are emitted
-    with an empty constraint and flagged degenerate.
+    probability 1. Every constraint is the union of its binding's pattern
+    blocks; worlds where a binding has none are emitted with that
+    constraint empty and flagged degenerate.
 
     The rules run once per choice combination and world shape, not per
     world: pass one ``memo`` to the calls on the worlds of one expansion and
@@ -575,21 +586,13 @@ def evaluate(
     pooled = tuple(map(pools.__getitem__, shape[1]))
     worlds = []
     for combo, prob, answers, tag in choice_worlds:
-        constraints: list[Constraint] = []
-        degenerate = False
-        for pf, patterns in zip(tmpl.parfactors, answers):
-            logvars = pf.constraint.logvars
-            if patterns is None:
-                constraints.append(_product(logvars, domains))
-                continue
-            blocks = [b for p in patterns for b in _blocks(p, pools)]
-            if blocks:
-                constraints.append(Constraint(logvars, _union(blocks)))
-            else:
-                constraints.append(Constraint.empty(logvars))
-                degenerate = True
+        constraints = tuple(
+            Constraint(pf.constraint.logvars, _union([b for p in patterns for b in _blocks(p, pools)]))
+            for pf, patterns in zip(tmpl.parfactors, answers)
+        )
+        degenerate = not all(c.size for c in constraints)
         form = None if tag is None else (tag, pooled)
-        worlds.append(ConstraintWorld(tuple(constraints), prob, combo, degenerate, form))
+        worlds.append(ConstraintWorld(constraints, prob, combo, degenerate, form))
     return tuple(worlds)
 
 

@@ -117,7 +117,7 @@ def query_all(models: Sequence[WeightedModel], q: QuerySpec) -> AnswerSet:
     placements: dict[tuple, tuple] = {}  # pools -> where the query's constants fall
     keyed: list[tuple[WeightedModel, dict, tuple]] = []
     for wm in models:
-        if wm.degenerate or wm.model is None:
+        if wm.model is None:
             skipped.append(SkippedModel(wm.provenance, "degenerate world"))
             continue
         tag, pools = wm.model.form or (object(), ())

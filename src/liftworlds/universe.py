@@ -44,13 +44,16 @@ class Provenance:
 
 @dataclass(frozen=True)
 class WeightedModel:
-    """A parameterised model with its world probability; ``model`` is None
-    when the generating constraint world was degenerate."""
+    """A parameterised model with its world probability; ``model`` is None,
+    and so ``degenerate`` true, when the constraint world was degenerate."""
 
     model: ParameterisedModel | None
     prob: float
     provenance: Provenance
-    degenerate: bool = False
+
+    @property
+    def degenerate(self) -> bool:
+        return self.model is None
 
 
 @dataclass(frozen=True)
@@ -124,14 +127,7 @@ def expand(u: UniverseModel) -> tuple[WeightedModel, ...]:
             model = None if cw.degenerate else instantiate(u.template, cw)
             if model is not None:  # no argument, so a replaced or hand-built model has none
                 object.__setattr__(model, "form", cw.form)
-            out.append(
-                WeightedModel(
-                    model,
-                    weight,
-                    Provenance(k, j, dw.sizes(), varying),
-                    degenerate=cw.degenerate,
-                )
-            )
+            out.append(WeightedModel(model, weight, Provenance(k, j, dw.sizes(), varying)))
     return tuple(out)
 
 

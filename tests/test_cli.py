@@ -150,6 +150,21 @@ class TestExpand:
         assert result.exit_code == 2
         assert "non-empty strings" in result.stderr
 
+    def test_model_with_explicit_constraints_is_input_error(self, small_universe, tmp_path):
+        model = tmp_path / "explicit.json"
+        parfactor = {"args": [["Sick", "X"]], "values": [1, 2], "constraint": {"logvars": ["X"], "tuples": [["a"]]}}
+        model.write_text(
+            json.dumps({"randvars": [{"name": "Sick", "arity": 1}], "logvars": ["X"], "parfactors": [parfactor]})
+        )
+        result = run("expand", "--model", str(model), *small_universe[2:])
+        assert result.exit_code == 2
+        assert result.stderr.splitlines()[-1].startswith("error: the pipeline needs a template model")
+
+    def test_cascade_without_threshold_is_input_error(self, small_universe):
+        result = run("expand", *small_universe, "--cascade")
+        assert result.exit_code == 2
+        assert result.stderr.splitlines()[-1] == "error: --cascade needs --threshold"
+
     def test_json_matches_csv(self, small_universe):
         as_csv = run("expand", *small_universe)
         as_json = run("expand", *small_universe, "--format", "json")

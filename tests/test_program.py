@@ -366,10 +366,11 @@ def enumerated(*options) -> EnumeratedDomain:
 def check_against_oracle(text: str, spec: dict, monkeypatch) -> list:
     """Evaluate every world of ``spec`` with one shared memo, as ``expand``
     does, and compare each with the full-database oracle. Also checks that no
-    tuple of a world lies in the blocks of two patterns, and that every
-    constraint's blocks are, as a set, those ``decompose`` gives for the
-    oracle's tuples. A ``spec`` with a Z domain takes the template with g4.
-    Returns the oracle's worlds."""
+    tuple of a world lies in the blocks of two patterns, that every tuple of
+    every constraint, a ``top`` binding's too, lies in some pattern's blocks,
+    and that every constraint's blocks are, as a set, those ``decompose``
+    gives for the oracle's tuples. A ``spec`` with a Z domain takes the
+    template with g4. Returns the oracle's worlds."""
     prog, tmpl = parse_program(text), xy_template("Z" in spec)
     made: dict = {}  # pattern -> its blocks in the current world
     real = program._blocks
@@ -391,6 +392,7 @@ def check_against_oracle(text: str, spec: dict, monkeypatch) -> list:
                 assert set(c.blocks) == set(decompose(r.tuples)), (text, dw.domains)
         every = [t for out in made.values() for t in _listed(out)]
         assert len(every) == len(set(every)), (text, dw.domains)
+        assert {t for w in got for c in w.constraints for t in c.tuples} <= set(every), (text, dw.domains)
         seen.extend(want)
     return seen
 
@@ -436,6 +438,14 @@ SHAPE_CASES = {
         "d4(A,B,C) :- p(A) & p(B) & p(C). d4(A,B,A) :- q(A) & p(B).",
         {"X": beta(), "Y": beta(), "Z": beta(bins=2)},
     ),
+    "a repeat beside another representative of its type": (
+        "populate p/1 from Z. d0(A) :- p(A). d1(A,B) :- p(A) & q(B). d3(B) :- q(B). d4(A,B,A) :- p(A) & p(B).",
+        {"X": beta(), "Y": beta(), "Z": beta(bins=2)},
+    ),
+    "top over domains that share a named constant and a type": (
+        "d0(A) :- p(A). d3(B) :- q(B). e(a,c0). constraint g2 <- top. constraint g4 <- top.",
+        {"X": beta(("a",)), "Y": enumerated(("a", "x1", "y"), ("y", "x2", "x3")), "Z": beta(bins=2)},
+    ),
     "two choice groups": (
         "0.6 f(x1). 0.4 f(c0). 0.5 h(a,x2). 0.5 h(c0,c0). d0(A) :- p(A) & f(A). "
         "d1(A,B) :- h(A,B). d1(A,B) :- p(A) & q(B) & f(B). d3(B) :- q(B).",
@@ -445,8 +455,10 @@ SHAPE_CASES = {
 
 
 def _case_program(rules: str, three: bool = False) -> str:
+    """The rules with the shared directives and a binding of each parfactor the rules leave unbound."""
     heads = {"g1": "d0(X)", "g2": "d1(X,Y)", "g3": "d3(Y)", **({"g4": "d4(X,Y,Z)"} if three else {})}
-    return rules + DIRECTIVES + "".join(f"constraint {g} <- {a}.\n" for g, a in heads.items())
+    bound = set(re.findall(r"constraint (g\d)", rules))
+    return rules + DIRECTIVES + "".join(f"constraint {g} <- {a}.\n" for g, a in heads.items() if g not in bound)
 
 
 CONSTANTS = ("a", "x1", "y", "c0")

@@ -486,15 +486,9 @@ class TemplateModel:
 
 @dataclass(frozen=True)
 class ParameterisedModel:
-    """Parfactors whose constraints are filled in; the groundable form of a model.
-
-    ``form`` is the ``program.ConstraintWorld.form`` that ``expand`` built
-    the model from. It is no argument, so ``dataclasses.replace`` and
-    hand-built models get None, and ``query_all`` keys each as a form of its own.
-    """
+    """Parfactors whose constraints are filled in; the groundable form of a model."""
 
     parfactors: tuple[Parfactor, ...]
-    form: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         parfactors = tuple(self.parfactors)
@@ -869,7 +863,7 @@ def _shape(
 
     It is the one definition of a model's key, at O(sets x regions) set
     operations (about 14 µs on a bundled world), so ``query_all`` runs it
-    only on the first model of each form (``ParameterisedModel.form``) and
+    only on the first model of each form (``universe.WeightedModel.form``) and
     on each planned model.
     """
     sets = list(dict.fromkeys(s for p in m.parfactors for b in p.constraint.blocks for s in b))

@@ -133,7 +133,7 @@ class Program:
         return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ConstraintWorld:
     """One generated constraint per template parfactor, optionally weighted.
 
@@ -141,13 +141,15 @@ class ConstraintWorld:
     declaration order; ``degenerate`` flags worlds where some binding query
     had no answers and the constraint came out empty.
 
-    ``form`` is ``(tag, pools)``: one ``tag`` object per rule run of an
-    :class:`EvaluationMemo` (a world shape and a choice combination), and
+    ``form`` is ``(recipe, pools)``: the recipe of an :class:`EvaluationMemo`
+    (one per world shape and choice combination), which tags the form, and
     the world's anonymous constants of each type, in sorted type order.
-    Worlds of one tag have one structure, and each of their sets is a union
-    of the same pools and named constants. It is None when a pattern that
-    repeats a representative is listed: its blocks then depend on more than
-    the pools, and ``query_all`` keys each such world as a form of its own.
+    Worlds of one recipe have one structure, and each of their sets is a
+    union of the same pools and named constants. It is None when a pattern
+    that repeats a representative is listed: its blocks then depend on more
+    than the pools, and ``query_all`` keys each such world as a form of its
+    own. A world with a form may be given ``constraints`` None: its recipe
+    builds them from its pools on first read, and the world keeps them.
     """
 
     constraints: tuple[Constraint, ...]
@@ -155,6 +157,24 @@ class ConstraintWorld:
     choice: tuple[int, ...] = ()
     degenerate: bool = False
     form: tuple | None = field(default=None, compare=False, repr=False)
+
+    def __init__(self, constraints, prob, choice=(), degenerate=False, form=None):
+        set_ = object.__setattr__
+        if constraints is not None:
+            set_(self, "constraints", constraints)
+        set_(self, "prob", prob)
+        set_(self, "choice", choice)
+        set_(self, "degenerate", degenerate)
+        set_(self, "form", form)
+
+    def __getattr__(self, name):
+        # only the constraints of a world left to its form are ever missing
+        if name != "constraints" or self.form is None:
+            raise AttributeError(name)
+        recipe, pools = self.form
+        built = recipe.constraints(pools)
+        object.__setattr__(self, "constraints", built)
+        return built
 
 
 # ---------------------------------------------------------------------------
@@ -375,10 +395,11 @@ class EvaluationMemo:
     template of the first call, and what they give on their own
     (:func:`_checked`), so that is worked out once per memo. A call with
     other objects raises. A caller that has checked them already may pass
-    ``served`` itself. ``shapes`` maps a world shape to its choice worlds,
-    each binding's answers kept as patterns, and their form tags. A memo
-    grows with the worlds it serves: make one per expansion and let it go
-    with it.
+    ``served`` itself. ``shapes`` maps a world shape to its choice worlds:
+    each one's choice, probability and :class:`_Recipe`, which every world
+    of the shape builds its constraints from, so a world keeps only its
+    recipe and pools until they are read. A memo grows with the worlds it
+    serves: make one per expansion and let it go with it.
     """
 
     served: tuple = ()
@@ -447,20 +468,46 @@ def _checked(prog: Program, tmpl: TemplateModel) -> tuple:
     return tuple(dict.fromkeys([*populated, *top])), atoms, k, _rule_order(prog.rules), singletons
 
 
-def _choice_worlds(prog: Program, checked: tuple, held: dict, types) -> list:
-    """``(choice, prob, answers, tag)`` per choice combination of one world shape.
+class _Recipe:
+    """How the worlds of one shape and choice combination fill each parfactor's constraint.
+
+    ``parts`` holds, per parfactor, its logvars and its binding's answer
+    patterns, each representative's type given as its slot in a world's
+    pools (sorted type order), so one recipe serves every world of the
+    shape. It is ``formed`` when every pattern's representatives are
+    distinct: each pattern is then one block of pools and named sets, none
+    of them empty, so a world's constraint is empty exactly when its
+    parfactor has no pattern, and ``degenerate`` says so without building a
+    constraint. A formed recipe tags the form of its worlds.
+    """
+
+    __slots__ = ("parts", "formed", "degenerate")
+
+    def __init__(self, parts: tuple):
+        self.parts = parts
+        self.formed = all(p == _linear(p) for _, ps in parts for p in ps)
+        self.degenerate = not all(ps for _, ps in parts)
+
+    def constraints(self, pools: Sequence[ConstantSet]) -> tuple[Constraint, ...]:
+        """The constraints of a world whose pools, in slot order, are ``pools``."""
+        return tuple(Constraint(lvs, _union([b for p in ps for b in _blocks(p, pools)])) for lvs, ps in self.parts)
+
+
+def _choice_worlds(prog: Program, tmpl: TemplateModel, checked: tuple, held: dict, types) -> list:
+    """``(choice, prob, recipe)`` per choice combination of one world shape.
 
     The rules run over the named facts plus ``k`` representatives of each
     anonymous type, which get facts through the ``populate`` directives of
-    the type's logvars only; ``answers`` holds each parfactor's binding
-    answers as a tuple of patterns, but for those whose linear form
+    the type's logvars only. The :class:`_Recipe` holds each parfactor's
+    binding answers as patterns, but for those whose linear form
     (:func:`_linear`) is an answer too; a ``top`` binding's are made once,
-    before the rules run. ``tag`` is the form tag of the combination's
-    worlds, or None when a pattern is listed. ``checked`` is
-    :func:`_checked`'s, and ``held`` maps each typed logvar to the named
-    constants its domain holds.
+    before the rules run. ``checked`` is :func:`_checked`'s, ``held`` maps
+    each typed logvar to the named constants its domain holds, and
+    ``types`` are the shape's types in sorted order.
     """
     _, atoms, k, rules, singletons = checked
+    slot = {typ: i for i, typ in enumerate(types)}
+    logvars = [pf.constraint.logvars for pf in tmpl.parfactors]
 
     def options(lv_name: str) -> list:
         named = [singletons[c] for c in held[lv_name]]
@@ -486,9 +533,12 @@ def _choice_worlds(prog: Program, checked: tuple, held: dict, types) -> list:
             chosen.setdefault(g.predicate, set()).add(g.facts[fi].terms)
         rel = _derive(chosen, rules)
         found = [top[a] if a in top else {_pattern(t, singletons) for t in rel.get(a.predicate, ())} for a in atoms]
-        answers = tuple(tuple(p for p in ps if (lin := _linear(p)) == p or lin not in ps) for ps in found)
-        formed = all(p == _linear(p) for ps in answers for p in ps)
-        worlds.append((combo, prob, answers, object() if formed else None))
+        answers = (tuple(p for p in ps if (lin := _linear(p)) == p or lin not in ps) for ps in found)
+        parts = tuple(
+            (lvs, tuple(tuple((slot[t[0]], t[1]) if isinstance(t, tuple) else t for t in p) for p in ps))
+            for lvs, ps in zip(logvars, answers)
+        )
+        worlds.append((combo, prob, _Recipe(parts)))
     worlds.sort(key=lambda w: (-w[1], w[0]))
     return worlds
 
@@ -502,11 +552,11 @@ def _linear(pattern: tuple) -> tuple:
     return tuple((t[0], next(n)) if isinstance(t, tuple) else t for t in pattern)
 
 
-def _blocks(pattern: tuple, pools: dict) -> tuple:
-    """A world's blocks of one pattern.
+def _blocks(pattern: tuple, pools: Sequence[ConstantSet]) -> tuple:
+    """A world's blocks of one pattern of a :class:`_Recipe`.
 
-    A named entry is its set of named constants and a representative its
-    type's pool, so a pattern whose representatives are distinct is one
+    A named entry is its set of named constants and a representative the
+    pool of its slot, so a pattern whose representatives are distinct is one
     block, whatever their types; it holds the tuples of each pattern that
     merges its representatives too, which :func:`_choice_worlds` drops. Any
     other pattern is listed and decomposed.
@@ -517,14 +567,14 @@ def _blocks(pattern: tuple, pools: dict) -> tuple:
     return _decompose(_list(pattern, pools))
 
 
-def _list(pattern: tuple, pools: dict) -> list[tuple[Constant, ...]]:
-    """A world's tuples of one pattern.
+def _list(pattern: tuple, pools: Sequence[ConstantSet]) -> list[tuple[Constant, ...]]:
+    """A world's tuples of one pattern of a :class:`_Recipe`.
 
     Each of the pattern's representatives is mapped one-to-one onto the
-    world's anonymous constants of its type, so a pattern lists nothing when
-    a type holds too few.
+    world's anonymous constants of its type, the pool of its slot, so a
+    pattern lists nothing when a type holds too few.
     """
-    reps = {number: typ for typ, number in (t for t in pattern if isinstance(t, tuple))}
+    reps = {number: slot for slot, number in (t for t in pattern if isinstance(t, tuple))}
     fixed = tuple(t for t in pattern if not isinstance(t, tuple))
     m = len(reps)
     named = iter(range(m, m + len(fixed)))
@@ -548,7 +598,9 @@ def evaluate(
     A program without probabilistic facts yields exactly one world with
     probability 1. Every constraint is the union of its binding's pattern
     blocks; worlds where a binding has none are emitted with that
-    constraint empty and flagged degenerate.
+    constraint empty and flagged degenerate. A world with a form holds its
+    recipe and pools, and builds its constraints when they are first read
+    (:class:`ConstraintWorld`); its ``degenerate`` is decided without them.
 
     The rules run once per choice combination and world shape, not per
     world: pass one ``memo`` to the calls on the worlds of one expansion and
@@ -556,7 +608,7 @@ def evaluate(
     template, its rules ordered and its named constants' singleton sets made
     on the first call only, so a memo serves one program and template, and
     raises when it is given others. Every world gets a form but one with a
-    listed pattern (:class:`ConstraintWorld`).
+    listed pattern, and such a world's constraints are built at once.
     """
     if memo is None:
         memo = EvaluationMemo()
@@ -572,8 +624,8 @@ def evaluate(
     for lv_name in typed:
         if lv_name not in domains:
             raise ValidationError(f"missing domain for logvar {lv_name!r}")
-        held[lv_name] = tuple(sorted(c for c in singletons if c in domains[lv_name]))
-        anonymous.append(domains[lv_name] - ConstantSet(held[lv_name]))
+        named = held[lv_name] = tuple(sorted(c for c in singletons if c in domains[lv_name]))
+        anonymous.append(domains[lv_name] - ConstantSet(named) if named else domains[lv_name])
     # type (the typed logvars whose domains hold a constant) -> its anonymous
     # constants: the regions the anonymous parts of the domains cut
     pools = {tuple(typed[j] for j in within): region for region, within in _regions(anonymous)}
@@ -581,18 +633,16 @@ def evaluate(
     shape = (tuple(held.values()), tuple(sorted(pools)))
     choice_worlds = memo.shapes.get(shape)
     if choice_worlds is None:
-        choice_worlds = memo.shapes[shape] = _choice_worlds(prog, checked, held, shape[1])
+        choice_worlds = memo.shapes[shape] = _choice_worlds(prog, tmpl, checked, held, shape[1])
 
     pooled = tuple(map(pools.__getitem__, shape[1]))
     worlds = []
-    for combo, prob, answers, tag in choice_worlds:
-        constraints = tuple(
-            Constraint(pf.constraint.logvars, _union([b for p in patterns for b in _blocks(p, pools)]))
-            for pf, patterns in zip(tmpl.parfactors, answers)
-        )
-        degenerate = not all(c.size for c in constraints)
-        form = None if tag is None else (tag, pooled)
-        worlds.append(ConstraintWorld(constraints, prob, combo, degenerate, form))
+    for combo, prob, recipe in choice_worlds:
+        if recipe.formed:
+            worlds.append(ConstraintWorld(None, prob, combo, recipe.degenerate, (recipe, pooled)))
+        else:
+            constraints = recipe.constraints(pooled)
+            worlds.append(ConstraintWorld(constraints, prob, combo, not all(c.size for c in constraints)))
     return tuple(worlds)
 
 

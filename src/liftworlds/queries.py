@@ -14,10 +14,11 @@ mention have the same answer (Niepert & Van den Broeck, AAAI 2014), so
 one call. Those worlds then tie exactly in every selection. Worlds of one
 structure that differ in their region sizes share one lifted plan and one
 batched numeric run, as far as their sizes make the plan's decisions.
-The worlds that ``expand`` built from one rule run share a *form* and one
+The worlds that ``expand`` made from one rule run share a *form* and one
 structure, so ``query_all`` runs ``_shape`` on the first world of a form
 and sizes the others' regions by their type pools (counts as functions of
-set sizes, Kisynski & Poole, UAI 2009).
+set sizes, Kisynski & Poole, UAI 2009). A world's model is built when read,
+so only the worlds it shapes, plans or runs alone build one.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 
 from .engine import MarginalDistribution, QuerySpec, _plan, _run, lifted_query
 from .errors import InferenceError, ValidationError
-from .model import ConstantSet, GroundAtom, ParameterisedModel, _at_sizes, _member, _shape
+from .model import ConstantSet, GroundAtom, _at_sizes, _member, _shape
 from .universe import Provenance, WeightedModel
 
 
@@ -93,11 +94,14 @@ def query_all(models: Sequence[WeightedModel], q: QuerySpec) -> AnswerSet:
     a structure, and the sizes of its regions. Models with equal keys map
     onto each other by a renaming of the other constants, so they share one
     answer object. Each model is first keyed by the tag of its form
-    (``ParameterisedModel.form``) and :func:`_placement`, and a model with
-    no form is a form of its own. Only the first model of each form key
-    runs ``_shape``; the others take its structure, and region sizes that
+    (``WeightedModel.form``) and :func:`_placement`, and a model with no
+    form is a form of its own. Only the first model of each form key runs
+    ``_shape``; the others take its structure, and region sizes that
     :func:`_sizing` works out from their pools, so every model gets the key
-    ``_shape`` would give it. The models of one structure share one plan
+    ``_shape`` would give it. Keying reads a world's ``degenerate`` and
+    ``form`` only, so it builds no model (``WeightedModel``): only the
+    worlds that ``_shape``, ``_plan`` or a lone :func:`lifted_query` reads
+    are built. The models of one structure share one plan
     (``engine._plan``) and one batched run, as far as their sizes make the
     plan's decisions (:func:`_answers`). A shared answer equals a model's
     own :func:`lifted_query` up to rounding: the engine breaks cost ties by
@@ -109,7 +113,7 @@ def query_all(models: Sequence[WeightedModel], q: QuerySpec) -> AnswerSet:
     names = sorted({c for a in atoms for c in a.args})
     fixed, taken = [ConstantSet((c,)) for c in names], ConstantSet(names)
     # structure -> the atoms it lacks (the query's constants are regions of
-    # their own, so the structure says), the first model and regions (None
+    # their own, so the structure says), the first world and regions (None
     # when sized from its form) of each region-size vector, and the answers
     # by region sizes
     structures: dict[tuple, tuple[list, dict, dict]] = {}
@@ -117,10 +121,10 @@ def query_all(models: Sequence[WeightedModel], q: QuerySpec) -> AnswerSet:
     placements: dict[tuple, tuple] = {}  # pools -> where the query's constants fall
     keyed: list[tuple[WeightedModel, dict, tuple]] = []
     for wm in models:
-        if wm.model is None:
+        if wm.degenerate:
             skipped.append(SkippedModel(wm.provenance, "degenerate world"))
             continue
-        tag, pools = wm.model.form or (object(), ())
+        tag, pools = wm.form or (object(), ())
         if pools not in placements:  # the choice worlds of a domain world share its pools
             placements[pools] = _placement(pools, names)
         key = tag, placements[pools]
@@ -138,7 +142,7 @@ def query_all(models: Sequence[WeightedModel], q: QuerySpec) -> AnswerSet:
         if missing:
             skipped.append(SkippedModel(wm.provenance, f"atom {missing[0]} not in model"))
             continue
-        worlds.setdefault(sizes, (wm.model, regions))
+        worlds.setdefault(sizes, (wm, regions))
         keyed.append((wm, answers, sizes))
     if models and not keyed:
         raise InferenceError("no model can answer the query: " + skipped[0].reason)
@@ -183,7 +187,7 @@ def _sizing(
 
 
 def _answers(
-    worlds: dict[tuple[int, ...], tuple[ParameterisedModel, list | None]],
+    worlds: dict[tuple[int, ...], tuple[WeightedModel, list | None]],
     q: QuerySpec,
     fixed: Sequence[ConstantSet],
     structure: tuple,
@@ -198,14 +202,16 @@ def _answers(
     a region of one constant, which other sizes do not share. A plan whose
     phase 2 grounds more than the query's constants is not batched: its
     world runs it, and the others run alone. A last world left alone runs
-    :func:`lifted_query`. A planned world sized from its form runs
+    :func:`lifted_query`. Only the worlds planned or run alone build their
+    model. A planned world sized from its form runs
     ``_shape`` (with ``fixed``, the query's constants) for its regions, and
     raises unless its sizes and ``structure`` are the ones it was keyed by.
     """
     answers: dict[tuple[int, ...], MarginalDistribution] = {}
     pending = list(worlds)
     while len(pending) > 1:
-        model, regions = worlds[pending[-1]]
+        wm, regions = worlds[pending[-1]]
+        model = wm.model
         if regions is None:
             sizes, shape, regions = _shape(model, fixed)
             if sizes != pending[-1] or shape != structure:
@@ -213,14 +219,14 @@ def _answers(
         plan = _plan(model, q)
         if not plan.batchable:
             answers[pending[-1]] = _run(plan, [plan.exponents])[0]
-            answers.update((sizes, lifted_query(worlds[sizes][0], q)) for sizes in pending[:-1])
+            answers.update((sizes, lifted_query(worlds[sizes][0].model, q)) for sizes in pending[:-1])
             return answers
         signs, exponents = _at_sizes(plan, regions, pending)
         agree = np.all(signs == signs[-1], axis=1)
         answers.update(zip([s for s, ok in zip(pending, agree) if ok], _run(plan, exponents[agree])))
         pending = [s for s, ok in zip(pending, agree) if not ok]
     if pending:
-        answers[pending[0]] = lifted_query(worlds[pending[0]][0], q)
+        answers[pending[0]] = lifted_query(worlds[pending[0]][0].model, q)
     return answers
 
 

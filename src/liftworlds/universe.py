@@ -10,6 +10,12 @@ the uniform distribution before combining.
 Threshold filtering happens on domain worlds first and, when cascading, a
 second time on the combined weights. Nothing is ever renormalized; weights
 of the surviving models simply sum to the retained mass.
+
+A world is built when read. ``expand`` hands out each world as its weight,
+provenance and constraint world, which holds its memo recipe and its type
+pools; the world's ``model`` is instantiated the first time it is read, and
+kept. The manifest and the keying of ``query_all`` read only the weight,
+``degenerate`` and ``form``, so they build no model.
 """
 
 from __future__ import annotations
@@ -42,18 +48,48 @@ class Provenance:
         return sum(self.domain_sizes[n] for n in names)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class WeightedModel:
-    """A parameterised model with its world probability; ``model`` is None,
-    and so ``degenerate`` true, when the constraint world was degenerate."""
+    """A parameterised model with its world probability and provenance.
+
+    ``model`` is None, and so ``degenerate`` true, when the constraint world
+    was degenerate. A world that :func:`expand` made is given ``source``,
+    its template and constraint world, and no model: it builds ``model``
+    through :func:`instantiate` on first read and keeps it, and it reads
+    ``degenerate`` and ``form`` off the constraint world, so neither builds
+    a model. ``form`` is the constraint world's, which holds for the
+    template of one ``expand`` call only. It is no argument, so hand-built
+    worlds and copies made by ``dataclasses.replace`` have none, and
+    ``query_all`` keys each of them as a form of its own.
+    """
 
     model: ParameterisedModel | None
     prob: float
     provenance: Provenance
+    form: tuple | None = field(default=None, init=False, compare=False, repr=False)
+
+    def __init__(self, model, prob, provenance, source: tuple[TemplateModel, ConstraintWorld] | None = None):
+        set_ = object.__setattr__
+        if source is None:
+            set_(self, "model", model)
+        set_(self, "prob", prob)
+        set_(self, "provenance", provenance)
+        set_(self, "form", None if source is None else source[1].form)
+        set_(self, "_source", source)
+
+    def __getattr__(self, name):
+        # only the model of a world that expand made is missing until read
+        source = self.__dict__.get("_source")
+        if name != "model" or source is None:
+            raise AttributeError(name)
+        tmpl, cw = source
+        model = None if cw.degenerate else instantiate(tmpl, cw)
+        object.__setattr__(self, "model", model)
+        return model
 
     @property
     def degenerate(self) -> bool:
-        return self.model is None
+        return self.model is None if self._source is None else self._source[1].degenerate
 
 
 @dataclass(frozen=True)
@@ -100,8 +136,13 @@ def expand(u: UniverseModel) -> tuple[WeightedModel, ...]:
     Order is by domain world (ascending sizes), then by the program's
     constraint world order. Degenerate worlds are kept but flagged, with
     ``model`` left as None, so downstream code can report rather than hide
-    them. Each model carries its constraint world's ``form``, which holds for
-    the template of this call only.
+    them. Each world carries its constraint world's ``form``, which holds
+    for the template of this call only.
+
+    No model is built here: each world builds its own on first read
+    (:class:`WeightedModel`). Every check that can refuse the triple (its
+    domain spec, its program against the template, a missing domain) runs
+    in this call, and reading a model raises none.
     """
     dws = list(enumerate_worlds(u.domain_spec, u.template))
     if dws and all(w.prob is None for w in dws):
@@ -120,14 +161,12 @@ def expand(u: UniverseModel) -> tuple[WeightedModel, ...]:
     memo = EvaluationMemo((u.program, u.template, u._check))
     out: list[WeightedModel] = []
     for k, dw in indexed:
+        sizes = dw.sizes()  # one dict for the worlds of one domain world
         for j, cw in enumerate(evaluate(u.program, u.template, dw, memo)):
             weight = dw.prob * cw.prob
             if u.filter is not None and u.filter.cascade and weight <= u.filter.threshold:
                 continue
-            model = None if cw.degenerate else instantiate(u.template, cw)
-            if model is not None:  # no argument, so a replaced or hand-built model has none
-                object.__setattr__(model, "form", cw.form)
-            out.append(WeightedModel(model, weight, Provenance(k, j, dw.sizes(), varying)))
+            out.append(WeightedModel(None, weight, Provenance(k, j, sizes, varying), (u.template, cw)))
     return tuple(out)
 
 

@@ -8,6 +8,9 @@ skyline oracle is the quadratic dominance check. ``decompose`` works out
 the canonical blocks of a constraint from its tuples, where the library
 works them out from blocks. ``shape_keyed_query_all`` keys every world by
 ``model._shape``, where ``query_all`` keys a formed world by its form.
+``eager_evaluate`` builds every constraint of a world at once, from a rule
+run of its own, where ``evaluate`` leaves a formed world's constraints to its
+memo recipe until they are read.
 """
 
 from __future__ import annotations
@@ -35,8 +38,8 @@ from liftworlds import (
     UniverseModel,
     parse_program,
 )
-from liftworlds import queries
-from liftworlds.model import _Identifier, _listed, _shape
+from liftworlds import program, queries
+from liftworlds.model import _Identifier, _listed, _regions, _shape, _union
 from liftworlds.program import ConstraintWorld
 from liftworlds.queries import AnswerEntry, AnswerSet, SkippedModel
 
@@ -336,6 +339,32 @@ def full_evaluate(prog, tmpl: TemplateModel, dw) -> list[ConstraintWorld]:
     return worlds
 
 
+def eager_evaluate(prog, tmpl: TemplateModel, dw) -> list[ConstraintWorld]:
+    """The program's constraint worlds in ``dw``, each constraint built at once.
+
+    This is how ``evaluate`` built a world before a formed world kept its
+    recipe: the world's named constants and type pools are worked out here,
+    the rules run afresh (no memo is shared with another world), every
+    constraint is the union of its patterns' blocks, and a world is
+    degenerate when one of them comes out empty.
+    """
+    checked = program._checked(prog, tmpl)
+    typed, *_, singletons = checked
+    held = {lv: tuple(sorted(c for c in singletons if c in dw.domains[lv])) for lv in typed}
+    anonymous = [dw.domains[lv] - ConstantSet(held[lv]) for lv in typed]
+    pools = {tuple(typed[j] for j in within): region for region, within in _regions(anonymous)}
+    types = tuple(sorted(pools))
+    pooled = [pools[t] for t in types]
+    worlds = []
+    for combo, prob, recipe in program._choice_worlds(prog, tmpl, checked, held, types):
+        constraints = tuple(
+            Constraint(lvs, _union([b for p in patterns for b in program._blocks(p, pooled)]))
+            for lvs, patterns in recipe.parts
+        )
+        worlds.append(ConstraintWorld(constraints, prob, combo, not all(c.size for c in constraints)))
+    return worlds
+
+
 def expansion_digest(models) -> str:
     """SHA-256 over every model's provenance, exact weight and constraint tuples."""
     h = hashlib.sha256()
@@ -387,7 +416,7 @@ def shape_keyed_query_all(models, q) -> AnswerSet:
         if missing:
             skipped.append(SkippedModel(wm.provenance, f"atom {missing[0]} not in model"))
             continue
-        worlds.setdefault(sizes, (wm.model, regions))
+        worlds.setdefault(sizes, (wm, regions))
         keyed.append((wm, answers, sizes))
     if models and not keyed:
         raise InferenceError("no model can answer the query: " + skipped[0].reason)

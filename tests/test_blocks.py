@@ -354,7 +354,7 @@ def test_expand_lists_no_tuple_of_a_pair_binding(monkeypatch):
     made = record_constants(monkeypatch)
     for n in (100, 10**5):
         (wm,) = expand(pair_universe(1, n))
-        assert wm.model.form is not None and wm.model.parfactors[2].constraint.size == n * n
+        assert wm.form is not None and wm.model.parfactors[2].constraint.size == n * n
     assert calls == []
     assert [c for c in made if re.fullmatch(r"x[1-9][0-9]*", c)] == []
 

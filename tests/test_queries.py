@@ -40,7 +40,10 @@ from liftworlds import (
     top_k_query_prob,
     trend_report,
 )
-from liftworlds import engine, queries
+from click.testing import CliRunner
+
+from liftworlds import engine, queries, universe
+from liftworlds.cli import main
 from liftworlds.model import _at_sizes, _shape
 from liftworlds.queries import AnswerEntry, AnswerSet
 from liftworlds.universe import Provenance, WeightedModel
@@ -167,16 +170,21 @@ def counted_plans(monkeypatch) -> list:
     return plans
 
 
-def bundled_models(data_dir, program=None, **domains):
-    """The bundled triple expanded, its ``X`` domain settings replaced by ``domains``
+def bundled_universe(data_dir, program=None, **domains) -> UniverseModel:
+    """The bundled triple, its ``X`` domain settings replaced by ``domains``
     and its program by the text ``program``, if given."""
     doc = json.loads((data_dir / "domains.json").read_text())
     doc["X"].update(domains)
-    return expand(UniverseModel(
+    return UniverseModel(
         io.load_model(data_dir / "model.json"),
         io.load_program(data_dir / "constraints.program") if program is None else parse_program(program),
         io.parse_domain_spec(doc),
-    ))
+    )
+
+
+def bundled_models(data_dir, program=None, **domains):
+    """:func:`bundled_universe` expanded."""
+    return expand(bundled_universe(data_dir, program, **domains))
 
 
 def alternating(n, rng_seed=5):
@@ -479,6 +487,14 @@ def counted_shapes(monkeypatch) -> list:
     return shapes
 
 
+def counted_builds(monkeypatch) -> list:
+    """Every constraint world a weighted world builds its model from, from now on."""
+    builds = []
+    real = universe.instantiate
+    monkeypatch.setattr(universe, "instantiate", lambda tmpl, cw: builds.append(cw) or real(tmpl, cw))
+    return builds
+
+
 def sharing(aset) -> list[int]:
     """Each entry's index of the first entry that holds the same answer object."""
     first: dict[int, int] = {}
@@ -526,14 +542,14 @@ def test_form_keys_group_worlds_as_shape_keys(data_dir, monkeypatch):
         assert agrees_with_shape_keys(monkeypatch, small, parse_query(text))
     # a query constant the program names, in every world and in no pool
     named = bundled_models(data_dir, NAMED_PERSON, bins=6, step=1)
-    assert all(wm.model.form is not None for wm in named)
+    assert all(wm.form is not None for wm in named)
     for text in ("P(Sick(x1) | Treat(x2,t1)=true)", "P(Epid | Treat(x1,t2)=true)", "P(Sick(x2))"):
         assert agrees_with_shape_keys(monkeypatch, named, parse_query(text))
     # top bindings over T or X, which no populate fills: their logvars are
     # typed, so a top block is a union of pools too
     top = bundled_models(data_dir, TOP_OVER_T, bins=6, step=1)
     every = expand(sized_universe((1, 2, 3, 5), (0.1, 0.2, 0.3, 0.4)))
-    assert all(wm.model.form is not None for wm in top + every)
+    assert all(wm.form is not None for wm in top + every)
     assert agrees_with_shape_keys(monkeypatch, top, parse_query("P(Sick(x1) | Treat(x2,t1)=true)"))
     assert agrees_with_shape_keys(monkeypatch, every, parse_query("P(Sick(x1) | Travel(x2)=true)"))
     # a top-only T whose anonymous constants vary between worlds of one form,
@@ -545,14 +561,14 @@ def test_form_keys_group_worlds_as_shape_keys(data_dir, monkeypatch):
     varied = expand(UniverseModel(
         io.load_model(data_dir / "model.json"), parse_program(TOP_OVER_T), io.parse_domain_spec(doc)
     ))
-    assert len(varied) == 12 and all(wm.model.form is not None for wm in varied)
-    assert len({wm.model.form[0] for wm in varied}) < len(varied)
+    assert len(varied) == 12 and all(wm.form is not None for wm in varied)
+    assert len({wm.form[0] for wm in varied}) < len(varied)
     for text in ("P(Sick(x1) | Treat(x2,t1)=true)", "P(Sick(x2) | Treat(x1,x2)=true)", "P(Epid | Treat(x3,t4)=false)"):
         assert agrees_with_shape_keys(monkeypatch, varied, parse_query(text))
     # pairs of persons of one type: each pattern's representatives are
     # distinct, so no pattern is listed and every world has a form
     pairs = expand(pair_universe(4, 1))
-    assert len(pairs) == 16 and all(wm.model.form is not None for wm in pairs)
+    assert len(pairs) == 16 and all(wm.form is not None for wm in pairs)
     assert agrees_with_shape_keys(monkeypatch, pairs, parse_query("P(S(x1) | K(x2,x1)=true)"))
     q = parse_query("P(E | S(x1)=true)")
     aset = agrees_with_shape_keys(monkeypatch, pairs, q)
@@ -570,15 +586,15 @@ def test_form_keys_group_worlds_as_shape_keys(data_dir, monkeypatch):
     while programs < 40:
         text, spec = random_case(rng)
         models = expand(UniverseModel(xy_template(), parse_program(_case_program(text)), DomainSpec(spec)))
-        live = [wm.model for wm in models if wm.model is not None]
+        live = [wm for wm in models if wm.model is not None]
         if not live:
             continue
         programs += 1
-        formed += any(m.form is not None for m in live)
-        formless += any(m.form is None for m in live)
+        formed += any(wm.form is not None for wm in live)
+        formless += any(wm.form is None for wm in live)
 
         def pick(i):  # arguments of B (i = 1), C (2) or D (3), mostly ones the world holds
-            held = live[-1].parfactors[i].constraint.tuples
+            held = live[-1].model.parfactors[i].constraint.tuples
             return ",".join(held[rng.integers(len(held))] if rng.random() < 0.8 else rng.choice(constants, len(held[0])))
 
         x, c, y, u = pick(1), pick(2), pick(3), pick(1)
@@ -592,7 +608,7 @@ class TestForms:
 
     def test_bundled_triple_runs_shape_three_times_and_once_for_its_plan(self, data_dir, monkeypatch):
         models = bundled_models(data_dir)
-        tags = [wm.model.form[0] for wm in models]
+        tags = [wm.form[0] for wm in models]
         assert [sum(t is u for u in tags) for t in tags[:3]] == [20, 20, 20]
         shapes, plans = counted_shapes(monkeypatch), counted_plans(monkeypatch)
         query_all(models, parse_query("P(Sick(x1))"))
@@ -607,7 +623,7 @@ class TestForms:
             for text in FORM_QUERIES:
                 q = parse_query(text)
                 names = sorted({c for a in q.targets + q.evidence.atoms() for c in a.args})
-                keys = {(wm.model.form[0], queries._placement(wm.model.form[1], names)) for wm in models}
+                keys = {(wm.form[0], queries._placement(wm.form[1], names)) for wm in models}
                 shapes, plans = counted_shapes(monkeypatch), counted_plans(monkeypatch)
                 query_all(models, q)
                 monkeypatch.undo()
@@ -621,7 +637,7 @@ class TestForms:
         for text in FORM_QUERIES:
             q = parse_query(text)
             names = sorted({c for a in q.targets + q.evidence.atoms() for c in a.args})
-            keys = {(wm.model.form[0], queries._placement(wm.model.form[1], names)) for wm in models}
+            keys = {(wm.form[0], queries._placement(wm.form[1], names)) for wm in models}
             shapes, plans = counted_shapes(monkeypatch), counted_plans(monkeypatch)
             query_all(models, q)
             monkeypatch.undo()
@@ -630,9 +646,9 @@ class TestForms:
     def test_replaced_and_hand_built_models_have_no_form(self, data_dir, monkeypatch):
         models = bundled_models(data_dir)
         plain = [dataclasses.replace(wm, model=dataclasses.replace(wm.model)) for wm in models]
-        assert all(wm.model.form is not None for wm in models)
-        assert all(wm.model.form is None for wm in plain)
-        assert epidemic_model(3, 2).form is None
+        assert all(wm.form is not None for wm in models)
+        assert all(wm.form is None for wm in plain)
+        assert weighted(epidemic_model(3, 2))[0].form is None
         q = parse_query("P(Sick(x1))")
         shapes = counted_shapes(monkeypatch)
         aset = query_all(plain, q)
@@ -664,10 +680,33 @@ class TestForms:
         # the last world claims a pool of 5000 persons: its derived sizes are
         # new and the largest, so it is planned, and its own shape disagrees
         models = bundled_models(data_dir)
-        tag, _ = models[-1].model.form
-        object.__setattr__(models[-1].model, "form", (tag, (ConstantSet(runs=((1, 5000),)),)))
+        tag, _ = models[-1].form
+        object.__setattr__(models[-1], "form", (tag, (ConstantSet(runs=((1, 5000),)),)))
         with pytest.raises(InferenceError, match="form"):
             query_all(models, parse_query("P(Sick(x1))"))
+
+
+class TestModelsBuiltWhenRead:
+    """A world builds its model when something reads it, and keying a world reads none."""
+
+    def test_cli_expand_builds_no_model(self, data_dir, monkeypatch):
+        builds = counted_builds(monkeypatch)
+        args = ["expand", "--model", str(data_dir / "model.json"), "--program",
+                str(data_dir / "constraints.program"), "--domains", str(data_dir / "domains.json")]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 0, result.output
+        assert len(result.stdout.splitlines()) == 1 + 60
+        assert builds == []
+
+    @pytest.mark.parametrize("bins, step", [(20, 100), (2000, 1)])
+    def test_query_all_builds_only_the_worlds_it_shapes_or_plans(self, data_dir, monkeypatch, bins, step):
+        for text in FORM_QUERIES:
+            models = bundled_models(data_dir, bins=bins, step=step)
+            builds, shapes, plans = counted_builds(monkeypatch), counted_shapes(monkeypatch), counted_plans(monkeypatch)
+            query_all(models, parse_query(text))
+            monkeypatch.undo()
+            assert 0 < len(builds) <= len(shapes) + len(plans), (text, len(builds), len(shapes), len(plans))
+            assert len({id(cw) for cw in builds}) == len(builds)  # a world keeps its model
 
 
 class TestTopK:

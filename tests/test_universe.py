@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from liftworlds import (
@@ -9,17 +10,32 @@ from liftworlds import (
     FixedDomain,
     UniverseModel,
     ValidationError,
+    WeightedModel,
     WorldFilter,
     beta_binomial_pmf,
+    enumerate_worlds,
     expand,
     instantiate,
     io,
     manifest_rows,
     parse_program,
 )
+from liftworlds import program
 from liftworlds.program import ConstraintWorld, evaluate as evaluate_program
 from liftworlds.domains import DomainWorld
-from support import EXAMPLE_PROGRAM, T, X, epidemic_template, expansion_digest, ts
+from support import (
+    EXAMPLE_PROGRAM,
+    T,
+    X,
+    eager_evaluate,
+    epidemic_template,
+    expansion_digest,
+    pair_universe,
+    ts,
+    xs,
+)
+from test_program import SHAPE_CASES, _case_program, random_case, xy_template
+from test_queries import NAMED_PERSON, TOP_OVER_T, bundled_universe
 
 
 PEOPLE = tuple(Constant(n) for n in ("alice", "bob", "eve"))
@@ -255,3 +271,124 @@ class TestManifest:
         assert rows[3]["weight"] == pytest.approx(
             0.7 * beta_binomial_pmf(5, 20, 6, 15), rel=1e-9
         )
+
+
+def seeded_ragged(seed: int) -> UniverseModel:
+    """:data:`NAMED_PERSON` over drawn person counts, a drawn few more of the persons treated twice."""
+    rng = np.random.default_rng(seed)
+    sizes = sorted({int(n) for n in rng.integers(1, 12, 4)})
+    second = sorted({int(i) for i in rng.integers(1, 12, 3)})
+    text = NAMED_PERSON + "".join(f"special(x{i}).\n" for i in second)
+    spec = DomainSpec({
+        "X": EnumeratedDomain(tuple((tuple(xs(n)), 1 / len(sizes)) for n in sizes)),
+        "T": FixedDomain(tuple(ts(2))),
+    })
+    return UniverseModel(epidemic_template(), parse_program(text), spec)
+
+
+def seeded_top(seed: int) -> UniverseModel:
+    """:data:`TOP_OVER_T` over drawn person counts and drawn treatment domains, some naming a person."""
+    rng = np.random.default_rng(seed)
+    pool = ["t1", "t2", "t3", "x1", "x2"]
+    options = [tuple(map(Constant, rng.choice(pool, int(rng.integers(1, 4)), replace=False))) for _ in range(3)]
+    spec = DomainSpec({
+        "X": BetaBinomialDomain(2.0, 3.0, bins=int(rng.integers(2, 6)), step=1),
+        "T": EnumeratedDomain(tuple((cs, 1 / 3) for cs in options)),
+    })
+    return UniverseModel(epidemic_template(), parse_program(TOP_OVER_T), spec)
+
+
+def assert_lazy_is_eager(u: UniverseModel) -> tuple[WeightedModel, ...]:
+    """Every world of ``u``, built when read, against :func:`support.eager_evaluate`.
+
+    ``evaluate`` runs over every domain world with one memo, as ``expand``
+    does, before any world is read, and the worlds are read last first, so
+    no world's constraints or model are built before its memo has served
+    the worlds after it. Each constraint world's constraints must have the
+    reference's blocks, in its order, and its ``degenerate`` flag; each
+    weighted world's ``degenerate`` flag, read before its model, must be the
+    reference's, and its model must hold the template's tables over the
+    reference's constraints, or be None in a degenerate world.
+    """
+    dws = enumerate_worlds(u.domain_spec, u.template)
+    memo = program.EvaluationMemo()
+    lazy = [evaluate_program(u.program, u.template, dw, memo) for dw in dws]
+    models = expand(u)
+    eager: dict[int, list[ConstraintWorld]] = {}
+    for wm in reversed(models):
+        k, j = wm.provenance.domain_world, wm.provenance.constraint_world
+        if k not in eager:
+            eager[k] = eager_evaluate(u.program, u.template, dws[k])
+        ref, cw = eager[k][j], lazy[k][j]
+        assert cw.degenerate == wm.degenerate == ref.degenerate, wm.provenance
+        assert [c.blocks for c in cw.constraints] == [c.blocks for c in ref.constraints], wm.provenance
+        assert cw.constraints == ref.constraints
+        if ref.degenerate:
+            assert wm.model is None
+        else:
+            assert [p.table for p in wm.model.parfactors] == [pf.table for pf in u.template.parfactors]
+            assert [p.constraint.blocks for p in wm.model.parfactors] == [c.blocks for c in ref.constraints]
+    return models
+
+
+class TestWorldsBuiltWhenRead:
+    def test_bundled_triples(self, data_dir):
+        assert len(assert_lazy_is_eager(bundled_universe(data_dir))) == 60
+        assert len(assert_lazy_is_eager(bundled_universe(data_dir, bins=2000, step=1))) == 6000
+
+    def test_pair_universe(self):
+        models = assert_lazy_is_eager(pair_universe(5, 1))
+        assert len(models) == 25 and all(wm.form is not None for wm in models)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_seeded_ragged_and_top_triples(self, seed):
+        for u in (seeded_ragged(seed), seeded_top(seed)):
+            assert all(wm.form is not None for wm in assert_lazy_is_eager(u))
+
+    def test_programs_of_the_randomized_program_differential(self, rng):
+        formless = degenerate = 0
+        for _ in range(60):
+            text, spec = random_case(rng)
+            models = assert_lazy_is_eager(UniverseModel(xy_template(), parse_program(_case_program(text)), DomainSpec(spec)))
+            formless += any(wm.form is None for wm in models)
+            degenerate += any(wm.degenerate for wm in models)
+        assert formless and degenerate, (formless, degenerate)
+
+    def test_a_listed_pattern_over_a_one_constant_pool(self):
+        # Z's beta-binomial has a size-1 bin, so p's pool of Z holds one
+        # constant, and d4's pattern that repeats A beside B lists from it
+        rules, spec = SHAPE_CASES["a repeat beside another representative of its type"]
+        u = UniverseModel(xy_template(True), parse_program(_case_program(rules, True)), DomainSpec(spec))
+        models = assert_lazy_is_eager(u)
+        assert any(wm.form is None and wm.provenance.domain_sizes["Z"] == 1 for wm in models)
+
+
+class TestErrorsRaiseFromTheCall:
+    """``expand`` and ``evaluate`` raise each of their errors themselves, never from a later read.
+
+    A memo that serves another program or template raises from ``evaluate``
+    in ``test_program``'s ``test_a_memo_serves_only_the_program_and_template_of_its_first_call``.
+    """
+
+    def test_evaluate_missing_domain(self):
+        tmpl, prog = epidemic_template(), parse_program(TOP_OVER_T)
+        with pytest.raises(ValidationError, match="missing domain for logvar 'T'"):
+            evaluate_program(prog, tmpl, DomainWorld({X: PEOPLE}))
+
+    def test_evaluate_program_that_does_not_fit_the_template(self):
+        dw = DomainWorld({X: PEOPLE, T: tuple(ts(2))})
+        with pytest.raises(ValidationError, match="no binding for parfactor 'g2'"):
+            evaluate_program(parse_program("constraint g0 <- top.\nconstraint g1 <- top."), epidemic_template(), dw)
+        wrong = TOP_OVER_T.replace("g2 <- top", "g2 <- instance_of_X(X)")
+        with pytest.raises(ValidationError, match="has arity 1"):
+            evaluate_program(parse_program(wrong), epidemic_template(), dw)
+
+    def test_expand_domain_spec_errors(self):
+        mixed = DomainSpec({"X": BetaBinomialDomain(2.0, 3.0, bins=3, step=1), "T": EnumeratedDomain(((tuple(ts(2)), None),))})
+        with pytest.raises(ValidationError, match="cannot mix"):
+            expand(UniverseModel(epidemic_template(), parse_program(TOP_OVER_T), mixed))
+        crowded = DomainSpec({
+            "X": BetaBinomialDomain(2.0, 3.0, bins=3, step=1, guaranteed=PEOPLE), "T": FixedDomain(tuple(ts(2)))
+        })
+        with pytest.raises(ValidationError, match="do not fit"):
+            expand(UniverseModel(epidemic_template(), parse_program(TOP_OVER_T), crowded))

@@ -11,7 +11,12 @@ guaranteed constant may not take a synthetic name.
 A world's domain is a :class:`~liftworlds.model.ConstantSet`: a bin of a
 beta-binomial entry is its guaranteed constants plus one run of synthetic
 names, so enumerating the worlds makes no constant for a synthetic name and
-costs the same at any bin width.
+costs the same at any bin width. A domain world holds one such set per
+logvar and its weight, and little else: the bins of an entry share one set
+of named constants, a fixed domain's set is shared by every world, and the
+log-gamma terms of the weights that do not depend on the bin are taken once
+per entry, through the same code as :func:`beta_binomial_pmf`, so the
+weights are its values to the bit.
 
 Threshold filtering keeps worlds whose probability exceeds t and never
 renormalizes; the retained mass is reported instead so callers can see how
@@ -22,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import exp, lgamma
+from math import exp, lgamma, prod
 from typing import Generic, Sequence, TypeVar
 
 from .errors import ValidationError
@@ -35,26 +40,29 @@ def _distinct(constants: Sequence[Constant], what: str) -> None:
         raise ValidationError(f"{what} lists a constant twice")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DomainWorld:
     """One domain per logvar, optionally weighted; a domain given as constants becomes a set."""
 
     domains: dict[Logvar, ConstantSet]
     prob: float | None = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "domains", {
-            lv: cs if isinstance(cs, ConstantSet) else ConstantSet(cs)
-            for lv, cs in self.domains.items()
-        })
-        for lv, cs in self.domains.items():
-            if not cs:
+    def __init__(self, domains: dict, prob: float | None = None):
+        sets = {}
+        for lv, cs in domains.items():
+            if type(cs) is not ConstantSet:
+                cs = ConstantSet(cs)
+            if not cs.size:
                 raise ValidationError(f"domain for logvar {lv.name} must not be empty")
-        if self.prob is not None and not 0.0 <= self.prob <= 1.0:
+            sets[lv] = cs
+        if prob is not None and not 0.0 <= prob <= 1.0:
             raise ValidationError("world probability must lie in [0, 1]")
+        set_ = object.__setattr__
+        set_(self, "domains", sets)
+        set_(self, "prob", prob)
 
     def sizes(self) -> dict[str, int]:
-        return {lv.name: len(cs) for lv, cs in self.domains.items()}
+        return {str(lv): cs.size for lv, cs in self.domains.items()}
 
 
 @dataclass(frozen=True)
@@ -169,15 +177,27 @@ def _log_beta(a: float, b: float) -> float:
     return lgamma(a) + lgamma(b) - lgamma(a + b)
 
 
+def _pmf(n: int, alpha: float, beta: float):
+    """The beta-binomial pmf over 0 .. ``n`` as a function of k, for checked arguments.
+
+    The log-gamma terms that do not depend on k are taken once.
+    """
+    log_n, log_beta = lgamma(n + 1), _log_beta(alpha, beta)
+
+    def pmf(k: int) -> float:
+        log_choose = log_n - lgamma(k + 1) - lgamma(n - k + 1)
+        return exp(log_choose + _log_beta(k + alpha, n - k + beta) - log_beta)
+
+    return pmf
+
+
 def beta_binomial_pmf(k: int, n: int, alpha: float, beta: float) -> float:
     """pmf of the beta-binomial distribution, computed through log-gamma."""
     if alpha <= 0 or beta <= 0:
         raise ValidationError("alpha and beta must be positive")
     if k != int(k) or n != int(n) or not 0 <= k <= n:
         raise ValidationError("need integers 0 <= k <= n")
-    k, n = int(k), int(n)
-    log_choose = lgamma(n + 1) - lgamma(k + 1) - lgamma(n - k + 1)
-    return exp(log_choose + _log_beta(k + alpha, n - k + beta) - _log_beta(alpha, beta))
+    return _pmf(int(n), alpha, beta)(int(k))
 
 
 def _options(entry: DomainEntry) -> list[tuple[tuple[Constant, ...], ConstantSet, float | None]]:
@@ -185,24 +205,25 @@ def _options(entry: DomainEntry) -> list[tuple[tuple[Constant, ...], ConstantSet
 
     ``order`` is the constants as the spec lists them, which breaks ties
     between worlds of equal sizes; a beta-binomial entry's bins differ in
-    size, so they need none.
+    size, so they need none. A bin's domain is the set of its guaranteed
+    constants plus one run of synthetic names, and its weight the pmf at
+    the bin, both made from what the entry checked when it was made.
     """
     if isinstance(entry, FixedDomain):
         return [(entry.constants, ConstantSet(entry.constants), 1.0)]
     if isinstance(entry, EnumeratedDomain):
         return [(cs, ConstantSet(cs), p) for cs, p in entry.options]
-    g = len(entry.guaranteed)
-    out = []
-    for k in range(1, entry.bins + 1):
-        size = entry.step * k
-        if g > size:
-            raise ValidationError(f"{g} guaranteed constants do not fit a domain of size {size}")
-        synthetic = ((g + 1, size),) if size > g else ()  # x{g+1} .. x{size}
-        out.append(
-            ((), ConstantSet(entry.guaranteed, synthetic),
-             beta_binomial_pmf(k, entry.bins, entry.alpha, entry.beta))
-        )
-    return out
+    g, step = len(entry.guaranteed), entry.step
+    if g > step:
+        raise ValidationError(f"{g} guaranteed constants do not fit a domain of size {step}")
+    guaranteed = ConstantSet(entry.guaranteed)
+    named, runs = guaranteed.named, guaranteed.runs
+    pmf = _pmf(entry.bins, entry.alpha, entry.beta)
+    # x{g+1} .. x{step * k}; the guaranteed constants' runs end at x{g} at most
+    return [
+        ((), ConstantSet(named, runs + ((g + 1, step * k),)) if step * k > g else guaranteed, pmf(k))
+        for k in range(1, entry.bins + 1)
+    ]
 
 
 def enumerate_worlds(spec: DomainSpec, tmpl: TemplateModel) -> tuple[DomainWorld, ...]:
@@ -227,20 +248,12 @@ def enumerate_worlds(spec: DomainSpec, tmpl: TemplateModel) -> tuple[DomainWorld
     if weighted_kinds and unweighted_kinds:
         raise ValidationError("cannot mix weighted and unweighted domain distributions")
 
-    option_lists = [_options(e) for e in entries]
-    worlds = []
-    for combo in itertools.product(*option_lists):
-        domains = {lv: constants for lv, (_, constants, _) in zip(ordered, combo)}
-        if unweighted_kinds:
-            prob = None
-        else:
-            prob = 1.0
-            for _, _, p in combo:
-                prob *= p
-        key = (tuple(len(cs) for _, cs, _ in combo), tuple(order for order, _, _ in combo))
-        worlds.append((key, DomainWorld(domains, prob)))
-    worlds.sort(key=lambda kw: kw[0])
-    return tuple(w for _, w in worlds)
+    worlds, keys = [], []
+    for combo in itertools.product(*[_options(e) for e in entries]):
+        orders, sets, probs = zip(*combo)
+        keys.append((tuple([cs.size for cs in sets]), orders))
+        worlds.append(DomainWorld(dict(zip(ordered, sets)), None if unweighted_kinds else prod(probs)))
+    return tuple([worlds[i] for i in sorted(range(len(worlds)), key=keys.__getitem__)])
 
 
 def filter_worlds(worlds: Sequence[T], f: WorldFilter) -> FilterResult[T]:

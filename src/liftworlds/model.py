@@ -183,7 +183,7 @@ class ConstantSet:
     def __contains__(self, c) -> bool:
         if c in self.named:
             return True
-        i = _synthetic(c)
+        i = c[:1] == "x" and _synthetic(c)  # a name that is not x... is in no run
         if not i:
             return False
         k = bisect.bisect_right(self.runs, i, key=operator.itemgetter(0))

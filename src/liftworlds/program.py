@@ -94,8 +94,45 @@ class Atom:
 
 @dataclass(frozen=True)
 class Rule:
+    """``head :- body``. ``joins`` is how :func:`_derive` runs it, worked out when the rule is made.
+
+    Per body atom in order: its predicate and arity, the positions its
+    constants fix (with the constants), the positions a variable bound by
+    an earlier atom fixes (with that variable's place in a row of bound
+    values), the pairs of positions a repeated new variable ties, and the
+    positions the new variables bind from, in the order they take their
+    places. Then the head: per term, its place in a row, or None and the
+    constant.
+    """
+
     head: Atom
     body: tuple[Atom, ...]
+    joins: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        place: dict[str, int] = {}
+        steps = []
+        for atom in self.body:
+            fixed, probe, same, fresh = [], [], [], {}
+            for i, t in enumerate(atom.terms):
+                if not _is_variable(t):
+                    fixed.append((i, t))
+                elif t in place:
+                    probe.append((i, place[t]))
+                elif t in fresh:
+                    same.append((fresh[t], i))
+                else:
+                    fresh[t] = i
+            for t in fresh:
+                place[t] = len(place)
+            steps.append(
+                (atom.predicate, len(atom.terms), tuple(fixed), tuple(probe), tuple(same), tuple(fresh.values()))
+            )
+        unbound = [t for t in self.head.terms if _is_variable(t) and t not in place]
+        if unbound:
+            raise ValidationError(f"unsafe rule: head variable {unbound[0]} not bound in body")
+        head = tuple((place[t], t) if _is_variable(t) else (None, t) for t in self.head.terms)
+        object.__setattr__(self, "joins", (tuple(steps), head))
 
     def __str__(self) -> str:
         return f"{self.head} :- {' & '.join(str(a) for a in self.body)}."
@@ -133,7 +170,7 @@ class Program:
         return None
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(init=False, slots=True, unsafe_hash=True)
 class ConstraintWorld:
     """One generated constraint per template parfactor, optionally weighted.
 
@@ -141,40 +178,55 @@ class ConstraintWorld:
     declaration order; ``degenerate`` flags worlds where some binding query
     had no answers and the constraint came out empty.
 
-    ``form`` is ``(recipe, pools)``: the recipe of an :class:`EvaluationMemo`
-    (one per world shape and choice combination), which tags the form, and
-    the world's anonymous constants of each type, in sorted type order.
-    Worlds of one recipe have one structure, and each of their sets is a
-    union of the same pools and named constants. It is None when a pattern
-    that repeats a representative is listed: its blocks then depend on more
-    than the pools, and ``query_all`` keys each such world as a form of its
-    own. A world with a form may be given ``constraints`` None: its recipe
-    builds them from its pools on first read, and the world keeps them.
+    A world that :func:`evaluate` made holds its :class:`_Recipe` (one per
+    world shape and choice combination of an :class:`EvaluationMemo`) and
+    its pools, the world's anonymous constants of each type in sorted type
+    order, and no constraints: they are built from the two when first read,
+    and kept. Its ``degenerate`` is counted from the two, without a build,
+    when first read.
+    ``form`` is ``(recipe, pools)``, the recipe tagging the form: worlds of
+    one recipe have one structure, and each of their sets is a union of the
+    same pools and named constants. It is None for a hand-built world and
+    when the recipe lists a pattern that repeats a representative: its
+    blocks then depend on more than the pools, and ``query_all`` keys each
+    such world as a form of its own.
+
+    Its fields are not to be assigned, but the class does not refuse it:
+    ``evaluate`` makes one per world, and a frozen dataclass sets each field
+    through ``object.__setattr__``, which costs several times a plain
+    assignment. It hashes by its fields all the same.
     """
 
     constraints: tuple[Constraint, ...]
     prob: float | None
     choice: tuple[int, ...] = ()
     degenerate: bool = False
-    form: tuple | None = field(default=None, compare=False, repr=False)
+    _recipe: "_Recipe | None" = field(default=None, init=False, compare=False, repr=False)
+    _pools: tuple = field(default=(), init=False, compare=False, repr=False)
 
-    def __init__(self, constraints, prob, choice=(), degenerate=False, form=None):
-        set_ = object.__setattr__
-        if constraints is not None:
-            set_(self, "constraints", constraints)
-        set_(self, "prob", prob)
-        set_(self, "choice", choice)
-        set_(self, "degenerate", degenerate)
-        set_(self, "form", form)
+    def __init__(self, constraints, prob, choice=(), degenerate=False, recipe=None, pools=()):
+        self.prob = prob
+        self.choice = choice
+        self._recipe = recipe
+        self._pools = pools
+        if recipe is None:
+            self.constraints = constraints
+            self.degenerate = degenerate
 
     def __getattr__(self, name):
-        # only the constraints of a world left to its form are ever missing
-        if name != "constraints" or self.form is None:
+        # a world left to its recipe builds its constraints, and counts
+        # whether one is empty, when first read, and keeps them
+        recipe = self._recipe
+        if recipe is None or name not in ("constraints", "degenerate"):
             raise AttributeError(name)
-        recipe, pools = self.form
-        built = recipe.constraints(pools)
-        object.__setattr__(self, "constraints", built)
-        return built
+        value = recipe.constraints(self._pools) if name == "constraints" else recipe.degenerate(self._pools)
+        setattr(self, name, value)
+        return value
+
+    @property
+    def form(self) -> tuple | None:
+        recipe = self._recipe
+        return (recipe, self._pools) if recipe is not None and recipe.formed else None
 
 
 # ---------------------------------------------------------------------------
@@ -342,48 +394,31 @@ def _derive(base: dict[str, set[tuple[str, ...]]], rules: Sequence[Rule]) -> dic
 
     One pass over the rules in that order reaches the fixpoint because
     recursion is rejected: every body predicate is complete before its rule
-    fires. Every binding of a rule's body so far binds the same variables,
-    so each body atom's facts are indexed once on the positions those
-    variables and its constants fix (a hash join), and a binding reads only
-    the facts that match it.
+    fires. A binding of a rule's body so far is a row of the values of the
+    variables bound so far, and every row binds the same ones, so each body
+    atom's facts are indexed once on the positions those variables fix,
+    after its constants and repeated variables filter them (a hash join),
+    and a row reads only the facts that match it. ``Rule.joins`` gives the
+    positions.
     """
     rel = {p: set(ts) for p, ts in base.items()}
     for rule in rules:
-        bindings: list[dict] = [{}]
-        bound: set[str] = set()
-        for atom in rule.body:
-            fixed: list[tuple[int, str]] = []  # position, constant or bound variable
-            free: dict[str, int] = {}  # unbound variable -> position it binds from
-            same: list[tuple[int, int]] = []  # a repeated unbound variable
-            for i, t in enumerate(atom.terms):
-                if not _is_variable(t) or t in bound:
-                    fixed.append((i, t))
-                elif t in free:
-                    same.append((free[t], i))
-                else:
-                    free[t] = i
-            arity = len(atom.terms)
+        steps, head = rule.joins
+        rows: list[tuple] = [()]
+        for pred, arity, fixed, probe, same, fresh in steps:
             index: dict[tuple, list[tuple]] = {}
-            for fact in rel.get(atom.predicate, ()):
-                if len(fact) == arity and all(fact[i] == fact[j] for i, j in same):
-                    index.setdefault(tuple(fact[i] for i, _ in fixed), []).append(fact)
-            joined: list[dict] = []
-            for b in bindings:
-                for fact in index.get(tuple(b.get(t, t) for _, t in fixed), ()):
-                    nb = dict(b)
-                    for t, i in free.items():
-                        nb[t] = fact[i]
-                    joined.append(nb)
-            bindings = joined
-            bound.update(free)
-            if not bindings:
+            for fact in rel.get(pred, ()):
+                if len(fact) != arity or (fixed and any(fact[i] != c for i, c in fixed)) or (
+                    same and any(fact[i] != fact[j] for i, j in same)
+                ):
+                    continue
+                index.setdefault(tuple([fact[i] for i, _ in probe]), []).append(tuple([fact[i] for i in fresh]))
+            rows = [row + more for row in rows for more in index.get(tuple([row[c] for _, c in probe]), ())]
+            if not rows:
                 break
-        if bindings:
-            head = [(t, _is_variable(t)) for t in rule.head.terms]
+        if rows:
             derived = rel.setdefault(rule.head.predicate, set())
-            derived.update(
-                tuple(b[t] if is_var else t for t, is_var in head) for b in bindings
-            )
+            derived.update(tuple([t if c is None else row[c] for c, t in head]) for row in rows)
     return rel
 
 
@@ -416,17 +451,18 @@ def _named(prog: Program) -> frozenset[str]:
     return frozenset(t for a in atoms for t in a.terms if not _is_variable(t))
 
 
-def _pattern(answer: tuple, singletons: dict) -> tuple:
+def _pattern(answer: tuple, singletons: dict, slot: dict) -> tuple:
     """An answer over representatives, each renumbered by its first appearance.
 
     A named constant becomes its singleton set of named constants, from
-    ``singletons``; a representative becomes ``(type, number)``, so answers
-    that differ only by which representatives they use coincide.
+    ``singletons``; a representative becomes ``(slot, number)``, ``slot``
+    giving its type's place in a world's pools, so answers that differ only
+    by which representatives they use coincide.
     """
     first: dict = {}
-    return tuple(
-        singletons[t] if isinstance(t, str) else (t[0], first.setdefault(t, len(first))) for t in answer
-    )
+    return tuple([
+        singletons[t] if isinstance(t, str) else (slot[t[0]], first.setdefault(t, len(first))) for t in answer
+    ])
 
 
 def _checked(prog: Program, tmpl: TemplateModel) -> tuple:
@@ -436,8 +472,8 @@ def _checked(prog: Program, tmpl: TemplateModel) -> tuple:
     fills, then each other one a ``top`` binding covers. Each parfactor's
     binding atom, or for ``top`` its parfactor's logvar names, the number
     ``k`` of representatives per type, the rules in dependency order, and
-    each named constant's singleton set, which the blocks of every world
-    share. Raises on a parfactor without a binding, a binding of no
+    each named constant's singleton set, in name order, which the blocks of
+    every world share. Raises on a parfactor without a binding, a binding of no
     parfactor or of another arity, a ``populate`` of a logvar the template
     lacks, and recursion.
     """
@@ -464,7 +500,7 @@ def _checked(prog: Program, tmpl: TemplateModel) -> tuple:
         if lv_name not in names:
             raise ValidationError(f"populate directive for unknown logvar {lv_name!r}")
     top = (lv_name for atom in atoms if not isinstance(atom, Atom) for lv_name in atom)
-    singletons = {c: ConstantSet((c,)) for c in _named(prog)}
+    singletons = {c: ConstantSet((c,)) for c in sorted(_named(prog))}
     return tuple(dict.fromkeys([*populated, *top])), atoms, k, _rule_order(prog.rules), singletons
 
 
@@ -476,21 +512,49 @@ class _Recipe:
     pools (sorted type order), so one recipe serves every world of the
     shape. It is ``formed`` when every pattern's representatives are
     distinct: each pattern is then one block of pools and named sets, none
-    of them empty, so a world's constraint is empty exactly when its
-    parfactor has no pattern, and ``degenerate`` says so without building a
-    constraint. A formed recipe tags the form of its worlds.
+    of them empty. A formed recipe tags the form of its worlds.
+    ``template`` is the template whose parfactors the parts fill.
     """
 
-    __slots__ = ("parts", "formed", "degenerate")
+    __slots__ = ("template", "parts", "formed", "_needs")
 
-    def __init__(self, parts: tuple):
+    def __init__(self, template: TemplateModel, parts: tuple):
+        self.template = template
         self.parts = parts
-        self.formed = all(p == _linear(p) for _, ps in parts for p in ps)
-        self.degenerate = not all(ps for _, ps in parts)
+        needs = [[_need(p) for p in ps] for _, ps in parts]
+        self.formed = not any(any(n) for n in needs)
+        # per parfactor that may be empty, what each of its patterns needs of
+        # a world's pools: a pattern with distinct representatives is one
+        # block, never empty, so a parfactor with one is left out
+        self._needs = tuple(tuple(n) for n in needs if () not in n)
+
+    def degenerate(self, pools: Sequence[ConstantSet]) -> bool:
+        """Whether a world whose pools, in slot order, are ``pools`` has an empty constraint.
+
+        It is counted, with no constraint built: a pattern lists a tuple
+        exactly when each slot's pool holds as many constants as the pattern
+        has distinct representatives of the slot (:func:`_list`).
+        """
+        return bool(self._needs) and not all(
+            any(all(len(pools[s]) >= n for s, n in need) for need in ns) for ns in self._needs
+        )
 
     def constraints(self, pools: Sequence[ConstantSet]) -> tuple[Constraint, ...]:
         """The constraints of a world whose pools, in slot order, are ``pools``."""
         return tuple(Constraint(lvs, _union([b for p in ps for b in _blocks(p, pools)])) for lvs, ps in self.parts)
+
+
+def _need(pattern: tuple) -> tuple[tuple[int, int], ...]:
+    """``(slot, count)`` per slot of a pattern that repeats a representative: its distinct representatives there.
+
+    It is empty for a pattern whose representatives are distinct.
+    """
+    reps = [t for t in pattern if isinstance(t, tuple)]
+    distinct = set(reps)
+    if len(distinct) == len(reps):
+        return ()
+    slots = [slot for slot, _ in distinct]
+    return tuple((slot, slots.count(slot)) for slot in sorted(set(slots)))
 
 
 def _choice_worlds(prog: Program, tmpl: TemplateModel, checked: tuple, held: dict, types) -> list:
@@ -511,10 +575,10 @@ def _choice_worlds(prog: Program, tmpl: TemplateModel, checked: tuple, held: dic
 
     def options(lv_name: str) -> list:
         named = [singletons[c] for c in held[lv_name]]
-        holding = [(typ, 0) for typ in types if lv_name in typ]
+        holding = [(slot[typ], 0) for typ in types if lv_name in typ]
         return [named[0].union(*named[1:]), *holding] if named else holding
 
-    top = {a: [_linear(p) for p in itertools.product(*map(options, a))] for a in atoms if not isinstance(a, Atom)}
+    top = {a: tuple(_linear(p) for p in itertools.product(*map(options, a))) for a in atoms if not isinstance(a, Atom)}
     base: dict[str, set[tuple]] = {}
     for atom in prog.facts:
         base.setdefault(atom.predicate, set()).add(atom.terms)
@@ -527,18 +591,19 @@ def _choice_worlds(prog: Program, tmpl: TemplateModel, checked: tuple, held: dic
     sizes = [range(len(g.facts)) for g in prog.choice_groups]
     for combo in itertools.product(*sizes):
         prob = 1.0
-        chosen = {p: set(ts) for p, ts in base.items()}
+        chosen = dict(base)  # _derive copies what it extends
         for g, fi in zip(prog.choice_groups, combo):
             prob *= g.probs[fi]
-            chosen.setdefault(g.predicate, set()).add(g.facts[fi].terms)
+            chosen[g.predicate] = {*chosen.get(g.predicate, ()), g.facts[fi].terms}
         rel = _derive(chosen, rules)
-        found = [top[a] if a in top else {_pattern(t, singletons) for t in rel.get(a.predicate, ())} for a in atoms]
-        answers = (tuple(p for p in ps if (lin := _linear(p)) == p or lin not in ps) for ps in found)
-        parts = tuple(
-            (lvs, tuple(tuple((slot[t[0]], t[1]) if isinstance(t, tuple) else t for t in p) for p in ps))
-            for lvs, ps in zip(logvars, answers)
-        )
-        worlds.append((combo, prob, _Recipe(parts)))
+        parts = []
+        for lvs, a in zip(logvars, atoms):
+            if isinstance(a, Atom):
+                found = {_pattern(t, singletons, slot) for t in rel.get(a.predicate, ())}
+                parts.append((lvs, tuple(p for p in found if (lin := _linear(p)) == p or lin not in found)))
+            else:
+                parts.append((lvs, top[a]))
+        worlds.append((combo, prob, _Recipe(tmpl, tuple(parts))))
     worlds.sort(key=lambda w: (-w[1], w[0]))
     return worlds
 
@@ -549,7 +614,7 @@ def _linear(pattern: tuple) -> tuple:
     It is the pattern itself exactly when the representatives are distinct.
     """
     n = itertools.count()
-    return tuple((t[0], next(n)) if isinstance(t, tuple) else t for t in pattern)
+    return tuple([(t[0], next(n)) if isinstance(t, tuple) else t for t in pattern])
 
 
 def _blocks(pattern: tuple, pools: Sequence[ConstantSet]) -> tuple:
@@ -598,17 +663,16 @@ def evaluate(
     A program without probabilistic facts yields exactly one world with
     probability 1. Every constraint is the union of its binding's pattern
     blocks; worlds where a binding has none are emitted with that
-    constraint empty and flagged degenerate. A world with a form holds its
-    recipe and pools, and builds its constraints when they are first read
-    (:class:`ConstraintWorld`); its ``degenerate`` is decided without them.
+    constraint empty and flagged degenerate. Each world holds its recipe
+    and pools, and builds its constraints when they are first read
+    (:class:`ConstraintWorld`); its ``degenerate`` is counted without them.
 
     The rules run once per choice combination and world shape, not per
     world: pass one ``memo`` to the calls on the worlds of one expansion and
     worlds of equal shape share the run. The program is checked against the
     template, its rules ordered and its named constants' singleton sets made
     on the first call only, so a memo serves one program and template, and
-    raises when it is given others. Every world gets a form but one with a
-    listed pattern, and such a world's constraints are built at once.
+    raises when it is given others.
     """
     if memo is None:
         memo = EvaluationMemo()
@@ -617,33 +681,30 @@ def evaluate(
     elif memo.served[0] is not prog or memo.served[1] is not tmpl:
         raise ValidationError("an evaluation memo serves the program and template of its first call")
     checked = memo.served[2]
-    typed, *_, singletons = checked
+    typed, singletons = checked[0], checked[4]
     domains = dw.domains
-    held = {}  # per typed logvar, the named constants its domain holds
+    held = []  # per typed logvar, the named constants its domain holds, sorted
     anonymous = []
     for lv_name in typed:
-        if lv_name not in domains:
+        domain = domains.get(lv_name)
+        if domain is None:
             raise ValidationError(f"missing domain for logvar {lv_name!r}")
-        named = held[lv_name] = tuple(sorted(c for c in singletons if c in domains[lv_name]))
-        anonymous.append(domains[lv_name] - ConstantSet(named) if named else domains[lv_name])
-    # type (the typed logvars whose domains hold a constant) -> its anonymous
-    # constants: the regions the anonymous parts of the domains cut
-    pools = {tuple(typed[j] for j in within): region for region, within in _regions(anonymous)}
-
-    shape = (tuple(held.values()), tuple(sorted(pools)))
+        named = tuple([c for c in singletons if c in domain])
+        held.append(named)
+        anonymous.append(domain - ConstantSet(named) if named else domain)
+    # each type (the typed logvars whose domains hold a constant) with its
+    # anonymous constants, in sorted type order: the regions the anonymous
+    # parts of the domains cut
+    pools = sorted([(tuple([typed[j] for j in within]), region) for region, within in _regions(anonymous)])
+    shape = (tuple(held), tuple([typ for typ, _ in pools]))
     choice_worlds = memo.shapes.get(shape)
     if choice_worlds is None:
-        choice_worlds = memo.shapes[shape] = _choice_worlds(prog, tmpl, checked, held, shape[1])
-
-    pooled = tuple(map(pools.__getitem__, shape[1]))
-    worlds = []
-    for combo, prob, recipe in choice_worlds:
-        if recipe.formed:
-            worlds.append(ConstraintWorld(None, prob, combo, recipe.degenerate, (recipe, pooled)))
-        else:
-            constraints = recipe.constraints(pooled)
-            worlds.append(ConstraintWorld(constraints, prob, combo, not all(c.size for c in constraints)))
-    return tuple(worlds)
+        choice_worlds = memo.shapes[shape] = _choice_worlds(prog, tmpl, checked, dict(zip(typed, held)), shape[1])
+    pooled = tuple([region for _, region in pools])
+    return tuple([
+        ConstraintWorld(None, prob, combo, False, recipe, pooled)
+        for combo, prob, recipe in choice_worlds
+    ])
 
 
 def uniformize(worlds: Iterable) -> list:

@@ -119,7 +119,11 @@ def query_all(models: Sequence[WeightedModel], q: QuerySpec) -> AnswerSet:
     structures: dict[tuple, tuple[list, dict, dict]] = {}
     forms: dict[tuple, tuple[tuple, list]] = {}  # form key -> its group and sizing
     placements: dict[tuple, tuple] = {}  # pools -> where the query's constants fall
-    keyed: list[tuple[WeightedModel, dict, tuple]] = []
+    shared: dict[tuple, tuple] = {}  # one tuple per region-size vector
+    # per keyed world, in parallel: the world, its structure's answers and its sizes
+    keyed: list[WeightedModel] = []
+    keyed_answers: list[dict] = []
+    keyed_sizes: list[tuple] = []
     for wm in models:
         if wm.degenerate:
             skipped.append(SkippedModel(wm.provenance, "degenerate world"))
@@ -142,13 +146,19 @@ def query_all(models: Sequence[WeightedModel], q: QuerySpec) -> AnswerSet:
         if missing:
             skipped.append(SkippedModel(wm.provenance, f"atom {missing[0]} not in model"))
             continue
+        sizes = shared.setdefault(sizes, sizes)
         worlds.setdefault(sizes, (wm, regions))
-        keyed.append((wm, answers, sizes))
+        keyed.append(wm)
+        keyed_answers.append(answers)
+        keyed_sizes.append(sizes)
     if models and not keyed:
         raise InferenceError("no model can answer the query: " + skipped[0].reason)
     for structure, (_, worlds, answers) in structures.items():
         answers.update(_answers(worlds, q, fixed, structure))
-    entries = tuple(AnswerEntry(wm.provenance, wm.prob, answers[sizes]) for wm, answers, sizes in keyed)
+    entries = tuple([
+        AnswerEntry(wm.provenance, wm.prob, answers[sizes])
+        for wm, answers, sizes in zip(keyed, keyed_answers, keyed_sizes)
+    ])
     return AnswerSet(q, entries, tuple(skipped))
 
 

@@ -11,16 +11,26 @@ Threshold filtering happens on domain worlds first and, when cascading, a
 second time on the combined weights. Nothing is ever renormalized; weights
 of the surviving models simply sum to the retained mass.
 
-A world is built when read. ``expand`` hands out each world as its weight,
-provenance and constraint world, which holds its memo recipe and its type
-pools; the world's ``model`` is instantiated the first time it is read, and
-kept. The manifest and the keying of ``query_all`` read only the weight,
-``degenerate`` and ``form``, so they build no model.
+A world is built when read, and until then it holds a few references.
+``expand`` hands out each world as its weight, its provenance (indices and
+the sizes of its domain world, one read-only mapping that the worlds of
+that domain world share) and its constraint world's recipe and type pools,
+shared with the other worlds of its shape and of its domain world. Its
+``form`` and ``degenerate`` are read off the recipe and pools, and its
+``model`` is instantiated the first time it is read, and kept. The manifest
+and the keying of ``query_all`` read only the weight, the provenance,
+``degenerate`` and ``form``, so they build no model. So an unread world is
+two objects of its own, its weighted model and its provenance; its domain
+world's pool, pool tuple and sizes are shared with that domain world's
+other worlds, and the constraint world ``evaluate`` made for it is let go.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Mapping
 
 from .domains import DomainSpec, WorldFilter, enumerate_worlds, filter_worlds
 from .errors import ValidationError
@@ -28,14 +38,31 @@ from .model import Parfactor, ParameterisedModel, TemplateModel
 from .program import ConstraintWorld, EvaluationMemo, Program, _checked, evaluate, uniformize
 
 
-@dataclass(frozen=True)
-class Provenance:
-    """Where a weighted model came from: domain world and constraint world indices."""
+class Provenance(namedtuple("Provenance", ("domain_world", "constraint_world", "domain_sizes", "varying"))):
+    """Where a weighted model came from: domain world and constraint world indices.
 
+    ``domain_sizes`` is read-only: a dict given is copied into a
+    ``MappingProxyType``, and a proxy given is kept, so the worlds of one
+    domain world share one and none can change another's sizes. A named
+    tuple, so it is immutable and ``expand`` makes one per world at the
+    cost of a tuple.
+    """
+
+    __slots__ = ()
     domain_world: int
     constraint_world: int
-    domain_sizes: dict[str, int]
-    varying: tuple[str, ...] = ()
+    domain_sizes: Mapping[str, int]
+    varying: tuple[str, ...]
+
+    def __new__(cls, domain_world: int, constraint_world: int, domain_sizes: Mapping[str, int], varying=()):
+        if type(domain_sizes) is not MappingProxyType:
+            domain_sizes = MappingProxyType(dict(domain_sizes))
+        return tuple.__new__(cls, (domain_world, constraint_world, domain_sizes, varying))
+
+    @classmethod
+    def _make(cls, iterable) -> "Provenance":
+        # so that _replace makes its copy read-only too
+        return cls(*iterable)
 
     @property
     def world_id(self) -> str:
@@ -48,48 +75,65 @@ class Provenance:
         return sum(self.domain_sizes[n] for n in names)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(init=False, slots=True)
 class WeightedModel:
     """A parameterised model with its world probability and provenance.
 
     ``model`` is None, and so ``degenerate`` true, when the constraint world
     was degenerate. A world that :func:`expand` made is given ``source``,
-    its template and constraint world, and no model: it builds ``model``
-    through :func:`instantiate` on first read and keeps it, and it reads
-    ``degenerate`` and ``form`` off the constraint world, so neither builds
-    a model. ``form`` is the constraint world's, which holds for the
-    template of one ``expand`` call only. It is no argument, so hand-built
-    worlds and copies made by ``dataclasses.replace`` have none, and
-    ``query_all`` keys each of them as a form of its own.
+    its constraint world, and keeps that world's recipe and pools, not the
+    constraint world. Its ``form`` and ``degenerate`` are the constraint
+    world's, read off the recipe and pools, so neither builds a model, and
+    it builds ``model`` through :func:`instantiate`, over the recipe's
+    template, on first read and keeps it. ``form`` holds for the template
+    of one ``expand`` call only. It is no argument, so hand-built worlds
+    and copies made by ``dataclasses.replace`` have none, and ``query_all``
+    keys each of them as a form of its own.
+
+    Its fields are not to be assigned, but the class does not refuse it:
+    ``expand`` makes one per world, and a frozen dataclass sets each field
+    through ``object.__setattr__``, which costs several times a plain
+    assignment.
     """
 
     model: ParameterisedModel | None
     prob: float
     provenance: Provenance
     form: tuple | None = field(default=None, init=False, compare=False, repr=False)
+    _recipe: object = field(default=None, init=False, compare=False, repr=False)
+    _pools: tuple = field(default=(), init=False, compare=False, repr=False)
 
-    def __init__(self, model, prob, provenance, source: tuple[TemplateModel, ConstraintWorld] | None = None):
-        set_ = object.__setattr__
+    def __init__(self, model, prob, provenance, source: ConstraintWorld | None = None):
+        self.prob = prob
+        self.provenance = provenance
         if source is None:
-            set_(self, "model", model)
-        set_(self, "prob", prob)
-        set_(self, "provenance", provenance)
-        set_(self, "form", None if source is None else source[1].form)
-        set_(self, "_source", source)
+            self.model = model
+            self.form = None
+            self._recipe, self._pools = None, ()
+        else:
+            self._recipe = source._recipe
+            self._pools = source._pools
 
     def __getattr__(self, name):
-        # only the model of a world that expand made is missing until read
-        source = self.__dict__.get("_source")
-        if name != "model" or source is None:
+        # only the form and model of a world that expand made are missing
+        # until read; the model is kept, and so is a form set on the world
+        recipe = self._recipe
+        if recipe is None or name not in ("form", "model"):
             raise AttributeError(name)
-        tmpl, cw = source
-        model = None if cw.degenerate else instantiate(tmpl, cw)
-        object.__setattr__(self, "model", model)
+        pools = self._pools
+        if name == "form":
+            return (recipe, pools) if recipe.formed else None
+        if recipe.degenerate(pools):
+            model = None
+        else:
+            model = instantiate(recipe.template, ConstraintWorld(None, None, (), False, recipe, pools))
+        self.model = model
         return model
 
     @property
     def degenerate(self) -> bool:
-        return self.model is None if self._source is None else self._source[1].degenerate
+        recipe = self._recipe
+        return self.model is None if recipe is None else recipe.degenerate(self._pools)
 
 
 @dataclass(frozen=True)
@@ -144,29 +188,31 @@ def expand(u: UniverseModel) -> tuple[WeightedModel, ...]:
     domain spec, its program against the template, a missing domain) runs
     in this call, and reading a model raises none.
     """
-    dws = list(enumerate_worlds(u.domain_spec, u.template))
+    dws = enumerate_worlds(u.domain_spec, u.template)
     if dws and all(w.prob is None for w in dws):
         dws = uniformize(dws)
-    indexed = list(enumerate(dws))
-    if u.filter is not None:
-        kept = set(
-            id(w) for w in filter_worlds([w for _, w in indexed], u.filter).kept
-        )
-        indexed = [(k, w) for k, w in indexed if id(w) in kept]
+    kept = None if u.filter is None else {id(w) for w in filter_worlds(dws, u.filter).kept}
     names = {lv.name for lv in u.template.logvars}
     varying = tuple(n for n in u.domain_spec.varying() if n in names)
 
     # one memo per call, so no process-wide cache keeps tuples alive after
     # the models that hold them are gone
     memo = EvaluationMemo((u.program, u.template, u._check))
+    cut = u.filter.threshold if u.filter is not None and u.filter.cascade else None
     out: list[WeightedModel] = []
-    for k, dw in indexed:
-        sizes = dw.sizes()  # one dict for the worlds of one domain world
+    dws = list(dws)
+    for k in range(len(dws)):
+        # a domain world is let go once its worlds are made, so the garbage
+        # collector does not scan the rest again and again; the ids in kept
+        # are of domain worlds that were all alive together, so none repeats
+        dw, dws[k] = dws[k], None
+        if kept is not None and id(dw) not in kept:
+            continue
+        prob, sizes = dw.prob, MappingProxyType(dw.sizes())  # sizes shared by the worlds of one domain world
         for j, cw in enumerate(evaluate(u.program, u.template, dw, memo)):
-            weight = dw.prob * cw.prob
-            if u.filter is not None and u.filter.cascade and weight <= u.filter.threshold:
-                continue
-            out.append(WeightedModel(None, weight, Provenance(k, j, sizes, varying), (u.template, cw)))
+            weight = prob * cw.prob
+            if cut is None or weight > cut:
+                out.append(WeightedModel(None, weight, Provenance(k, j, sizes, varying), cw))
     return tuple(out)
 
 

@@ -52,6 +52,15 @@ class TestBetaBinomialPmf:
         with pytest.raises(ValidationError):
             beta_binomial_pmf(21, 20, 6, 15)
 
+    @pytest.mark.parametrize("alpha, beta, bins", [(6, 15, 20), (0.3, 2.5, 7), (1, 1, 1), (2.5, 0.75, 300), (6, 15, 20000)])
+    def test_enumerated_weights_are_the_pmf_bit_for_bit(self, alpha, beta, bins):
+        # the weights take the log-gamma terms that do not depend on the bin
+        # once per entry, which must not move them by a single bit
+        spec = DomainSpec({"X": BetaBinomialDomain(alpha, beta, bins=bins, step=1), "T": FixedDomain(tuple(ts(3)))})
+        worlds = enumerate_worlds(spec, epidemic_template())
+        assert len(worlds) == bins
+        assert [w.prob for w in worlds] == [beta_binomial_pmf(k, bins, alpha, beta) for k in range(1, bins + 1)]
+
 
 class TestEnumerateWorlds:
     def test_twenty_binned_sizes(self):

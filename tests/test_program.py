@@ -236,6 +236,12 @@ class TestEvaluate:
         with pytest.raises(ValidationError, match="arity"):
             evaluate_program(prog, tmpl, people_world(*PEOPLE))
 
+    def test_hand_built_unsafe_rule_rejected(self):
+        # parse refuses it with a line and column; a rule built by hand is
+        # refused when it is made
+        with pytest.raises(ValidationError, match="unsafe"):
+            program.Rule(program.Atom("p", ("X", "Y")), (program.Atom("q", ("X",)),))
+
     def test_hand_built_recursive_program_rejected(self):
         # parse refuses recursion, so only a Program built by hand reaches
         # evaluate with a cycle, which the rule order refuses in turn

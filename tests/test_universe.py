@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from liftworlds import (
     EnumeratedDomain,
     FixedDomain,
     UniverseModel,
+    Provenance,
     ValidationError,
     WeightedModel,
     WorldFilter,
@@ -392,3 +395,43 @@ class TestErrorsRaiseFromTheCall:
         })
         with pytest.raises(ValidationError, match="do not fit"):
             expand(UniverseModel(epidemic_template(), parse_program(TOP_OVER_T), crowded))
+
+
+class TestCheapWorlds:
+    """What a world that ``expand`` made keeps."""
+
+    def test_worlds_of_a_domain_world_share_read_only_sizes(self):
+        models = expand(paper_universe())
+        first = [wm for wm in models if wm.provenance.domain_world == 0]
+        assert len(first) == 3
+        sizes = first[0].provenance.domain_sizes
+        assert all(wm.provenance.domain_sizes is sizes for wm in first)
+        with pytest.raises(TypeError):
+            sizes["X"] = 1
+        with pytest.raises(TypeError):
+            del sizes["T"]
+        assert [dict(wm.provenance.domain_sizes) for wm in first] == [{"X": 100, "T": 3}] * 3
+        given = {"X": 4}
+        prov = Provenance(0, 0, given, ("X",))
+        given["X"] = 5
+        assert prov.domain_sizes == {"X": 4} and prov.domain_size == 4
+        with pytest.raises(TypeError):
+            prov.domain_sizes["X"] = 5
+        with pytest.raises(TypeError):
+            prov._replace(domain_sizes={"X": 6}).domain_sizes["X"] = 7
+        with pytest.raises(AttributeError):
+            first[0].provenance.domain_sizes = {"X": 1}
+
+    def test_gc_tracked_objects_kept_per_world(self, data_dir):
+        # a world keeps its weighted model and provenance; its domain world's
+        # pool, pool tuple and sizes mapping are shared by its 3 constraint
+        # worlds, and the memo's 3 recipes by all 6000 worlds
+        u = bundled_universe(data_dir, bins=2000, step=1)
+        expand(u)
+        gc.collect()
+        before = len(gc.get_objects())
+        models = expand(u)
+        gc.collect()
+        kept = len(gc.get_objects()) - before
+        assert len(models) == 6000
+        assert 3.0 <= kept / len(models) < 3.01, kept

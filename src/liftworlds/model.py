@@ -160,6 +160,10 @@ class ConstantSet:
     def __setattr__(self, name, value):
         raise AttributeError("ConstantSet is immutable")
 
+    def __reduce__(self):
+        # rebuilt through the constructor: __setattr__ refuses a restore, and a new process hashes afresh
+        return ConstantSet, (self.named, self.runs)
+
     def __repr__(self) -> str:
         return f"ConstantSet({sorted(map(str, self.named))!r}, {list(self.runs)!r})"
 

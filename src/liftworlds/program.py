@@ -182,14 +182,7 @@ class ConstraintWorld:
     world shape and choice combination of an :class:`EvaluationMemo`) and
     its pools, the world's anonymous constants of each type in sorted type
     order, and no constraints: they are built from the two when first read,
-    and kept. Its ``degenerate`` is counted from the two, without a build,
-    when first read.
-    ``form`` is ``(recipe, pools)``, the recipe tagging the form: worlds of
-    one recipe have one structure, and each of their sets is a union of the
-    same pools and named constants. It is None for a hand-built world and
-    when the recipe lists a pattern that repeats a representative: its
-    blocks then depend on more than the pools, and ``query_all`` keys each
-    such world as a form of its own.
+    and kept. Its ``degenerate`` is counted from the two when it is made.
 
     Its fields are not to be assigned, but the class does not refuse it:
     ``evaluate`` makes one per world, and a frozen dataclass sets each field
@@ -207,26 +200,17 @@ class ConstraintWorld:
     def __init__(self, constraints, prob, choice=(), degenerate=False, recipe=None, pools=()):
         self.prob = prob
         self.choice = choice
-        self._recipe = recipe
-        self._pools = pools
+        self.degenerate = degenerate
+        self._recipe, self._pools = recipe, pools
         if recipe is None:
             self.constraints = constraints
-            self.degenerate = degenerate
 
     def __getattr__(self, name):
-        # a world left to its recipe builds its constraints, and counts
-        # whether one is empty, when first read, and keeps them
-        recipe = self._recipe
-        if recipe is None or name not in ("constraints", "degenerate"):
+        # only the constraints of a world left to its recipe are missing until read
+        if name != "constraints":
             raise AttributeError(name)
-        value = recipe.constraints(self._pools) if name == "constraints" else recipe.degenerate(self._pools)
-        setattr(self, name, value)
-        return value
-
-    @property
-    def form(self) -> tuple | None:
-        recipe = self._recipe
-        return (recipe, self._pools) if recipe is not None and recipe.formed else None
+        self.constraints = self._recipe.constraints(self._pools)
+        return self.constraints
 
 
 # ---------------------------------------------------------------------------
@@ -512,8 +496,9 @@ class _Recipe:
     pools (sorted type order), so one recipe serves every world of the
     shape. It is ``formed`` when every pattern's representatives are
     distinct: each pattern is then one block of pools and named sets, none
-    of them empty. A formed recipe tags the form of its worlds.
-    ``template`` is the template whose parfactors the parts fill.
+    of them empty. A formed recipe tags the form of its worlds
+    (``universe.WeightedModel.form``). ``template`` is the template whose
+    parfactors the parts fill.
     """
 
     __slots__ = ("template", "parts", "formed", "_needs")
@@ -665,7 +650,7 @@ def evaluate(
     blocks; worlds where a binding has none are emitted with that
     constraint empty and flagged degenerate. Each world holds its recipe
     and pools, and builds its constraints when they are first read
-    (:class:`ConstraintWorld`); its ``degenerate`` is counted without them.
+    (:class:`ConstraintWorld`); its ``degenerate`` is counted here, without them.
 
     The rules run once per choice combination and world shape, not per
     world: pass one ``memo`` to the calls on the worlds of one expansion and
@@ -702,7 +687,7 @@ def evaluate(
         choice_worlds = memo.shapes[shape] = _choice_worlds(prog, tmpl, checked, dict(zip(typed, held)), shape[1])
     pooled = tuple([region for _, region in pools])
     return tuple([
-        ConstraintWorld(None, prob, combo, False, recipe, pooled)
+        ConstraintWorld(None, prob, combo, recipe.degenerate(pooled), recipe, pooled)
         for combo, prob, recipe in choice_worlds
     ])
 

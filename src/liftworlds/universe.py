@@ -14,15 +14,13 @@ of the surviving models simply sum to the retained mass.
 A world is built when read, and until then it holds a few references.
 ``expand`` hands out each world as its weight, its provenance (indices and
 the sizes of its domain world, one read-only mapping that the worlds of
-that domain world share) and its constraint world's recipe and type pools,
-shared with the other worlds of its shape and of its domain world. Its
-``form`` and ``degenerate`` are read off the recipe and pools, and its
-``model`` is instantiated the first time it is read, and kept. The manifest
-and the keying of ``query_all`` read only the weight, the provenance,
-``degenerate`` and ``form``, so they build no model. So an unread world is
-two objects of its own, its weighted model and its provenance; its domain
-world's pool, pool tuple and sizes are shared with that domain world's
-other worlds, and the constraint world ``evaluate`` made for it is let go.
+that domain world share), its ``degenerate`` flag, and its constraint
+world's recipe and type pools, which its ``form`` is read off and its
+``model`` instantiated from, when first read, and kept. The manifest and
+the keying of ``query_all`` build no model. So an unread world is two
+objects of its own, its weighted model and its provenance; the rest is
+shared with the worlds of its shape or of its domain world, and the
+constraint world ``evaluate`` made for it is let go.
 """
 
 from __future__ import annotations
@@ -45,7 +43,8 @@ class Provenance(namedtuple("Provenance", ("domain_world", "constraint_world", "
     ``MappingProxyType``, and a proxy given is kept, so the worlds of one
     domain world share one and none can change another's sizes. A named
     tuple, so it is immutable and ``expand`` makes one per world at the
-    cost of a tuple.
+    cost of a tuple. It pickles through a dict copy of its sizes, so
+    worlds unpickled separately no longer share one sizes mapping.
     """
 
     __slots__ = ()
@@ -64,6 +63,10 @@ class Provenance(namedtuple("Provenance", ("domain_world", "constraint_world", "
         # so that _replace makes its copy read-only too
         return cls(*iterable)
 
+    def __reduce__(self):
+        # a mappingproxy does not pickle; the constructor makes the copy read-only again
+        return Provenance, (self.domain_world, self.constraint_world, dict(self.domain_sizes), self.varying)
+
     @property
     def world_id(self) -> str:
         return f"{self.domain_world}.{self.constraint_world}"
@@ -79,27 +82,23 @@ class Provenance(namedtuple("Provenance", ("domain_world", "constraint_world", "
 class WeightedModel:
     """A parameterised model with its world probability and provenance.
 
-    ``model`` is None, and so ``degenerate`` true, when the constraint world
+    ``model`` is None, and ``degenerate`` true, when the constraint world
     was degenerate. A world that :func:`expand` made is given ``source``,
-    its constraint world, and keeps that world's recipe and pools, not the
-    constraint world. Its ``form`` and ``degenerate`` are the constraint
-    world's, read off the recipe and pools, so neither builds a model, and
-    it builds ``model`` through :func:`instantiate`, over the recipe's
-    template, on first read and keeps it. ``form`` holds for the template
-    of one ``expand`` call only. It is no argument, so hand-built worlds
-    and copies made by ``dataclasses.replace`` have none, and ``query_all``
-    keys each of them as a form of its own.
+    its constraint world, and keeps that world's ``degenerate``, recipe and
+    pools; it builds ``model`` through :func:`instantiate` on first read,
+    and keeps it. ``form`` is ``(recipe, pools)`` when the recipe is formed
+    and None otherwise; it holds for the template of one ``expand`` call
+    only. Hand-built worlds and copies made by ``dataclasses.replace`` have
+    no recipe, so ``query_all`` keys each of them as a form of its own.
 
-    Its fields are not to be assigned, but the class does not refuse it:
-    ``expand`` makes one per world, and a frozen dataclass sets each field
-    through ``object.__setattr__``, which costs several times a plain
-    assignment.
+    Like a :class:`ConstraintWorld`, it is not frozen, to be cheap to make,
+    and its fields are not to be assigned.
     """
 
     model: ParameterisedModel | None
     prob: float
     provenance: Provenance
-    form: tuple | None = field(default=None, init=False, compare=False, repr=False)
+    degenerate: bool = field(default=False, init=False, compare=False, repr=False)
     _recipe: object = field(default=None, init=False, compare=False, repr=False)
     _pools: tuple = field(default=(), init=False, compare=False, repr=False)
 
@@ -108,32 +107,26 @@ class WeightedModel:
         self.provenance = provenance
         if source is None:
             self.model = model
-            self.form = None
+            self.degenerate = model is None
             self._recipe, self._pools = None, ()
         else:
-            self._recipe = source._recipe
-            self._pools = source._pools
+            self.degenerate = source.degenerate
+            self._recipe, self._pools = source._recipe, source._pools
 
     def __getattr__(self, name):
-        # only the form and model of a world that expand made are missing
-        # until read; the model is kept, and so is a form set on the world
-        recipe = self._recipe
-        if recipe is None or name not in ("form", "model"):
+        # only the model of a world that expand made is missing until read
+        if name != "model":
             raise AttributeError(name)
-        pools = self._pools
-        if name == "form":
-            return (recipe, pools) if recipe.formed else None
-        if recipe.degenerate(pools):
-            model = None
-        else:
-            model = instantiate(recipe.template, ConstraintWorld(None, None, (), False, recipe, pools))
-        self.model = model
-        return model
+        recipe = self._recipe
+        self.model = None if self.degenerate else instantiate(
+            recipe.template, ConstraintWorld(None, None, (), False, recipe, self._pools)
+        )
+        return self.model
 
     @property
-    def degenerate(self) -> bool:
+    def form(self) -> tuple | None:
         recipe = self._recipe
-        return self.model is None if recipe is None else recipe.degenerate(self._pools)
+        return (recipe, self._pools) if recipe is not None and recipe.formed else None
 
 
 @dataclass(frozen=True)
@@ -178,10 +171,8 @@ def expand(u: UniverseModel) -> tuple[WeightedModel, ...]:
     """All weighted models of the triple, in deterministic order.
 
     Order is by domain world (ascending sizes), then by the program's
-    constraint world order. Degenerate worlds are kept but flagged, with
-    ``model`` left as None, so downstream code can report rather than hide
-    them. Each world carries its constraint world's ``form``, which holds
-    for the template of this call only.
+    constraint world order. Degenerate worlds are kept, flagged and with
+    ``model`` None, so downstream code can report rather than hide them.
 
     No model is built here: each world builds its own on first read
     (:class:`WeightedModel`). Every check that can refuse the triple (its
@@ -218,12 +209,14 @@ def expand(u: UniverseModel) -> tuple[WeightedModel, ...]:
 
 def manifest_rows(models: tuple[WeightedModel, ...], tmpl: TemplateModel) -> list[dict]:
     """Plot- and file-ready rows describing an expansion, one per model."""
+    columns = [(f"size_{lv.name}", lv.name) for lv in tmpl.logvars]
     rows = []
     for wm in models:
-        row: dict = {"world_id": wm.provenance.world_id}
-        for lv in tmpl.logvars:
-            row[f"size_{lv.name}"] = wm.provenance.domain_sizes[lv.name]
-        row["constraint_world"] = wm.provenance.constraint_world
+        p = wm.provenance
+        row: dict = {"world_id": p.world_id}
+        for column, name in columns:
+            row[column] = p.domain_sizes[name]
+        row["constraint_world"] = p.constraint_world
         row["weight"] = wm.prob
         row["degenerate"] = wm.degenerate
         rows.append(row)

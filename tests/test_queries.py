@@ -678,10 +678,11 @@ class TestForms:
 
     def test_a_planned_world_whose_form_disagrees_with_its_shape_raises(self, data_dir):
         # the last world claims a pool of 5000 persons: its derived sizes are
-        # new and the largest, so it is planned, and its own shape disagrees
+        # new and the largest, so it is planned, and its own shape disagrees;
+        # its model is built from its own pools first, and kept
         models = bundled_models(data_dir)
-        tag, _ = models[-1].form
-        object.__setattr__(models[-1], "form", (tag, (ConstantSet(runs=((1, 5000),)),)))
+        assert models[-1].model is not None
+        models[-1]._pools = (ConstantSet(runs=((1, 5000),)),)
         with pytest.raises(InferenceError, match="form"):
             query_all(models, parse_query("P(Sick(x1))"))
 

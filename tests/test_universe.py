@@ -1,4 +1,6 @@
+import copy
 import gc
+import pickle
 
 import numpy as np
 import pytest
@@ -22,6 +24,8 @@ from liftworlds import (
     io,
     manifest_rows,
     parse_program,
+    parse_query,
+    query_all,
 )
 from liftworlds import program
 from liftworlds.program import ConstraintWorld, evaluate as evaluate_program
@@ -435,3 +439,55 @@ class TestCheapWorlds:
         kept = len(gc.get_objects()) - before
         assert len(models) == 6000
         assert 3.0 <= kept / len(models) < 3.01, kept
+
+
+class TestCopies:
+    """Worlds, and the values they hold, copy, deep-copy and pickle."""
+
+    def test_a_copy_reads_what_its_world_reads(self, data_dir):
+        # a copy starts with its slots empty, so a lazy hook must check the
+        # name it is asked for before it reads a slot
+        u = bundled_universe(data_dir)
+        built = expand(u)
+        prov = built[-1].provenance
+        degenerate = """
+            constraint g0 <- top.
+            constraint g1 <- instance_of_X(X).
+            constraint g2 <- never(X,Y).
+            populate instance_of_X/1 from X.
+        """
+        worlds = (
+            built[-1],
+            expand(u)[-1],  # copied before anything of it is read
+            expand(fixed_universe(degenerate))[0],
+            WeightedModel(built[0].model, 0.5, prov),
+            WeightedModel(None, 0.5, prov),
+        )
+        for wm in worlds:
+            twin = copy.copy(wm)
+            assert (twin.model, twin.form, twin.degenerate) == (wm.model, wm.form, wm.degenerate)
+        constraints = [[pf.constraint for pf in wm.model.parfactors] for wm in worlds[:2]]
+        assert constraints[0] == constraints[1] and worlds[1].form is not None
+        assert worlds[2].degenerate and worlds[3].form is None and worlds[4].degenerate
+        dw = enumerate_worlds(u.domain_spec, u.template)[0]
+        for cw in evaluate_program(u.program, u.template, dw):
+            twin = copy.copy(cw)
+            assert (twin.constraints, twin.degenerate, twin.prob, twin.choice) == (
+                cw.constraints, cw.degenerate, cw.prob, cw.choice
+            )
+            assert twin == cw and hash(twin) == hash(cw)
+
+    def test_an_expansion_round_trips_through_pickle_and_deepcopy(self, data_dir):
+        models = expand(bundled_universe(data_dir))
+        q = parse_query("P(Sick(x1))")
+        want = query_all(models, q)
+        for copied in (pickle.loads(pickle.dumps(models)), copy.deepcopy(models)):
+            got = query_all(copied, q)
+            assert [e.provenance for e in got.entries] == [e.provenance for e in want.entries]
+            assert [e.answer.probs.tobytes() for e in got.entries] == [e.answer.probs.tobytes() for e in want.entries]
+            assert got.skipped == want.skipped
+            assert [wm.form is not None for wm in copied] == [wm.form is not None for wm in models]
+            sizes = copied[0].provenance.domain_sizes
+            assert sizes == models[0].provenance.domain_sizes
+            with pytest.raises(TypeError):
+                sizes["X"] = 1

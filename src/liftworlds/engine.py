@@ -60,10 +60,17 @@ Phase 2 grounds every person of a stuck group, but the plan records each
 distinct step once, as compiled circuits share equal subcircuits (Chavira &
 Darwiche, IJCAI 2005): another person's ground factors over the same
 tables, multiplied and summed out in the same layout, are steps already
-recorded. So a run computes them once, and a plan grows by about one step
-per grounded person (the product into the factor they all share); the
-oracle's ground steps are shared the same way. A run drops each table after
-the last step that reads it. Phase 2 works on ints from the moment a tuple
+recorded. Eliminating an atom multiplies all the factors that hold it in
+one step (:func:`_ground_product`), however many they are, so the product
+of every person's factor into the one they all share is one step as well.
+A plan's step count thus does not grow with the persons it grounds, only
+with the kinds of person (a ragged group's treatment sets), and a run
+computes each step once; the oracle's ground steps are shared the same
+way. The table arithmetic still grows with the persons: a product step
+adds one aligned table per holder, so the shared product costs one add
+per person. So does the structural work of phase 2, grounding and
+ordering the elimination. A run drops each table after the last step that
+reads it. Phase 2 works on ints from the moment a tuple
 is grounded: ``model._groundings`` gives each atom as its ``(name, args)``
 key, :func:`_ground_factors` interns the keys into ids (the targets'
 first), and a ground factor is a plain ``(atoms, ranges, logtab)`` tuple.
@@ -75,6 +82,7 @@ text and error messages only.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -245,27 +253,49 @@ def _aligned(tab: np.ndarray, src: tuple[int, ...], n: int) -> np.ndarray:
     return tab.transpose(perm)[idx]
 
 
-def _added(a: np.ndarray, b: np.ndarray, src_a: tuple[int, ...], src_b: tuple[int, ...], n: int) -> np.ndarray:
-    return _aligned(a, src_a, n) + _aligned(b, src_b, n)
+def _product(*args) -> np.ndarray:
+    """``_product(*tabs, srcs, order, n)``: the sum of the log tables ``tabs[j]``, ``j`` in ``order``.
 
-
-def _product_step(a: tuple, b: tuple, logtabs: tuple, plan: _Plan) -> tuple[list[int], int]:
-    """The product of two factors whose axes are ``a`` and ``b``.
-
-    Returns the indices into ``b`` of the axes ``a`` lacks (the product's
-    axes are a's, then those) and the product's step. The step names axes
-    by position, so products over other atoms or PRVs laid out the same way
-    are one step.
+    Each table is aligned once, ``tabs[j]`` by ``srcs[j]`` over ``n`` axes,
+    and the tables are added one at a time in their order, repeats
+    included, so every cell sees the additions a chain of binary products
+    makes, in the same order, and no more than two sums are held at once.
     """
-    new: list[int] = []
-    src_b = []
-    for k, x in enumerate(b):
-        if x in a:
-            src_b.append(a.index(x))
-        else:
-            src_b.append(len(a) + len(new))
-            new.append(k)
-    return new, plan.tab(_added, logtabs, tuple(range(len(a))), tuple(src_b), len(a) + len(new))
+    *tabs, srcs, order, n = args
+    aligned = [_aligned(t, src, n) for t, src in zip(tabs, srcs)]
+    return functools.reduce(np.add, map(aligned.__getitem__, order))
+
+
+def _ground_product(factors: Sequence[tuple], plan: _Plan) -> tuple:
+    """The product of ``factors`` as one step: the one product routine.
+
+    Each factor is ``(keys, data, logtab)``: ``keys`` name its axes (atom
+    ids, or PRVs), ``data`` holds one value per axis (ranges, or groups)
+    and ``logtab`` is its table's step. The product is a factor of the same
+    form whose axes are the first factor's, then each later factor's keys
+    that no earlier factor has, in their order, as a chain of binary
+    products lays them out. The step names axes by position, so products
+    over other atoms or PRVs laid out the same way are one step, and it
+    reads a table laid out one way once, however often it repeats.
+    """
+    if len(factors) == 1:
+        return factors[0]
+    keys, data, logtab = factors[0]
+    views = {(logtab, tuple(range(len(keys)))): 0}
+    order = [0]
+    for f_keys, f_data, logtab in factors[1:]:
+        new, src = [], []
+        for k, x in enumerate(f_keys):
+            if x in keys:
+                src.append(keys.index(x))
+            else:
+                src.append(len(keys) + len(new))
+                new.append(k)
+        keys += tuple([f_keys[k] for k in new])
+        data += tuple([f_data[k] for k in new])
+        order.append(views.setdefault((logtab, tuple(src)), len(views)))
+    refs, srcs = zip(*views)
+    return keys, data, plan.tab(_product, refs, srcs, tuple(order), len(keys))
 
 
 def _scaled(tab: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -288,8 +318,12 @@ class _Plan:
     Equal steps are recorded once (hash-consing): ``memo`` maps each step to
     its index, and :meth:`tab` returns the earlier index for a step equal to
     one already recorded, as another person's ground factors multiplied and
-    summed the same way in phase 2 are. Steps name axes by position and
-    tables by their :class:`PotentialTable`, so every param hashes cheaply.
+    summed the same way in phase 2 are. A product of any number of factors
+    is one step that reads each distinct table once, so the product of
+    every person's factor into a shared one is one step, whatever the
+    number of persons, though it still adds one table per person. Steps
+    name axes by position and tables by their
+    :class:`PotentialTable`, so every param hashes cheaply.
     :meth:`drop` forgets a stuck group's steps and their memo entries.
     ``last`` names each step's last reader, where a run drops its table.
 
@@ -383,9 +417,8 @@ def _multiply(a: _Lifted, b: _Lifted, plan: _Plan) -> _Lifted:
     for c in (a.constraint, b.constraint):
         plan.check("one", c, [c.position(lv) for lv in shared])
     join = _join(a.constraint, b.constraint)
-    new, logtab = _product_step(a.args, b.args, (a.logtab, b.logtab), plan)
-    args = a.args + tuple(b.args[i] for i in new)
-    return _Lifted(args, logtab, join, a.groups + tuple(b.groups[i] for i in new))
+    args, groups, logtab = _ground_product([(a.args, a.groups, a.logtab), (b.args, b.groups, b.logtab)], plan)
+    return _Lifted(args, logtab, join, groups)
 
 
 def _sum_out(lf: _Lifted, prv: PRV, plan: _Plan) -> tuple[_Lifted, int]:
@@ -468,15 +501,10 @@ def _ground_factors(
     for keys in _groundings(args, c):
         atoms = tuple([ids.setdefault(key, len(ids)) for key in keys])
         if shared and len(set(atoms)) != len(atoms):
-            aliased = tuple(GroundAtom(*key) for key in keys)
+            aliased = tuple(GroundAtom(name, tuple(map(Constant, args))) for name, args in keys)
             raise InferenceError(f"aliased arguments in one grounding: {aliased}")
         out.append((atoms, ranges, logtab))
     return out
-
-
-def _ground_multiply(a: tuple, b: tuple, plan: _Plan) -> tuple:
-    new, logtab = _product_step(a[0], b[0], (a[2], b[2]), plan)
-    return a[0] + tuple([b[0][i] for i in new]), a[1] + tuple([b[1][i] for i in new]), logtab
 
 
 def _ground_drop(f: tuple, atom: int, plan: _Plan, fn, *params) -> tuple:
@@ -502,9 +530,9 @@ def _eliminate(
     and ``heap`` orders atoms by (factor count, rank), ints only; an entry
     whose count is no longer the atom's is stale and skipped, and an atom is
     pushed again only when its count changes. A step multiplies the factors
-    of the first atom into the first of them, sums the atom out and points
-    the product's atoms at it, so no step rescans the factor list. The order
-    depends on the atoms alone.
+    of the first atom as one product, which takes the first one's place,
+    sums the atom out and points the product's atoms at it, so no step
+    rescans the factor list. The order depends on the atoms alone.
     """
     keys = list(ids)
     order = sorted(range(n_targets, len(keys)), key=keys.__getitem__)
@@ -526,21 +554,20 @@ def _eliminate(
         i = order[r]
         if len(holders.get(i, ())) != count:
             continue
-        first, *rest = sorted(holders.pop(i))
+        gone = sorted(holders.pop(i))
+        first = gone[0]
         if log is not None:
             detail = f"ground {GroundAtom(*keys[i])}"
-            log += [OpRecord("multiply", detail)] * len(rest) + [OpRecord("sum_out", detail, 1)]
-        prod = live.pop(first)
-        for j in rest:
-            prod = _ground_multiply(prod, live.pop(j), plan)
+            log += [OpRecord("multiply", detail)] * (count - 1) + [OpRecord("sum_out", detail, 1)]
+        prod = _ground_product([live.pop(j) for j in gone], plan)
         live[first] = prod = _ground_drop(prod, i, plan, _logsumexp)
-        if not rest:
+        if count == 1:
             continue  # no count changed, so every heap entry is as valid as before
         for other in prod[0]:
             held = holders.get(other)
             if held is not None:
                 n = len(held)
-                held.difference_update(rest)
+                held.difference_update(gone)
                 held.add(first)
                 if len(held) != n:  # an unchanged count keeps its valid entry
                     heapq.heappush(heap, (len(held), rank[other]))
@@ -549,9 +576,7 @@ def _eliminate(
 
 def _assemble(factors: list[tuple], n_targets: int, plan: _Plan) -> int:
     """The product of the factors elimination left, its axes in target order."""
-    prod = factors[0]
-    for other in factors[1:]:
-        prod = _ground_multiply(prod, other, plan)
+    prod = _ground_product(factors, plan)
     if set(prod[0]) != set(range(n_targets)):
         raise InferenceError("elimination left unexpected atoms behind")
     return plan.tab(_aligned, (prod[2],), prod[0], n_targets)

@@ -349,7 +349,7 @@ class Constraint:
 
     @property
     def tuples(self) -> tuple[tuple[Constant, ...], ...]:
-        return tuple(_listed(self.blocks))
+        return tuple(_listed(self.blocks, Constant))
 
     def position(self, logvar: Logvar) -> int:
         try:
@@ -418,9 +418,14 @@ def _arg_logvars(args: Iterable[PRV]) -> tuple[Logvar, ...]:
     return tuple(seen)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Parfactor:
-    """A potential table restricted to the groundings a constraint permits."""
+    """A potential table restricted to the groundings a constraint permits.
+
+    Two parfactors are equal when they hold the same table object and equal
+    constraints, so two builds of one world from one template are equal
+    models; a table compares by identity (``eq=False``).
+    """
 
     table: PotentialTable
     constraint: Constraint
@@ -508,7 +513,7 @@ class ParameterisedModel:
 
     def ground(self) -> tuple[GroundFactor, ...]:
         return tuple(
-            GroundFactor(tuple([GroundAtom(*key) for key in keys]), p.table)
+            GroundFactor(tuple([GroundAtom(name, tuple(map(Constant, args))) for name, args in keys]), p.table)
             for p in self.parfactors
             for keys in _groundings(p.table.args, p.constraint)
         )
@@ -553,15 +558,18 @@ def _groundings(args: Sequence[PRV], c: Constraint) -> Iterator[tuple[tuple, ...
 # the block algebra
 
 
-def _listed(blocks: Iterable[Block]) -> list[tuple[Constant, ...]]:
+def _listed(blocks: Iterable[Block], constant=str) -> list[tuple[str, ...]]:
     """Every tuple of ``blocks``, sorted: the one routine that lists a constraint.
 
-    It is also the only one that names the constants of a run.
+    It is also the only one that names the constants of a run, each
+    ``x{i}`` as ``constant("x{i}")``. Grounding takes the plain string,
+    which compares and hashes as its ``Constant`` does, and so validates no
+    name; ``Constraint.tuples`` takes constants.
     """
 
-    def names(s: ConstantSet) -> list[Constant]:
-        made = (Constant(f"x{i}") for lo, hi in s.runs for i in range(lo, hi + 1))
-        return sorted(itertools.chain(s.named, made))
+    def names(s: ConstantSet) -> list[str]:
+        made = (map(constant, map("x{}".format, range(lo, hi + 1))) for lo, hi in s.runs)
+        return sorted(itertools.chain(s.named, *made))
 
     rows = [itertools.product(*map(names, b)) for b in blocks]
     return list(rows[0]) if len(rows) == 1 else sorted(itertools.chain(*rows))

@@ -58,7 +58,7 @@ from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import ParseError, ValidationError
-from .model import Constant, Constraint, ConstantSet, TemplateModel, _decompose, _listed, _regions, _union
+from .model import Constraint, ConstantSet, TemplateModel, _decompose, _listed, _regions, _union
 
 _IDENT = r"[a-z][A-Za-z0-9_]*"
 _VAR = r"[A-Z_][A-Za-z0-9_]*"
@@ -170,6 +170,22 @@ class Program:
         return None
 
 
+def _set_slots(world) -> tuple[None, dict]:
+    """A lazy world's state for pickling and copying: the slots it has set.
+
+    The default state reads every slot through ``getattr``, which would
+    build what the world has not built yet; a slot left unset is left out,
+    and the copy builds it when it is read.
+    """
+    state = {}
+    for name in type(world).__slots__:
+        try:
+            state[name] = object.__getattribute__(world, name)
+        except AttributeError:
+            pass
+    return None, state
+
+
 @dataclass(init=False, slots=True, unsafe_hash=True)
 class ConstraintWorld:
     """One generated constraint per template parfactor, optionally weighted.
@@ -183,6 +199,7 @@ class ConstraintWorld:
     its pools, the world's anonymous constants of each type in sorted type
     order, and no constraints: they are built from the two when first read,
     and kept. Its ``degenerate`` is counted from the two when it is made.
+    A pickle or a copy of it holds no constraints it has not built.
 
     Its fields are not to be assigned, but the class does not refuse it:
     ``evaluate`` makes one per world, and a frozen dataclass sets each field
@@ -211,6 +228,8 @@ class ConstraintWorld:
             raise AttributeError(name)
         self.constraints = self._recipe.constraints(self._pools)
         return self.constraints
+
+    __getstate__ = _set_slots
 
 
 # ---------------------------------------------------------------------------
@@ -617,7 +636,7 @@ def _blocks(pattern: tuple, pools: Sequence[ConstantSet]) -> tuple:
     return _decompose(_list(pattern, pools))
 
 
-def _list(pattern: tuple, pools: Sequence[ConstantSet]) -> list[tuple[Constant, ...]]:
+def _list(pattern: tuple, pools: Sequence[ConstantSet]) -> list[tuple[str, ...]]:
     """A world's tuples of one pattern of a :class:`_Recipe`.
 
     Each of the pattern's representatives is mapped one-to-one onto the

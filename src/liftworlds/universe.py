@@ -33,7 +33,7 @@ from typing import Mapping
 from .domains import DomainSpec, WorldFilter, enumerate_worlds, filter_worlds
 from .errors import ValidationError
 from .model import Parfactor, ParameterisedModel, TemplateModel
-from .program import ConstraintWorld, EvaluationMemo, Program, _checked, evaluate, uniformize
+from .program import ConstraintWorld, EvaluationMemo, Program, _checked, _set_slots, evaluate, uniformize
 
 
 class Provenance(namedtuple("Provenance", ("domain_world", "constraint_world", "domain_sizes", "varying"))):
@@ -86,7 +86,8 @@ class WeightedModel:
     was degenerate. A world that :func:`expand` made is given ``source``,
     its constraint world, and keeps that world's ``degenerate``, recipe and
     pools; it builds ``model`` through :func:`instantiate` on first read,
-    and keeps it. ``form`` is ``(recipe, pools)`` when the recipe is formed
+    and keeps it, and a pickle or a copy of it holds no model it has not
+    built. ``form`` is ``(recipe, pools)`` when the recipe is formed
     and None otherwise; it holds for the template of one ``expand`` call
     only. Hand-built worlds and copies made by ``dataclasses.replace`` have
     no recipe, so ``query_all`` keys each of them as a form of its own.
@@ -122,6 +123,8 @@ class WeightedModel:
             recipe.template, ConstraintWorld(None, None, (), False, recipe, self._pools)
         )
         return self.model
+
+    __getstate__ = _set_slots
 
     @property
     def form(self) -> tuple | None:

@@ -439,8 +439,10 @@ def _assert_memo_is_exact(plan):
 
 def test_plan_records_each_distinct_step_once():
     # phase 2 grounds each person of a ragged Treat group, and another
-    # person's factors over the same tables are the same steps: only the
-    # chain of products into Epid's factor grows with the persons
+    # person's factors over the same tables are the same steps; the product
+    # of all holders of an atom is one step, whatever their number, so a
+    # plan's step count does not grow with the persons: only a new treatment
+    # set, a new kind of person, may add a step
     q = QuerySpec((atom("Sick", "x1"),), Evidence(((atom("Travel", "x2"), "true"),)))
     rng = np.random.default_rng(4)
     t1, t2, t3 = ts(3)
@@ -448,6 +450,7 @@ def test_plan_records_each_distinct_step_once():
     drawn = [[t for b, t in enumerate((t1, t2, t3)) if s >> b & 1] for s in rng.integers(1, 8, 60)]
     for treatments in (alternating, drawn):
         steps = []
+        sets = [len({tuple(held) for held in treatments[:n]}) for n in (20, 60)]
         for n in (20, 60):
             m = ragged_model([(x, t) for x, held in zip(xs(n), treatments) for t in held], rng)
             log = []
@@ -457,7 +460,65 @@ def test_plan_records_each_distinct_step_once():
             steps.append(len(plan.steps))
             got = _run(plan, [plan.exponents])[0].probs
             assert np.max(np.abs(got - ground_ve(m, q).probs)) < 1e-9
-        assert steps[1] - steps[0] <= 1.1 * (60 - 20)
+        if treatments is alternating:
+            assert steps[1] == steps[0]
+        assert steps[1] - steps[0] <= sets[1] - sets[0]
+
+
+def _chain_of_binary_products(factors, tabs):
+    """The product of ``factors``, each ``(keys, table index)``, as binary products in turn.
+
+    Each step aligns the product so far and the next table over the axes of
+    both, the product's first and then the next table's keys it lacks, and
+    adds the two.
+    """
+    (keys, k), *rest = factors
+    keys, out = list(keys), tabs[k]
+    for f_keys, k in rest:
+        src, new = [], []
+        for x in f_keys:
+            if x in keys:
+                src.append(keys.index(x))
+            else:
+                src.append(len(keys) + len(new))
+                new.append(x)
+        n = len(keys) + len(new)
+        out = engine._aligned(out, tuple(range(len(keys))), n) + engine._aligned(tabs[k], tuple(src), n)
+        keys += new
+    return keys, out
+
+
+def test_product_step_adds_as_a_chain_of_binary_products():
+    # seeded operands over six atoms: log tables with zero potentials (-inf
+    # cells), some with a world axis of 3, drawn with repeats from a small
+    # pool, each laying out its atoms in its own order. The one product step
+    # lays the axes out as the chain does and every cell holds the same bits
+    rng = np.random.default_rng(32)
+    sizes = [2, 3, 2, 4, 2, 3]
+    seen = dict.fromkeys(("-inf", "repeated", "new axes", "worlds"), 0)
+    for _ in range(300):
+        pool = []
+        for _ in range(rng.integers(1, 4)):
+            keys = tuple(int(x) for x in rng.permutation(6)[: rng.integers(0, 4)])
+            shape = (int(rng.choice((1, 3))),) + tuple(sizes[x] for x in keys)
+            values = rng.uniform(0, 1, shape) * (rng.uniform(0, 1, shape) > 0.2)
+            pool.append((keys, _log(values)))
+        picks = [int(i) for i in rng.integers(0, len(pool), rng.integers(2, 7))]
+        factors = [(pool[i][0], tuple(sizes[x] for x in pool[i][0]), i) for i in picks]
+        plan = _Plan((), ())
+        for i in range(len(pool)):
+            plan.tab(None, (), i)  # a stand-in step per pool table
+        keys, data, step = engine._ground_product(factors, plan)
+        fn, refs, params = plan.steps[step]
+        got = fn(*(pool[r][1] for r in refs), *params)
+        want_keys, want = _chain_of_binary_products([(f[0], f[2]) for f in factors], [t for _, t in pool])
+        assert list(keys) == want_keys and data == tuple(sizes[x] for x in keys)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        seen["-inf"] += bool(np.isneginf(got).any())
+        seen["repeated"] += len(set(picks)) < len(picks)
+        seen["new axes"] += any(set(f[0]) - set(factors[0][0]) for f in factors[1:])
+        seen["worlds"] += got.shape[0] > 1
+    assert min(seen.values()) > 30, seen
 
 
 def test_a_stuck_group_leaves_no_memo_entry_behind(monkeypatch):
@@ -998,3 +1059,17 @@ def test_a_factor_with_no_arguments_is_grounded_once_per_tuple():
     m = ParameterisedModel((constant, g1))
     assert len(m.ground()) == m.ground_size() == 3
     assert [g.atoms for g in m.ground()] == [(), (atom("Smokes", "x1"),), (atom("Smokes", "x2"),)]
+
+
+def test_ground_atoms_name_their_constants_as_constants():
+    # grounding keys a run's members as plain strings; the ground atoms that
+    # ground() returns, and those an aliasing error names, hold Constants
+    y = Logvar("Y")
+    m = ParameterisedModel((Parfactor(PotentialTable((SICK,), [1.0, 2.0]), c_x(3)),))
+    args = [c for g in m.ground() for a in g.atoms for c in a.args]
+    assert args == list(xs(3)) and all(type(c) is Constant for c in args)
+    aliased = PotentialTable((SICK, PRV("Sick", (y,))), [1, 2, 3, 4])
+    twice = Parfactor(aliased, Constraint.extensional((X, y), [(Constant("x1"), Constant("x1"))]))
+    with pytest.raises(InferenceError, match="aliased arguments") as raised:
+        ground_ve(ParameterisedModel((twice,)), QuerySpec((atom("Sick", "x1"),)))
+    assert "Constant(name='x1')" in str(raised.value)

@@ -27,7 +27,7 @@ from liftworlds import (
     parse_query,
     query_all,
 )
-from liftworlds import program
+from liftworlds import program, universe
 from liftworlds.program import ConstraintWorld, evaluate as evaluate_program
 from liftworlds.domains import DomainWorld
 from support import (
@@ -441,6 +441,13 @@ class TestCheapWorlds:
         assert 3.0 <= kept / len(models) < 3.01, kept
 
 
+def _parts(model):
+    """What a model holds, as values to compare: its tables compare by identity."""
+    if model is None:
+        return None
+    return [(pf.constraint, pf.table.args, pf.table.values.tobytes()) for pf in model.parfactors]
+
+
 class TestCopies:
     """Worlds, and the values they hold, copy, deep-copy and pickle."""
 
@@ -476,6 +483,35 @@ class TestCopies:
                 cw.constraints, cw.degenerate, cw.prob, cw.choice
             )
             assert twin == cw and hash(twin) == hash(cw)
+
+    def test_a_pickle_or_copy_builds_nothing_its_world_has_not(self, data_dir, monkeypatch):
+        # a world's state leaves out what it has not built, so pickling and
+        # copying the 60 bundled worlds, or their constraint worlds, builds
+        # no model and no constraint; each round-tripped world builds, when
+        # read, what its original builds
+        u = bundled_universe(data_dir)
+        models = expand(u)
+        dw = enumerate_worlds(u.domain_spec, u.template)[0]
+        worlds = evaluate_program(u.program, u.template, dw)
+        built = []
+        real_instantiate, real_constraints = universe.instantiate, program._Recipe.constraints
+        monkeypatch.setattr(universe, "instantiate", lambda *a: built.append(a) or real_instantiate(*a))
+        monkeypatch.setattr(program._Recipe, "constraints", lambda *a: built.append(a) or real_constraints(*a))
+        assert len(models) == 60 and worlds
+        copies = []
+        for values in (models, worlds):
+            copies.append(pickle.loads(pickle.dumps(values)))
+            copies.append([copy.copy(v) for v in values])
+        assert built == []
+        monkeypatch.undo()
+        for twins in copies[:2]:
+            assert [_parts(t.model) for t in twins] == [_parts(wm.model) for wm in models]
+            assert [t.form is not None for t in twins] == [wm.form is not None for wm in models]
+        # a copy shares its world's tables, so it builds an equal model
+        assert [t.model for t in copies[1]] == [wm.model for wm in models]
+        for twins in copies[2:]:
+            assert [t.constraints for t in twins] == [cw.constraints for cw in worlds]
+            assert list(twins) == list(worlds)
 
     def test_an_expansion_round_trips_through_pickle_and_deepcopy(self, data_dir):
         models = expand(bundled_universe(data_dir))

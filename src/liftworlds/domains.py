@@ -118,8 +118,9 @@ class BetaBinomialDomain:
         object.__setattr__(self, "guaranteed", tuple(self.guaranteed))
         if self.alpha <= 0 or self.beta <= 0:
             raise ValidationError("alpha and beta must be positive")
-        if self.bins < 1 or self.step < 1:
-            raise ValidationError("bins and step must be positive integers")
+        counts = (self.bins, self.step)
+        if any(isinstance(v, bool) or not isinstance(v, int) or v < 1 for v in counts):
+            raise ValidationError(f"bins and step must be positive integers, got {counts}")
         _distinct(self.guaranteed, "guaranteed constants")
         g, n = len(self.guaranteed), self.step * self.bins
         for c in self.guaranteed:

@@ -69,11 +69,15 @@ computes each step once; the oracle's ground steps are shared the same
 way. The table arithmetic still grows with the persons: a product step
 adds one aligned table per holder, so the shared product costs one add
 per person. So does the structural work of phase 2, grounding and
-ordering the elimination. A run drops each table after the last step that
-reads it. Phase 2 works on ints from the moment a tuple
-is grounded: ``model._groundings`` gives each atom as its ``(name, args)``
-key, :func:`_ground_factors` interns the keys into ids (the targets'
-first), and a ground factor is a plain ``(atoms, ranges, logtab)`` tuple.
+ordering the elimination, but not for private leaves: before it grounds,
+phase 2 sums out on its lifted factor each argument whose atoms would each
+sit in one ground factor (:func:`_leaves`), by the step elimination would
+record for each of them, so those atoms are never grounded. A run drops
+each table after the last step that reads it. Phase 2 works on ints from
+the moment a tuple is grounded: ``model._groundings`` gives each atom as
+its ``(name, args)`` key, :func:`_ground_factors` interns the keys into
+ids (the targets' first), and a ground factor is a plain ``(atoms,
+ranges, logtab)`` tuple.
 :func:`_eliminate` ranks the other keys by one sort, in the order atoms
 compare, and orders its heap by ``(factor count, rank)``, so its loop
 compares and hashes ints only. Atom objects are made for the query, op-log
@@ -82,6 +86,7 @@ text and error messages only.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import heapq
 import itertools
@@ -281,9 +286,13 @@ def _ground_product(factors: Sequence[tuple], plan: _Plan) -> tuple:
     if len(factors) == 1:
         return factors[0]
     keys, data, logtab = factors[0]
-    views = {(logtab, tuple(range(len(keys)))): 0}
+    same = tuple(range(len(keys)))  # the layout of a factor over exactly ``keys``
+    views = {(logtab, same): 0}
     order = [0]
     for f_keys, f_data, logtab in factors[1:]:
+        if f_keys == keys:
+            order.append(views.setdefault((logtab, same), len(views)))
+            continue
         new, src = [], []
         for k, x in enumerate(f_keys):
             if x in keys:
@@ -291,8 +300,10 @@ def _ground_product(factors: Sequence[tuple], plan: _Plan) -> tuple:
             else:
                 src.append(len(keys) + len(new))
                 new.append(k)
-        keys += tuple([f_keys[k] for k in new])
-        data += tuple([f_data[k] for k in new])
+        if new:
+            keys += tuple([f_keys[k] for k in new])
+            data += tuple([f_data[k] for k in new])
+            same = tuple(range(len(keys)))
         order.append(views.setdefault((logtab, tuple(src)), len(views)))
     refs, srcs = zip(*views)
     return keys, data, plan.tab(_product, refs, srcs, tuple(order), len(keys))
@@ -507,19 +518,20 @@ def _ground_factors(
     return out
 
 
-def _ground_drop(f: tuple, atom: int, plan: _Plan, fn, *params) -> tuple:
-    """``f`` without ``atom``'s axis: ``fn(logtab, *params, axis)`` sums it out or slices it."""
+def _observed(f: tuple, atom: int, value: int, plan: _Plan) -> tuple:
+    """``f`` without ``atom``'s axis, sliced at the value numbered ``value``."""
     atoms, ranges, logtab = f
     axis = atoms.index(atom)
     return (
         atoms[:axis] + atoms[axis + 1 :],
         ranges[:axis] + ranges[axis + 1 :],
-        plan.tab(fn, (logtab,), *params, axis - len(atoms)),
+        plan.tab(np.take, (logtab,), value, axis - len(atoms)),
     )
 
 
 def _eliminate(
-    factors: list[tuple], ids: dict[tuple, int], n_targets: int, log: list | None, plan: _Plan
+    factors: list[tuple], ids: dict[tuple, int], n_targets: int, log: list | None, plan: _Plan,
+    summed: Sequence[tuple] = (),
 ) -> list[tuple]:
     """Propositional elimination of every non-target atom, fewest factors first.
 
@@ -532,12 +544,16 @@ def _eliminate(
     pushed again only when its count changes. A step multiplies the factors
     of the first atom as one product, which takes the first one's place,
     sums the atom out and points the product's atoms at it, so no step
-    rescans the factor list. The order depends on the atoms alone.
+    rescans the factor list. An atom in one factor needs no product and
+    changes no count. The order depends on the atoms alone.
+
+    ``summed`` are the keys of atoms summed out before grounding, each of
+    which would have been in one factor. Elimination would have popped them
+    in its first run, that of the atoms in one factor, in rank order; with
+    a log, their records go among that run's, by key.
     """
     keys = list(ids)
     order = sorted(range(n_targets, len(keys)), key=keys.__getitem__)
-    if not order:
-        return list(factors)
     rank = [0] * len(keys)
     for r, i in enumerate(order):
         rank[i] = r
@@ -549,21 +565,36 @@ def _eliminate(
                 holders.setdefault(i, set()).add(j)
     heap = [(len(held), rank[i]) for i, held in holders.items()]
     heapq.heapify(heap)
+    pending = sorted(summed) if log is not None else []
+    done = 0  # pending[:done] are logged
+    drops: dict[tuple[int, int], int] = {}  # (table step, axis) -> the step summing it out
     while heap:
         count, r = heapq.heappop(heap)
         i = order[r]
         if len(holders.get(i, ())) != count:
             continue
-        gone = sorted(holders.pop(i))
-        first = gone[0]
         if log is not None:
-            detail = f"ground {GroundAtom(*keys[i])}"
+            stop = bisect.bisect(pending, keys[i], done) if count == 1 else len(pending)
+            log += [OpRecord("sum_out", _ground_detail(key), 1) for key in pending[done:stop]]
+            done = stop
+            detail = _ground_detail(keys[i])
             log += [OpRecord("multiply", detail)] * (count - 1) + [OpRecord("sum_out", detail, 1)]
-        prod = _ground_product([live.pop(j) for j in gone], plan)
-        live[first] = prod = _ground_drop(prod, i, plan, _logsumexp)
+        if count == 1:
+            (first,) = holders.pop(i)
+            atoms, ranges, logtab = live.pop(first)
+        else:
+            gone = sorted(holders.pop(i))
+            first = gone[0]
+            atoms, ranges, logtab = _ground_product([live.pop(j) for j in gone], plan)
+        axis = atoms.index(i)
+        step = drops.get((logtab, axis))
+        if step is None:
+            step = drops[logtab, axis] = plan.tab(_logsumexp, (logtab,), axis - len(atoms))
+        atoms = atoms[:axis] + atoms[axis + 1 :]
+        live[first] = (atoms, ranges[:axis] + ranges[axis + 1 :], step)
         if count == 1:
             continue  # no count changed, so every heap entry is as valid as before
-        for other in prod[0]:
+        for other in atoms:
             held = holders.get(other)
             if held is not None:
                 n = len(held)
@@ -571,7 +602,13 @@ def _eliminate(
                 held.add(first)
                 if len(held) != n:  # an unchanged count keeps its valid entry
                     heapq.heappush(heap, (len(held), rank[other]))
+    if log is not None:
+        log += [OpRecord("sum_out", _ground_detail(key), 1) for key in pending[done:]]
     return list(live.values())
+
+
+def _ground_detail(key: tuple) -> str:
+    return f"ground {GroundAtom(*key)}"
 
 
 def _assemble(factors: list[tuple], n_targets: int, plan: _Plan) -> int:
@@ -629,7 +666,7 @@ def ground_ve(m: ParameterisedModel, q: QuerySpec) -> MarginalDistribution:
         for f in _ground_factors(p.table.args, logtab, p.constraint, ids):
             for i, r in zip(f[0], f[1]):
                 if i in observed:
-                    f = _ground_drop(f, i, plan, np.take, r.index(observed[i]))
+                    f = _observed(f, i, r.index(observed[i]), plan)
             factors.append(f)
     n = len(q.targets)
     plan.finish(_assemble(_eliminate(factors, ids, n, None, plan), n, plan))
@@ -682,6 +719,41 @@ def _refine(lifted: Sequence[_Lifted], log: list | None) -> list[_Lifted]:
         lfs[idx : idx + 1] = [_lifted(lf.args, lf.logtab, part) for part in parts]
 
 
+def _leaves(lf: _Lifted, holders: Mapping[tuple, list], target: Mapping[tuple, bool]) -> list[PRV]:
+    """The private leaves of ``lf`` that phase 2 sums out before it grounds, in the order it does.
+
+    A private leaf is a non-target argument whose unit no other live factor
+    holds, whose name occurs once in ``lf`` and whose group is as large as
+    the constraint. Each of its atoms is then in one ground factor, so
+    elimination would sum it out of each grounding, by the same step, in its
+    first run of pops. Summing it out of ``lf`` records that step once and
+    leaves the constraint as it is, so grounding makes the factors those
+    pops would leave. The pops go in key order, so the leaves are taken by
+    name, up to the first other argument no other factor holds: its atoms
+    may be in one factor in some groundings and pop first. When nothing
+    elimination touches would be left, the last leaf stays: the final
+    product reads the factors in the order elimination last touched them,
+    and that leaf's pop is what moves the grounding into place. A factor
+    whose names repeat keeps its arguments, so an aliasing error names them
+    all.
+    """
+    names = [a.name for a in lf.args]
+    if len(set(names)) < len(names):
+        return []
+    out = []
+    for k in sorted(range(len(names)), key=names.__getitem__):
+        a, g = lf.args[k], lf.groups[k]
+        u = (a.name, g)
+        if len(holders[u]) > 1:
+            continue  # its atoms are in two factors or more: not in the first run
+        if target[u] or _count(g) != lf.constraint.size:
+            break
+        out.append(a)
+    if out and all(target[a.name, g] for a, g in zip(lf.args, lf.groups) if a not in out):
+        out.pop()
+    return out
+
+
 def _plan(m: ParameterisedModel, q: QuerySpec, op_log: list | None = None) -> _Plan:
     """The structural half of :func:`lifted_query` on ``m``: every step but the table work.
 
@@ -708,8 +780,10 @@ def _plan(m: ParameterisedModel, q: QuerySpec, op_log: list | None = None) -> _P
     # a unit (a name and a group) is held by exactly the factors with that
     # group. Each step reads the units off the live factors in list order,
     # which is creation order: a finished step removes its factors and appends
-    # its result. ``skip`` marks target units, tested once, and stuck ones.
-    skip: dict[tuple[str, frozenset], bool] = {}
+    # its result. ``target`` marks target units, tested once; ``stuck`` holds
+    # the units whose try failed.
+    target: dict[tuple[str, frozenset], bool] = {}
+    stuck: set[tuple[str, frozenset]] = set()
     while True:
         holders: dict[tuple[str, frozenset], list[_Lifted]] = {}
         for lf in lifted:
@@ -719,9 +793,9 @@ def _plan(m: ParameterisedModel, q: QuerySpec, op_log: list | None = None) -> _P
                     held.append(lf)
         costs = {}
         for u, held in holders.items():
-            if u not in skip:
-                skip[u] = any(n == u[0] and _holds(u[1], t) for n, t in targets)
-            if not skip[u]:
+            if u not in target:
+                target[u] = any(n == u[0] and _holds(u[1], t) for n, t in targets)
+            if not (target[u] or u in stuck):
                 costs[u] = (sum(lf.constraint.size for lf in held), u[0])
         if not costs:
             break
@@ -750,17 +824,29 @@ def _plan(m: ParameterisedModel, q: QuerySpec, op_log: list | None = None) -> _P
         except (ConstraintsMisaligned, NotCountNormalized) as exc:
             plan.drop(mark)
             _note(op_log, "ground", f"{name}: {exc}")
-            skip[unit] = True
+            stuck.add(unit)
             continue
         _note(op_log, "sum_out", name, exponent=n)
         lifted = [lf for lf in lifted if all(lf is not f for f in factors)] + [result]
 
-    # phase 2: ground what is left and eliminate it propositionally
+    # phase 2: sum out each factor's private leaves (``holders`` is the last
+    # round's, over the factors left), ground what is left and eliminate it
+    # propositionally
     plan.batchable = all(_inside(lf.constraint, mentioned) for lf in lifted)
     ids = {key: i for i, key in enumerate(targets)}
-    grounds = [g for lf in lifted for g in _ground_factors(lf.args, lf.logtab, lf.constraint, ids)]
+    grounds: list[tuple] = []
+    summed: list[tuple] = []
+    for lf in lifted:
+        args, logtab = lf.args, lf.logtab
+        for leaf in _leaves(lf, holders, target):
+            axis = args.index(leaf)
+            logtab = plan.tab(_logsumexp, (logtab,), axis - len(args))
+            args = args[:axis] + args[axis + 1 :]
+            if op_log is not None:
+                summed += [key for (key,) in _groundings((leaf,), lf.constraint)]
+        grounds += _ground_factors(args, logtab, lf.constraint, ids)
     n = len(q.targets)
-    plan.finish(_assemble(_eliminate(grounds, ids, n, op_log, plan), n, plan))
+    plan.finish(_assemble(_eliminate(grounds, ids, n, op_log, plan, summed), n, plan))
     return plan
 
 

@@ -255,19 +255,21 @@ def parse_query(text: str) -> QuerySpec:
     targets = tuple(_parse_atom(t) for t in _COMMA.split(target_text))
     evidence = ()
     if len(parts) == 2:
-        items = []
-        for chunk in _COMMA.split(parts[1]):
-            if "=" not in chunk:
-                raise ParseError(f"evidence must be atom=value: {chunk.strip()!r}")
-            atom_text, value = chunk.rsplit("=", 1)
-            items.append((_parse_atom(atom_text), value.strip()))
-        evidence = tuple(items)
+        evidence = tuple(_assignment(chunk, "evidence") for chunk in _COMMA.split(parts[1]))
     return QuerySpec(targets, Evidence(evidence))
 
 
 def parse_event(text: str):
     """Parse ``atom=value`` into its parts; returns (GroundAtom, value)."""
+    return _assignment(text, "event")
+
+
+def _assignment(text: str, kind: str) -> tuple[GroundAtom, str]:
+    """``atom=value`` as its atom and stripped value; a ParseError without ``=`` or a value."""
     if "=" not in text:
-        raise ParseError(f"event must be atom=value: {text.strip()!r}")
+        raise ParseError(f"{kind} must be atom=value: {text.strip()!r}")
     atom_text, value = text.rsplit("=", 1)
-    return _parse_atom(atom_text), value.strip()
+    value = value.strip()
+    if not value:
+        raise ParseError(f"{kind} {atom_text.strip()!r} has no value")
+    return _parse_atom(atom_text), value

@@ -245,6 +245,8 @@ class Range:
             raise ValidationError("a range needs at least two values")
         if len(set(self.values)) != len(self.values):
             raise ValidationError("range values must be unique")
+        if "" in self.values:
+            raise ValidationError("a range value must not be empty")
 
     def index(self, value: str) -> int:
         try:

@@ -11,13 +11,18 @@ works them out from blocks. ``shape_keyed_query_all`` keys every world by
 ``eager_evaluate`` builds every constraint of a world at once, from a rule
 run of its own, where ``evaluate`` leaves a formed world's constraints to its
 memo recipe until they are read.
+``reference_plan`` is ``engine._plan`` with phase 2 as it was before it
+summed out private leaves: every factor is grounded whole and eliminated
+by the loop and product routine of that time.
 """
 
 from __future__ import annotations
 
 import hashlib
+import heapq
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 
@@ -38,7 +43,7 @@ from liftworlds import (
     UniverseModel,
     parse_program,
 )
-from liftworlds import program, queries
+from liftworlds import engine, program, queries
 from liftworlds.model import _Identifier, _listed, _regions, _shape, _union
 from liftworlds.program import ConstraintWorld
 from liftworlds.queries import AnswerEntry, AnswerSet, SkippedModel
@@ -424,3 +429,86 @@ def shape_keyed_query_all(models, q) -> AnswerSet:
         answers.update(queries._answers(worlds, q, fixed, structure))
     entries = tuple(AnswerEntry(wm.provenance, wm.prob, answers[sizes]) for wm, answers, sizes in keyed)
     return AnswerSet(q, entries, tuple(skipped))
+
+
+def _reference_product(factors, plan):
+    """``engine._ground_product`` without its fast path: every holder's layout is worked out."""
+    if len(factors) == 1:
+        return factors[0]
+    keys, data, logtab = factors[0]
+    views = {(logtab, tuple(range(len(keys)))): 0}
+    order = [0]
+    for f_keys, f_data, logtab in factors[1:]:
+        new, src = [], []
+        for k, x in enumerate(f_keys):
+            if x in keys:
+                src.append(keys.index(x))
+            else:
+                src.append(len(keys) + len(new))
+                new.append(k)
+        keys += tuple([f_keys[k] for k in new])
+        data += tuple([f_data[k] for k in new])
+        order.append(views.setdefault((logtab, tuple(src)), len(views)))
+    refs, srcs = zip(*views)
+    return keys, data, plan.tab(engine._product, refs, srcs, tuple(order), len(keys))
+
+
+def _reference_eliminate(factors, ids, n_targets, log, plan, summed=()):
+    """Phase 2's elimination loop before atoms were summed out ahead of grounding.
+
+    Every atom, in one factor or many, takes the same path: the product of
+    its holders, then one sum-out step recorded through ``plan.tab``.
+    """
+    assert not summed
+    keys = list(ids)
+    order = sorted(range(n_targets, len(keys)), key=keys.__getitem__)
+    if not order:
+        return list(factors)
+    rank = [0] * len(keys)
+    for r, i in enumerate(order):
+        rank[i] = r
+    live = dict(enumerate(factors))
+    holders: dict[int, set[int]] = {}
+    for j, f in live.items():
+        for i in f[0]:
+            if i >= n_targets:
+                holders.setdefault(i, set()).add(j)
+    heap = [(len(held), rank[i]) for i, held in holders.items()]
+    heapq.heapify(heap)
+    while heap:
+        count, r = heapq.heappop(heap)
+        i = order[r]
+        if len(holders.get(i, ())) != count:
+            continue
+        gone = sorted(holders.pop(i))
+        first = gone[0]
+        if log is not None:
+            detail = f"ground {GroundAtom(*keys[i])}"
+            log += [engine.OpRecord("multiply", detail)] * (count - 1) + [engine.OpRecord("sum_out", detail, 1)]
+        atoms, ranges, logtab = _reference_product([live.pop(j) for j in gone], plan)
+        axis = atoms.index(i)
+        step = plan.tab(engine._logsumexp, (logtab,), axis - len(atoms))
+        live[first] = prod = (atoms[:axis] + atoms[axis + 1 :], ranges[:axis] + ranges[axis + 1 :], step)
+        if count == 1:
+            continue
+        for other in prod[0]:
+            held = holders.get(other)
+            if held is not None:
+                n = len(held)
+                held.difference_update(gone)
+                held.add(first)
+                if len(held) != n:
+                    heapq.heappush(heap, (len(held), rank[other]))
+    return list(live.values())
+
+
+def reference_plan(m: ParameterisedModel, q, op_log: list | None = None):
+    """``engine._plan`` with phase 2 grounding every factor whole, then the reference loop.
+
+    Both phases multiply by the reference product routine, which lays out
+    and adds its operands as the engine's does.
+    """
+    with mock.patch.object(engine, "_leaves", lambda *_: []), \
+            mock.patch.object(engine, "_eliminate", _reference_eliminate), \
+            mock.patch.object(engine, "_ground_product", _reference_product):
+        return engine._plan(m, q, op_log)

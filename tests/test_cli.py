@@ -366,6 +366,11 @@ class TestSelections:
         want = {full_rows[i]["world_id"] for i in brute_force_skyline(pts)}
         assert {r["world_id"] for r in sky_rows} == want
 
+    def test_an_event_without_a_value_is_input_error(self, small_universe):
+        result = run("trend", *small_universe, "--event", "Sick(x1)=")
+        assert result.exit_code == 2
+        assert "'Sick(x1)' has no value" in result.output
+
     def test_trend_reports_decline(self, small_universe):
         result = run("trend", *small_universe, "--event", "Sick(x1)=true")
         assert result.exit_code == 0

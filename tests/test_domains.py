@@ -113,6 +113,14 @@ class TestEnumerateWorlds:
         assert a == b
         assert members(a[0].domains[X])[0] == Constant("x1")
 
+    def test_bins_and_step_must_be_integers(self):
+        # a fractional bin count failed only when the worlds were enumerated,
+        # and a fractional step when a constant set was built
+        for bins, step in ((2.5, 1), (2, 1.5), (True, 1), (2, "1"), (2.0, 1)):
+            with pytest.raises(ValidationError, match="bins and step must be positive integers"):
+                BetaBinomialDomain(6.0, 15.0, bins, step)
+        assert len(enumerate_worlds(example_spec(bins=2, step=1), epidemic_template())) == 2
+
     def test_guaranteed_overflow_rejected(self):
         spec = DomainSpec(
             {

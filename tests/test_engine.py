@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import warnings
@@ -40,7 +41,7 @@ from liftworlds.engine import (
     _sum_out,
     _tables,
 )
-from liftworlds.model import _at_sizes, _groundings, _holds, _split, conditional_count, project
+from liftworlds.model import _at_sizes, _count, _groundings, _holds, _split, conditional_count, project
 from support import (
     EPID,
     SICK,
@@ -54,6 +55,7 @@ from support import (
     group_instances,
     joint_enumeration,
     ragged_model,
+    reference_plan,
     ts,
     unnormalized_table,
     xs,
@@ -944,6 +946,94 @@ def test_ground_ve_answers_are_pinned(data_dir):
     for m, q in bundled + ragged:
         h.update(repr([float(p).hex() for p in ground_ve(m, q).probs]).encode())
     assert h.hexdigest() == "f0ba4a6f6d7d1784eedac155bdb25d1da283e94ab53c1808788cf8cd80d22fc2"
+
+
+def _leaf_model(rng):
+    """A seeded ``ragged_model`` plus one to three parfactors over private PRVs.
+
+    x1 has one treatment and x2 two. Each extra parfactor holds one to three
+    of Age(X,T), Bmi(X), Cold(X), Dose(X,T), Zinc(X,T), Flu(), Epid, Sick(X) and
+    Treat(X,T), in drawn order, over the model's pairs, persons or its one
+    empty tuple, whichever its arguments need.
+    """
+    t1, t2, t3 = ts(3)
+    pairs = [(x, t1) for x in xs(1)] + [(x, t) for x in xs(2)[1:] for t in (t1, t2)]
+    for x in xs(int(rng.integers(3, 7)))[2:]:
+        held = [t for b, t in enumerate((t1, t2, t3)) if int(rng.integers(1, 8)) >> b & 1]
+        pairs += [(x, t) for t in held]
+    base = ragged_model(pairs, rng).parfactors
+    pool = [PRV("Age", (X, T)), PRV("Bmi", (X,)), PRV("Cold", (X,)), PRV("Dose", (X, T)),
+            PRV("Zinc", (X, T)), PRV("Flu"), EPID, SICK, TREAT]
+    persons = [(x,) for x in dict.fromkeys(x for x, _ in pairs)]
+    extra = []
+    for _ in range(int(rng.integers(1, 4))):
+        args = tuple(pool[i] for i in rng.choice(len(pool), int(rng.integers(1, 4)), replace=False))
+        logvars = {lv for a in args for lv in a.params}
+        c = (
+            Constraint.extensional((X, T), pairs) if T in logvars
+            else Constraint.extensional((X,), persons) if logvars
+            else Constraint.extensional((), [()])
+        )
+        extra.append(Parfactor(PotentialTable(args, rng.uniform(0.1, 2, 2 ** len(args))), c))
+    return ParameterisedModel(base + tuple(extra))
+
+
+def test_summing_leaves_before_grounding_changes_no_step_record_or_bit(monkeypatch):
+    # phase 2 sums each private leaf out of its lifted factor before it
+    # grounds; the plan must have as many steps, log the same records and
+    # answer the same bytes as grounding every factor whole and eliminating
+    # atom by atom (support.reference_plan). Each model runs twice: as it
+    # is, and with every lifted sum-out refused, so that phase 2 also sees
+    # factors phase 1 would have reduced (two leaves in one factor, or no
+    # argument but leaves)
+    leaves = engine._leaves
+    calls = []
+    monkeypatch.setattr(engine, "_leaves", lambda lf, *rest: calls.append((lf, *rest)) or leaves(lf, *rest))
+
+    def refused(lf, prv, plan):
+        raise NotCountNormalized("refused")
+
+    rng = np.random.default_rng(33)
+    q = QuerySpec((atom("Sick", "x1"),), Evidence(((atom("Travel", "x2"), "true"),)))
+    seen = dict.fromkeys(("two leaves", "all leaves", "on x1", "on x2", "held back"), 0)
+    for _ in range(240):
+        m = _leaf_model(rng)
+        for lifting in (True, False):
+            calls.clear()
+            runs = []
+            for planned in (engine._plan, reference_plan):
+                with monkeypatch.context() as patch:
+                    if not lifting:
+                        patch.setattr(engine, "_sum_out", refused)
+                    log = []
+                    plan = planned(m, q, log)
+                    if planned is engine._plan:  # a log changes no step
+                        assert engine._plan(m, q).steps == plan.steps
+                probs = _run(plan, [plan.exponents])[0].probs
+                runs.append((len(plan.steps), [(r.kind, r.detail, r.exponent) for r in log], probs.tobytes()))
+            assert runs[0] == runs[1]
+            for lf, holders, target in calls:
+                out = leaves(lf, holders, target)
+                units = [(a.name, g) for a, g in zip(lf.args, lf.groups)]
+                private = [len(holders[u]) == 1 for u in units]
+                leaf = [
+                    p and not target[u] and _count(u[1]) == lf.constraint.size
+                    for p, u in zip(private, units)
+                ]
+                seen["two leaves"] += len(out) >= 2
+                seen["all leaves"] += all(leaf) and bool(out)
+                for x in ("x1", "x2"):
+                    seen["on " + x] += any(t[:1] == (x,) for a in out for t in group_instances(lf.groups[lf.args.index(a)]))
+                # a leaf left for elimination behind an argument that sorts
+                # first and is in one grounding for some of its atoms
+                for k, is_leaf in enumerate(leaf):
+                    first = [
+                        j for j, a in enumerate(lf.args)
+                        if private[j] and not leaf[j] and a.name < lf.args[k].name
+                        and 1 in collections.Counter(_groundings((a,), lf.constraint)).values()
+                    ]
+                    seen["held back"] += is_leaf and lf.args[k] not in out and bool(first)
+    assert min(seen.values()) >= 20, seen
 
 
 def test_phase_two_makes_no_atom_per_grounding(monkeypatch):

@@ -164,6 +164,15 @@ class TestModelFile:
         with pytest.raises(ValidationError):
             parse_model(doc)
 
+    def test_empty_range_value_rejected(self):
+        doc = {
+            "randvars": [{"name": "Level", "arity": 0, "range": ["", "on"]}],
+            "logvars": [],
+            "parfactors": [{"args": [["Level"]], "values": [1, 2], "constraint": "empty"}],
+        }
+        with pytest.raises(ValidationError, match="must not be empty"):
+            parse_model(doc)
+
     def test_custom_range(self):
         doc = {
             "randvars": [{"name": "Level", "arity": 0, "range": ["low", "mid", "high"]}],
@@ -304,3 +313,14 @@ class TestQueryStrings:
         assert a == atom("Treat", "x1", "t1") and v == "true"
         with pytest.raises(ParseError):
             parse_event("Sick(x1)")
+
+    def test_an_empty_value_is_a_parse_error_naming_the_atom(self):
+        for parse, text in (
+            (parse_event, "Sick(x1)="),
+            (parse_event, "Sick(x1)=  "),
+            (parse_query, "P(Sick(x1)|Travel(x2)=)"),
+            (parse_query, "P(Epid | Sick(x1)=true, Travel(x2)= )"),
+        ):
+            with pytest.raises(ParseError, match=r"has no value") as raised:
+                parse(text)
+            assert "Sick(x1)" in str(raised.value) or "Travel(x2)" in str(raised.value)

@@ -182,6 +182,11 @@ class TestValidation:
         with pytest.raises(ValidationError):
             Range(("only",))
 
+    def test_range_refuses_an_empty_value(self):
+        # an empty label reads as no value in an event or a CSV column name
+        with pytest.raises(ValidationError, match="must not be empty"):
+            Range(("", "on"))
+
     def test_constraint_arity_checked(self):
         with pytest.raises(ValidationError):
             Constraint.extensional((X, T), [(Constant("a"),)])
